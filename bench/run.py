@@ -16,14 +16,23 @@ outputs.  A job fails when it raises, returns the wrong exit code or
 misses its output check.
 
 --trace 0 reports the end-to-end metrics:
-  wall_s       wall time of one input set's jobs, fastest run
-  cpu_s        process CPU time over the same jobs, fastest run
+  wall_s       wall time of one input set's jobs, median over the run
+  cpu_s        process CPU time over the same jobs, median over the run
   setup_s      import of every rdmsim module plus building the inputs, in
                a fresh interpreter (median over several processes)
   peak_rss_mb  peak resident memory of this process
+wall_s and cpu_s are in reference seconds: short samples of a fixed
+reference computation, taken from a timer signal throughout the run and
+not charged to the jobs they interrupt, measure the machine's speed (see
+calibrate.py), and each run of an input set is scaled by the speed
+measured during it.  The raw times and the speed factors are kept in the
+result file.  setup_s is in plain seconds: the import time of a fresh
+interpreter does not follow the reference's speed, so scaling it only
+adds noise.
 --trace 1 runs input set 0 alternately untraced and traced and reports
 self time and work counts per layer (see spans.py), the traced wall
-time and the tracing overhead (traced minus untraced wall time).
+time and the tracing overhead (traced minus untraced wall time), all in
+plain seconds.
 Both modes print the error rate (failed / attempted jobs) and run
 metadata, write a result file and the output digests under
 .bench_out/, and end with one JSON line:
@@ -84,7 +93,7 @@ def setup(workload, seed, size, workdir):
     import workloads
     t1 = time.perf_counter()
     sets = workloads.WORKLOADS[workload](seed, size, workdir)
-    return workloads, sets, t1 - t0, time.perf_counter() - t1
+    return workloads, sets, (t1 - t0, time.perf_counter() - t1)
 
 
 def probe_setup(args):
@@ -116,28 +125,36 @@ class Tally:
         return self.raised + self.missed
 
 
-def run_set(wl, jobs, tracer, tally, digests):
+def run_set(wl, jobs, tracer, tally, digests, speed=None):
     """Run one input set's jobs in order; return their (wall, cpu) seconds.
 
     digests maps job name -> digest of the first run of these inputs;
-    a later run with other outputs misses the determinism check."""
+    a later run with other outputs misses the determinism check.  The
+    time an armed Speed spends in reference samples inside a job is not
+    counted as the job's."""
     wall = cpu = 0.0
     earlier = {}
     for job in jobs:
         if job.prepare is not None:
             job.prepare()
         tally.attempted += 1
+        s_wall, s_cpu = (speed.wall, speed.cpu) if speed is not None else (0.0, 0.0)
         w0, c0 = time.perf_counter(), time.process_time()
         try:
             with tracer.span(f"job.{job.name}"):
                 out = job.run(tracer)
         except Exception as exc:  # a raising job is a failed operation, not a crash
-            wall += time.perf_counter() - w0
-            cpu += time.process_time() - c0
-            tally.fail(job.name, f"raised {type(exc).__name__}: {exc}", raised=True)
-            continue
+            out, raised = None, exc
+        else:
+            raised = None
         wall += time.perf_counter() - w0
         cpu += time.process_time() - c0
+        if speed is not None:
+            wall -= speed.wall - s_wall
+            cpu -= speed.cpu - s_cpu
+        if raised is not None:
+            tally.fail(job.name, f"raised {type(raised).__name__}: {raised}", raised=True)
+            continue
         notes = []
         reason = job.check(out, earlier, notes)
         tally.notes.update((job.name, note) for note in notes)
@@ -157,16 +174,22 @@ def _time_left(start, seconds, last):
     return time.perf_counter() - start + 0.5 * last < seconds
 
 
-def measure(args, wl, sets, tally, digests):
-    """Cycle through the input sets until --seconds have passed."""
-    walls, cpus = [], []
+def measure(args, wl, sets, tally, digests, speed):
+    """Cycle through the input sets until --seconds have passed, taking
+    reference samples throughout.  Return the raw wall and CPU seconds of
+    each run of a set and the speed factor of the samples taken during it."""
+    walls, cpus, factors = [], [], []
     start = time.perf_counter()
-    while not walls or _time_left(start, args.seconds, walls[-1]):
-        r = len(walls) % len(sets)
-        wall, cpu = run_set(wl, sets[r], NullTracer(), tally, digests.setdefault(r, {}))
-        walls.append(wall)
-        cpus.append(cpu)
-    return walls, cpus
+    with speed.armed():
+        while not walls or _time_left(start, args.seconds, walls[-1]):
+            r = len(walls) % len(sets)
+            first = len(speed.samples)
+            wall, cpu = run_set(wl, sets[r], NullTracer(), tally,
+                                digests.setdefault(r, {}), speed)
+            walls.append(wall)
+            cpus.append(cpu)
+            factors.append(speed.factor(first, len(speed.samples)))
+    return walls, cpus, factors
 
 
 def measure_traced(args, wl, sets, tally, digests):
@@ -238,14 +261,14 @@ def main(argv=None):
     sys.path.insert(0, str(SRC))
 
     if args.setup_probe:
-        _, _, import_s, inputs_s = setup(args.workload, args.seed, args.size,
-                                         OUT / "probe" / args.workload)
+        _, _, (import_s, inputs_s) = setup(args.workload, args.seed, args.size,
+                                           OUT / "probe" / args.workload)
         print(json.dumps({"import_s": import_s, "inputs_s": inputs_s}))
         return 0
 
-    wl, sets, import_s, inputs_s = setup(args.workload, args.seed, args.size,
-                                         OUT / "work" / args.workload)
-    setups = [(import_s, inputs_s)]
+    wl, sets, own_setup = setup(args.workload, args.seed, args.size,
+                                OUT / "work" / args.workload)
+    setups = [own_setup]
     setups += [probe_setup(args) for _ in range(SETUP_SAMPLES[args.size] - 1)]
     tally, digests = Tally(), {}
 
@@ -256,21 +279,27 @@ def main(argv=None):
         extra = {"spans": tracers[-1].spans}
         summary = f"{reps} untraced + {reps} traced runs of input set 0"
     else:
-        walls, cpus = measure(args, wl, sets, tally, digests)
+        from calibrate import Speed  # imports numpy, so not before the set-up
+
+        speed = Speed()
+        walls, cpus, factors = measure(args, wl, sets, tally, digests, speed)
+        f = speed.factor()
         metrics = {
-            # other tenants of a shared machine only ever slow a run down,
-            # at times by half again for tens of seconds, so the fastest
-            # run is the steadiest estimate; medians are taken across runs
-            "wall_s": (min(walls), "s"),
-            "cpu_s": (min(cpus), "s"),
+            "wall_s": (statistics.median(w * g for w, g in zip(walls, factors)), "s"),
+            "cpu_s": (statistics.median(c * g for c, g in zip(cpus, factors)), "s"),
             "setup_s": (statistics.median(i + b for i, b in setups), "s"),
             "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
         }
         reps = len(walls)
-        extra = {"runs": {"wall_s": walls, "cpu_s": cpus}}
-        summary = (f"{reps} runs over {min(reps, len(sets))} input sets, "
-                   f"wall_s from {min(walls):.4f} to {max(walls):.4f} s; "
-                   f"setup_s over {len(setups)} fresh processes")
+        extra = {"runs": {"wall_s": walls, "cpu_s": cpus, "speed_factor": factors,
+                          "setup_s": setups},
+                 "speed": {"factor": f, "reference_samples": speed.samples}}
+        summary = (f"{reps} runs over {min(reps, len(sets))} input sets; raw wall_s "
+                   f"median {statistics.median(walls):.4f} s (from {min(walls):.4f} to "
+                   f"{max(walls):.4f}); setup_s over {len(setups)} fresh processes; "
+                   f"speed factor {min(factors):.4f} to "
+                   f"{max(factors):.4f}, {f:.4f} over the run from "
+                   f"{len(speed.samples)} reference samples")
 
     error_rate = tally.failed / tally.attempted
     meta = metadata(args, reps)
