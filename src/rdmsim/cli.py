@@ -3,8 +3,9 @@
 Every subcommand reads its parameters from a scenario file (YAML, with
 JSON as the canonical subset), optionally overridden by --seed, and
 writes declared outputs plus a manifest into --out-dir.  Identical
-scenario + seed reproduce byte-identical data files whatever --threads
-is; only the manifest's wall-time field differs between runs.
+scenario + seed reproduce byte-identical data files; only the manifest's
+wall-time field differs between runs.  --threads is accepted for
+compatibility and ignored: every run is single-threaded.
 
 Exit codes: 0 ok, 1 contract violation (bad scenario / precondition),
 2 numeric failure (NaN or overflow mid-run).
@@ -25,7 +26,6 @@ from . import __version__, acceptance, beable, collapse, constants, frames
 from . import hilbert, io, protective, rdm, schrodinger, verify
 from .collapse import CollapseConfig
 from .errors import ContractViolation, NumericFailure, ScenarioError
-from .seeding import derive_seed
 
 
 def load_scenario(path) -> dict:
@@ -60,6 +60,14 @@ def _take(params: dict, required=(), optional=None):
     if unknown:
         raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
     return out
+
+
+def _pop_int(params: dict, key: str, default: int) -> int:
+    value = params.pop(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"scenario key {key!r} must be an integer, not {value!r}")
 
 
 def _complex_vector(spec) -> np.ndarray:
@@ -149,7 +157,10 @@ def cmd_rdm_sample(params, ctx):
     if p["weights"] is not None:
         weights = np.asarray(p["weights"], dtype=np.float64)
     elif p["two_box"] is not None:
-        a_sq = float(p["two_box"]["a_sq"])
+        try:
+            a_sq = float(p["two_box"]["a_sq"])
+        except (KeyError, TypeError, ValueError):
+            raise ScenarioError("'two_box' must be a mapping with a numeric 'a_sq'")
         weights = np.array([a_sq, 1.0 - a_sq])
     else:
         raise ScenarioError("need 'weights' or 'two_box'")
@@ -220,8 +231,8 @@ def cmd_beable_run(params, ctx):
 
 def cmd_collapse_run(params, ctx):
     p = dict(params)
-    seed_param = int(p.pop("seed", 0))
-    max_steps = int(p.pop("max_steps", 100_000))
+    seed_param = _pop_int(p, "seed", 0)
+    max_steps = _pop_int(p, "max_steps", 100_000)
     s0 = _superposition({k: p.pop(k) for k in ("energies", "amplitudes",
                                                "probabilities") if k in p})
     seed = ctx["seed"] if ctx["seed"] is not None else seed_param
@@ -247,18 +258,17 @@ def cmd_collapse_run(params, ctx):
 
 def cmd_collapse_ensemble(params, ctx):
     p = dict(params)
-    seed_param = int(p.pop("seed", 0))
-    n_trials = int(p.pop("n_trials", 1000))
-    n_steps = int(p.pop("n_steps", 100))
-    slice_stride = int(p.pop("slice_stride", 10))
+    seed_param = _pop_int(p, "seed", 0)
+    n_trials = _pop_int(p, "n_trials", 1000)
+    n_steps = _pop_int(p, "n_steps", 100)
+    slice_stride = _pop_int(p, "slice_stride", 10)
     s0 = _superposition({k: p.pop(k) for k in ("energies", "amplitudes",
                                                "probabilities") if k in p})
     seed = ctx["seed"] if ctx["seed"] is not None else seed_param
     cfg = _collapse_config(p, seed)
     if p:
         raise ScenarioError(f"unknown scenario keys: {sorted(p)}")
-    res = collapse.ensemble_statistics(s0, cfg, n_trials, n_steps, slice_stride,
-                                       threads=ctx["threads"])
+    res = collapse.ensemble_statistics(s0, cfg, n_trials, n_steps, slice_stride)
     payload = {
         "n_trials": n_trials,
         "pairs": [list(pr) for pr in res["pairs"]],
@@ -470,7 +480,8 @@ def build_parser() -> _Parser:
                         help="override the scenario's master seed")
         sp.add_argument("--out-dir", default=None,
                         help="output directory (default: $RDMSIM_OUT_DIR or '.')")
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, default=1,
+                        help="accepted and ignored; runs are single-threaded")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         if name == "verify":
             sp.add_argument("--pack", action="store_true",
@@ -491,7 +502,6 @@ def _run(args) -> int:
     ctx = {
         "out_dir": out_dir,
         "fmt": args.format,
-        "threads": max(1, args.threads),
         "seed": args.seed,
         "pack": getattr(args, "pack", False),
     }

@@ -27,6 +27,7 @@ from .errors import (
     ContractViolation,
     DimensionMismatchError,
     NormalizationError,
+    NumericFailure,
     SuperPlanckianError,
 )
 from .hilbert import EnergySuperposition, energy_uncertainty
@@ -61,8 +62,8 @@ class CollapseConfig:
                 raise ContractViolation("frozen mode needs 0 <= k0 <= 1")
         if self.delta_e_reducer not in ("rms", "linear-sum"):
             raise ContractViolation(f"unknown delta_e_reducer {self.delta_e_reducer!r}")
-        if self.t_p <= 0 or self.hbar <= 0 or self.c <= 0:
-            raise ContractViolation("t_p, hbar and c must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.t_p, self.hbar, self.c)):
+            raise ContractViolation("t_p, hbar and c must be positive and finite")
         if not 0.0 < self.collapse_epsilon < 1.0:
             raise ContractViolation("collapse_epsilon must lie in (0, 1)")
 
@@ -215,76 +216,78 @@ def run_trajectory(s0: EnergySuperposition, cfg: CollapseConfig, max_steps: int,
     }
 
 
-TRIAL_BLOCK = 256  # fixed, so summation order never depends on the thread count
+TRIAL_BLOCK = 256  # ensemble_statistics sums trials in blocks of this size, in order
+DRAW_BUDGET = TRIAL_BLOCK * 512  # uniforms buffered at once, however many trials are live
 
 
-def _ensemble_probability_paths(p0: np.ndarray, energies: np.ndarray,
-                                cfg: CollapseConfig, n_trials: int, n_steps: int,
-                                trial_offset: int = 0, chunk: int = 512):
-    """Vectorized probability paths for n_trials independent runs.
+def _ensemble_strength(p: np.ndarray, energies: np.ndarray, cfg: CollapseConfig,
+                       step: int, trials: np.ndarray):
+    """k for every column of the branch-major matrix p (m x n_live).
 
-    Each trial consumes exactly one uniform per step from its own seeded
-    generator (seed mixed from cfg.seed and the absolute trial index),
-    so results are identical however the trials are batched or
-    parallelized.  Draws are buffered in step chunks to bound memory.
-    Yields (step, P matrix n_trials x m) after every step including 0.
+    Dynamic k is evaluated on a trial-major copy.  Its p @ energies goes
+    through BLAS, whose last-ulp rounding depends on the number of rows
+    it is handed, so a trial's dynamic k can depend on how many trials
+    share the array.  A non-finite k raises NumericFailure, a finite
+    k > 1 SuperPlanckianError; both name the absolute trial index.
     """
-    gens = [trial_rng(cfg.seed, trial_offset + trial) for trial in range(n_trials)]
-    p = np.tile(np.asarray(p0, dtype=np.float64), (n_trials, 1))
-    rows = np.arange(n_trials)
-    yield 0, p
-    step = 0
-    while step < n_steps:
-        block = min(chunk, n_steps - step)
-        draws = np.empty((n_trials, block))
-        for trial, gen in enumerate(gens):
-            draws[trial] = gen.random(block)
-        for b in range(block):
-            if cfg.k_mode == "frozen":
-                k = np.full(n_trials, cfg.k0)
-            else:
-                e_bar = p @ energies
-                var = np.einsum("ti,i->t", p, energies**2) - e_bar**2
-                k = np.sqrt(np.maximum(var, 0.0)) * cfg.t_p / cfg.hbar
-                if float(k.max()) > 1.0:
-                    raise SuperPlanckianError("k exceeded 1 during an ensemble run")
-            cum = np.cumsum(p, axis=1)
-            u = draws[:, b] * cum[:, -1]
-            stay = (u[:, None] >= cum).sum(axis=1)
-            p = p - k[:, None] * p
-            p[rows, stay] += k
-            np.minimum(p, 1.0, out=p)
-            step += 1
-            yield step, p
+    if cfg.k_mode == "frozen":
+        return cfg.k0
+    pt = np.ascontiguousarray(p.T)
+    e_bar = pt @ energies
+    var = np.einsum("ti,i->t", pt, energies**2) - e_bar**2
+    k = np.sqrt(np.maximum(var, 0.0)) * cfg.t_p / cfg.hbar
+    if not k.max() <= 1.0:  # written so that NaN fails it too
+        bad = int(np.flatnonzero(~(k <= 1.0))[0])
+        if not math.isfinite(k[bad]):
+            raise NumericFailure(f"k = dE*t_P/hbar is {k[bad]} in trial {trials[bad]}",
+                                 step=step)
+        raise SuperPlanckianError(
+            f"k = dE*t_P/hbar = {k[bad]:.3g} > 1 at step {step} of trial {trials[bad]}")
+    return k
 
 
-def _trial_blocks(n_trials: int):
-    return [(lo, min(lo + TRIAL_BLOCK, n_trials))
-            for lo in range(0, n_trials, TRIAL_BLOCK)]
+def _collapse_kernel(p: np.ndarray, u: np.ndarray, k):
+    """One instant for every column of the branch-major matrix p (m x n_live), in place.
+
+    Column t stays in branch s, the number of cumulative sums cum_j with
+    u[t] * cum_{m-1} >= cum_j; then P <- P - kP, P[s] += k, min(P, 1).
+    k is one value for all columns or one per column.  Each column goes
+    through the same IEEE operations whatever other columns share the
+    array.
+    """
+    cum = np.empty_like(p)
+    cum[0] = p[0]
+    for j in range(1, len(p)):
+        np.add(cum[j - 1], p[j], out=cum[j])
+    passed = u * cum[-1] >= cum
+    # cum is nondecreasing down a column, so s = j where u passes cum_{j-1} but not cum_j
+    stay = ~passed
+    stay[1:] &= passed[:-1]
+    p -= k * p
+    p += stay * k
+    np.minimum(p, 1.0, out=p)
 
 
-def _run_blocks(worker, n_trials: int, threads: int):
-    """Map `worker` over fixed-size trial blocks and return the results
-    in block order, whatever the thread count."""
-    blocks = _trial_blocks(n_trials)
-    if threads <= 1 or len(blocks) == 1:
-        return [worker(lo, hi) for lo, hi in blocks]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, lo, hi) for lo, hi in blocks]
-        return [f.result() for f in futures]
+def _draw_chunk(gens: list, steps_left: int) -> np.ndarray:
+    """The next uniforms of each generator, one row per generator
+    (len(gens) x chunk).  DRAW_BUDGET bounds the buffer; a trial's
+    stream does not depend on how it is chunked."""
+    chunk = min(max(DRAW_BUDGET // len(gens), 8), 512, steps_left)
+    out = np.empty((len(gens), chunk))
+    for row, gen in enumerate(gens):
+        gen.random(out=out[row])
+    return out
 
 
 def ensemble_statistics(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: int,
-                        n_steps: int, slice_stride: int, threads: int = 1) -> dict:
+                        n_steps: int, slice_stride: int) -> dict:
     """Sample means of P_i and of the products P_i P_j (the off-diagonal
     proxy) over an ensemble, with standard errors, at every
     slice_stride-th step.
 
-    Trials are processed in fixed-size blocks with per-trial seeds and
-    the block sums reduced in block order, so the output is identical
-    for any `threads` value.
+    Trials run in fixed blocks of TRIAL_BLOCK with per-trial seeds, and
+    the sums are accumulated in block order, so the output depends only
+    on the inputs.
     """
     if n_trials < 2 or n_steps < 0 or slice_stride < 1:
         raise ContractViolation("need n_trials >= 2, n_steps >= 0, slice_stride >= 1")
@@ -296,29 +299,31 @@ def ensemble_statistics(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: 
     slice_steps = sorted(set(range(0, n_steps + 1, slice_stride)) | {n_steps})
     ii = np.array([i for i, _ in pairs], dtype=np.int64)
     jj = np.array([j for _, j in pairs], dtype=np.int64)
-
-    def block_sums(lo, hi):
-        s1 = np.zeros((len(slice_steps), m))
-        s2 = np.zeros((len(slice_steps), m))
-        q1 = np.zeros((len(slice_steps), len(pairs)))
-        q2 = np.zeros((len(slice_steps), len(pairs)))
-        row = 0
-        for step, p in _ensemble_probability_paths(s0.probabilities, energies, cfg,
-                                                   hi - lo, n_steps, trial_offset=lo):
-            if row < len(slice_steps) and step == slice_steps[row]:
-                s1[row] += p.sum(axis=0)
-                s2[row] += (p**2).sum(axis=0)
-                prods = p[:, ii] * p[:, jj]
+    s1 = np.zeros((len(slice_steps), m))
+    s2 = np.zeros((len(slice_steps), m))
+    q1 = np.zeros((len(slice_steps), len(pairs)))
+    q2 = np.zeros((len(slice_steps), len(pairs)))
+    for lo in range(0, n_trials, TRIAL_BLOCK):
+        trials = np.arange(lo, min(lo + TRIAL_BLOCK, n_trials))
+        gens = [trial_rng(cfg.seed, t) for t in trials.tolist()]
+        p = np.repeat(s0.probabilities[:, None], trials.size, axis=1)
+        draws, b, row = None, 0, 0
+        for step in range(n_steps + 1):
+            if step == slice_steps[row]:
+                pt = np.ascontiguousarray(p.T)
+                prods = pt[:, ii] * pt[:, jj]
+                s1[row] += pt.sum(axis=0)
+                s2[row] += (pt**2).sum(axis=0)
                 q1[row] += prods.sum(axis=0)
                 q2[row] += (prods**2).sum(axis=0)
                 row += 1
-        return s1, s2, q1, q2
-
-    parts = _run_blocks(block_sums, n_trials, threads)
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    q1 = sum(p[2] for p in parts)
-    q2 = sum(p[3] for p in parts)
+            if step == n_steps:
+                break
+            if draws is None or b == draws.shape[1]:
+                draws, b = _draw_chunk(gens, n_steps - step), 0
+            k = _ensemble_strength(p, energies, cfg, step, trials)
+            _collapse_kernel(p, draws[:, b], k)
+            b += 1
     n = float(n_trials)
     mean_p = s1 / n
     var_p = np.maximum(s2 / n - mean_p**2, 0.0) * n / (n - 1.0)
@@ -336,37 +341,53 @@ def ensemble_statistics(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: 
 
 
 def ensemble_outcomes(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: int,
-                      max_steps: int, threads: int = 1) -> dict:
-    """Outcome branch and steps-to-collapse for each trial (vectorized,
-    block-deterministic).  A trial collapses when max P_i > 1 - epsilon;
-    trials that never cross the threshold report steps = max_steps and
-    outcome -1."""
+                      max_steps: int) -> dict:
+    """Outcome branch and steps-to-collapse for each trial.  A trial
+    collapses when max P_i > 1 - epsilon; trials that never cross the
+    threshold report steps = max_steps and outcome -1.
+
+    Trials step as one array and each leaves it at the step where it
+    crosses, so the work follows the live trials, not the slowest one.
+    Every trial draws one uniform per step from its own seeded
+    generator, so with frozen k a trial's result does not depend on the
+    others (for dynamic k see _ensemble_strength).  Each trial's
+    generator is held until the run ends, about 0.9 KB per trial.
+    """
+    if n_trials < 1 or max_steps < 0:
+        raise ContractViolation("need n_trials >= 1 and max_steps >= 0")
     if len(_energy_groups(s0.energies)) != s0.n_branches:
         raise ContractViolation("ensemble outcomes expects distinct branch energies")
     threshold = 1.0 - cfg.collapse_epsilon
-
-    def block_outcomes(lo, hi):
-        n_block = hi - lo
-        outcomes = np.full(n_block, -1, dtype=np.int64)
-        steps_to = np.full(n_block, max_steps, dtype=np.int64)
-        for step, p in _ensemble_probability_paths(s0.probabilities, s0.energies, cfg,
-                                                   n_block, max_steps, trial_offset=lo):
-            live = outcomes < 0
-            if not np.any(live):
-                break
-            max_p = p[live].max(axis=1)
-            crossed = max_p > threshold
-            if np.any(crossed):
-                idx = np.flatnonzero(live)[crossed]
-                outcomes[idx] = p[idx].argmax(axis=1)
-                steps_to[idx] = step
-        return outcomes, steps_to
-
-    parts = _run_blocks(block_outcomes, n_trials, threads)
-    return {
-        "outcomes": np.concatenate([p[0] for p in parts]),
-        "steps": np.concatenate([p[1] for p in parts]),
-    }
+    outcomes = np.full(n_trials, -1, dtype=np.int64)
+    steps_to = np.full(n_trials, max_steps, dtype=np.int64)
+    trials = np.arange(n_trials)
+    gens = [trial_rng(cfg.seed, t) for t in range(n_trials)]
+    p = np.repeat(s0.probabilities[:, None], n_trials, axis=1)
+    # draws holds a chunk for the trials live when it was drawn; cols maps
+    # each live column to its row there, so leaving trials copy nothing
+    draws = cols = None
+    step = b = 0
+    while True:
+        crossed = p.max(axis=0) > threshold
+        if crossed.any():
+            done = trials[crossed]
+            outcomes[done] = p[:, crossed].argmax(axis=0)
+            steps_to[done] = step
+            live = ~crossed
+            # compress keeps p C-ordered; a boolean index would not
+            trials, p = trials[live], p.compress(live, axis=1)
+            if cols is not None:
+                cols = cols[live]
+        if step == max_steps or trials.size == 0:
+            break
+        if draws is None or b == draws.shape[1]:
+            draws, b = _draw_chunk([gens[t] for t in trials.tolist()], max_steps - step), 0
+            cols = np.arange(trials.size)
+        k = _ensemble_strength(p, s0.energies, cfg, step, trials)
+        _collapse_kernel(p, draws[cols, b], k)
+        step += 1
+        b += 1
+    return {"outcomes": outcomes, "steps": steps_to}
 
 
 def collapse_time(delta_e: float, cfg: CollapseConfig) -> float:

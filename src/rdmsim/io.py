@@ -62,11 +62,6 @@ def write_json(path, payload: dict):
         fh.write("\n")
 
 
-def read_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def write_csv(path, columns: dict, header_comments=()):
     """Column-dict CSV with optional '# key=value' header block."""
     names = list(columns)

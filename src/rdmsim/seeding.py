@@ -2,7 +2,7 @@
 
 Ensemble runs derive one 64-bit seed per trial from a master seed with
 the SplitMix64 finalizer.  The recipe is part of the tool's contract
-(results must be identical for any degree of parallelism), so it is
+(results must be identical however trials are batched), so it is
 fixed integer arithmetic, not library-version-dependent:
 
     z = (master + (index + 1) * 0x9E3779B97F4A7C15) mod 2^64

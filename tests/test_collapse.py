@@ -1,9 +1,14 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rdmsim import collapse, constants, hilbert
 from rdmsim.collapse import CollapseConfig, ManyBodyBranchTable
-from rdmsim.errors import ContractViolation, SuperPlanckianError
+from rdmsim.errors import ContractViolation, NumericFailure, SuperPlanckianError
 from rdmsim.seeding import trial_rng
 
 
@@ -98,13 +103,17 @@ class TestRunTrajectory:
         assert abs(freq - 0.3) <= 3 * np.sqrt(0.3 * 0.7 / 10_000)
 
     def test_scalar_matches_vectorized(self):
-        # one trial of the block engine follows the scalar walk (same
+        # one column of the ensemble kernel follows the scalar walk (same
         # uniform stream and update order; agreement to rounding)
         s = equal_two_level()
         cfg = CollapseConfig(k_mode="frozen", k0=0.05, seed=8)
         scalar = collapse.run_trajectory(s, cfg, 50, rng=trial_rng(cfg.seed, 0))
-        path = [p[0].copy() for _, p in collapse._ensemble_probability_paths(
-            s.probabilities, s.energies, cfg, 1, 50)]
+        u = trial_rng(cfg.seed, 0).random(50)
+        p = s.probabilities[:, None].copy()
+        path = [p[:, 0].copy()]
+        for step in range(50):
+            collapse._collapse_kernel(p, u[step:step + 1], cfg.k0)
+            path.append(p[:, 0].copy())
         n = min(len(scalar["probabilities"]), len(path))
         assert np.allclose(np.array(path[:n]), scalar["probabilities"][:n],
                            atol=1e-13, rtol=0)
@@ -137,18 +146,128 @@ class TestEnsembleStatistics:
         freq = np.mean(res["outcomes"] == 0)
         assert abs(freq - 0.3) <= 3 * np.sqrt(0.3 * 0.7 / 4000)
 
-    def test_thread_count_invariant(self):
+    def test_trial_batching_invariant(self):
+        # a trial's path depends only on its own stream: 600 trials stepped
+        # as one array match the 256-trial blocks bit for bit, and the
+        # statistics are the block-order sums of those paths
         s = equal_two_level()
         cfg = CollapseConfig(k_mode="frozen", k0=0.1, seed=11)
-        a = collapse.ensemble_statistics(s, cfg, 600, 30, 10, threads=1)
-        b = collapse.ensemble_statistics(s, cfg, 600, 30, 10, threads=4)
+
+        def paths(lo, hi):
+            u = np.array([trial_rng(cfg.seed, t).random(30) for t in range(lo, hi)]).T
+            p = np.repeat(s.probabilities[:, None], hi - lo, axis=1)
+            for step in range(30):
+                collapse._collapse_kernel(p, u[step], cfg.k0)
+            return p
+
+        whole = paths(0, 600)
+        blocks = [paths(lo, min(lo + 256, 600)) for lo in range(0, 600, 256)]
+        assert np.array_equal(whole, np.hstack(blocks))
+        a = collapse.ensemble_statistics(s, cfg, 600, 30, 10)
+        b = collapse.ensemble_statistics(s, cfg, 600, 30, 10)
         assert np.array_equal(a["mean_p"], b["mean_p"])
         assert np.array_equal(a["se_pp"], b["se_pp"])
+        sums = sum(np.ascontiguousarray(p.T).sum(axis=0) for p in blocks)
+        assert np.array_equal(a["mean_p"][-1], sums / 600.0)
 
     def test_rejects_degenerate_energies(self):
         s = hilbert.EnergySuperposition([1.0, 1.0], np.sqrt([0.5, 0.5]))
         with pytest.raises(ContractViolation):
             collapse.ensemble_statistics(s, CollapseConfig(), 10, 10, 5)
+
+
+def reference_outcome(s0, cfg, trial, max_steps):
+    """One trial on Python floats: k, the staying branch and the update
+    written out directly, one uniform per step from the trial's stream."""
+    rng = trial_rng(cfg.seed, trial)
+    p = [float(x) for x in s0.probabilities]
+    e = [float(x) for x in s0.energies]
+    for step in range(max_steps + 1):
+        top = max(p)
+        if top > 1.0 - cfg.collapse_epsilon:
+            return p.index(top), step
+        if step == max_steps:
+            return -1, max_steps
+        if cfg.k_mode == "frozen":
+            k = cfg.k0
+        else:
+            mean = sum(pi * ei for pi, ei in zip(p, e))
+            var = sum(pi * ei**2 for pi, ei in zip(p, e)) - mean**2
+            k = math.sqrt(max(var, 0.0)) * cfg.t_p / cfg.hbar
+        cum, total = [], 0.0
+        for x in p:
+            total += x
+            cum.append(total)
+        u = rng.random() * total
+        stay = sum(u >= c for c in cum)
+        p = [min(x - k * x + (k if j == stay else 0.0), 1.0) for j, x in enumerate(p)]
+
+
+@st.composite
+def outcome_cases(draw):
+    m = draw(st.integers(2, 4))
+    energies = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m,
+                                    unique=True)))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m))
+    k0 = draw(st.one_of(st.none(), st.floats(0.05, 0.6)))
+    return (energies, weights, k0, draw(st.sampled_from([1e-6, 1e-2])),
+            draw(st.integers(1, 300)), draw(st.integers(0, 400)),
+            draw(st.integers(0, 2**32)),
+            draw(st.sampled_from([64, 4096, collapse.DRAW_BUDGET])))
+
+
+class TestEnsembleOutcomes:
+    @given(outcome_cases())
+    @settings(max_examples=15, deadline=None)
+    # p0 already past the threshold: every trial collapses at step 0
+    @example(([0.0, 1.0], [1.0, 1e-9], 0.3, 1e-6, 20, 50, 1, collapse.DRAW_BUDGET))
+    # frozen k weak for the step cap: trials cross late or end at max_steps
+    @example(([0.0, 0.5, 1.0], [0.2, 0.3, 0.5], 0.05, 1e-6, 300, 600, 2, 4096))
+    # frozen k: trials leave the array partway through a 20-step draw chunk
+    @example(([0.0, 1.0], [0.5, 0.5], 0.3, 1e-6, 200, 400, 4, 4096))
+    @example(([0.0, 1.0], [0.5, 0.5], 0.1, 1e-6, 60, 2000, 5, collapse.DRAW_BUDGET))
+    # dynamic k (which fades as a trial collapses, hence the wide epsilon)
+    # with a chunk refill every 8 steps
+    @example(([0.0, 0.3, 0.35, 0.9], [0.4, 0.1, 0.2, 0.3], None, 1e-2, 200, 400, 3, 64))
+    def test_matches_scalar_reference(self, case):
+        energies, weights, k0, eps, n_trials, max_steps, seed, budget = case
+        w = np.asarray(weights) / np.sum(weights)
+        s0 = hilbert.EnergySuperposition(energies, np.sqrt(w))
+        cfg = CollapseConfig(k_mode="dynamic" if k0 is None else "frozen", k0=k0,
+                             collapse_epsilon=eps, seed=seed)
+        # a patched budget shrinks the draw chunks down to 8 steps
+        with mock.patch.object(collapse, "DRAW_BUDGET", budget):
+            res = collapse.ensemble_outcomes(s0, cfg, n_trials, max_steps)
+        ref = np.array([reference_outcome(s0, cfg, t, max_steps)
+                        for t in range(n_trials)])
+        assert np.array_equal(res["outcomes"], ref[:, 0])
+        assert np.array_equal(res["steps"], ref[:, 1])
+
+    def test_super_planckian_names_step_and_trial(self):
+        # k = 0.36 at step 0; a trial that stays in branch 1 reaches k > 1
+        s = hilbert.EnergySuperposition([0.0, 2.1], np.sqrt([0.97, 0.03]))
+        cfg = CollapseConfig(k_mode="dynamic", seed=14)
+        p0 = s.probabilities
+        first = next(t for t in range(50)
+                     if trial_rng(cfg.seed, t).random() * (p0[0] + p0[1]) >= p0[0])
+        with pytest.raises(SuperPlanckianError, match=f"at step 1 of trial {first}$"):
+            collapse.ensemble_outcomes(s, cfg, 50, 100)
+
+    @pytest.mark.parametrize("run", [
+        lambda s, cfg: collapse.ensemble_outcomes(s, cfg, 10, 10),
+        lambda s, cfg: collapse.ensemble_statistics(s, cfg, 10, 10, 5),
+    ])
+    def test_nan_strength_rejected(self, run):
+        # E^2 overflows, so the spread is inf - inf = NaN: a numeric failure
+        s = hilbert.EnergySuperposition([0.0, 1e200], np.sqrt([0.5, 0.5]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericFailure, match="is nan in trial 0$") as exc:
+                run(s, CollapseConfig(k_mode="dynamic"))
+        assert exc.value.step == 0
+
+    def test_rejects_empty_ensemble(self):
+        with pytest.raises(ContractViolation):
+            collapse.ensemble_outcomes(equal_two_level(), CollapseConfig(), 0, 10)
 
 
 class TestCollapseTime:
@@ -268,3 +387,9 @@ class TestConfig:
     def test_epsilon_range(self):
         with pytest.raises(ContractViolation):
             CollapseConfig(collapse_epsilon=1.5)
+
+    @pytest.mark.parametrize("field", ["t_p", "hbar", "c"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    def test_constants_finite_and_positive(self, field, value):
+        with pytest.raises(ContractViolation):
+            CollapseConfig(**{field: value})

@@ -115,6 +115,31 @@ class TestCliRuns:
         assert run_cli("rdm-sample", "--scenario", str(path),
                        "--out-dir", str(tmp_path)) == 1
 
+    @pytest.mark.parametrize("subcommand, body", [
+        ("collapse-ensemble", "energies: [0.0, 1.0]\nprobabilities: [0.5, 0.5]\n"
+                              "k_mode: frozen\nk0: 0.1\nn_trials: abc\n"),
+        ("collapse-run", "energies: [0.0, 1.0]\nprobabilities: [0.5, 0.5]\n"
+                         "max_steps: [1]\n"),
+        ("rdm-sample", "two_box: {}\nn: 10\nseed: 0\n"),
+        ("rdm-sample", "two_box: 0.3\nn: 10\nseed: 0\n"),
+    ], ids=["n-trials-abc", "max-steps-list", "two-box-empty", "two-box-number"])
+    def test_malformed_value_exits_1(self, tmp_path, capsys, subcommand, body):
+        path = tmp_path / "s.yaml"
+        path.write_text(f"subcommand: {subcommand}\n{body}")
+        assert run_cli(subcommand, "--scenario", str(path),
+                       "--out-dir", str(tmp_path)) == 1
+        assert "ScenarioError" in capsys.readouterr().err
+
+    def test_nan_strength_exits_2(self, tmp_path, capsys):
+        # E^2 overflows, so the dynamic k of the ensemble is NaN
+        path = tmp_path / "s.yaml"
+        path.write_text("subcommand: collapse-ensemble\nenergies: [0.0, 1.0e+200]\n"
+                        "probabilities: [0.5, 0.5]\nn_trials: 10\nn_steps: 10\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_cli("collapse-ensemble", "--scenario", str(path),
+                           "--out-dir", str(tmp_path)) == 2
+        assert "numeric failure at step 0" in capsys.readouterr().err
+
     def test_precondition_violation_exits_1(self, tmp_path):
         path = tmp_path / "s.yaml"
         path.write_text("subcommand: rdm-sample\nn: 10\nseed: 0\n"
