@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ContractViolation,
     DegenerateOccupationError,
     DimensionMismatchError,
     NormalizationError,
@@ -27,17 +28,12 @@ from .errors import (
 )
 from .hilbert import ComplexVectorState, HermitianOperator
 from .rdm import StayTrajectory
+from .seeding import seeded_rng
 
 OCCUPATION_FLOOR = 1e-12
 
 # sum of per-step jump probabilities out of any site must stay below this
 OUTFLOW_GUARD = 0.1
-
-
-def _frozen(a, dtype):
-    a = np.asarray(a, dtype=dtype).copy()
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -150,7 +146,9 @@ def jump_trajectory(h: HermitianOperator, psi0: ComplexVectorState, beable0: int
         raise NormalizationError("jump_trajectory requires a normalized state")
     if not 0 <= beable0 < psi0.dim:
         raise DimensionMismatchError("initial beable site out of range")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    if steps < 0:
+        raise ContractViolation(f"steps must be >= 0, not {steps}")
+    rng = seeded_rng(seed)
     u = unitary_step_matrix(h, dt, hbar)
     amps = psi0.amplitudes.copy()
     site = int(beable0)
@@ -161,7 +159,7 @@ def jump_trajectory(h: HermitianOperator, psi0: ComplexVectorState, beable0: int
         j = probability_current(h, state, hbar)
         p = np.abs(amps) ** 2
         t = bell_transition_rates(j, p, hbar)
-        if noise_c > 0.0:
+        if noise_c != 0.0:  # add_homogeneous_noise rejects c < 0
             t = add_homogeneous_noise(t, p, noise_c)
         jump_p = t.rates[:, site] * dt
         total = float(jump_p.sum())
@@ -188,7 +186,11 @@ def ensemble_jump_run(h: HermitianOperator, psi0: ComplexVectorState, n_traj: in
     """
     if not psi0.is_normalized():
         raise NormalizationError("ensemble run requires a normalized state")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    for name, value, least in (("n_traj", n_traj, 1), ("steps", steps, 0),
+                               ("record_every", record_every, 1)):
+        if value < least:
+            raise ContractViolation(f"{name} must be >= {least}, not {value}")
+    rng = seeded_rng(seed)
     u = unitary_step_matrix(h, dt, hbar)
     amps = psi0.amplitudes.copy()
     p = np.abs(amps) ** 2
@@ -201,7 +203,7 @@ def ensemble_jump_run(h: HermitianOperator, psi0: ComplexVectorState, n_traj: in
         j = probability_current(h, state, hbar)
         p = np.abs(amps) ** 2
         t = bell_transition_rates(j, p, hbar)
-        if noise_c > 0.0:
+        if noise_c != 0.0:  # add_homogeneous_noise rejects c < 0
             t = add_homogeneous_noise(t, p, noise_c)
         # per-site cumulative jump table, shared across the ensemble
         jump_p = t.rates * dt

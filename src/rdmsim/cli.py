@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Every subcommand reads its parameters from a scenario file (YAML, with
-JSON as the canonical subset), optionally overridden by --seed, and
+JSON as the canonical subset), checked and typed against SCHEMAS before
+anything runs, with the seed optionally overridden by --seed, and
 writes declared outputs plus a manifest into --out-dir.  Identical
 scenario + seed reproduce byte-identical data files; only the manifest's
 wall-time field differs between runs.  --threads is accepted for
@@ -14,6 +15,7 @@ Exit codes: 0 ok, 1 contract violation (bad scenario / precondition),
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from importlib import resources
@@ -23,7 +25,7 @@ import numpy as np
 import yaml
 
 from . import __version__, acceptance, beable, collapse, constants, frames
-from . import hilbert, io, protective, rdm, schrodinger, verify
+from . import hilbert, io, protective, rdm, schrodinger, seeding, verify
 from .collapse import CollapseConfig
 from .errors import ContractViolation, NumericFailure, ScenarioError
 
@@ -32,7 +34,7 @@ def load_scenario(path) -> dict:
     try:
         with open(path) as fh:
             data = yaml.safe_load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario: {exc}")
     except yaml.YAMLError as exc:
         raise ScenarioError(f"malformed scenario file: {exc}")
@@ -46,322 +48,326 @@ def scenario_hash(scenario: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _take(params: dict, required=(), optional=None):
-    """Validate scenario keys against the subcommand's parameter set."""
-    optional = dict(optional or {})
-    out = {}
-    for key in required:
-        if key not in params:
-            raise ScenarioError(f"missing required scenario key {key!r}")
-        out[key] = params[key]
-    for key, default in optional.items():
-        out[key] = params.get(key, default)
-    unknown = set(params) - set(required) - set(optional) - {"name", "subcommand"}
+# --- scenario schema -----------------------------------------------------
+#
+# SCHEMAS[subcommand] maps each scenario key to (converter, default); a
+# default of REQUIRED makes the key mandatory, and a null value counts as
+# an absent key.  A converter is a function of the raw value, a nested
+# schema dict (a mapping) or a one-element list (a list of such values).
+
+REQUIRED = object()
+
+
+def _int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"expected an integer, not {value!r}")
+    return int(value)
+
+
+def _float(value) -> float:
+    # strings are accepted because YAML 1.1 reads 1e-6 as one
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError(f"expected a number, not {value!r}")
+    if not math.isfinite(float(value)):
+        raise ValueError(f"expected a finite number, not {value!r}")
+    return float(value)
+
+
+def _instance(kind):
+    def convert(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected a {kind.__name__}, not {value!r}")
+        return value
+    return convert
+
+
+def _enum(*choices):
+    def convert(value):
+        if value not in choices:
+            raise ValueError(f"expected one of {'|'.join(choices)}, not {value!r}")
+        return value
+    return convert
+
+
+def _seed(value) -> int:
+    return seeding.check_seed(_int(value))
+
+
+def _reals(*ndims):
+    def convert(value) -> np.ndarray:
+        arr = np.asarray(value, dtype=np.float64)
+        if arr.ndim not in ndims or not np.all(np.isfinite(arr)):
+            raise ValueError(f"expected a {' or '.join(map(str, ndims))}-d array of finite numbers")
+        return arr
+    return convert
+
+
+def _complex(ndim):
+    """Converter to a complex ndim-d array, given as reals or as [re, im] pairs."""
+    def convert(value) -> np.ndarray:
+        arr = _reals(ndim, ndim + 1)(value)
+        return io.pairs_to_complex(arr) if arr.ndim > ndim else arr.astype(np.complex128)
+    return convert
+
+
+def _interval(value) -> tuple:
+    lo, hi = _floats(value)
+    return lo, hi
+
+
+_bool, _str, _floats = _instance(bool), _instance(str), _reals(1)
+
+_COLLAPSE = {
+    "energies": (_floats, REQUIRED), "amplitudes": (_complex(1), None),
+    "probabilities": (_floats, None), "k_mode": (_str, "dynamic"), "k0": (_float, None),
+    "collapse_epsilon": (_float, 1e-6), "seed": (_seed, 0),
+    "units": (_enum("natural", "physical"), "natural"),
+}
+_PROTECT = {
+    "psi": (_complex(1), REQUIRED), "observable": (_complex(2), REQUIRED),
+    "tau": (_float, REQUIRED), "g_profile": (_str, "constant"),
+    "pointer": ({"x_min": (_float, REQUIRED), "dx": (_float, REQUIRED), "n": (_int, REQUIRED),
+                 "x0": (_float, 0.0), "w0": (_float, REQUIRED)}, REQUIRED),
+}
+SCHEMAS = {
+    "rdm-sample": {
+        "n": (_int, REQUIRED), "seed": (_seed, REQUIRED), "weights": (_floats, None),
+        "two_box": ({"a_sq": (_float, REQUIRED)}, None), "dt_instant": (_float, 1.0),
+        "binary": (_bool, False),
+    },
+    "beable-run": {
+        "hamiltonian": (_complex(2), REQUIRED), "psi0": (_complex(1), REQUIRED),
+        "dt": (_float, REQUIRED), "steps": (_int, REQUIRED), "seed": (_seed, REQUIRED),
+        "beable0": (_int, 0), "hbar": (_float, 1.0), "noise_c": (_float, 0.0),
+        # record_every defaults to max(1, steps // 10)
+        "ensemble": ({"n_traj": (_int, REQUIRED), "record_every": (_int, None)}, None),
+    },
+    "collapse-run": {**_COLLAPSE, "max_steps": (_int, 100_000)},
+    "collapse-ensemble": {**_COLLAPSE, "n_trials": (_int, 1000), "n_steps": (_int, 100),
+                          "slice_stride": (_int, 10)},
+    "tau-c": {"entries": ([{"name": (_str, REQUIRED), "delta_e_ev": (_float, REQUIRED),
+                            "quoted_target_s": (_float, float("nan"))}],
+                          [{"name": n, "delta_e_ev": d, "quoted_target_s": t}
+                           for n, d, t, _ in acceptance.TAU_C_TABLE])},
+    "protect-run": {**_PROTECT, "n_projections": (_int, REQUIRED)},
+    "protect-sweep": {**_PROTECT, "n_list": ([_int], REQUIRED)},
+    "tomography": {
+        "state": ({"type": (_enum("gaussian"), "gaussian"), "x_min": (_float, REQUIRED),
+                   "dx": (_float, REQUIRED), "n": (_int, REQUIRED), "center": (_float, 0.0),
+                   "sigma": (_float, 1.0), "momentum": (_float, 0.0), "mass": (_float, 1.0),
+                   "hbar": (_float, 1.0)}, REQUIRED),
+        "n_regions": (_int, REQUIRED),
+    },
+    "frames-analyze": {
+        "a_sq": (_float, REQUIRED), "n": (_int, REQUIRED), "seed": (_seed, REQUIRED),
+        "v": (_float, REQUIRED), "coincidence_tol": (_float, None),
+        "dt_instant": (_float, 1.0), "events_csv": (_bool, False),
+        "regions": ({"u1": (_interval, REQUIRED), "u2": (_interval, REQUIRED),
+                     "d1": (_interval, REQUIRED), "d2": (_interval, REQUIRED)},
+                    {"u1": (0.0, 50.0), "u2": (10_000.0, 10_050.0),
+                     "d1": (50.0, 100.0), "d2": (10_050.0, 10_100.0)}),
+    },
+    "verify": {"pack": (_bool, False), "criteria": ([_int], None)},
+}
+
+
+def _convert(convert, value, path: str):
+    if isinstance(convert, dict):
+        return _parse(convert, value, path)
+    if isinstance(convert, list):
+        if not isinstance(value, list):
+            raise ScenarioError(f"scenario key {path!r} must be a list, not {value!r}")
+        return [_convert(convert[0], v, f"{path}[{i}]") for i, v in enumerate(value)]
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"bad value for {path!r}: {exc}") from None
+
+
+def _parse(schema: dict, values, path: str = "") -> dict:
+    """Typed copy of the mapping `values`; any unknown, missing or
+    unconvertible key raises ScenarioError naming its path."""
+    if not isinstance(values, dict):
+        raise ScenarioError(f"scenario key {path!r} must be a mapping, not {values!r}")
+    prefix = f"{path}." if path else ""
+    unknown = sorted(prefix + str(k) for k in values if k not in schema)
     if unknown:
-        raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
-    return out
-
-
-def _pop_int(params: dict, key: str, default: int) -> int:
-    value = params.pop(key, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"scenario key {key!r} must be an integer, not {value!r}")
-
-
-def _complex_vector(spec) -> np.ndarray:
-    arr = np.asarray(spec, dtype=np.float64)
-    if arr.ndim == 2 and arr.shape[1] == 2:
-        return io.pairs_to_complex(arr)
-    if arr.ndim == 1:
-        return arr.astype(np.complex128)
-    raise ScenarioError("state must be a list of reals or of [re, im] pairs")
-
-
-def _complex_matrix(spec) -> np.ndarray:
-    arr = np.asarray(spec, dtype=np.float64)
-    if arr.ndim == 3 and arr.shape[2] == 2:
-        return io.pairs_to_complex(arr)
-    if arr.ndim == 2:
-        return arr.astype(np.complex128)
-    raise ScenarioError("matrix must be rows of reals or of [re, im] pairs")
-
-
-def _collapse_config(params: dict, seed: int) -> CollapseConfig:
-    units = params.pop("units", "natural")
-    base = CollapseConfig.physical if units == "physical" else CollapseConfig.natural
-    kw = {
-        "k_mode": params.pop("k_mode", "dynamic"),
-        "k0": params.pop("k0", None),
-        "delta_e_reducer": params.pop("delta_e_reducer", "rms"),
-        "collapse_epsilon": params.pop("collapse_epsilon", 1e-6),
-        "seed": seed,
-    }
-    try:
-        return base(**kw)
-    except TypeError as exc:
-        raise ScenarioError(f"bad collapse config: {exc}")
-
-
-def _superposition(params: dict) -> hilbert.EnergySuperposition:
-    energies = np.asarray(params["energies"], dtype=np.float64)
-    if "amplitudes" in params:
-        amps = _complex_vector(params["amplitudes"])
-    elif "probabilities" in params:
-        amps = np.sqrt(np.asarray(params["probabilities"], dtype=np.float64))
-    else:
-        raise ScenarioError("need 'amplitudes' or 'probabilities'")
-    return hilbert.EnergySuperposition(energies, amps)
-
-
-def _grid_from_spec(spec: dict) -> schrodinger.GridWavefunction:
-    g = dict(spec)
-    kind = g.pop("type", "gaussian")
-    if kind != "gaussian":
-        raise ScenarioError(f"unknown grid state type {kind!r}")
-    try:
-        out = schrodinger.GridWavefunction.gaussian(
-            x0=float(g.pop("x_min")), dx=float(g.pop("dx")), n=int(g.pop("n")),
-            center=float(g.pop("center", 0.0)), sigma=float(g.pop("sigma", 1.0)),
-            momentum=float(g.pop("momentum", 0.0)), mass=float(g.pop("mass", 1.0)),
-            hbar=float(g.pop("hbar", 1.0)))
-    except KeyError as exc:
-        raise ScenarioError(f"grid state spec is missing {exc}")
-    if g:
-        raise ScenarioError(f"unknown grid state keys: {sorted(g)}")
-    return out
-
-
-def _pointer_from_spec(spec: dict) -> protective.PointerState:
-    p = dict(spec)
-    try:
-        out = protective.PointerState.gaussian(
-            x_min=float(p.pop("x_min")), dx=float(p.pop("dx")),
-            n=int(p.pop("n")), x0=float(p.pop("x0", 0.0)),
-            w0=float(p.pop("w0")))
-    except KeyError as exc:
-        raise ScenarioError(f"pointer spec is missing {exc}")
-    if p:
-        raise ScenarioError(f"unknown pointer keys: {sorted(p)}")
+        raise ScenarioError(f"unknown scenario keys: {unknown}")
+    out = {}
+    for key, (convert, default) in schema.items():
+        value = values.get(key)
+        if value is None and default is REQUIRED:
+            raise ScenarioError(f"missing required scenario key {prefix + key!r}")
+        out[key] = default if value is None else _convert(convert, value, prefix + key)
     return out
 
 
 # --- subcommand handlers -------------------------------------------------
 
-def cmd_rdm_sample(params, ctx):
-    p = _take(params,
-              required=("n", "seed"),
-              optional={"weights": None, "two_box": None, "dt_instant": 1.0,
-                        "binary": False})
+def cmd_rdm_sample(p, ctx):
     if p["weights"] is not None:
-        weights = np.asarray(p["weights"], dtype=np.float64)
+        weights = p["weights"]
     elif p["two_box"] is not None:
-        try:
-            a_sq = float(p["two_box"]["a_sq"])
-        except (KeyError, TypeError, ValueError):
-            raise ScenarioError("'two_box' must be a mapping with a numeric 'a_sq'")
-        weights = np.array([a_sq, 1.0 - a_sq])
+        weights = np.array([p["two_box"]["a_sq"], 1.0 - p["two_box"]["a_sq"]])
     else:
         raise ScenarioError("need 'weights' or 'two_box'")
-    seed = ctx["seed"] if ctx["seed"] is not None else int(p["seed"])
-    traj = rdm.sample_stays(weights, int(p["n"]), seed=seed,
-                            dt_instant=float(p["dt_instant"]))
-    outputs = []
+    traj = rdm.sample_stays(weights, p["n"], seed=p["seed"], dt_instant=p["dt_instant"])
     if p["binary"]:
         path = ctx["out_dir"] / "stays.rdmt"
         io.write_trajectory_binary(path, traj)
+    elif ctx["fmt"] == "csv":
+        path = ctx["out_dir"] / "stays.csv"
+        io.write_trajectory_csv(path, traj)
     else:
-        path = ctx["out_dir"] / ("stays.csv" if ctx["fmt"] == "csv" else "stays.json")
-        if ctx["fmt"] == "csv":
-            io.write_trajectory_csv(path, traj)
-        else:
-            io.write_json(path, {"stays": traj.stays.tolist(),
-                                 "n_sites": traj.n_sites, "seed": traj.seed,
-                                 "dt_instant": traj.dt_instant})
-    outputs.append(path)
+        path = ctx["out_dir"] / "stays.json"
+        io.write_json(path, {"stays": traj.stays.tolist(), "n_sites": traj.n_sites,
+                             "seed": traj.seed, "dt_instant": traj.dt_instant})
     hist = rdm.empirical_density(traj)
     summary = (f"sampled {traj.instants} stays over {traj.n_sites} sites; "
                f"empirical density {np.round(hist, 4).tolist()}")
-    return summary, outputs
+    return summary, [path]
 
 
-def cmd_beable_run(params, ctx):
-    p = _take(params,
-              required=("hamiltonian", "psi0", "dt", "steps", "seed"),
-              optional={"beable0": 0, "hbar": 1.0, "noise_c": 0.0,
-                        "ensemble": None})
-    h = hilbert.HermitianOperator(_complex_matrix(p["hamiltonian"]))
-    psi0 = hilbert.ComplexVectorState(_complex_vector(p["psi0"]))
-    seed = ctx["seed"] if ctx["seed"] is not None else int(p["seed"])
-    traj = beable.jump_trajectory(h, psi0, int(p["beable0"]), float(p["dt"]),
-                                  int(p["steps"]), seed=seed,
-                                  hbar=float(p["hbar"]), noise_c=float(p["noise_c"]))
+def cmd_beable_run(p, ctx):
+    h = hilbert.HermitianOperator(p["hamiltonian"])
+    psi0 = hilbert.ComplexVectorState(p["psi0"])
+    traj = beable.jump_trajectory(h, psi0, p["beable0"], p["dt"], p["steps"],
+                                  seed=p["seed"], hbar=p["hbar"], noise_c=p["noise_c"])
     path = ctx["out_dir"] / "beable_trajectory.csv"
     io.write_trajectory_csv(path, traj)
     outputs = [path]
     summary = f"beable trajectory of {traj.instants - 1} steps written"
-    if p["ensemble"]:
-        ens = p["ensemble"]
+    ens = p["ensemble"]
+    if ens is not None:
         from scipy import stats as sps
 
+        record_every = ens["record_every"]
+        if record_every is None:
+            record_every = max(1, p["steps"] // 10)
         rec_steps, sites, p_rows = beable.ensemble_jump_run(
-            h, psi0, int(ens["n_traj"]), float(p["dt"]), int(p["steps"]),
-            seed=seed + 1, hbar=float(p["hbar"]), noise_c=float(p["noise_c"]),
-            record_every=int(ens.get("record_every", max(1, int(p["steps"]) // 10))))
+            h, psi0, ens["n_traj"], p["dt"], p["steps"], seed=p["seed"] + 1,
+            hbar=p["hbar"], noise_c=p["noise_c"], record_every=record_every)
         slices = []
         for row in range(1, len(rec_steps)):
             counts = np.bincount(sites[row], minlength=psi0.dim)
-            expected = int(ens["n_traj"]) * p_rows[row]
+            expected = ens["n_traj"] * p_rows[row]
             test = sps.chisquare(counts, f_exp=expected)
             slices.append({"step": int(rec_steps[row]),
-                           "time": float(rec_steps[row]) * float(p["dt"]),
+                           "time": float(rec_steps[row]) * p["dt"],
                            "counts": counts.tolist(),
                            "expected": expected.tolist(),
                            "chi2": float(test.statistic),
                            "p_value": float(test.pvalue)})
         report = ctx["out_dir"] / "equivariance.json"
-        io.write_json(report, {"slices": slices, "n_traj": int(ens["n_traj"]),
-                               "noise_c": float(p["noise_c"])})
+        io.write_json(report, {"slices": slices, "n_traj": ens["n_traj"],
+                               "noise_c": p["noise_c"]})
         outputs.append(report)
-        min_p = min(s["p_value"] for s in slices)
+        min_p = min((s["p_value"] for s in slices), default=float("nan"))
         summary += f"; equivariance min p-value {min_p:.4f} over {len(slices)} slices"
     return summary, outputs
 
 
-def cmd_collapse_run(params, ctx):
-    p = dict(params)
-    seed_param = _pop_int(p, "seed", 0)
-    max_steps = _pop_int(p, "max_steps", 100_000)
-    s0 = _superposition({k: p.pop(k) for k in ("energies", "amplitudes",
-                                               "probabilities") if k in p})
-    seed = ctx["seed"] if ctx["seed"] is not None else seed_param
-    cfg = _collapse_config(p, seed)
-    if p:
-        raise ScenarioError(f"unknown scenario keys: {sorted(p)}")
-    out = collapse.run_trajectory(s0, cfg, max_steps)
-    m = s0.n_branches
+def _collapse_setup(p):
+    """Initial superposition and config of the two collapse subcommands."""
+    if p["amplitudes"] is not None:
+        amps = p["amplitudes"]
+    elif p["probabilities"] is not None:
+        amps = np.sqrt(p["probabilities"])
+    else:
+        raise ScenarioError("need 'amplitudes' or 'probabilities'")
+    units = CollapseConfig.physical if p["units"] == "physical" else CollapseConfig.natural
+    cfg = units(k_mode=p["k_mode"], k0=p["k0"], collapse_epsilon=p["collapse_epsilon"],
+                seed=p["seed"])
+    return hilbert.EnergySuperposition(p["energies"], amps), cfg
+
+
+def cmd_collapse_run(p, ctx):
+    s0, cfg = _collapse_setup(p)
+    out = collapse.run_trajectory(s0, cfg, p["max_steps"])
     probs = out["probabilities"]
-    columns = {"step": np.arange(probs.shape[0])}
-    for i in range(m):
-        columns[f"P_{i + 1}"] = probs[:, i]
-    staying = np.full(probs.shape[0], -1, dtype=np.int64)
-    staying[1:len(out["staying"]) + 1] = out["staying"]
-    columns["staying_index"] = staying
+    columns = {"step": np.arange(probs.shape[0]),
+               **{f"P_{i + 1}": probs[:, i] for i in range(s0.n_branches)},
+               "staying_index": np.concatenate(([-1], out["staying"]))}
     path = ctx["out_dir"] / "collapse_trajectory.csv"
     io.write_csv(path, columns, header_comments=[
-        f"k_mode={cfg.k_mode} k0={cfg.k0} epsilon={cfg.collapse_epsilon} seed={seed}"])
+        f"k_mode={cfg.k_mode} k0={cfg.k0} epsilon={cfg.collapse_epsilon} seed={cfg.seed}"])
     summary = (f"collapsed to branch {out['outcome']} after {out['steps']} steps"
                if out["collapsed"] else f"no collapse within {out['steps']} steps")
     return summary, [path]
 
 
-def cmd_collapse_ensemble(params, ctx):
-    p = dict(params)
-    seed_param = _pop_int(p, "seed", 0)
-    n_trials = _pop_int(p, "n_trials", 1000)
-    n_steps = _pop_int(p, "n_steps", 100)
-    slice_stride = _pop_int(p, "slice_stride", 10)
-    s0 = _superposition({k: p.pop(k) for k in ("energies", "amplitudes",
-                                               "probabilities") if k in p})
-    seed = ctx["seed"] if ctx["seed"] is not None else seed_param
-    cfg = _collapse_config(p, seed)
-    if p:
-        raise ScenarioError(f"unknown scenario keys: {sorted(p)}")
-    res = collapse.ensemble_statistics(s0, cfg, n_trials, n_steps, slice_stride)
-    payload = {
-        "n_trials": n_trials,
-        "pairs": [list(pr) for pr in res["pairs"]],
-        "slices": [
-            {
-                "step": int(res["steps"][r]),
-                "mean_p": res["mean_p"][r].tolist(),
-                "se_p": res["se_p"][r].tolist(),
-                "mean_pp": res["mean_pp"][r].tolist(),
-                "se_pp": res["se_pp"][r].tolist(),
-            }
-            for r in range(len(res["steps"]))
-        ],
-    }
+def cmd_collapse_ensemble(p, ctx):
+    s0, cfg = _collapse_setup(p)
+    res = collapse.ensemble_statistics(s0, cfg, p["n_trials"], p["n_steps"],
+                                       p["slice_stride"])
+    stats = ("mean_p", "se_p", "mean_pp", "se_pp")
     path = ctx["out_dir"] / "collapse_ensemble.json"
-    io.write_json(path, payload)
-    return (f"{n_trials} trials x {n_steps} steps, "
+    io.write_json(path, {
+        "n_trials": p["n_trials"],
+        "pairs": [list(pr) for pr in res["pairs"]],
+        "slices": [{"step": int(step), **{key: res[key][r].tolist() for key in stats}}
+                   for r, step in enumerate(res["steps"])],
+    })
+    return (f"{p['n_trials']} trials x {p['n_steps']} steps, "
             f"{len(res['steps'])} slices recorded"), [path]
 
 
-def cmd_tau_c(params, ctx):
-    p = _take(params, optional={"entries": None})
+def cmd_tau_c(p, ctx):
     entries = p["entries"]
-    if entries is None:
-        entries = [{"name": n, "delta_e_ev": d, "quoted_target_s": t}
-                   for n, d, t, _ in acceptance.TAU_C_TABLE]
     cfg = CollapseConfig.physical()
-    names, des, taus, targets = [], [], [], []
-    for row in entries:
-        names.append(str(row["name"]))
-        de = float(row["delta_e_ev"])
-        des.append(de)
-        taus.append(collapse.collapse_time(de, cfg))
-        targets.append(float(row.get("quoted_target_s", float("nan"))))
+    des = [row["delta_e_ev"] for row in entries]
     path = ctx["out_dir"] / "tau_c.csv"
-    io.write_csv(path, {"name": names, "delta_e_ev": des, "tau_c_s": taus,
-                        "quoted_target_s": targets},
+    io.write_csv(path, {"name": [row["name"] for row in entries], "delta_e_ev": des,
+                        "tau_c_s": [collapse.collapse_time(de, cfg) for de in des],
+                        "quoted_target_s": [row["quoted_target_s"] for row in entries]},
                  header_comments=[
                      f"hbar_ev_s={constants.HBAR_EVS!r} t_p_s={constants.PLANCK_TIME_S!r}"])
-    return f"{len(names)} collapse-time rows written", [path]
+    return f"{len(entries)} collapse-time rows written", [path]
 
 
-def cmd_protect_run(params, ctx):
-    p = _take(params,
-              required=("psi", "observable", "n_projections", "tau", "pointer"),
-              optional={"g_profile": "constant"})
-    setup = protective.ProtectiveSetup(
-        hilbert.ComplexVectorState(_complex_vector(p["psi"])),
-        hilbert.HermitianOperator(_complex_matrix(p["observable"])),
-        int(p["n_projections"]), float(p["tau"]),
-        _pointer_from_spec(p["pointer"]), g_profile=p["g_profile"])
+def _protect_parts(p):
+    return (hilbert.ComplexVectorState(p["psi"]), hilbert.HermitianOperator(p["observable"]),
+            protective.PointerState.gaussian(**p["pointer"]))
+
+
+def cmd_protect_run(p, ctx):
+    psi, obs, pointer = _protect_parts(p)
+    setup = protective.ProtectiveSetup(psi, obs, p["n_projections"], p["tau"], pointer,
+                                       g_profile=p["g_profile"])
     out = protective.zeno_protective_run(setup)
     path = ctx["out_dir"] / "protective_run.json"
-    io.write_json(path, {
-        "pointer_shift": out["pointer_shift"],
-        "survival_probability": out["survival_probability"],
-        "final_width": out["final_width"],
-        "width_ratio": out["width_ratio"],
-        "protection_failed": out["protection_failed"],
-        "n_projections": setup.n_projections,
-    })
+    keys = ("pointer_shift", "survival_probability", "final_width", "width_ratio",
+            "protection_failed")
+    io.write_json(path, {**{k: out[k] for k in keys}, "n_projections": setup.n_projections})
     return (f"shift {out['pointer_shift']:.6f}, survival "
             f"{out['survival_probability']:.6f}"), [path]
 
 
-def cmd_protect_sweep(params, ctx):
-    p = _take(params,
-              required=("psi", "observable", "tau", "pointer", "n_list"),
-              optional={"g_profile": "constant"})
-    psi = hilbert.ComplexVectorState(_complex_vector(p["psi"]))
-    obs = hilbert.HermitianOperator(_complex_matrix(p["observable"]))
-    pointer = _pointer_from_spec(p["pointer"])
+def cmd_protect_sweep(p, ctx):
+    psi, obs, pointer = _protect_parts(p)
     target = hilbert.expectation_value(psi, obs)
     cols = {"N": [], "shift": [], "shift_error": [], "survival": [],
             "width_ratio": []}
     for n in p["n_list"]:
-        setup = protective.ProtectiveSetup(psi, obs, int(n), float(p["tau"]),
-                                           pointer, g_profile=p["g_profile"])
+        setup = protective.ProtectiveSetup(psi, obs, n, p["tau"], pointer,
+                                           g_profile=p["g_profile"])
         out = protective.zeno_protective_run(setup)
-        cols["N"].append(int(n))
+        cols["N"].append(n)
         cols["shift"].append(out["pointer_shift"])
         cols["shift_error"].append(abs(out["pointer_shift"] - target))
         cols["survival"].append(out["survival_probability"])
         cols["width_ratio"].append(out["width_ratio"])
     path = ctx["out_dir"] / "protect_sweep.csv"
     io.write_csv(path, cols, header_comments=[f"target_expectation={target!r}"])
-    return f"swept N in {list(map(int, p['n_list']))}", [path]
+    return f"swept N in {p['n_list']}", [path]
 
 
-def cmd_tomography(params, ctx):
-    p = _take(params, required=("state", "n_regions"))
-    truth = _grid_from_spec(p["state"])
-    out = protective.tomography(truth, int(p["n_regions"]))
+def cmd_tomography(p, ctx):
+    g = p["state"]
+    truth = schrodinger.GridWavefunction.gaussian(
+        x0=g["x_min"], dx=g["dx"], n=g["n"], center=g["center"], sigma=g["sigma"],
+        momentum=g["momentum"], mass=g["mass"], hbar=g["hbar"])
+    out = protective.tomography(truth, p["n_regions"])
     path = ctx["out_dir"] / "tomography.json"
     io.write_json(path, {
         "l2_error": out["l2_error"],
@@ -372,29 +378,15 @@ def cmd_tomography(params, ctx):
     return f"tomography L2 error {out['l2_error']:.3e}", [path]
 
 
-def cmd_frames_analyze(params, ctx):
-    p = _take(params,
-              required=("a_sq", "n", "seed", "v"),
-              optional={"regions": None, "coincidence_tol": None,
-                        "dt_instant": 1.0, "events_csv": False})
-    a_sq = float(p["a_sq"])
-    if p["regions"] is not None:
-        spec = [(a_sq, tuple(p["regions"]["u1"]), tuple(p["regions"]["u2"])),
-                (1.0 - a_sq, tuple(p["regions"]["d1"]), tuple(p["regions"]["d2"]))]
-    else:
-        spec = [(a_sq, (0.0, 50.0), (10_000.0, 10_050.0)),
-                (1.0 - a_sq, (50.0, 100.0), (10_050.0, 10_100.0))]
-    seed = ctx["seed"] if ctx["seed"] is not None else int(p["seed"])
-    traj = rdm.sample_entangled_stays(spec, int(p["n"]), seed=seed,
-                                      dt_instant=float(p["dt_instant"]))
-    tol = p["coincidence_tol"]
-    stats = frames.boosted_correlation_stats(
-        traj, float(p["v"]), None if tol is None else float(tol))
-    payload = dict(stats)
-    payload["expected_reversed"] = 2.0 * a_sq * (1.0 - a_sq)
-    payload["a_sq"] = a_sq
+def cmd_frames_analyze(p, ctx):
+    a_sq = p["a_sq"]
+    r = p["regions"]
+    spec = [(a_sq, r["u1"], r["u2"]), (1.0 - a_sq, r["d1"], r["d2"])]
+    traj = rdm.sample_entangled_stays(spec, p["n"], seed=p["seed"],
+                                      dt_instant=p["dt_instant"])
+    stats = frames.boosted_correlation_stats(traj, p["v"], p["coincidence_tol"])
     path = ctx["out_dir"] / "frames_report.json"
-    io.write_json(path, payload)
+    io.write_json(path, {**stats, "expected_reversed": 2.0 * a_sq * (1.0 - a_sq), "a_sq": a_sq})
     outputs = [path]
     if p["events_csv"]:
         epath = ctx["out_dir"] / "stay_events.csv"
@@ -404,10 +396,11 @@ def cmd_frames_analyze(params, ctx):
             f"{stats['reversed_fraction']:.4f} over {stats['pairs']} pairs"), outputs
 
 
-def cmd_verify(params, ctx):
-    p = _take(params, optional={"pack": False, "criteria": None})
-    run_pack = bool(p["pack"]) or ctx.get("pack", False)
-    wanted = None if p["criteria"] is None else {int(c) for c in p["criteria"]}
+def cmd_verify(p, ctx):
+    by_id = {int(fn.__name__.split("_")[1]): fn for fn in acceptance.ALL_CRITERIA}
+    wanted = None if p["criteria"] is None else set(p["criteria"])
+    if wanted is not None and not wanted <= set(by_id):
+        raise ScenarioError(f"unknown criteria in {p['criteria']}")
     lines = []
     all_ok = True
     results = {}
@@ -421,10 +414,8 @@ def cmd_verify(params, ctx):
                 if not ok:
                     lines.append(f"  FAIL {name}: {detail}")
     pack_results = []
-    if run_pack or wanted is not None:
-        to_run = [fn for fn in acceptance.ALL_CRITERIA
-                  if wanted is None or int(fn.__name__.split("_")[1]) in wanted]
-        for fn in to_run:
+    if p["pack"] or ctx["pack"] or wanted is not None:
+        for fn in [fn for i, fn in by_id.items() if wanted is None or i in wanted]:
             res = fn()
             pack_results.append(res)
             all_ok &= res["passed"]
@@ -496,13 +487,17 @@ def _run(args) -> int:
     declared = scenario.get("subcommand")
     if declared is not None and declared != args.subcommand:
         raise ScenarioError(f"scenario targets {declared!r}, not {args.subcommand!r}")
-    params = {k: v for k, v in scenario.items() if k not in ("name", "subcommand")}
+    if not isinstance(scenario.get("name", ""), str):
+        raise ScenarioError("scenario key 'name' must be a string")
+    params = _parse(SCHEMAS[args.subcommand],
+                    {k: v for k, v in scenario.items() if k not in ("name", "subcommand")})
+    if args.seed is not None and "seed" in params:
+        params["seed"] = _convert(_seed, args.seed, "--seed")
     out_dir = Path(args.out_dir or os.environ.get("RDMSIM_OUT_DIR", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     ctx = {
         "out_dir": out_dir,
         "fmt": args.format,
-        "seed": args.seed,
         "pack": getattr(args, "pack", False),
     }
     t0 = time.time()

@@ -40,14 +40,12 @@ class CollapseConfig:
 
     k_mode "dynamic" recomputes k = dE(t) * t_p / hbar each instant;
     "frozen" uses the constant k0 (the off-diagonal decay law is exact
-    in that mode).  delta_e_reducer picks the many-body reduction: "rms"
-    is the root-sum-square over subsystems, "linear-sum" adds the
-    per-subsystem spreads.  Collapse is declared at max P_i > 1 - epsilon.
+    in that mode); dynamic k always uses the one-body spread dE.
+    Collapse is declared at max P_i > 1 - epsilon.
     """
 
     k_mode: str = "dynamic"
     k0: float = None
-    delta_e_reducer: str = "rms"
     t_p: float = 1.0
     hbar: float = 1.0
     c: float = 1.0
@@ -60,8 +58,6 @@ class CollapseConfig:
         if self.k_mode == "frozen":
             if self.k0 is None or not 0.0 <= self.k0 <= 1.0:
                 raise ContractViolation("frozen mode needs 0 <= k0 <= 1")
-        if self.delta_e_reducer not in ("rms", "linear-sum"):
-            raise ContractViolation(f"unknown delta_e_reducer {self.delta_e_reducer!r}")
         if not all(math.isfinite(v) and v > 0 for v in (self.t_p, self.hbar, self.c)):
             raise ContractViolation("t_p, hbar and c must be positive and finite")
         if not 0.0 < self.collapse_epsilon < 1.0:
@@ -174,7 +170,7 @@ def collapse_step(s: EnergySuperposition, cfg: CollapseConfig, rng: np.random.Ge
     phases = np.exp(-1j * s.energies * cfg.t_p / cfg.hbar)
     new_amps = s.amplitudes * scale * phases
     # zero-probability staying group cannot be drawn, so no mass is lost
-    new_state = EnergySuperposition(s.energies, new_amps, s.unit_mode)
+    new_state = EnergySuperposition(s.energies, new_amps)
     return new_state, groups[g_stay][0]
 
 
@@ -186,6 +182,8 @@ def run_trajectory(s0: EnergySuperposition, cfg: CollapseConfig, max_steps: int,
     branch of each step, the outcome branch (None if the threshold was
     not reached) and the step count.
     """
+    if max_steps < 0:
+        raise ContractViolation(f"max_steps must be >= 0, not {max_steps}")
     rng = trial_rng(cfg.seed, 0) if rng is None else rng
     state = s0
     history = [state.probabilities]

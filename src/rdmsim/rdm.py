@@ -12,15 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NormalizationError
+from .hilbert import _frozen
 from .schrodinger import GridWavefunction, position_density
+from .seeding import seeded_rng
 
 DENSITY_TOL = 1e-8
-
-
-def _frozen(a, dtype):
-    a = np.asarray(a, dtype=dtype).copy()
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -101,7 +97,7 @@ def sample_stays(density, n: int, seed: int, dt_instant: float = 1.0) -> StayTra
     p = _as_probabilities(density)
     if n < 1:
         raise DimensionMismatchError("need n >= 1 instants")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     cdf = np.cumsum(p)
     cdf[-1] = 1.0  # guard the top edge against rounding
     stays = np.searchsorted(cdf, rng.random(n), side="right")
@@ -144,7 +140,7 @@ def sample_entangled_stays(branch_spec, n: int, seed: int, dt_instant: float = 1
     for lo, hi in regions1 + regions2:
         if not hi > lo:
             raise DimensionMismatchError("region must be a (lo, hi) interval with hi > lo")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     cdf = np.cumsum(weights)
     cdf[-1] = 1.0
     branches = np.searchsorted(cdf, rng.random(n), side="right")

@@ -18,18 +18,12 @@ from .errors import (
     PhaseAmbiguityError,
     StepSizeError,
 )
-from .hilbert import EnergySuperposition
+from .hilbert import EnergySuperposition, _frozen
 
 GRID_NORM_TOL = 1e-8
 
 # relative occupation below which a grid point is outside the density support
 SUPPORT_FLOOR = 1e-12
-
-
-def _frozen(a, dtype):
-    a = np.asarray(a, dtype=dtype).copy()
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -113,7 +107,7 @@ def evolve_phases(s: EnergySuperposition, t: float, hbar: float = 1.0) -> Energy
     Branch probabilities are untouched, so Born statistics are invariant.
     """
     phases = np.exp(-1j * s.energies * t / hbar)
-    return EnergySuperposition(s.energies, s.amplitudes * phases, s.unit_mode)
+    return EnergySuperposition(s.energies, s.amplitudes * phases)
 
 
 def evolve_grid(psi: GridWavefunction, v, dt: float, steps: int) -> GridWavefunction:

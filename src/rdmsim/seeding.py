@@ -16,6 +16,8 @@ indices under one master seed can never collide.
 
 import numpy as np
 
+from .errors import ContractViolation
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -28,6 +30,18 @@ def derive_seed(master_seed: int, trial_index: int) -> int:
     return (z ^ (z >> 31)) & _MASK
 
 
+def check_seed(seed) -> int:
+    """`seed` itself if it is an integer in [0, 2^64), else ContractViolation."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed <= _MASK):
+        raise ContractViolation(f"seed must be an integer in [0, 2^64), not {seed!r}")
+    return seed
+
+
+def seeded_rng(seed: int) -> np.random.Generator:
+    """PCG64 generator for a seed in [0, 2^64)."""
+    return np.random.Generator(np.random.PCG64(check_seed(seed)))
+
+
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     """Independent PCG64 generator for one trial."""
-    return np.random.Generator(np.random.PCG64(derive_seed(master_seed, trial_index)))
+    return seeded_rng(derive_seed(master_seed, trial_index))

@@ -86,6 +86,10 @@ class TestRunTrajectory:
         out = collapse.run_trajectory(s, CollapseConfig(), 100)
         assert out["collapsed"] and out["steps"] == 0 and out["outcome"] == 0
 
+    def test_rejects_negative_max_steps(self):
+        with pytest.raises(ContractViolation, match="max_steps"):
+            collapse.run_trajectory(equal_two_level(), CollapseConfig(), -1)
+
     def test_median_steps_order(self):
         # frozen k = 0.01: median steps ~ 1/k^2 within a factor 3
         cfg = CollapseConfig(k_mode="frozen", k0=0.01, seed=6)

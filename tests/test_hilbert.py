@@ -107,6 +107,8 @@ class TestTypeInvariants:
     def test_superposition_requires_normalization(self):
         with pytest.raises(NormalizationError):
             hilbert.EnergySuperposition([0.0, 1.0], [0.9, 0.9])
+        with pytest.raises(NormalizationError):  # sqrt of a negative weight
+            hilbert.EnergySuperposition([0.0, 1.0], [np.nan, 1.0])
 
     def test_composite_checks_dims(self):
         with pytest.raises(DimensionMismatchError):

@@ -1,3 +1,4 @@
+import copy
 import json
 import subprocess
 import sys
@@ -5,10 +6,12 @@ import sys
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rdmsim import cli, io, rdm
-from rdmsim.errors import ScenarioError
-from rdmsim.seeding import derive_seed, trial_rng
+from rdmsim.errors import ContractViolation, ScenarioError
+from rdmsim.seeding import derive_seed, seeded_rng, trial_rng
 
 
 class TestSeeding:
@@ -29,6 +32,16 @@ class TestSeeding:
         a = trial_rng(9, 4).random(8)
         b = trial_rng(9, 4).random(8)
         assert np.array_equal(a, b)
+
+    def test_seeded_rng_is_plain_pcg64(self):
+        for seed in (0, 7, 2**64 - 1, np.uint64(5)):
+            assert np.array_equal(seeded_rng(seed).random(8),
+                                  np.random.Generator(np.random.PCG64(seed)).random(8))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, None, "3"])
+    def test_seeded_rng_rejects_out_of_range(self, seed):
+        with pytest.raises(ContractViolation, match="seed"):
+            seeded_rng(seed)
 
 
 class TestComplexJson:
@@ -115,19 +128,37 @@ class TestCliRuns:
         assert run_cli("rdm-sample", "--scenario", str(path),
                        "--out-dir", str(tmp_path)) == 1
 
-    @pytest.mark.parametrize("subcommand, body", [
+    @pytest.mark.parametrize("subcommand, body, extra", [
         ("collapse-ensemble", "energies: [0.0, 1.0]\nprobabilities: [0.5, 0.5]\n"
-                              "k_mode: frozen\nk0: 0.1\nn_trials: abc\n"),
+                              "k_mode: frozen\nk0: 0.1\nn_trials: abc\n", ()),
         ("collapse-run", "energies: [0.0, 1.0]\nprobabilities: [0.5, 0.5]\n"
-                         "max_steps: [1]\n"),
-        ("rdm-sample", "two_box: {}\nn: 10\nseed: 0\n"),
-        ("rdm-sample", "two_box: 0.3\nn: 10\nseed: 0\n"),
-    ], ids=["n-trials-abc", "max-steps-list", "two-box-empty", "two-box-number"])
-    def test_malformed_value_exits_1(self, tmp_path, capsys, subcommand, body):
+                         "max_steps: [1]\n", ()),
+        ("rdm-sample", "two_box: {}\nn: 10\nseed: 0\n", ()),
+        ("rdm-sample", "two_box: 0.3\nn: 10\nseed: 0\n", ()),
+        ("rdm-sample", "weights: [0.5, 0.5]\nn: abc\nseed: 0\n", ()),
+        ("frames-analyze", "a_sq: abc\nn: 10\nseed: 0\nv: 0.5\n", ()),
+        ("tau-c", "entries: 5\n", ()),
+        ("tomography", "state: 5\nn_regions: 16\n", ()),
+        ("verify", "criteria: 5\n", ()),
+        ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: 0\nbinary: 'no'\n", ()),
+        ("collapse-run", "energies: [0.0, 1.0]\nprobabilities: [0.5, 0.5]\n"
+                         "units: bogus\n", ()),
+        ("collapse-ensemble", "energies: [0.0, 1.0]\nprobabilities: [0.5, 0.5]\n"
+                              "delta_e_reducer: linear-sum\n", ()),
+        ("beable-run", "hamiltonian: [[0.0, -1.0], [-1.0, 0.0]]\npsi0: [0.6, 0.8]\n"
+                       "dt: 0.01\nsteps: 10\nseed: 0\n"
+                       "ensemble: {n_traj: 10, foo: 1}\n", ()),
+        ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: -1\n", ()),
+        ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: 0\n", ("--seed", "-1")),
+    ], ids=["n-trials-abc", "max-steps-list", "two-box-empty", "two-box-number",
+            "n-abc", "a-sq-abc", "entries-number", "state-number", "criteria-number",
+            "binary-string", "units-bogus", "delta-e-reducer", "ensemble-unknown-key",
+            "seed-negative", "seed-override-negative"])
+    def test_malformed_value_exits_1(self, tmp_path, capsys, subcommand, body, extra):
         path = tmp_path / "s.yaml"
         path.write_text(f"subcommand: {subcommand}\n{body}")
         assert run_cli(subcommand, "--scenario", str(path),
-                       "--out-dir", str(tmp_path)) == 1
+                       "--out-dir", str(tmp_path), *extra) == 1
         assert "ScenarioError" in capsys.readouterr().err
 
     def test_nan_strength_exits_2(self, tmp_path, capsys):
@@ -245,10 +276,113 @@ class TestCliRuns:
             assert {"step", "time", "counts", "expected", "chi2",
                     "p_value"} <= set(entry)
 
+    def test_beable_ensemble_without_slices(self, tmp_path):
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text(
+            "subcommand: beable-run\nhamiltonian: [[0.0, -1.0], [-1.0, 0.0]]\n"
+            "psi0: [0.6, 0.8]\ndt: 0.01\nsteps: 5\nseed: 5\n"
+            "ensemble: {n_traj: 50, record_every: 10}\n")
+        assert run_cli("beable-run", "--scenario", str(scenario),
+                       "--out-dir", str(tmp_path)) == 0
+        assert json.loads((tmp_path / "equivariance.json").read_text())["slices"] == []
+
     def test_console_entry_point(self):
         out = subprocess.run([sys.executable, "-m", "rdmsim.cli", "--version"],
                              capture_output=True, text=True)
         assert out.returncode == 0
+
+
+# One small valid scenario per subcommand, with every key set so that the
+# fuzz test can corrupt each one; verify's pack and criteria stay off.
+SMALL_SCENARIOS = {
+    "rdm-sample": {"n": 20, "seed": 1, "two_box": {"a_sq": 0.3}, "dt_instant": 1.0,
+                   "binary": False},
+    "beable-run": {"hamiltonian": [[0.0, -1.0], [-1.0, 0.0]], "psi0": [0.8, 0.6],
+                   "dt": 0.01, "steps": 4, "seed": 2, "beable0": 0, "hbar": 1.0,
+                   "noise_c": 0.0, "ensemble": {"n_traj": 20, "record_every": 2}},
+    "collapse-run": {"energies": [0.0, 1.0], "probabilities": [0.5, 0.5],
+                     "k_mode": "frozen", "k0": 0.3, "collapse_epsilon": 1e-3,
+                     "units": "natural", "seed": 3, "max_steps": 50},
+    "collapse-ensemble": {"energies": [0.0, 1.0], "amplitudes": [0.6, 0.8],
+                          "k_mode": "frozen", "k0": 0.1, "collapse_epsilon": 1e-3,
+                          "units": "natural", "seed": 4, "n_trials": 8, "n_steps": 6,
+                          "slice_stride": 3},
+    "tau-c": {"entries": [{"name": "x", "delta_e_ev": 1.0, "quoted_target_s": 1.0}]},
+    "protect-run": {"psi": [0.6, 0.8], "observable": [[1.0, 0.0], [0.0, 0.0]],
+                    "n_projections": 10, "tau": 1.0, "g_profile": "constant",
+                    "pointer": {"x_min": -20.0, "dx": 0.5, "n": 80, "x0": 0.0,
+                                "w0": 2.0}},
+    "protect-sweep": {"psi": [0.6, 0.8], "observable": [[1.0, 0.0], [0.0, 0.0]],
+                      "n_list": [10, 20], "tau": 1.0, "g_profile": "constant",
+                      "pointer": {"x_min": -20.0, "dx": 0.5, "n": 80, "x0": 0.0,
+                                  "w0": 2.0}},
+    "tomography": {"state": {"type": "gaussian", "x_min": -8.0, "dx": 0.125, "n": 128,
+                             "center": 0.0, "sigma": 1.0, "momentum": 0.5,
+                             "mass": 1.0, "hbar": 1.0},
+                   "n_regions": 16},
+    "frames-analyze": {"a_sq": 0.5, "n": 200, "seed": 5, "v": 0.5,
+                       "regions": {"u1": [0.0, 5.0], "u2": [50.0, 55.0],
+                                   "d1": [5.0, 10.0], "d2": [55.0, 60.0]},
+                       "coincidence_tol": 0.5, "dt_instant": 1.0, "events_csv": False},
+    "verify": {"pack": False},
+}
+
+JUNK = ["abc", [], {}, None, -1, 0, 1.5, float("nan"), True]
+
+
+def key_paths(value, prefix=()):
+    """Paths of every mapping key, nested ones and those inside lists included."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list) and value and isinstance(value[0], dict):
+        items = enumerate(value)
+    else:
+        return []
+    paths = []
+    for key, sub in items:
+        if isinstance(key, str):
+            paths.append(prefix + (key,))
+        paths += key_paths(sub, prefix + (key,))
+    return paths
+
+
+def mutated(scenario, path, junk):
+    out = copy.deepcopy(scenario)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = junk
+    return out
+
+
+FUZZ_CASES = [(sub, path, junk) for sub, sc in SMALL_SCENARIOS.items()
+              for path in key_paths(sc) for junk in JUNK
+              if not (sub == "verify" and junk is True)]
+
+
+class TestScenarioFuzz:
+    def test_small_scenarios_run(self, tmp_path):
+        for sub, sc in SMALL_SCENARIOS.items():
+            if sub == "verify":
+                continue  # its built-in suites take a third of a second
+            path = tmp_path / f"{sub}.yaml"
+            path.write_text(yaml.safe_dump({"subcommand": sub, **sc}))
+            assert run_cli(sub, "--scenario", str(path),
+                           "--out-dir", str(tmp_path / sub)) == 0, sub
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=st.sampled_from(FUZZ_CASES))
+    def test_one_junk_value_never_escapes(self, tmp_path, capsys, case):
+        sub, key_path, junk = case
+        path = tmp_path / "s.yaml"
+        path.write_text(yaml.safe_dump(
+            {"subcommand": sub, **mutated(SMALL_SCENARIOS[sub], key_path, junk)}))
+        code = run_cli(sub, "--scenario", str(path), "--out-dir", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert "error (" in err
 
 
 class TestBundledScenarios:
