@@ -370,7 +370,3 @@ ALL_CRITERIA = [
     criterion_11_schrodinger_checks,
     criterion_12_nogo_constructions,
 ]
-
-
-def run_all():
-    return [fn() for fn in ALL_CRITERIA]

@@ -148,6 +148,8 @@ def jump_trajectory(h: HermitianOperator, psi0: ComplexVectorState, beable0: int
         raise DimensionMismatchError("initial beable site out of range")
     if steps < 0:
         raise ContractViolation(f"steps must be >= 0, not {steps}")
+    if not dt > 0:
+        raise ContractViolation(f"dt must be positive, not {dt}")
     rng = seeded_rng(seed)
     u = unitary_step_matrix(h, dt, hbar)
     amps = psi0.amplitudes.copy()
@@ -190,6 +192,8 @@ def ensemble_jump_run(h: HermitianOperator, psi0: ComplexVectorState, n_traj: in
                                ("record_every", record_every, 1)):
         if value < least:
             raise ContractViolation(f"{name} must be >= {least}, not {value}")
+    if not dt > 0:
+        raise ContractViolation(f"dt must be positive, not {dt}")
     rng = seeded_rng(seed)
     u = unitary_step_matrix(h, dt, hbar)
     amps = psi0.amplitudes.copy()

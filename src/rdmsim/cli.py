@@ -2,8 +2,10 @@
 
 Every subcommand reads its parameters from a scenario file (YAML, with
 JSON as the canonical subset), checked and typed against SCHEMAS before
-anything runs, with the seed optionally overridden by --seed, and
-writes declared outputs plus a manifest into --out-dir.  Identical
+anything runs, and writes declared outputs plus a manifest into
+--out-dir.  --seed, which overrides the scenario's master seed, exists
+only on the subcommands whose schema has a seed; --format only on
+rdm-sample, the one subcommand that writes either CSV or JSON.  Identical
 scenario + seed reproduce byte-identical data files; only the manifest's
 wall-time field differs between runs.  --threads is accepted for
 compatibility and ignored: every run is single-threaded.
@@ -467,13 +469,15 @@ def build_parser() -> _Parser:
     for name in HANDLERS:
         sp = sub.add_parser(name)
         sp.add_argument("--scenario", help="YAML/JSON scenario file")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the scenario's master seed")
+        if "seed" in SCHEMAS[name]:
+            sp.add_argument("--seed", type=int, default=None,
+                            help="override the scenario's master seed")
         sp.add_argument("--out-dir", default=None,
                         help="output directory (default: $RDMSIM_OUT_DIR or '.')")
         sp.add_argument("--threads", type=int, default=1,
                         help="accepted and ignored; runs are single-threaded")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        if name == "rdm-sample":
+            sp.add_argument("--format", choices=("csv", "json"), default="csv")
         if name == "verify":
             sp.add_argument("--pack", action="store_true",
                             help="also run the bundled acceptance scenario pack")
@@ -491,13 +495,14 @@ def _run(args) -> int:
         raise ScenarioError("scenario key 'name' must be a string")
     params = _parse(SCHEMAS[args.subcommand],
                     {k: v for k, v in scenario.items() if k not in ("name", "subcommand")})
-    if args.seed is not None and "seed" in params:
-        params["seed"] = _convert(_seed, args.seed, "--seed")
+    seed_override = getattr(args, "seed", None)
+    if seed_override is not None:
+        params["seed"] = _convert(_seed, seed_override, "--seed")
     out_dir = Path(args.out_dir or os.environ.get("RDMSIM_OUT_DIR", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     ctx = {
         "out_dir": out_dir,
-        "fmt": args.format,
+        "fmt": getattr(args, "format", "csv"),
         "pack": getattr(args, "pack", False),
     }
     t0 = time.time()
@@ -507,7 +512,7 @@ def _run(args) -> int:
         "version": __version__,
         "subcommand": args.subcommand,
         "scenario_hash": scenario_hash(scenario),
-        "seed_override": args.seed,
+        "seed_override": seed_override,
         "constants": {
             "hbar_ev_s": constants.HBAR_EVS,
             "t_p_s": constants.PLANCK_TIME_S,

@@ -150,16 +150,8 @@ def collapse_step(s: EnergySuperposition, cfg: CollapseConfig, rng: np.random.Ge
     p = s.probabilities
     groups = _energy_groups(s.energies)
     gp = np.array([p[idx].sum() for idx in groups])
-    draw = rng.random()
-    # same comparison and op order as the vectorized ensemble path, so a
-    # scalar walk tracks an ensemble row to rounding (the amplitude sqrt
-    # round trip costs the last ulp); the final minimum guards the <= 1
-    # bound against that overshoot
-    cum = np.cumsum(gp)
-    g_stay = int(np.sum(draw * cum[-1] >= cum))
-    gp_new = gp - k * gp
-    gp_new[g_stay] += k
-    np.minimum(gp_new, 1.0, out=gp_new)
+    gp_new = gp.copy()
+    g_stay = int(_collapse_kernel(gp_new[:, None], rng.random(1), k).argmax())
     # members share the group's probability with unchanged relative weights
     scale = np.ones_like(p)
     for g, idx in enumerate(groups):
@@ -244,14 +236,16 @@ def _ensemble_strength(p: np.ndarray, energies: np.ndarray, cfg: CollapseConfig,
     return k
 
 
-def _collapse_kernel(p: np.ndarray, u: np.ndarray, k):
-    """One instant for every column of the branch-major matrix p (m x n_live), in place.
+def _collapse_kernel(p: np.ndarray, u: np.ndarray, k) -> np.ndarray:
+    """One instant for every column of the branch-major matrix p (m x n_live),
+    in place; returns the stay mask (True at row s of column t).
 
-    Column t stays in branch s, the number of cumulative sums cum_j with
-    u[t] * cum_{m-1} >= cum_j; then P <- P - kP, P[s] += k, min(P, 1).
-    k is one value for all columns or one per column.  Each column goes
-    through the same IEEE operations whatever other columns share the
-    array.
+    Column t stays in branch s, the number of sequential cumulative sums
+    cum_j with u[t] * cum_{m-1} >= cum_j; then P <- P - kP, P += k on row s
+    (an exact +0.0 elsewhere), min(P, 1) against rounding overshoot.  k is
+    one value for all columns or one per column.  A column goes through the
+    same IEEE operations whatever other columns share the array,
+    collapse_step's single column included.
     """
     cum = np.empty_like(p)
     cum[0] = p[0]
@@ -264,6 +258,7 @@ def _collapse_kernel(p: np.ndarray, u: np.ndarray, k):
     p -= k * p
     p += stay * k
     np.minimum(p, 1.0, out=p)
+    return stay
 
 
 def _draw_chunk(gens: list, steps_left: int) -> np.ndarray:

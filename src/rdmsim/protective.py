@@ -18,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ContractViolation,
-    DimensionMismatchError,
-    PhaseAmbiguityError,
-    PointerDomainError,
-)
+from .errors import ContractViolation, DimensionMismatchError, PointerDomainError
 from .hilbert import ComplexVectorState, HermitianOperator, expectation_value
 from .schrodinger import (
     DensityPair,
@@ -52,6 +47,8 @@ class PointerState:
 
     @staticmethod
     def gaussian(x_min: float, dx: float, n: int, x0: float, w0: float) -> "PointerState":
+        if not w0 > 0:
+            raise ContractViolation(f"pointer width w0 must be positive, not {w0}")
         grid = GridWavefunction.gaussian(x_min, dx, n, center=x0, sigma=w0)
         return PointerState(grid, x0, w0)
 
@@ -110,11 +107,6 @@ class ProtectiveSetup:
         return w
 
 
-def _eigensystem(a: HermitianOperator):
-    evals, evecs = np.linalg.eigh(a.matrix)
-    return evals, evecs
-
-
 def _translate(grid: GridWavefunction, shift: float) -> np.ndarray:
     """Exact periodic translation psi(x) -> psi(x - shift) via the
     momentum-space phase e^{-i k shift}."""
@@ -140,7 +132,7 @@ def unprotected_measurement(setup: ProtectiveSetup):
 
     Branch weights are the Born weights; every pointer keeps its width.
     """
-    evals, evecs = _eigensystem(setup.observable)
+    evals, evecs = np.linalg.eigh(setup.observable.matrix)
     amps = evecs.conj().T @ setup.system.amplitudes
     branches = []
     for a, c in zip(evals, amps):
@@ -157,15 +149,19 @@ def unprotected_measurement(setup: ProtectiveSetup):
 def zeno_protective_run(setup: ProtectiveSetup) -> dict:
     """Alternate N impulsive kicks with projections onto the known state.
 
-    Each substep translates the a-eigencomponents' pointers by eps_n * a,
-    then recombines them with their overlap weights (post-selection on
-    the protection succeeding); the discarded orthogonal probability is
-    accumulated into the survival bookkeeping.  Returns the pointer
-    shift, survival probability, final width and final pointer state.
-    A survival below 0.5 flags protection failure in the report (the run
-    still completes).
+    Each kick translates the a-eigencomponents' pointers by eps_n * a and
+    each projection recombines them with their Born weights w_a
+    (post-selection on the protection succeeding), so in momentum space
+    the kept pointer is prod_n M(eps_n) phi_hat with
+    M(eps) = sum_a w_a e^{-i k eps a}.  The per-projection
+    renormalisations telescope: the survival probability is the squared
+    norm of that product, which is taken once per distinct impulse as
+    M(eps)^c for multiplicity c, then normalised once.  M = 1 at k = 0,
+    so the product cannot vanish.  Returns the pointer shift, survival
+    probability, final width and final pointer state.  A survival below
+    0.5 flags protection failure in the report (the run still completes).
     """
-    evals, evecs = _eigensystem(setup.observable)
+    evals, evecs = np.linalg.eigh(setup.observable.matrix)
     psi_eig = evecs.conj().T @ setup.system.amplitudes
     weights = np.abs(psi_eig) ** 2
     total_shift_bound = float(np.max(np.abs(evals)))
@@ -175,18 +171,14 @@ def zeno_protective_run(setup: ProtectiveSetup) -> dict:
     grid = setup.pointer.grid
     k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
     phi_hat = np.fft.fft(grid.samples)
-    survival = 1.0
-    for eps in setup.coupling_weights():
-        # sum_a w_a e^{-i k eps a}: the projected pointer in momentum space
+    terms = [(a, w) for a, w in zip(evals, weights) if w != 0.0]
+    for eps, count in zip(*np.unique(setup.coupling_weights(), return_counts=True)):
         mixer = np.zeros_like(phi_hat)
-        for a, w in zip(evals, weights):
-            if w == 0.0:
-                continue
+        for a, w in terms:
             mixer = mixer + w * np.exp(-1j * k * eps * a)
-        phi_hat = mixer * phi_hat
-        norm_sq = float(np.sum(np.abs(phi_hat) ** 2) * grid.dx / grid.n)
-        survival *= norm_sq
-        phi_hat /= np.sqrt(norm_sq)
+        phi_hat *= mixer**count
+    survival = float(np.sum(np.abs(phi_hat) ** 2) * grid.dx / grid.n)
+    phi_hat /= np.sqrt(survival)
     samples = np.fft.ifft(phi_hat)
     final_grid = grid.with_samples(samples)
     final = PointerState(final_grid, setup.pointer.x0, setup.pointer.w0)
@@ -214,7 +206,7 @@ def first_order_branch_check(setup: ProtectiveSetup) -> dict:
     """
     if setup.n_projections < 1000:
         raise ContractViolation("first-order check needs N >= 1000")
-    evals, evecs = _eigensystem(setup.observable)
+    evals, evecs = np.linalg.eigh(setup.observable.matrix)
     psi_eig = evecs.conj().T @ setup.system.amplitudes
     eps = float(setup.coupling_weights()[0])
     grid = setup.pointer.grid
@@ -289,10 +281,7 @@ def tomography(psi_true: GridWavefunction, n_regions: int) -> dict:
         rho_meas[region[0]:region[1]] = measure_density(psi_true, region)
         j_meas[region[0]:region[1]] = measure_flux(psi_true, region)
     pair = DensityPair(psi_true.x0, psi_true.dx, rho_meas, j_meas)
-    try:
-        recon = reconstruct_wavefunction(pair, psi_true.mass, psi_true.hbar)
-    except PhaseAmbiguityError:
-        raise
+    recon = reconstruct_wavefunction(pair, psi_true.mass, psi_true.hbar)
     overlap = np.vdot(recon.samples, psi_true.samples) * psi_true.dx
     l2 = float(np.sqrt(max(0.0, 2.0 * (1.0 - abs(overlap)))))
     return {

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NormalizationError
+from .errors import ContractViolation, DimensionMismatchError, NormalizationError
 from .hilbert import _frozen
 from .schrodinger import GridWavefunction, position_density
 from .seeding import seeded_rng
@@ -97,6 +97,8 @@ def sample_stays(density, n: int, seed: int, dt_instant: float = 1.0) -> StayTra
     p = _as_probabilities(density)
     if n < 1:
         raise DimensionMismatchError("need n >= 1 instants")
+    if not dt_instant > 0:
+        raise ContractViolation(f"dt_instant must be positive, not {dt_instant}")
     rng = seeded_rng(seed)
     cdf = np.cumsum(p)
     cdf[-1] = 1.0  # guard the top edge against rounding
@@ -135,6 +137,8 @@ def sample_entangled_stays(branch_spec, n: int, seed: int, dt_instant: float = 1
         raise NormalizationError("branch weights must be non-negative and sum to 1")
     if n < 1:
         raise DimensionMismatchError("need n >= 1 instants")
+    if not dt_instant > 0:
+        raise ContractViolation(f"dt_instant must be positive, not {dt_instant}")
     regions1 = [tuple(map(float, b[1])) for b in branch_spec]
     regions2 = [tuple(map(float, b[2])) for b in branch_spec]
     for lo, hi in regions1 + regions2:

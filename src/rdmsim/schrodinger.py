@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ContractViolation,
     DimensionMismatchError,
     NormalizationError,
     NumericFailure,
@@ -72,6 +73,8 @@ class GridWavefunction:
     def gaussian(x0, dx, n, center, sigma, momentum=0.0, mass=1.0, hbar=1.0):
         """Normalized Gaussian packet with RMS position width sigma,
         optionally boosted to mean momentum `momentum`."""
+        if not sigma > 0:
+            raise ContractViolation(f"sigma must be positive, not {sigma}")
         x = x0 + dx * np.arange(n)
         psi = np.exp(-((x - center) ** 2) / (4.0 * sigma**2) + 1j * momentum * x / hbar)
         psi /= np.sqrt(dx * np.sum(np.abs(psi) ** 2))

@@ -233,16 +233,18 @@ class TestJumpTrajectory:
     @pytest.mark.parametrize("kw, name", [
         ({"steps": -1}, "steps"), ({"n_traj": -1}, "n_traj"),
         ({"record_every": 0}, "record_every"), ({"seed": -1}, "seed"),
+        ({"dt": 0.0}, "dt"),
     ])
     def test_ensemble_rejects_bad_counts(self, kw, name):
-        args = {"n_traj": 10, "steps": 5, "seed": 1, "record_every": 1, **kw}
+        args = {"n_traj": 10, "dt": 0.01, "steps": 5, "seed": 1, "record_every": 1, **kw}
         with pytest.raises(ContractViolation, match=name):
-            beable.ensemble_jump_run(TWO_SITE_H, TWO_SITE_PSI, args.pop("n_traj"),
-                                     0.01, args.pop("steps"), **args)
+            beable.ensemble_jump_run(TWO_SITE_H, TWO_SITE_PSI, **args)
 
     def test_trajectory_rejects_bad_arguments(self):
         with pytest.raises(ContractViolation, match="steps"):
             beable.jump_trajectory(TWO_SITE_H, TWO_SITE_PSI, 0, 0.01, -1, seed=1)
+        with pytest.raises(ContractViolation, match="dt"):
+            beable.jump_trajectory(TWO_SITE_H, TWO_SITE_PSI, 0, -0.005, 5, seed=1)
         with pytest.raises(ContractViolation, match="seed"):
             beable.jump_trajectory(TWO_SITE_H, TWO_SITE_PSI, 0, 0.01, 5, seed=2**64)
         with pytest.raises(NormalizationError):  # a negative noise rate is not ignored

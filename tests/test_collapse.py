@@ -80,6 +80,49 @@ class TestCollapseStep:
         assert stay in (0, 2)
 
 
+def reference_step(s, cfg, rng):
+    """collapse_step with the staying-branch draw and the update written out
+    inline: cumsum, u * cum[-1] >= cum, P - kP, P[s] += k, min(P, 1)."""
+    k = collapse.step_strength(s, cfg)
+    p = s.probabilities
+    groups = collapse._energy_groups(s.energies)
+    gp = np.array([p[idx].sum() for idx in groups])
+    draw = rng.random()
+    cum = np.cumsum(gp)
+    g_stay = int(np.sum(draw * cum[-1] >= cum))
+    gp_new = gp - k * gp
+    gp_new[g_stay] += k
+    np.minimum(gp_new, 1.0, out=gp_new)
+    scale = np.ones_like(p)
+    for g, idx in enumerate(groups):
+        scale[idx] = math.sqrt(gp_new[g] / gp[g]) if gp[g] > 0.0 else 0.0
+    phases = np.exp(-1j * s.energies * cfg.t_p / cfg.hbar)
+    return (hilbert.EnergySuperposition(s.energies, s.amplitudes * scale * phases),
+            groups[g_stay][0])
+
+
+class TestCollapseStepOnKernel:
+    @pytest.mark.parametrize("m, k_mode, degenerate", [
+        (m, k_mode, degenerate) for m in range(1, 6) for k_mode in ("frozen", "dynamic")
+        for degenerate in (False, True) if m > 1 or not degenerate])
+    def test_matches_inline_update(self, m, k_mode, degenerate):
+        # a degenerate pair shares one energy, so the draw runs over merged groups
+        gen = np.random.Generator(np.random.PCG64(100 * m + degenerate))
+        energies = gen.random(m)
+        if degenerate:
+            energies[1] = energies[0]
+        weights = gen.random(m) + 0.05
+        s = hilbert.EnergySuperposition(energies, np.sqrt(weights / weights.sum()))
+        cfg = CollapseConfig(k_mode=k_mode, k0=0.2 if k_mode == "frozen" else None)
+        ours, ref = s, s
+        rng_ours, rng_ref = trial_rng(m, 1), trial_rng(m, 1)
+        for _ in range(200):
+            ours, stay = collapse.collapse_step(ours, cfg, rng_ours)
+            ref, ref_stay = reference_step(ref, cfg, rng_ref)
+            assert stay == ref_stay
+            assert np.array_equal(ours.probabilities, ref.probabilities)
+
+
 class TestRunTrajectory:
     def test_eigenstate_immediate(self):
         s = hilbert.EnergySuperposition([5.0], [1.0])

@@ -150,16 +150,44 @@ class TestCliRuns:
                        "ensemble: {n_traj: 10, foo: 1}\n", ()),
         ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: -1\n", ()),
         ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: 0\n", ("--seed", "-1")),
+        ("tau-c", "entries: [{name: x, delta_e_ev: 1.0}]\n", ("--seed", "5")),
+        ("protect-run", "psi: [0.6, 0.8]\nobservable: [[1.0, 0.0], [0.0, 0.0]]\n"
+                        "n_projections: 10\ntau: 1.0\n"
+                        "pointer: {x_min: -20.0, dx: 0.5, n: 80, w0: 2.0}\n",
+         ("--format", "json")),
     ], ids=["n-trials-abc", "max-steps-list", "two-box-empty", "two-box-number",
             "n-abc", "a-sq-abc", "entries-number", "state-number", "criteria-number",
             "binary-string", "units-bogus", "delta-e-reducer", "ensemble-unknown-key",
-            "seed-negative", "seed-override-negative"])
+            "seed-negative", "seed-override-negative", "seed-without-seed-key",
+            "format-not-read"])
     def test_malformed_value_exits_1(self, tmp_path, capsys, subcommand, body, extra):
         path = tmp_path / "s.yaml"
         path.write_text(f"subcommand: {subcommand}\n{body}")
         assert run_cli(subcommand, "--scenario", str(path),
                        "--out-dir", str(tmp_path), *extra) == 1
         assert "ScenarioError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand, body, name", [
+        ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: 0\ndt_instant: -1\n",
+         "dt_instant"),
+        ("frames-analyze", "a_sq: 0.5\nn: 10\nseed: 0\nv: 0.5\ndt_instant: 0\n",
+         "dt_instant"),
+        ("beable-run", "hamiltonian: [[0.0, -1.0], [-1.0, 0.0]]\npsi0: [0.6, 0.8]\n"
+                       "dt: -0.005\nsteps: 10\nseed: 0\n", "dt"),
+        ("tomography", "state: {x_min: -8.0, dx: 0.125, n: 128, sigma: 0}\n"
+                       "n_regions: 16\n", "sigma"),
+        ("protect-run", "psi: [0.6, 0.8]\nobservable: [[1.0, 0.0], [0.0, 0.0]]\n"
+                        "n_projections: 10\ntau: 1.0\n"
+                        "pointer: {x_min: -20.0, dx: 0.5, n: 80, w0: 0}\n", "w0"),
+    ], ids=["rdm-dt-instant", "frames-dt-instant", "beable-dt", "tomography-sigma",
+            "pointer-w0"])
+    def test_nonpositive_step_or_width_exits_1(self, tmp_path, capsys, subcommand, body,
+                                               name):
+        path = tmp_path / "s.yaml"
+        path.write_text(f"subcommand: {subcommand}\n{body}")
+        assert run_cli(subcommand, "--scenario", str(path),
+                       "--out-dir", str(tmp_path)) == 1
+        assert f"{name} must be positive" in capsys.readouterr().err
 
     def test_nan_strength_exits_2(self, tmp_path, capsys):
         # E^2 overflows, so the dynamic k of the ensemble is NaN

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rdmsim import hilbert, protective, schrodinger as sch
+from rdmsim import acceptance, hilbert, protective, schrodinger as sch
 from rdmsim.errors import ContractViolation, PhaseAmbiguityError, PointerDomainError
 
 
@@ -83,7 +85,53 @@ class TestUnprotectedMeasurement:
             protective.unprotected_measurement(setup)
 
 
+def _zeno_reference(setup):
+    """The Zeno run written as N kicks, each followed by a projection and a
+    renormalisation, with the survival as the product of the kept norms."""
+    evals, evecs = np.linalg.eigh(setup.observable.matrix)
+    weights = np.abs(evecs.conj().T @ setup.system.amplitudes) ** 2
+    grid = setup.pointer.grid
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    phi_hat = np.fft.fft(grid.samples)
+    survival = 1.0
+    for eps in setup.coupling_weights():
+        mixer = np.zeros_like(phi_hat)
+        for a, w in zip(evals, weights):
+            if w == 0.0:
+                continue
+            mixer = mixer + w * np.exp(-1j * k * eps * a)
+        phi_hat = mixer * phi_hat
+        norm_sq = float(np.sum(np.abs(phi_hat) ** 2) * grid.dx / grid.n)
+        survival *= norm_sq
+        phi_hat /= np.sqrt(norm_sq)
+    final = protective.PointerState(grid.with_samples(np.fft.ifft(phi_hat)),
+                                    setup.pointer.x0, setup.pointer.w0)
+    return {"pointer_shift": final.mean_position() - setup.pointer.x0,
+            "survival_probability": survival,
+            "width_ratio": final.width() / setup.pointer.w0}
+
+
 class TestZenoRun:
+    @settings(max_examples=20, deadline=None)
+    @given(dim=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
+           half_n=st.integers(1, 200), profile=st.sampled_from(protective.G_PROFILES))
+    def test_product_matches_projection_loop(self, dim, seed, half_n, profile):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        setup = protective.ProtectiveSetup(
+            hilbert.ComplexVectorState(v / np.linalg.norm(v)),
+            hilbert.HermitianOperator((m + m.conj().T) / 4), 2 * half_n, 1.0,
+            pointer(w0=6.0, length=120.0, n=256), g_profile=profile)
+        out = protective.zeno_protective_run(setup)
+        for key, value in _zeno_reference(setup).items():
+            assert abs(out[key] - value) <= 1e-10, key
+
+    def test_survival_against_extended_precision(self):
+        # sum_k |phi_k|^2 cos^{2N}(k eps / 2) dx / n evaluated in 80-bit floats
+        out = protective.zeno_protective_run(acceptance._protective_setup(10_000))
+        assert abs(out["survival_probability"] - 0.9999997500000942) <= 1e-11
+
     def test_eigenstate_exact(self):
         psi = hilbert.ComplexVectorState([1.0, 0.0])
         a = hilbert.HermitianOperator(np.diag([0.8, -0.3]))
