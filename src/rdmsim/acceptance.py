@@ -146,16 +146,11 @@ def criterion_5_protective_convergence():
     return _report(5, "protective convergence", ok, detail)
 
 
-def _rabi_system():
-    h = hilbert.HermitianOperator([[0.0, -1.0], [-1.0, 0.0]])
-    psi0 = hilbert.ComplexVectorState(np.sqrt([0.7, 0.3]))
-    return h, psi0
-
-
 def criterion_6_beable_equivariance(n_traj=10_000, seed=23):
     """Ensembles track |psi(t)|^2; rates satisfy the defining relation;
     homogeneous noise leaves slice distributions unchanged."""
-    h, psi0 = _rabi_system()
+    h = hilbert.HermitianOperator([[0.0, -1.0], [-1.0, 0.0]])
+    psi0 = hilbert.ComplexVectorState(np.sqrt([0.7, 0.3]))
     dt, steps, every = 0.005, 1200, 120
     rec_steps, sites, p_rows = beable.ensemble_jump_run(
         h, psi0, n_traj, dt, steps, seed=seed, record_every=every)
@@ -169,21 +164,11 @@ def criterion_6_beable_equivariance(n_traj=10_000, seed=23):
         chi_ok &= stat.pvalue > 0.001
 
     # defining relation residual over the same sweep, with and without noise
-    amps = psi0.amplitudes.copy()
-    u = beable.unitary_step_matrix(h, dt, 1.0)
     residual = 0.0
-    for _ in range(steps):
-        state = hilbert.ComplexVectorState(amps)
-        j = beable.probability_current(h, state)
-        p = np.abs(amps) ** 2
-        for noise in (0.0, 1.0):
-            t = beable.bell_transition_rates(j, p)
-            if noise:
-                t = beable.add_homogeneous_noise(t, p, noise)
-            lhs = j / 1.0
-            rhs = t.rates * p[None, :] - t.rates.T * p[:, None]
-            residual = max(residual, float(np.max(np.abs(lhs - rhs))))
-        amps = u @ amps
+    for noise in (0.0, 1.0):
+        for p, j, t, _ in beable._rate_path(h, psi0, dt, steps, 1.0, noise):
+            rhs = t * p[:-1, None, :] - np.swapaxes(t, 1, 2) * p[:-1, :, None]
+            residual = max(residual, float(np.max(np.abs(j - rhs))))
     rel_ok = residual < 1e-10
 
     # noise run: same dynamics, independent seed, c = 1

@@ -13,6 +13,15 @@ pair:  T[n, m] = J[n, m] / (hbar P_m) when J[n, m] >= 0, else 0.  Any
 homogeneous solution T0[n, m] P_m = T0[m, n] P_n may be added on top
 without changing ensemble distributions; add_homogeneous_noise exposes
 the one-parameter family T0[n, m] = c / P_m.
+
+psi(t) does not depend on where the beables are, so both runners read
+one rate path: it advances psi by the iterated exact unitary step and
+evaluates P, J, T and the cumulative jump table cum[step, m, n] as
+stacked arrays, _RATE_BLOCK steps at a time, with the formulas that the
+public functions apply to one step.  Only the walk is per step.  The
+outflow guard (jump probability below 0.1) is a policy of each runner:
+jump_trajectory guards the walker's current site, ensemble_jump_run
+every site.
 """
 
 from dataclasses import dataclass
@@ -32,8 +41,13 @@ from .seeding import seeded_rng
 
 OCCUPATION_FLOOR = 1e-12
 
-# sum of per-step jump probabilities out of any site must stay below this
+# sum of per-step jump probabilities out of a guarded site must stay below this
 OUTFLOW_GUARD = 0.1
+
+_RATE_BLOCK = 256  # steps evaluated together; memory is O(_RATE_BLOCK * dim^2)
+
+_CURRENT_BELOW_FLOOR = "current in/out of a site with occupation below the 1e-12 floor"
+_NOISE_BELOW_FLOOR = "homogeneous noise needs strictly positive occupation"
 
 
 @dataclass(frozen=True)
@@ -59,14 +73,33 @@ class TransitionRateMatrix:
         return self.rates.shape[0]
 
 
+# The formulas, for one step or a stack of steps; the rates also return
+# per step whether they are void (a site below the occupation floor).
+
+def _current(hm: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    return 2.0 * np.imag(np.conj(amps)[..., :, None] * hm * amps[..., None, :])
+
+
+def _minimal_rates(j: np.ndarray, p: np.ndarray, hbar: float):
+    low = p < OCCUPATION_FLOOR
+    off = ~np.eye(p.shape[-1], dtype=bool)
+    t = np.where(off & (j > 0.0), j / (hbar * np.where(low, 1.0, p)[..., None, :]), 0.0)
+    return t, np.any(np.any(np.abs(j) > 0.0, axis=-2) & low, axis=-1)
+
+
+def _noise(p: np.ndarray, c: float):
+    low = p < OCCUPATION_FLOOR
+    on = np.eye(p.shape[-1], dtype=bool)
+    return np.where(on, 0.0, c / np.where(low, 1.0, p)[..., None, :]), np.any(low, axis=-1)
+
+
 def probability_current(h: HermitianOperator, psi: ComplexVectorState,
                         hbar: float = 1.0) -> np.ndarray:
     """J[n, m] = 2 Im(psi*_n H[n, m] psi_m); antisymmetric, and
     hbar dP_n/dt = sum_m J[n, m] under the unitary evolution by H."""
     if h.dim != psi.dim:
         raise DimensionMismatchError(f"operator dim {h.dim} != state dim {psi.dim}")
-    amps = psi.amplitudes
-    return 2.0 * np.imag(np.conj(amps)[:, None] * h.matrix * amps[None, :])
+    return _current(h.matrix, psi.amplitudes)
 
 
 def bell_transition_rates(j: np.ndarray, p: np.ndarray, hbar: float = 1.0) -> TransitionRateMatrix:
@@ -79,17 +112,11 @@ def bell_transition_rates(j: np.ndarray, p: np.ndarray, hbar: float = 1.0) -> Tr
     """
     j = np.asarray(j, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
-    dim = p.size
-    if j.shape != (dim, dim):
+    if j.shape != (p.size, p.size):
         raise DimensionMismatchError("current matrix and occupation vector disagree")
-    current_sites = np.any(np.abs(j) > 0.0, axis=0)
-    if np.any(current_sites & (p < OCCUPATION_FLOOR)):
-        raise DegenerateOccupationError(
-            "current in/out of a site with occupation below the 1e-12 floor"
-        )
-    safe_p = np.where(p < OCCUPATION_FLOOR, 1.0, p)
-    t = np.where(j > 0.0, j / (hbar * safe_p[None, :]), 0.0)
-    np.fill_diagonal(t, 0.0)
+    t, void = _minimal_rates(j, p, hbar)
+    if void:
+        raise DegenerateOccupationError(_CURRENT_BELOW_FLOOR)
     return TransitionRateMatrix(t)
 
 
@@ -97,15 +124,13 @@ def add_homogeneous_noise(t: TransitionRateMatrix, p: np.ndarray, c: float) -> T
     """Add the homogeneous family T0[n, m] = c / P_m to every
     off-diagonal entry.  T0[n, m] P_m - T0[m, n] P_n = 0, so the net
     current and all ensemble distributions are unchanged."""
-    if c < 0:
+    if not c >= 0:  # NaN fails too
         raise NormalizationError("noise rate c must be non-negative")
-    p = np.asarray(p, dtype=np.float64)
-    if np.any(p < OCCUPATION_FLOOR):
-        raise DegenerateOccupationError("homogeneous noise needs strictly positive occupation")
+    noise, void = _noise(np.asarray(p, dtype=np.float64), c)
+    if void:
+        raise DegenerateOccupationError(_NOISE_BELOW_FLOOR)
     if c == 0.0:
         return t
-    noise = c / p[None, :] * np.ones((p.size, p.size))
-    np.fill_diagonal(noise, 0.0)
     return TransitionRateMatrix(t.rates + noise)
 
 
@@ -132,15 +157,75 @@ def unitary_step_matrix(h: HermitianOperator, dt: float, hbar: float) -> np.ndar
     return (evecs * np.exp(-1j * evals * dt / hbar)) @ evecs.conj().T
 
 
+def _rate_path(h: HermitianOperator, psi0: ComplexVectorState, dt: float, steps: int,
+               hbar: float, noise_c: float):
+    """Yield (P, J, T, cum) over psi0's exact unitary evolution, a block of
+    steps at a time: J, T (noise included) and cum[i, m, n] = dt
+    sum_{m' <= m} T[i, m', n] at each step i, P also after the last.  A
+    block is cut before its first step with non-finite amplitudes or void
+    rates, whose error is raised after the cut block is yielded.  The
+    arguments are checked before the first block, even for no steps."""
+    if h.dim != psi0.dim:
+        raise DimensionMismatchError(f"operator dim {h.dim} != state dim {psi0.dim}")
+    for name, value in (("dt", dt), ("hbar", hbar)):
+        if not 0 < value < np.inf:
+            raise ContractViolation(f"{name} must be positive and finite, not {value}")
+    if not noise_c >= 0:  # NaN fails too
+        raise NormalizationError("noise rate c must be non-negative")
+    u = unitary_step_matrix(h, dt, hbar)
+    amps = psi0.amplitudes
+    for start in range(0, steps, _RATE_BLOCK):
+        a = [amps]
+        for _ in range(min(_RATE_BLOCK, steps - start)):
+            a.append(u @ a[-1])
+        amps, a = a[-1], np.array(a)
+        p = np.abs(a) ** 2
+        j = _current(h.matrix, a[:-1])
+        t, void = _minimal_rates(j, p[:-1], hbar)
+        noise, low = _noise(p[:-1], noise_c)
+        failures = [(~np.all(np.isfinite(a[:-1]), axis=1), NormalizationError("non-finite amplitude")),
+                    (void, DegenerateOccupationError(_CURRENT_BELOW_FLOOR)),
+                    (low & (noise_c != 0.0), DegenerateOccupationError(_NOISE_BELOW_FLOOR))]
+        bad = np.any([mask for mask, _ in failures], axis=0)
+        n = int(np.argmax(bad)) if bad.any() else len(t)
+        t = t + noise
+        yield p[:n + 1], j[:n], t[:n], np.cumsum(t[:n] * dt, axis=1)
+        if n < len(t):  # the first failing check, in the order one step makes them
+            raise next(error for mask, error in failures if mask[n])
+
+
+def _walk(h: HermitianOperator, psi0: ComplexVectorState, sites: np.ndarray, dt: float,
+          steps: int, rng, hbar: float, noise_c: float, record_every: int, lone: bool):
+    """Walk `sites` along the rate path: sites[i] jumps when its draw u <
+    cum[-1, sites[i]], to the count of m with cum[m, sites[i]] <= u.
+    Returns (step indices, sites, P), a row every record_every steps."""
+    rec = [(sites.copy(), np.abs(psi0.amplitudes) ** 2)]
+    step = 0
+    for p, _, _, cum in _rate_path(h, psi0, dt, steps, hbar, noise_c):
+        for cum_t, p_next in zip(cum, p[1:]):
+            outflow = cum_t[-1, sites[0]] if lone else cum_t[-1].max()  # the guard policy
+            if outflow >= OUTFLOW_GUARD:
+                detail = f"probability {outflow:.3f} " if lone else ""
+                raise StepSizeError(f"step {step}: outflow {detail}exceeds the 0.1 guard", step=step)
+            u = rng.random(sites.size)
+            jumped = u < cum_t[-1][sites]
+            sites[jumped] = (u[jumped] >= cum_t[:, sites[jumped]]).sum(axis=0)
+            step += 1
+            if step % record_every == 0:
+                rec.append((sites.copy(), p_next))
+    rec_sites, rec_p = map(np.array, zip(*rec))
+    return np.arange(len(rec)) * record_every, rec_sites, rec_p
+
+
 def jump_trajectory(h: HermitianOperator, psi0: ComplexVectorState, beable0: int,
                     dt: float, steps: int, seed: int, hbar: float = 1.0,
                     noise_c: float = 0.0) -> StayTrajectory:
     """Co-evolve the wavefunction (exact unitary steps) and the site
     beable (sampled jumps with per-step probabilities T[m, n]*dt).
 
-    The rate matrix is rebuilt each step from the instantaneous (J, P);
-    noise_c > 0 adds the homogeneous family on top, which must leave all
-    ensemble statistics unchanged.  Reproducible from the seed.
+    The rates follow the instantaneous (J, P); noise_c > 0 adds the
+    homogeneous family on top, which must leave all ensemble statistics
+    unchanged.  Reproducible from the seed.
     """
     if not psi0.is_normalized():
         raise NormalizationError("jump_trajectory requires a normalized state")
@@ -148,42 +233,15 @@ def jump_trajectory(h: HermitianOperator, psi0: ComplexVectorState, beable0: int
         raise DimensionMismatchError("initial beable site out of range")
     if steps < 0:
         raise ContractViolation(f"steps must be >= 0, not {steps}")
-    if not dt > 0:
-        raise ContractViolation(f"dt must be positive, not {dt}")
-    rng = seeded_rng(seed)
-    u = unitary_step_matrix(h, dt, hbar)
-    amps = psi0.amplitudes.copy()
-    site = int(beable0)
-    stays = np.empty(steps + 1, dtype=np.int64)
-    stays[0] = site
-    for step in range(steps):
-        state = ComplexVectorState(amps)
-        j = probability_current(h, state, hbar)
-        p = np.abs(amps) ** 2
-        t = bell_transition_rates(j, p, hbar)
-        if noise_c != 0.0:  # add_homogeneous_noise rejects c < 0
-            t = add_homogeneous_noise(t, p, noise_c)
-        jump_p = t.rates[:, site] * dt
-        total = float(jump_p.sum())
-        if total >= OUTFLOW_GUARD:
-            raise StepSizeError(
-                f"step {step}: outflow probability {total:.3f} exceeds the 0.1 guard"
-            )
-        u_draw = rng.random()
-        if u_draw < total:
-            site = int(np.searchsorted(np.cumsum(jump_p), u_draw, side="right"))
-        stays[step + 1] = site
-        amps = u @ amps
-    return StayTrajectory(stays, n_sites=psi0.dim, dt_instant=dt, seed=seed)
+    _, stays, _ = _walk(h, psi0, np.array([int(beable0)]), dt, steps, seeded_rng(seed),
+                        hbar, noise_c, 1, lone=True)
+    return StayTrajectory(stays[:, 0], n_sites=psi0.dim, dt_instant=dt, seed=seed)
 
 
 def ensemble_jump_run(h: HermitianOperator, psi0: ComplexVectorState, n_traj: int,
                       dt: float, steps: int, seed: int, hbar: float = 1.0,
                       noise_c: float = 0.0, record_every: int = 1):
-    """Vectorized ensemble of jump trajectories, initialized ~ |psi(0)|^2.
-
-    The wavefunction evolves independently of the beables, so (J, P, T)
-    are computed once per step and shared by all trajectories.  Returns
+    """Ensemble of jump trajectories, initialized ~ |psi(0)|^2.  Returns
     (recorded step indices, site matrix n_rec x n_traj, P(t) rows).
     """
     if not psi0.is_normalized():
@@ -192,40 +250,7 @@ def ensemble_jump_run(h: HermitianOperator, psi0: ComplexVectorState, n_traj: in
                                ("record_every", record_every, 1)):
         if value < least:
             raise ContractViolation(f"{name} must be >= {least}, not {value}")
-    if not dt > 0:
-        raise ContractViolation(f"dt must be positive, not {dt}")
     rng = seeded_rng(seed)
-    u = unitary_step_matrix(h, dt, hbar)
-    amps = psi0.amplitudes.copy()
-    p = np.abs(amps) ** 2
+    p = np.abs(psi0.amplitudes) ** 2
     sites = np.searchsorted(np.cumsum(p) / p.sum(), rng.random(n_traj), side="right")
-    rec_steps = [0]
-    rec_sites = [sites.copy()]
-    rec_p = [p.copy()]
-    for step in range(steps):
-        state = ComplexVectorState(amps)
-        j = probability_current(h, state, hbar)
-        p = np.abs(amps) ** 2
-        t = bell_transition_rates(j, p, hbar)
-        if noise_c != 0.0:  # add_homogeneous_noise rejects c < 0
-            t = add_homogeneous_noise(t, p, noise_c)
-        # per-site cumulative jump table, shared across the ensemble
-        jump_p = t.rates * dt
-        np.fill_diagonal(jump_p, 0.0)
-        outflow = jump_p.sum(axis=0)
-        if float(outflow.max()) >= OUTFLOW_GUARD:
-            raise StepSizeError(f"step {step}: outflow exceeds the 0.1 guard")
-        cum = np.cumsum(jump_p, axis=0)  # cum[:, n] for source site n
-        draws = rng.random(n_traj)
-        source_cum = cum[:, sites]  # dim x n_traj
-        jumped = draws < source_cum[-1, :]
-        if np.any(jumped):
-            dest = (draws[None, jumped] >= source_cum[:, jumped]).sum(axis=0)
-            sites = sites.copy()
-            sites[jumped] = dest
-        amps = u @ amps
-        if (step + 1) % record_every == 0:
-            rec_steps.append(step + 1)
-            rec_sites.append(sites.copy())
-            rec_p.append(np.abs(amps) ** 2)
-    return np.array(rec_steps), np.array(rec_sites), np.array(rec_p)
+    return _walk(h, psi0, sites, dt, steps, rng, hbar, noise_c, record_every, lone=False)

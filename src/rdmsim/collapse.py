@@ -230,9 +230,10 @@ def _ensemble_strength(p: np.ndarray, energies: np.ndarray, cfg: CollapseConfig,
         bad = int(np.flatnonzero(~(k <= 1.0))[0])
         if not math.isfinite(k[bad]):
             raise NumericFailure(f"k = dE*t_P/hbar is {k[bad]} in trial {trials[bad]}",
-                                 step=step)
+                                 step=step, trial=int(trials[bad]))
         raise SuperPlanckianError(
-            f"k = dE*t_P/hbar = {k[bad]:.3g} > 1 at step {step} of trial {trials[bad]}")
+            f"k = dE*t_P/hbar = {k[bad]:.3g} > 1 at step {step} of trial {trials[bad]}",
+            step=step, trial=int(trials[bad]))
     return k
 
 

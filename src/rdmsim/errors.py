@@ -6,6 +6,15 @@ NumericFailure (the computation itself produced NaN/overflow, exit 2).
 """
 
 
+class _Located:
+    """Carries the step (and, in an ensemble, the trial) where it fired."""
+
+    def __init__(self, message, step=None, trial=None):
+        super().__init__(message)
+        self.step = step
+        self.trial = trial
+
+
 class ContractViolation(ValueError):
     """A documented precondition or invariant does not hold."""
 
@@ -22,11 +31,11 @@ class DegenerateOccupationError(ContractViolation):
     """A jump rate would divide by an occupation below the 1e-12 floor."""
 
 
-class StepSizeError(ContractViolation):
+class StepSizeError(_Located, ContractViolation):
     """Explicit time step too large for the stability/probability guard."""
 
 
-class SuperPlanckianError(ContractViolation):
+class SuperPlanckianError(_Located, ContractViolation):
     """Per-instant collapse strength k = dE*t_P/hbar exceeds 1."""
 
 
@@ -59,9 +68,5 @@ class ScenarioError(ContractViolation):
     """Malformed scenario file or invalid CLI invocation."""
 
 
-class NumericFailure(ArithmeticError):
-    """NaN or overflow produced mid-run; carries the failing step index."""
-
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
+class NumericFailure(_Located, ArithmeticError):
+    """NaN or overflow produced mid-run."""

@@ -43,8 +43,7 @@ class GridWavefunction:
         s = _frozen(self.samples, np.complex128)
         if s.ndim != 1 or s.size < 8 or s.size % 2 != 0:
             raise DimensionMismatchError("grid needs >= 8 samples and an even count")
-        if self.dx <= 0 or self.mass <= 0 or self.hbar <= 0:
-            raise DimensionMismatchError("dx, mass and hbar must be positive")
+        GridWavefunction._check_scales(self.dx, self.mass, self.hbar)
         if not np.all(np.isfinite(s.view(np.float64))):
             raise NumericFailure("non-finite grid sample")
         if abs(self.dx * float(np.sum(np.abs(s) ** 2)) - 1.0) > GRID_NORM_TOL:
@@ -70,11 +69,17 @@ class GridWavefunction:
         return GridWavefunction(self.x0, self.dx, samples, self.mass, self.hbar)
 
     @staticmethod
+    def _check_scales(dx, mass, hbar):
+        if not (dx > 0 and mass > 0 and hbar > 0):  # NaN fails too
+            raise DimensionMismatchError("dx, mass and hbar must be positive")
+
+    @staticmethod
     def gaussian(x0, dx, n, center, sigma, momentum=0.0, mass=1.0, hbar=1.0):
         """Normalized Gaussian packet with RMS position width sigma,
         optionally boosted to mean momentum `momentum`."""
         if not sigma > 0:
             raise ContractViolation(f"sigma must be positive, not {sigma}")
+        GridWavefunction._check_scales(dx, mass, hbar)
         x = x0 + dx * np.arange(n)
         psi = np.exp(-((x - center) ** 2) / (4.0 * sigma**2) + 1j * momentum * x / hbar)
         psi /= np.sqrt(dx * np.sum(np.abs(psi) ** 2))

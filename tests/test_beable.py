@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from rdmsim import beable, hilbert
@@ -10,6 +14,8 @@ from rdmsim.errors import (
     NormalizationError,
     StepSizeError,
 )
+from rdmsim.rdm import StayTrajectory
+from rdmsim.seeding import seeded_rng
 
 
 def rand_pair(rng, dim):
@@ -225,15 +231,25 @@ class TestJumpTrajectory:
                 assert stats.chi2_contingency(table).pvalue > 0.001
 
     def test_guard_surfaces_with_step_index(self):
+        # a real state under a real H carries no current at step 0
         h = hilbert.HermitianOperator([[0.0, -40.0], [-40.0, 0.0]])
         psi = hilbert.ComplexVectorState(np.sqrt([0.7, 0.3]))
-        with pytest.raises(StepSizeError):
+        with pytest.raises(StepSizeError, match="^step 1: ") as exc:
             beable.jump_trajectory(h, psi, 0, 0.01, 100, seed=13)
+        assert exc.value.step == 1
+
+    def test_ensemble_guard_surfaces_with_step_index(self):
+        h = hilbert.HermitianOperator([[0.0, -40.0], [-40.0, 0.0]])
+        psi = hilbert.ComplexVectorState(np.sqrt([0.7, 0.3]))
+        with pytest.raises(StepSizeError, match="^step 1: ") as exc:
+            beable.ensemble_jump_run(h, psi, 100, 0.01, 100, seed=13)
+        assert exc.value.step == 1
 
     @pytest.mark.parametrize("kw, name", [
         ({"steps": -1}, "steps"), ({"n_traj": -1}, "n_traj"),
         ({"record_every": 0}, "record_every"), ({"seed": -1}, "seed"),
-        ({"dt": 0.0}, "dt"),
+        ({"dt": 0.0}, "dt"), ({"steps": 0, "noise_c": -1.0}, "noise"),
+        ({"steps": 0, "hbar": 0.0}, "hbar"),
     ])
     def test_ensemble_rejects_bad_counts(self, kw, name):
         args = {"n_traj": 10, "dt": 0.01, "steps": 5, "seed": 1, "record_every": 1, **kw}
@@ -247,6 +263,173 @@ class TestJumpTrajectory:
             beable.jump_trajectory(TWO_SITE_H, TWO_SITE_PSI, 0, -0.005, 5, seed=1)
         with pytest.raises(ContractViolation, match="seed"):
             beable.jump_trajectory(TWO_SITE_H, TWO_SITE_PSI, 0, 0.01, 5, seed=2**64)
-        with pytest.raises(NormalizationError):  # a negative noise rate is not ignored
-            beable.jump_trajectory(TWO_SITE_H, TWO_SITE_PSI, 0, 0.01, 5, seed=1,
-                                   noise_c=-1.0)
+        for steps in (5, 0):  # a negative noise rate is not ignored
+            with pytest.raises(NormalizationError, match="noise"):
+                beable.jump_trajectory(TWO_SITE_H, TWO_SITE_PSI, 0, 0.01, steps, seed=1,
+                                       noise_c=-1.0)
+        with pytest.raises(ContractViolation, match="hbar"):
+            beable.jump_trajectory(TWO_SITE_H, TWO_SITE_PSI, 0, 0.01, 0, seed=1, hbar=-1.0)
+        with pytest.raises(DimensionMismatchError, match="operator dim 3"):
+            beable.jump_trajectory(hilbert.HermitianOperator(np.eye(3)), TWO_SITE_PSI, 0,
+                                   0.01, 0, seed=1)
+
+
+def reference_trajectory(h, psi0, beable0, dt, steps, seed, hbar=1.0, noise_c=0.0):
+    """The per-step jump_trajectory loop that the rate path replaced."""
+    rng = seeded_rng(seed)
+    u = beable.unitary_step_matrix(h, dt, hbar)
+    amps = psi0.amplitudes.copy()
+    site = int(beable0)
+    stays = np.empty(steps + 1, dtype=np.int64)
+    stays[0] = site
+    for step in range(steps):
+        state = hilbert.ComplexVectorState(amps)
+        j = beable.probability_current(h, state, hbar)
+        p = np.abs(amps) ** 2
+        t = beable.bell_transition_rates(j, p, hbar)
+        if noise_c != 0.0:  # add_homogeneous_noise rejects c < 0
+            t = beable.add_homogeneous_noise(t, p, noise_c)
+        jump_p = t.rates[:, site] * dt
+        total = float(jump_p.sum())
+        if total >= beable.OUTFLOW_GUARD:
+            raise StepSizeError(
+                f"step {step}: outflow probability {total:.3f} exceeds the 0.1 guard"
+            )
+        u_draw = rng.random()
+        if u_draw < total:
+            site = int(np.searchsorted(np.cumsum(jump_p), u_draw, side="right"))
+        stays[step + 1] = site
+        amps = u @ amps
+    return StayTrajectory(stays, n_sites=psi0.dim, dt_instant=dt, seed=seed)
+
+
+def reference_ensemble(h, psi0, n_traj, dt, steps, seed, hbar=1.0, noise_c=0.0,
+                       record_every=1):
+    """The per-step ensemble_jump_run loop that the rate path replaced."""
+    rng = seeded_rng(seed)
+    u = beable.unitary_step_matrix(h, dt, hbar)
+    amps = psi0.amplitudes.copy()
+    p = np.abs(amps) ** 2
+    sites = np.searchsorted(np.cumsum(p) / p.sum(), rng.random(n_traj), side="right")
+    rec_steps = [0]
+    rec_sites = [sites.copy()]
+    rec_p = [p.copy()]
+    for step in range(steps):
+        state = hilbert.ComplexVectorState(amps)
+        j = beable.probability_current(h, state, hbar)
+        p = np.abs(amps) ** 2
+        t = beable.bell_transition_rates(j, p, hbar)
+        if noise_c != 0.0:  # add_homogeneous_noise rejects c < 0
+            t = beable.add_homogeneous_noise(t, p, noise_c)
+        # per-site cumulative jump table, shared across the ensemble
+        jump_p = t.rates * dt
+        np.fill_diagonal(jump_p, 0.0)
+        outflow = jump_p.sum(axis=0)
+        if float(outflow.max()) >= beable.OUTFLOW_GUARD:
+            raise StepSizeError(f"step {step}: outflow exceeds the 0.1 guard")
+        cum = np.cumsum(jump_p, axis=0)  # cum[:, n] for source site n
+        draws = rng.random(n_traj)
+        source_cum = cum[:, sites]  # dim x n_traj
+        jumped = draws < source_cum[-1, :]
+        if np.any(jumped):
+            dest = (draws[None, jumped] >= source_cum[:, jumped]).sum(axis=0)
+            sites = sites.copy()
+            sites[jumped] = dest
+        amps = u @ amps
+        if (step + 1) % record_every == 0:
+            rec_steps.append(step + 1)
+            rec_sites.append(sites.copy())
+            rec_p.append(np.abs(amps) ** 2)
+    return np.array(rec_steps), np.array(rec_sites), np.array(rec_p)
+
+
+def outcome(run):
+    """("ok", the arrays a run returns) or ("error", its error type and message)."""
+    try:
+        result = run()
+    except ContractViolation as exc:
+        return "error", (type(exc), str(exc))
+    return "ok", (result.stays,) if isinstance(result, StayTrajectory) else result
+
+
+def assert_same_outcome(a, b):
+    assert a[0] == b[0] and len(a[1]) == len(b[1])
+    if a[0] == "error":
+        assert a[1] == b[1]
+    else:
+        assert all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a[1], b[1]))
+
+
+@st.composite
+def rate_path_cases(draw):
+    """A random Hermitian H and state of dim 2-7, some sites of the state
+    tiny (1e-7) or empty, and the run parameters."""
+    dim = draw(st.integers(2, 7))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32))))
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = (m + m.conj().T) * draw(st.sampled_from([0.1, 1.0, 5.0, 20.0]))
+    v = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) * rng.choice([1, 1, 1, 1e-7, 0], dim)
+    if not np.any(v):
+        v[0] = 1.0
+    return dict(h=h, psi=v / np.linalg.norm(v), beable0=draw(st.integers(0, dim - 1)),
+                dt=draw(st.floats(0.001, 0.03)), steps=draw(st.integers(0, 40)),
+                noise_c=draw(st.sampled_from([0.0, 0.0, 0.3, 2.0])),
+                hbar=draw(st.sampled_from([1.0, 0.7])), n_traj=draw(st.integers(1, 60)),
+                record_every=draw(st.integers(1, 5)), block=draw(st.sampled_from([1, 7, 256])),
+                seed=draw(st.integers(0, 1000)))
+
+
+RABI_FROM_ONE_SITE = dict(  # P_0 = cos^2 t: the all-site guard fires near step 81, P_0 < 1e-12 at 100
+    h=[[0.0, -1.0], [-1.0, 0.0]], psi=[1.0, 0.0], beable0=0, dt=np.pi / 200, steps=300,
+    noise_c=0.0, hbar=1.0, n_traj=50, record_every=10, block=64, seed=3)
+PINNED = {
+    "degenerate-at-step-0": dict(RABI_FROM_ONE_SITE, h=[[0.0, -1j], [1j, 0.0]],
+                                 psi=np.array([1.0, 1e-7]) / np.hypot(1.0, 1e-7), steps=20),
+    "empty-site-with-noise": dict(RABI_FROM_ONE_SITE, h=[[0.0, -1.0, 0.5], [-1.0, 0.0, 0.2],
+                                                         [0.5, 0.2, 1.0]],
+                                  psi=[0.6, 0.8j, 0.0], noise_c=1.0, steps=20),
+    "guard-at-step-0": dict(RABI_FROM_ONE_SITE, h=[[0.0, -40.0], [-40.0, 0.0]],
+                            psi=np.sqrt([0.7, 0.3]) * [1, 1j], dt=0.01, steps=20),
+    "guard-before-degenerate": RABI_FROM_ONE_SITE,
+    "guard-on-a-site-without-walkers": dict(RABI_FROM_ONE_SITE, n_traj=1),
+}
+
+
+class TestRatePathParity:
+    """Both runners give the per-step loops' exact stays, recorded sites
+    and P rows, or their error type and message."""
+
+    @staticmethod
+    def check(case):
+        h = hilbert.HermitianOperator(case["h"])
+        psi0 = hilbert.ComplexVectorState(case["psi"])
+        common = dict(dt=case["dt"], steps=case["steps"], seed=case["seed"],
+                      hbar=case["hbar"], noise_c=case["noise_c"])
+        runs = [(beable.jump_trajectory, reference_trajectory, dict(beable0=case["beable0"])),
+                (beable.ensemble_jump_run, reference_ensemble,
+                 dict(n_traj=case["n_traj"], record_every=case["record_every"]))]
+        with mock.patch.object(beable, "_RATE_BLOCK", case["block"]):
+            for run, reference, extra in runs:
+                assert_same_outcome(outcome(lambda: run(h, psi0, **common, **extra)),
+                                    outcome(lambda: reference(h, psi0, **common, **extra)))
+
+    @given(rate_path_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_random_cases(self, case):
+        self.check(case)
+
+    @pytest.mark.parametrize("name, error", [
+        ("degenerate-at-step-0", DegenerateOccupationError),
+        ("empty-site-with-noise", DegenerateOccupationError),
+        ("guard-at-step-0", StepSizeError),
+        ("guard-before-degenerate", StepSizeError),
+        ("guard-on-a-site-without-walkers", StepSizeError),
+    ])
+    def test_pinned_cases(self, name, error):
+        case = PINNED[name]
+        self.check(case)
+        h = hilbert.HermitianOperator(case["h"])
+        psi0 = hilbert.ComplexVectorState(case["psi"])
+        with pytest.raises(error):
+            beable.ensemble_jump_run(h, psi0, case["n_traj"], case["dt"], case["steps"],
+                                     seed=case["seed"], noise_c=case["noise_c"])

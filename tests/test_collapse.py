@@ -297,8 +297,9 @@ class TestEnsembleOutcomes:
         p0 = s.probabilities
         first = next(t for t in range(50)
                      if trial_rng(cfg.seed, t).random() * (p0[0] + p0[1]) >= p0[0])
-        with pytest.raises(SuperPlanckianError, match=f"at step 1 of trial {first}$"):
+        with pytest.raises(SuperPlanckianError, match=f"at step 1 of trial {first}$") as exc:
             collapse.ensemble_outcomes(s, cfg, 50, 100)
+        assert (exc.value.step, exc.value.trial) == (1, first)
 
     @pytest.mark.parametrize("run", [
         lambda s, cfg: collapse.ensemble_outcomes(s, cfg, 10, 10),
@@ -310,7 +311,7 @@ class TestEnsembleOutcomes:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericFailure, match="is nan in trial 0$") as exc:
                 run(s, CollapseConfig(k_mode="dynamic"))
-        assert exc.value.step == 0
+        assert (exc.value.step, exc.value.trial) == (0, 0)
 
     def test_rejects_empty_ensemble(self):
         with pytest.raises(ContractViolation):

@@ -189,6 +189,15 @@ class TestCliRuns:
                        "--out-dir", str(tmp_path)) == 1
         assert f"{name} must be positive" in capsys.readouterr().err
 
+    def test_negative_noise_without_steps_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "s.yaml"
+        path.write_text("subcommand: beable-run\nhamiltonian: [[0.0, -1.0], [-1.0, 0.0]]\n"
+                        "psi0: [0.6, 0.8]\ndt: 0.01\nsteps: 0\nseed: 0\nnoise_c: -1.0\n")
+        assert run_cli("beable-run", "--scenario", str(path),
+                       "--out-dir", str(tmp_path / "out")) == 1
+        assert "noise rate c must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "beable_trajectory.csv").exists()
+
     def test_nan_strength_exits_2(self, tmp_path, capsys):
         # E^2 overflows, so the dynamic k of the ensemble is NaN
         path = tmp_path / "s.yaml"

@@ -21,9 +21,21 @@ class TestGridInvariants:
         with pytest.raises(DimensionMismatchError):
             sch.GridWavefunction(0.0, 0.1, np.ones(9) / 3.0)
 
+    def test_rejects_nan_spacing(self):
+        with pytest.raises(DimensionMismatchError):
+            sch.GridWavefunction(0.0, np.nan, np.ones(16))
+
     def test_rejects_unnormalized(self):
         with pytest.raises(NormalizationError):
             sch.GridWavefunction(0.0, 0.1, np.ones(16))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kw", [{"dx": 0.0}, {"dx": -0.1}, {"dx": np.nan}, {"hbar": 0.0}])
+    def test_gaussian_rejects_scales_before_sampling(self, kw):
+        args = {"x0": -5.0, "dx": 0.1, "n": 64, "center": 0.0, "sigma": 1.0,
+                "momentum": 1.0, **kw}
+        with pytest.raises(DimensionMismatchError, match="must be positive"):
+            sch.GridWavefunction.gaussian(**args)
 
     def test_gaussian_normalized(self):
         g = gaussian()
