@@ -7,8 +7,7 @@ anything runs, and writes declared outputs plus a manifest into
 only on the subcommands whose schema has a seed; --format only on
 rdm-sample, the one subcommand that writes either CSV or JSON.  Identical
 scenario + seed reproduce byte-identical data files; only the manifest's
-wall-time field differs between runs.  --threads is accepted for
-compatibility and ignored: every run is single-threaded.
+wall-time field differs between runs.
 
 Exit codes: 0 ok, 1 contract violation (bad scenario / precondition),
 2 numeric failure (NaN or overflow mid-run).
@@ -235,9 +234,6 @@ def cmd_beable_run(p, ctx):
     psi0 = hilbert.ComplexVectorState(p["psi0"])
     traj = beable.jump_trajectory(h, psi0, p["beable0"], p["dt"], p["steps"],
                                   seed=p["seed"], hbar=p["hbar"], noise_c=p["noise_c"])
-    path = ctx["out_dir"] / "beable_trajectory.csv"
-    io.write_trajectory_csv(path, traj)
-    outputs = [path]
     summary = f"beable trajectory of {traj.instants - 1} steps written"
     ens = p["ensemble"]
     if ens is not None:
@@ -260,12 +256,17 @@ def cmd_beable_run(p, ctx):
                            "expected": expected.tolist(),
                            "chi2": float(test.statistic),
                            "p_value": float(test.pvalue)})
+        min_p = min((s["p_value"] for s in slices), default=float("nan"))
+        summary += f"; equivariance min p-value {min_p:.4f} over {len(slices)} slices"
+    # every result is computed before the first write, so a failed run writes nothing
+    path = ctx["out_dir"] / "beable_trajectory.csv"
+    io.write_trajectory_csv(path, traj)
+    outputs = [path]
+    if ens is not None:
         report = ctx["out_dir"] / "equivariance.json"
         io.write_json(report, {"slices": slices, "n_traj": ens["n_traj"],
                                "noise_c": p["noise_c"]})
         outputs.append(report)
-        min_p = min((s["p_value"] for s in slices), default=float("nan"))
-        summary += f"; equivariance min p-value {min_p:.4f} over {len(slices)} slices"
     return summary, outputs
 
 
@@ -474,8 +475,6 @@ def build_parser() -> _Parser:
                             help="override the scenario's master seed")
         sp.add_argument("--out-dir", default=None,
                         help="output directory (default: $RDMSIM_OUT_DIR or '.')")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="accepted and ignored; runs are single-threaded")
         if name == "rdm-sample":
             sp.add_argument("--format", choices=("csv", "json"), default="csv")
         if name == "verify":

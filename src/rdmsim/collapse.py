@@ -12,6 +12,12 @@ frequencies reproduce the initial weights exactly, and the ensemble
 energy distribution is conserved.  Mean products P_i P_j decay as
 (1 - k^2)^n, giving the characteristic time ~ t_P / k^2.
 
+Every dynamic k comes from hilbert.energy_spread and passes one guard
+(_strength), so a global energy offset leaves it unchanged and a
+trial's k does not depend on the trials beside it.  The ensemble
+runners observe one stepping loop (_ensemble_walk); it and the single
+trajectory step through one kernel (_collapse_kernel).
+
 Branches with exactly equal energies are indistinguishable to the
 update and are merged for the draw; their joint probability is shared
 pro rata afterwards.
@@ -30,7 +36,7 @@ from .errors import (
     NumericFailure,
     SuperPlanckianError,
 )
-from .hilbert import EnergySuperposition, energy_uncertainty
+from .hilbert import EnergySuperposition, energy_spread
 from .seeding import trial_rng
 
 
@@ -105,36 +111,62 @@ class ManyBodyBranchTable:
         object.__setattr__(self, "amplitudes", c)
 
     @property
-    def n_subsystems(self) -> int:
-        return self.energies.shape[0]
-
-    @property
-    def n_branches(self) -> int:
-        return self.energies.shape[1]
-
-    @property
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
 
-def step_strength(s: EnergySuperposition, cfg: CollapseConfig) -> float:
-    """Per-instant k; guards the model's regime k <= 1."""
+def _strength(p, energies, cfg: CollapseConfig, step=None, trials=None):
+    """k for the branch-major p: cfg.k0 when frozen, else dE * t_P / hbar
+    for every column (energies broadcast against p as in energy_spread).
+
+    The one guard of the model's regime k <= 1: a non-finite k raises
+    NumericFailure, a finite k > 1 SuperPlanckianError.  Both carry the
+    step and, in an ensemble, the absolute index of the first bad trial.
+    """
     if cfg.k_mode == "frozen":
         return cfg.k0
-    k = energy_uncertainty(s) * cfg.t_p / cfg.hbar
-    if k > 1.0:
-        raise SuperPlanckianError(
-            f"k = dE*t_P/hbar = {k:.3g} > 1: energy spread beyond the model's regime"
-        )
+    k = energy_spread(p, energies) * cfg.t_p / cfg.hbar
+    if not k.max() <= 1.0:  # written so that NaN fails it too
+        flat = np.ravel(k)
+        bad = int(np.flatnonzero(~(flat <= 1.0))[0])
+        trial = None if trials is None else int(trials[bad])
+        if not math.isfinite(flat[bad]):
+            where = "" if trial is None else f" in trial {trial}"
+            raise NumericFailure(f"k = dE*t_P/hbar is {flat[bad]}{where}",
+                                 step=step, trial=trial)
+        where = ("" if step is None else f" at step {step}") + \
+            ("" if trial is None else f" of trial {trial}")
+        raise SuperPlanckianError(f"k = dE*t_P/hbar = {flat[bad]:.3g} > 1{where}",
+                                  step=step, trial=trial)
     return k
 
 
+def step_strength(s: EnergySuperposition, cfg: CollapseConfig) -> float:
+    """Per-instant k of a superposition; guards the model's regime k <= 1."""
+    return _strength(s.probabilities, s.energies, cfg)
+
+
 def _energy_groups(energies: np.ndarray):
-    """Indices grouped by exactly equal energy, in first-seen order."""
-    groups = {}
-    for i, e in enumerate(energies):
-        groups.setdefault(float(e), []).append(i)
-    return list(groups.values())
+    """(group of each branch, first branch of each group): branches with
+    exactly equal energy share a group, numbered in first-seen order."""
+    seen = {}
+    label = np.array([seen.setdefault(float(e), len(seen)) for e in energies])
+    return label, np.unique(label, return_index=True)[1]
+
+
+def _amplitude_step(amps, gp, label, phases, k, u):
+    """One instant on plain arrays; returns (new amplitudes, staying group).
+
+    The group weights gp (label maps each branch to its group) move by the
+    kernel with the uniform u; each member's amplitude scales by
+    sqrt(new / old group weight), so members keep their relative weights,
+    and turns by its phase.  An empty group cannot stay, so no mass is lost.
+    """
+    gp_new = gp.copy()
+    g_stay = int(_collapse_kernel(gp_new[:, None], u, k).argmax())
+    occupied = gp > 0.0
+    scale = np.where(occupied, np.sqrt(gp_new / np.where(occupied, gp, 1.0)), 0.0)
+    return amps * scale[label] * phases, g_stay
 
 
 def collapse_step(s: EnergySuperposition, cfg: CollapseConfig, rng: np.random.Generator):
@@ -146,24 +178,12 @@ def collapse_step(s: EnergySuperposition, cfg: CollapseConfig, rng: np.random.Ge
     member of the staying group.  Bounds 0 <= P_i <= 1 and sum P = 1
     hold exactly (to rounding) for any k <= 1.
     """
-    k = step_strength(s, cfg)
+    label, first = _energy_groups(s.energies)
     p = s.probabilities
-    groups = _energy_groups(s.energies)
-    gp = np.array([p[idx].sum() for idx in groups])
-    gp_new = gp.copy()
-    g_stay = int(_collapse_kernel(gp_new[:, None], rng.random(1), k).argmax())
-    # members share the group's probability with unchanged relative weights
-    scale = np.ones_like(p)
-    for g, idx in enumerate(groups):
-        if gp[g] > 0.0:
-            scale[idx] = math.sqrt(gp_new[g] / gp[g])
-        else:
-            scale[idx] = 0.0
-    phases = np.exp(-1j * s.energies * cfg.t_p / cfg.hbar)
-    new_amps = s.amplitudes * scale * phases
-    # zero-probability staying group cannot be drawn, so no mass is lost
-    new_state = EnergySuperposition(s.energies, new_amps)
-    return new_state, groups[g_stay][0]
+    amps, g = _amplitude_step(s.amplitudes, np.bincount(label, weights=p), label,
+                              np.exp(-1j * s.energies * cfg.t_p / cfg.hbar),
+                              _strength(p, s.energies, cfg), rng.random(1))
+    return EnergySuperposition(s.energies, amps), int(first[g])
 
 
 def run_trajectory(s0: EnergySuperposition, cfg: CollapseConfig, max_steps: int,
@@ -172,69 +192,43 @@ def run_trajectory(s0: EnergySuperposition, cfg: CollapseConfig, max_steps: int,
 
     Returns a dict with the per-step probability history, the staying
     branch of each step, the outcome branch (None if the threshold was
-    not reached) and the step count.
+    not reached) and the step count.  The groups and phases are computed
+    once and the amplitudes stepped as plain arrays; a guard names the
+    step where it fired.
     """
     if max_steps < 0:
         raise ContractViolation(f"max_steps must be >= 0, not {max_steps}")
     rng = trial_rng(cfg.seed, 0) if rng is None else rng
-    state = s0
-    history = [state.probabilities]
-    staying = []
-    groups = _energy_groups(s0.energies)
+    label, first = _energy_groups(s0.energies)
+    phases = np.exp(-1j * s0.energies * cfg.t_p / cfg.hbar)
+    amps, p = s0.amplitudes, s0.probabilities
+    history, staying = [p], []
     outcome = None
-    steps = 0
     for step in range(max_steps + 1):
-        p = state.probabilities
-        gp = [float(p[idx].sum()) for idx in groups]
-        g_max = int(np.argmax(gp))
+        gp = np.bincount(label, weights=p)
+        g_max = int(gp.argmax())
         if gp[g_max] > 1.0 - cfg.collapse_epsilon:
-            outcome = groups[g_max][0]
-            steps = step
+            outcome = int(first[g_max])
             break
         if step == max_steps:
-            steps = max_steps
             break
-        state, stay = collapse_step(state, cfg, rng)
-        history.append(state.probabilities)
-        staying.append(stay)
+        k = _strength(p, s0.energies, cfg, step)
+        amps, g = _amplitude_step(amps, gp, label, phases, k, rng.random(1))
+        # |c|^2 can stray one ulp above 1 after a sqrt round trip
+        p = np.minimum(np.abs(amps) ** 2, 1.0)
+        history.append(p)
+        staying.append(first[g])
     return {
         "probabilities": np.array(history),
         "staying": np.array(staying, dtype=np.int64),
         "outcome": outcome,
-        "steps": steps,
+        "steps": step,
         "collapsed": outcome is not None,
     }
 
 
 TRIAL_BLOCK = 256  # ensemble_statistics sums trials in blocks of this size, in order
 DRAW_BUDGET = TRIAL_BLOCK * 512  # uniforms buffered at once, however many trials are live
-
-
-def _ensemble_strength(p: np.ndarray, energies: np.ndarray, cfg: CollapseConfig,
-                       step: int, trials: np.ndarray):
-    """k for every column of the branch-major matrix p (m x n_live).
-
-    Dynamic k is evaluated on a trial-major copy.  Its p @ energies goes
-    through BLAS, whose last-ulp rounding depends on the number of rows
-    it is handed, so a trial's dynamic k can depend on how many trials
-    share the array.  A non-finite k raises NumericFailure, a finite
-    k > 1 SuperPlanckianError; both name the absolute trial index.
-    """
-    if cfg.k_mode == "frozen":
-        return cfg.k0
-    pt = np.ascontiguousarray(p.T)
-    e_bar = pt @ energies
-    var = np.einsum("ti,i->t", pt, energies**2) - e_bar**2
-    k = np.sqrt(np.maximum(var, 0.0)) * cfg.t_p / cfg.hbar
-    if not k.max() <= 1.0:  # written so that NaN fails it too
-        bad = int(np.flatnonzero(~(k <= 1.0))[0])
-        if not math.isfinite(k[bad]):
-            raise NumericFailure(f"k = dE*t_P/hbar is {k[bad]} in trial {trials[bad]}",
-                                 step=step, trial=int(trials[bad]))
-        raise SuperPlanckianError(
-            f"k = dE*t_P/hbar = {k[bad]:.3g} > 1 at step {step} of trial {trials[bad]}",
-            step=step, trial=int(trials[bad]))
-    return k
 
 
 def _collapse_kernel(p: np.ndarray, u: np.ndarray, k) -> np.ndarray:
@@ -262,15 +256,46 @@ def _collapse_kernel(p: np.ndarray, u: np.ndarray, k) -> np.ndarray:
     return stay
 
 
-def _draw_chunk(gens: list, steps_left: int) -> np.ndarray:
-    """The next uniforms of each generator, one row per generator
-    (len(gens) x chunk).  DRAW_BUDGET bounds the buffer; a trial's
-    stream does not depend on how it is chunked."""
-    chunk = min(max(DRAW_BUDGET // len(gens), 8), 512, steps_left)
-    out = np.empty((len(gens), chunk))
-    for row, gen in enumerate(gens):
-        gen.random(out=out[row])
-    return out
+def _ensemble_walk(s0: EnergySuperposition, cfg: CollapseConfig, lo: int, hi: int,
+                   n_steps: int):
+    """Trials lo..hi-1 of s0 stepped as one branch-major array p (m x n_live).
+
+    Yields (step, p, trials) before each step and once more at step
+    n_steps; trials holds the absolute index of each live column, and p
+    is stepped in place once the walk resumes.  The value sent back is a
+    boolean mask of the columns to drop, or None; the walk ends early when
+    no trial is left.  Every trial draws one uniform per step from its own
+    seeded generator, held until the walk ends (about 0.9 KB per trial).
+    """
+    trials = np.arange(lo, hi)
+    gens = [trial_rng(cfg.seed, t) for t in range(lo, hi)]
+    p = np.repeat(s0.probabilities[:, None], hi - lo, axis=1)
+    energies = s0.energies[:, None]
+    # draws holds a chunk for the trials live when it was drawn; cols maps
+    # each live column to its row there (None: row t is column t), so
+    # leaving trials copy nothing
+    draws = cols = None
+    b = 0
+    for step in range(n_steps + 1):
+        drop = yield step, p, trials
+        if drop is not None:
+            live = ~drop
+            # compress keeps p C-ordered; a boolean index would not
+            trials, p = trials[live], p.compress(live, axis=1)
+            if draws is not None:
+                cols = np.flatnonzero(live) if cols is None else cols[live]
+        if step == n_steps or trials.size == 0:
+            return
+        if draws is None or b == draws.shape[1]:
+            # DRAW_BUDGET bounds the buffer; a trial's stream does not depend on the chunks
+            draws = np.empty((trials.size, min(max(DRAW_BUDGET // trials.size, 8), 512,
+                                               n_steps - step)))
+            for row, t in enumerate(trials.tolist()):
+                gens[t - lo].random(out=draws[row])
+            cols, b = None, 0
+        u = draws[:, b] if cols is None else draws[cols, b]
+        _collapse_kernel(p, u, _strength(p, energies, cfg, step, trials))
+        b += 1
 
 
 def ensemble_statistics(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: int,
@@ -285,24 +310,18 @@ def ensemble_statistics(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: 
     """
     if n_trials < 2 or n_steps < 0 or slice_stride < 1:
         raise ContractViolation("need n_trials >= 2, n_steps >= 0, slice_stride >= 1")
-    energies = s0.energies
     m = s0.n_branches
-    if len(_energy_groups(energies)) != m:
+    if _energy_groups(s0.energies)[1].size != m:
         raise ContractViolation("ensemble statistics expects distinct branch energies")
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    ii, jj = np.triu_indices(m, 1)
+    pairs = list(zip(ii.tolist(), jj.tolist()))
     slice_steps = sorted(set(range(0, n_steps + 1, slice_stride)) | {n_steps})
-    ii = np.array([i for i, _ in pairs], dtype=np.int64)
-    jj = np.array([j for _, j in pairs], dtype=np.int64)
-    s1 = np.zeros((len(slice_steps), m))
-    s2 = np.zeros((len(slice_steps), m))
-    q1 = np.zeros((len(slice_steps), len(pairs)))
-    q2 = np.zeros((len(slice_steps), len(pairs)))
+    s1, s2 = np.zeros((2, len(slice_steps), m))
+    q1, q2 = np.zeros((2, len(slice_steps), len(pairs)))
     for lo in range(0, n_trials, TRIAL_BLOCK):
-        trials = np.arange(lo, min(lo + TRIAL_BLOCK, n_trials))
-        gens = [trial_rng(cfg.seed, t) for t in trials.tolist()]
-        p = np.repeat(s0.probabilities[:, None], trials.size, axis=1)
-        draws, b, row = None, 0, 0
-        for step in range(n_steps + 1):
+        row = 0
+        for step, p, _ in _ensemble_walk(s0, cfg, lo, min(lo + TRIAL_BLOCK, n_trials),
+                                         n_steps):
             if step == slice_steps[row]:
                 pt = np.ascontiguousarray(p.T)
                 prods = pt[:, ii] * pt[:, jj]
@@ -311,13 +330,6 @@ def ensemble_statistics(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: 
                 q1[row] += prods.sum(axis=0)
                 q2[row] += (prods**2).sum(axis=0)
                 row += 1
-            if step == n_steps:
-                break
-            if draws is None or b == draws.shape[1]:
-                draws, b = _draw_chunk(gens, n_steps - step), 0
-            k = _ensemble_strength(p, energies, cfg, step, trials)
-            _collapse_kernel(p, draws[:, b], k)
-            b += 1
     n = float(n_trials)
     mean_p = s1 / n
     var_p = np.maximum(s2 / n - mean_p**2, 0.0) * n / (n - 1.0)
@@ -340,47 +352,31 @@ def ensemble_outcomes(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: in
     collapses when max P_i > 1 - epsilon; trials that never cross the
     threshold report steps = max_steps and outcome -1.
 
-    Trials step as one array and each leaves it at the step where it
+    All trials step as one array and each leaves it at the step where it
     crosses, so the work follows the live trials, not the slowest one.
-    Every trial draws one uniform per step from its own seeded
-    generator, so with frozen k a trial's result does not depend on the
-    others (for dynamic k see _ensemble_strength).  Each trial's
-    generator is held until the run ends, about 0.9 KB per trial.
+    A trial's result depends only on its own seeded stream, with frozen
+    and with dynamic k alike.
     """
     if n_trials < 1 or max_steps < 0:
         raise ContractViolation("need n_trials >= 1 and max_steps >= 0")
-    if len(_energy_groups(s0.energies)) != s0.n_branches:
+    if _energy_groups(s0.energies)[1].size != s0.n_branches:
         raise ContractViolation("ensemble outcomes expects distinct branch energies")
     threshold = 1.0 - cfg.collapse_epsilon
     outcomes = np.full(n_trials, -1, dtype=np.int64)
     steps_to = np.full(n_trials, max_steps, dtype=np.int64)
-    trials = np.arange(n_trials)
-    gens = [trial_rng(cfg.seed, t) for t in range(n_trials)]
-    p = np.repeat(s0.probabilities[:, None], n_trials, axis=1)
-    # draws holds a chunk for the trials live when it was drawn; cols maps
-    # each live column to its row there, so leaving trials copy nothing
-    draws = cols = None
-    step = b = 0
+    walk = _ensemble_walk(s0, cfg, 0, n_trials, max_steps)
+    crossed = None
     while True:
+        try:
+            step, p, trials = walk.send(crossed)
+        except StopIteration:
+            break
         crossed = p.max(axis=0) > threshold
         if crossed.any():
-            done = trials[crossed]
-            outcomes[done] = p[:, crossed].argmax(axis=0)
-            steps_to[done] = step
-            live = ~crossed
-            # compress keeps p C-ordered; a boolean index would not
-            trials, p = trials[live], p.compress(live, axis=1)
-            if cols is not None:
-                cols = cols[live]
-        if step == max_steps or trials.size == 0:
-            break
-        if draws is None or b == draws.shape[1]:
-            draws, b = _draw_chunk([gens[t] for t in trials.tolist()], max_steps - step), 0
-            cols = np.arange(trials.size)
-        k = _ensemble_strength(p, s0.energies, cfg, step, trials)
-        _collapse_kernel(p, draws[cols, b], k)
-        step += 1
-        b += 1
+            outcomes[trials[crossed]] = p[:, crossed].argmax(axis=0)
+            steps_to[trials[crossed]] = step
+        else:
+            crossed = None
     return {"outcomes": outcomes, "steps": steps_to}
 
 
@@ -413,14 +409,10 @@ def manybody_delta_e(table: ManyBodyBranchTable, reducer: str = "rms") -> float:
     """
     if reducer not in ("rms", "linear-sum"):
         raise ContractViolation(f"unknown reducer {reducer!r}")
-    p = table.probabilities
-    # shift per subsystem so a branch-independent row gives exactly zero
-    e = table.energies - table.energies[:, :1]
-    e_bar = e @ p
-    var_j = ((e - e_bar[:, None]) ** 2) @ p
+    spread = energy_spread(table.probabilities[:, None], table.energies.T)
     if reducer == "rms":
-        return float(np.sqrt(var_j.sum()))
-    return float(np.sqrt(var_j).sum())
+        return float(np.sqrt(np.sum(spread**2)))
+    return float(spread.sum())
 
 
 def scale_invariance_check(s: EnergySuperposition, cfg: CollapseConfig,

@@ -7,7 +7,7 @@ All types are immutable after construction; every operation is a pure
 function, so values can be shared freely across threads.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,28 +108,6 @@ class EnergySuperposition:
         return np.minimum(np.abs(self.amplitudes) ** 2, 1.0)
 
 
-@dataclass(frozen=True)
-class CompositeState:
-    """Tensor-product state; amplitudes indexed in row-major factor order."""
-
-    factor_dims: tuple
-    amplitudes: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.factor_dims)
-        if len(dims) < 1 or any(d < 1 for d in dims):
-            raise DimensionMismatchError("factor dims must be positive integers")
-        amps = _frozen(np.ravel(self.amplitudes), np.complex128)
-        if amps.size != int(np.prod(dims)):
-            raise DimensionMismatchError(
-                f"amplitude count {amps.size} != product of factor dims {np.prod(dims)}"
-            )
-        if abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) > NORM_TOL:
-            raise NormalizationError("composite state not normalized within 1e-10")
-        object.__setattr__(self, "factor_dims", dims)
-        object.__setattr__(self, "amplitudes", amps)
-
-
 def born_probabilities(state: ComplexVectorState) -> np.ndarray:
     """|c_i|^2 for each basis index of a normalized state."""
     if not state.is_normalized():
@@ -149,15 +127,34 @@ def expectation_value(state: ComplexVectorState, a: HermitianOperator) -> float:
     return val.real
 
 
+def energy_spread(p, energies) -> np.ndarray:
+    """RMS spread sqrt(sum_i P_i (E_i - Ebar)^2) over the branch axis 0.
+
+    p and energies broadcast with the branch axis first: (m, n) trials
+    take energies[:, None], n subsystems of one state take p[:, None].
+    The shift by the first branch's energy cancels a global offset
+    exactly; each sum adds the branch rows one by one, so a column's
+    spread does not depend on the columns beside it.  Overflow gives inf
+    or NaN, without a warning, for the caller's guard.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = energies - energies[0]
+        e_bar = _branch_sum(p * e)
+        var = _branch_sum(p * (e - e_bar) ** 2)
+    return np.sqrt(np.maximum(var, 0.0))
+
+
+def _branch_sum(x: np.ndarray):
+    total = x[0].copy()
+    for row in x[1:]:
+        total += row
+    return total
+
+
 def energy_uncertainty(s: EnergySuperposition) -> float:
-    """RMS spread dE = sqrt(sum_i P_i (E_i - Ebar)^2); zero iff all the
-    occupied branches share one energy."""
-    p = s.probabilities
-    # shift by E_0 so equal energies give exactly zero spread
-    e = s.energies - s.energies[0]
-    e_bar = float(np.sum(p * e))
-    var = float(np.sum(p * (e - e_bar) ** 2))
-    return float(np.sqrt(max(var, 0.0)))
+    """RMS spread dE of a superposition; zero iff all the occupied
+    branches share one energy."""
+    return float(energy_spread(s.probabilities, s.energies))
 
 
 # --- small no-go constructions used as verification fixtures ------------

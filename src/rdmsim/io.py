@@ -1,5 +1,5 @@
-"""File formats: JSON states, CSV snapshots/trajectories/tables, and the
-compact binary trajectory format.
+"""File formats: JSON reports, CSV trajectories/tables, the [re, im] pair
+form of complex scenario values, and the compact binary trajectory format.
 
 All writers are deterministic (sorted keys, repr-roundtrip floats, no
 timestamps), so re-running an identical scenario reproduces the data
@@ -74,32 +74,6 @@ def write_csv(path, columns: dict, header_comments=()):
         writer.writerows(rows)
 
 
-def write_grid_snapshot_csv(path, psi, rho, j):
-    write_csv(
-        path,
-        {
-            "x": psi.x,
-            "re_psi": psi.samples.real,
-            "im_psi": psi.samples.imag,
-            "rho": rho,
-            "j": j,
-        },
-        header_comments=[
-            f"x0={psi.x0!r} dx={psi.dx!r} n={psi.n} mass={psi.mass!r} hbar={psi.hbar!r}"
-        ],
-    )
-
-
-def write_grid_snapshot_json(path, psi, rho, j):
-    write_json(path, {
-        "grid": {"x0": psi.x0, "dx": psi.dx, "n": psi.n,
-                 "mass": psi.mass, "hbar": psi.hbar},
-        "psi": complex_to_pairs(psi.samples),
-        "rho": np.asarray(rho).tolist(),
-        "j": np.asarray(j).tolist(),
-    })
-
-
 def write_trajectory_csv(path, traj: StayTrajectory):
     write_csv(
         path,
@@ -164,11 +138,3 @@ def read_trajectory_binary(path):
         x2 = np.frombuffer(body, dtype="<f8", count=n, offset=off + 8 * n)
         return PairedStayTrajectory(branches, x1, x2, dt_instant=dt, seed=seed)
     raise ScenarioError(f"unknown trajectory kind {kind}")
-
-
-def state_to_json_payload(amplitudes) -> dict:
-    return {"amplitudes": complex_to_pairs(amplitudes)}
-
-
-def operator_to_json_payload(matrix) -> dict:
-    return {"matrix": complex_to_pairs(matrix)}

@@ -80,12 +80,54 @@ class TestCollapseStep:
         assert stay in (0, 2)
 
 
+class TestStrength:
+    @given(st.integers(-10**8, 10**8),
+           st.lists(st.tuples(st.integers(0, 1024), st.floats(0.01, 1.0)),
+                    min_size=1, max_size=9))
+    @settings(max_examples=200, deadline=None)
+    def test_global_offset_cancels(self, c, branches):
+        # c + j 2^-10 is exact, and so is its shift by E_0
+        j = np.array([b[0] for b in branches]) * 2.0**-10
+        w = np.array([b[1] for b in branches])
+        amps = np.sqrt(w / w.sum())
+        k = [collapse.step_strength(hilbert.EnergySuperposition(e, amps), CollapseConfig())
+             for e in (j, c + j)]
+        assert np.float64(k[0]).tobytes() == np.float64(k[1]).tobytes()
+
+    @given(st.integers(1, 10), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_column_independent_of_the_array(self, m, n, seed):
+        gen = np.random.Generator(np.random.PCG64(seed))
+        energies = gen.uniform(-1e3, -1e3 + 1.0, m)
+        p = gen.random((m, n)) + 1e-3
+        p /= p.sum(axis=0)
+        cfg = CollapseConfig()
+        t = int(gen.integers(n))
+        alone = np.float64(collapse._strength(p[:, t], energies, cfg)).tobytes()
+        for lo, hi in ((0, n), (t, t + 1), (0, t + 1), (t, n)):
+            k = collapse._strength(p[:, lo:hi], energies[:, None], cfg, 0, np.arange(lo, hi))
+            assert k[t - lo].tobytes() == alone
+
+    def test_super_planckian_names_step(self):
+        # k = 0.36 at step 0 and above 1 once branch 1 stays
+        s = hilbert.EnergySuperposition([0.0, 2.1], np.sqrt([0.97, 0.03]))
+        p0 = s.probabilities
+        seed = next(seed for seed in range(200)
+                    if trial_rng(seed, 0).random() * (p0[0] + p0[1]) >= p0[0])
+        with pytest.raises(SuperPlanckianError, match="> 1 at step 1$") as exc:
+            collapse.run_trajectory(s, CollapseConfig(seed=seed), 100)
+        assert (exc.value.step, exc.value.trial) == (1, None)
+
+
 def reference_step(s, cfg, rng):
     """collapse_step with the staying-branch draw and the update written out
     inline: cumsum, u * cum[-1] >= cum, P - kP, P[s] += k, min(P, 1)."""
     k = collapse.step_strength(s, cfg)
     p = s.probabilities
-    groups = collapse._energy_groups(s.energies)
+    by_energy = {}
+    for i, e in enumerate(s.energies):
+        by_energy.setdefault(float(e), []).append(i)
+    groups = list(by_energy.values())
     gp = np.array([p[idx].sum() for idx in groups])
     draw = rng.random()
     cum = np.cumsum(gp)
@@ -237,9 +279,10 @@ def reference_outcome(s0, cfg, trial, max_steps):
             return -1, max_steps
         if cfg.k_mode == "frozen":
             k = cfg.k0
-        else:
-            mean = sum(pi * ei for pi, ei in zip(p, e))
-            var = sum(pi * ei**2 for pi, ei in zip(p, e)) - mean**2
+        else:  # shifted by E_0, two passes
+            d = [ei - e[0] for ei in e]
+            mean = sum(pi * di for pi, di in zip(p, d))
+            var = sum(pi * (di - mean) ** 2 for pi, di in zip(p, d))
             k = math.sqrt(max(var, 0.0)) * cfg.t_p / cfg.hbar
         cum, total = [], 0.0
         for x in p:
@@ -261,6 +304,13 @@ def outcome_cases(draw):
             draw(st.integers(1, 300)), draw(st.integers(0, 400)),
             draw(st.integers(0, 2**32)),
             draw(st.sampled_from([64, 4096, collapse.DRAW_BUDGET])))
+
+
+STRENGTH_RUNNERS = [
+    lambda s, cfg: collapse.ensemble_outcomes(s, cfg, 10, 10),
+    lambda s, cfg: collapse.ensemble_statistics(s, cfg, 10, 10, 5),
+    lambda s, cfg: collapse.run_trajectory(s, cfg, 10),
+]
 
 
 class TestEnsembleOutcomes:
@@ -301,17 +351,21 @@ class TestEnsembleOutcomes:
             collapse.ensemble_outcomes(s, cfg, 50, 100)
         assert (exc.value.step, exc.value.trial) == (1, first)
 
-    @pytest.mark.parametrize("run", [
-        lambda s, cfg: collapse.ensemble_outcomes(s, cfg, 10, 10),
-        lambda s, cfg: collapse.ensemble_statistics(s, cfg, 10, 10, 5),
-    ])
+    @pytest.mark.parametrize("run", STRENGTH_RUNNERS)
     def test_nan_strength_rejected(self, run):
-        # E^2 overflows, so the spread is inf - inf = NaN: a numeric failure
-        s = hilbert.EnergySuperposition([0.0, 1e200], np.sqrt([0.5, 0.5]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericFailure, match="is nan in trial 0$") as exc:
+        # the ensembles name trial 0; the single trajectory has no trial index
+        trial = None if run is STRENGTH_RUNNERS[-1] else 0
+        where = "" if trial is None else f" in trial {trial}"
+        for energies, weights, value in [
+            # the squared deviation overflows: an infinite spread
+            ([0.0, 1e200], [0.5, 0.5], "inf"),
+            # an empty branch at 1e200 contributes 0 * inf: a NaN spread
+            ([0.0, 1.0, 1e200], [0.5, 0.5, 0.0], "nan"),
+        ]:
+            s = hilbert.EnergySuperposition(energies, np.sqrt(weights))
+            with pytest.raises(NumericFailure, match=f"is {value}{where}$") as exc:
                 run(s, CollapseConfig(k_mode="dynamic"))
-        assert (exc.value.step, exc.value.trial) == (0, 0)
+            assert (exc.value.step, exc.value.trial) == (0, trial)
 
     def test_rejects_empty_ensemble(self):
         with pytest.raises(ContractViolation):

@@ -110,15 +110,6 @@ class TestTypeInvariants:
         with pytest.raises(NormalizationError):  # sqrt of a negative weight
             hilbert.EnergySuperposition([0.0, 1.0], [np.nan, 1.0])
 
-    def test_composite_checks_dims(self):
-        with pytest.raises(DimensionMismatchError):
-            hilbert.CompositeState((2, 2), [1.0, 0.0, 0.0])
-
-    def test_composite_accepts_product(self):
-        amps = np.kron([1.0, 0.0], np.array([1.0, 1.0]) / np.sqrt(2))
-        s = hilbert.CompositeState((2, 2), amps)
-        assert s.factor_dims == (2, 2)
-
     def test_states_immutable(self):
         s = hilbert.ComplexVectorState([1.0, 0.0])
         with pytest.raises((ValueError, RuntimeError)):

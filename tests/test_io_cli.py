@@ -199,14 +199,69 @@ class TestCliRuns:
         assert not (tmp_path / "out" / "beable_trajectory.csv").exists()
 
     def test_nan_strength_exits_2(self, tmp_path, capsys):
-        # E^2 overflows, so the dynamic k of the ensemble is NaN
+        # the squared deviation overflows, so the dynamic k of the ensemble is inf
         path = tmp_path / "s.yaml"
         path.write_text("subcommand: collapse-ensemble\nenergies: [0.0, 1.0e+200]\n"
                         "probabilities: [0.5, 0.5]\nn_trials: 10\nn_steps: 10\n")
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert run_cli("collapse-ensemble", "--scenario", str(path),
-                           "--out-dir", str(tmp_path)) == 2
+        assert run_cli("collapse-ensemble", "--scenario", str(path),
+                       "--out-dir", str(tmp_path)) == 2
         assert "numeric failure at step 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("energies, probabilities", [
+        ("[0.0, 1.0e+200]", "[0.5, 0.5]"),  # the spread overflows to inf
+        ("[0.0, 1.0, 1.0e+200]", "[0.5, 0.5, 0.0]"),  # 0 * inf in the spread: NaN
+    ], ids=["inf", "nan"])
+    def test_collapse_run_nonfinite_strength_exits_2(self, tmp_path, capsys, energies,
+                                                     probabilities):
+        path = tmp_path / "s.yaml"
+        path.write_text(f"subcommand: collapse-run\nenergies: {energies}\n"
+                        f"probabilities: {probabilities}\n")
+        assert run_cli("collapse-run", "--scenario", str(path),
+                       "--out-dir", str(tmp_path / "out")) == 2
+        assert "numeric failure at step 0" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_collapse_run_super_planckian_names_step(self, tmp_path, capsys):
+        # k = 0.36 at step 0 and above 1 once branch 1 stays
+        p0 = np.sqrt([0.97, 0.03]) ** 2
+        seed = next(seed for seed in range(200)
+                    if trial_rng(seed, 0).random() * (p0[0] + p0[1]) >= p0[0])
+        path = tmp_path / "s.yaml"
+        path.write_text("subcommand: collapse-run\nenergies: [0.0, 2.1]\n"
+                        f"probabilities: [0.97, 0.03]\nseed: {seed}\n")
+        assert run_cli("collapse-run", "--scenario", str(path),
+                       "--out-dir", str(tmp_path)) == 1
+        assert "SuperPlanckianError): k = dE*t_P/hbar = 1.02 > 1 at step 1\n" in \
+            capsys.readouterr().err
+
+    def test_energy_offset_leaves_ensemble_unchanged(self, tmp_path):
+        # 2^20 + j 2^-7 is exact, so the offset cancels exactly in the spread
+        outputs = []
+        for offset in (0.0, 2.0**20):
+            path = tmp_path / f"{offset}.yaml"
+            path.write_text(yaml.safe_dump({
+                "subcommand": "collapse-ensemble",
+                "energies": [offset, offset + 2.0**-7, offset + 2.0**-6],
+                "probabilities": [0.2, 0.5, 0.3], "k_mode": "dynamic", "seed": 5,
+                "n_trials": 300, "n_steps": 2000, "slice_stride": 500}))
+            out = tmp_path / f"out{offset}"
+            assert run_cli("collapse-ensemble", "--scenario", str(path),
+                           "--out-dir", str(out)) == 0
+            outputs.append((out / "collapse_ensemble.json").read_bytes())
+        assert outputs[0] == outputs[1]
+        # and the products do decay from their initial 0.1
+        assert json.loads(outputs[1])["slices"][-1]["mean_pp"][0] < 0.096
+
+    def test_beable_ensemble_guard_writes_nothing(self, tmp_path, capsys):
+        # the single trajectory passes, then the ensemble's outflow guard fires
+        path = tmp_path / "s.yaml"
+        path.write_text("subcommand: beable-run\nhamiltonian: [[0.0, -1.0], [-1.0, 0.0]]\n"
+                        f"psi0: [1.0, 0.0]\nbeable0: 1\ndt: {np.pi / 200!r}\nsteps: 90\n"
+                        "seed: 0\nensemble: {n_traj: 50}\n")
+        assert run_cli("beable-run", "--scenario", str(path),
+                       "--out-dir", str(tmp_path / "out")) == 1
+        assert "StepSizeError" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_precondition_violation_exits_1(self, tmp_path):
         path = tmp_path / "s.yaml"
@@ -237,9 +292,9 @@ class TestCliRuns:
             "n_trials: 600\nn_steps: 30\nslice_stride: 10\n")
         out1, out2 = tmp_path / "t1", tmp_path / "t4"
         assert run_cli("collapse-ensemble", "--scenario", str(scenario),
-                       "--out-dir", str(out1), "--threads", "1") == 0
+                       "--out-dir", str(out1)) == 0
         assert run_cli("collapse-ensemble", "--scenario", str(scenario),
-                       "--out-dir", str(out2), "--threads", "4") == 0
+                       "--out-dir", str(out2)) == 0
         assert (out1 / "collapse_ensemble.json").read_bytes() == \
                (out2 / "collapse_ensemble.json").read_bytes()
 

@@ -1,34 +1,6 @@
 import json
 
-import numpy as np
-
-from rdmsim import cli, io, schrodinger as sch
-
-
-def make_state():
-    g = sch.GridWavefunction.gaussian(-10, 20 / 64, 64, 0.0, 1.5, momentum=0.4)
-    return g, sch.position_density(g), sch.flux_density(g)
-
-
-class TestGridSnapshots:
-    def test_csv_has_header_and_columns(self, tmp_path):
-        g, rho, j = make_state()
-        path = tmp_path / "snap.csv"
-        io.write_grid_snapshot_csv(path, g, rho, j)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# x0=")
-        assert lines[1] == "x,re_psi,im_psi,rho,j"
-        assert len(lines) == 2 + g.n
-
-    def test_json_round_trip(self, tmp_path):
-        g, rho, j = make_state()
-        path = tmp_path / "snap.json"
-        io.write_grid_snapshot_json(path, g, rho, j)
-        back = json.loads(path.read_text())
-        psi = io.pairs_to_complex(back["psi"])
-        assert np.allclose(psi, g.samples)
-        assert back["grid"]["dx"] == g.dx
-        assert np.allclose(back["rho"], rho)
+from rdmsim import cli
 
 
 class TestComplexScenarioStates:
@@ -42,12 +14,6 @@ class TestComplexScenarioStates:
             "dt: 0.01\nsteps: 50\nseed: 1\n")
         assert cli.main(["beable-run", "--scenario", str(scenario),
                          "--out-dir", str(tmp_path)]) == 0
-
-    def test_state_json_payload_shape(self):
-        payload = io.state_to_json_payload([0.6, 0.8j])
-        assert payload["amplitudes"] == [[0.6, 0.0], [0.0, 0.8]]
-        op = io.operator_to_json_payload(np.eye(2))
-        assert op["matrix"][0][0] == [1.0, 0.0]
 
 
 class TestVerifyCli:
