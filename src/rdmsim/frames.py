@@ -172,6 +172,17 @@ def absolute_sync_params(v: float, c: float = 1.0) -> SynchronyParams:
     return SynchronyParams(v=v, k=0.0, k_prime=-v / c, c=c)
 
 
+def _coincidence_tol(tol, v: float, c: float, dt_instant: float) -> float:
+    """The boosted-time tolerance within which two stays coincide: half
+    the boosted inter-instant spacing by default, else the given value,
+    which must be non-negative (inf pairs every stay)."""
+    if tol is None:
+        return 0.5 * _gamma(v, c) * dt_instant
+    if not tol >= 0:
+        raise ContractViolation(f"coincidence_tol must be non-negative, not {tol!r}")
+    return tol
+
+
 def _match_sorted(times_a: np.ndarray, times_b: np.ndarray, tol: float) -> np.ndarray:
     """Index of the nearest entry of sorted times_b for each times_a,
     or -1 when the nearest is farther than tol."""
@@ -203,9 +214,7 @@ def boosted_correlation_stats(traj: PairedStayTrajectory, v: float,
     frame is 2 |a|^2 |b|^2.
     """
     t = traj.times
-    gamma = _gamma(v, c)
-    if coincidence_tol is None:
-        coincidence_tol = 0.5 * gamma * traj.dt_instant
+    coincidence_tol = _coincidence_tol(coincidence_tol, v, c, traj.dt_instant)
     t1 = boost_times(t, traj.x1, v, c)
     t2 = boost_times(t, traj.x2, v, c)
     order = np.argsort(t2, kind="stable")
@@ -234,25 +243,45 @@ def multiparticle_appearance_scan(traj: StayTrajectory, positions: np.ndarray, v
     the boosted frame; the count vanishes at v = 0 and as the tolerance
     shrinks to zero with the stays held fixed.  The default tolerance is
     half the boosted inter-instant spacing.
+
+    Two instants coincide when the later boosted time minus the earlier
+    one is at most the tolerance.  With the instants sorted by boosted
+    time, those partnering instant i form a window i < m < end[i]; the
+    count is the total window width minus the partners that share i's
+    boosted position, found per position group by searchsorted.  No pair
+    list is built, so memory stays O(n) at any tolerance.
     """
     positions = np.asarray(positions, dtype=np.float64)
     if positions.shape != traj.stays.shape:
         raise ContractViolation("need one position per instant")
-    if coincidence_tol is None:
-        coincidence_tol = 0.5 * _gamma(v, c) * traj.dt_instant
+    if not np.all(np.isfinite(positions)):
+        raise ContractViolation("positions must be finite")
+    tol = _coincidence_tol(coincidence_tol, v, c, traj.dt_instant)
     t = traj.dt_instant * np.arange(traj.instants)
     tb = boost_times(t, positions, v, c)
     xb = boost_positions(t, positions, v, c)
     order = np.argsort(tb, kind="stable")
     tb, xb = tb[order], xb[order]
-    count = 0
-    j = 0
-    for i in range(tb.size):
-        if j <= i:
-            j = i + 1
-        while j < tb.size and tb[j] - tb[i] <= coincidence_tol:
-            j += 1
-        for m in range(i + 1, j):
-            if xb[m] != xb[i]:
-                count += 1
-    return count
+    n = tb.size
+    if n < 2:
+        return 0
+    i = np.arange(n)
+    # searchsorted on tb + tol can miss the exact predicate
+    # tb[end] - tb[i] > tol by a rounding; step over whole runs of equal
+    # tb until it holds (a tie run is all in or all out of a window)
+    end = np.maximum(np.searchsorted(tb, tb + tol, side="right"), i + 1)
+    while True:
+        up = (end < n) & (tb[np.minimum(end, n - 1)] - tb <= tol)
+        down = (end - 1 > i) & (tb[end - 1] - tb > tol)
+        if not (up.any() or down.any()):
+            break
+        end[up] = np.searchsorted(tb, tb[end[up]], side="right")
+        end[down] = np.searchsorted(tb, tb[end[down] - 1], side="left")
+    # list the instants by (boosted position, index): the partners of
+    # entry p that share its position follow it up to the first entry of
+    # its position group at or after its window end
+    by_x = np.argsort(xb, kind="stable")
+    xs = xb[by_x]
+    group = np.cumsum(np.concatenate(([0], xs[1:] != xs[:-1])))
+    same = np.searchsorted(group * n + by_x, group * n + end[by_x]) - i - 1
+    return int(np.sum(end - i - 1) - np.sum(same))

@@ -14,6 +14,7 @@ projection scheme, not integrator error.  Free Hamiltonians of system
 and pointer are dropped throughout (the impulsive regime).
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .schrodinger import (
 )
 
 G_PROFILES = ("constant", "triangular")
+_ZENO_BLOCK_ELEMENTS = 1 << 16  # complex entries per block of Zeno factors (1 MB)
 
 
 @dataclass(frozen=True)
@@ -160,6 +162,15 @@ def zeno_protective_run(setup: ProtectiveSetup) -> dict:
     so the product cannot vanish.  Returns the pointer shift, survival
     probability, final width and final pointer state.  A survival below
     0.5 flags protection failure in the report (the run still completes).
+
+    The factors M(eps)^c are built for a block of distinct impulses at
+    once, on the first half k[0 .. n//2] of the spectrum only.  The
+    rest is their mirror image conjugated, which is exact:
+    2 pi fftfreq gives k[n - j] = -k[j] bit for bit, M(-k) = conj M(k)
+    because the w_a are real, and conj commutes bitwise with the phase
+    products, exp, the sum over a and the integer power.  The rows are
+    multiplied into phi_hat one at a time in ascending eps, so the result
+    does not depend on the block size.
     """
     evals, evecs = np.linalg.eigh(setup.observable.matrix)
     psi_eig = evecs.conj().T @ setup.system.amplitudes
@@ -169,14 +180,22 @@ def zeno_protective_run(setup: ProtectiveSetup) -> dict:
     _check_shift_fits(setup.pointer, -total_shift_bound)
 
     grid = setup.pointer.grid
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    half = grid.n // 2 + 1
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)[:half]
+    mirror = np.arange(grid.n - half, 0, -1)  # k[half:] == -k[mirror]
     phi_hat = np.fft.fft(grid.samples)
     terms = [(a, w) for a, w in zip(evals, weights) if w != 0.0]
-    for eps, count in zip(*np.unique(setup.coupling_weights(), return_counts=True)):
-        mixer = np.zeros_like(phi_hat)
+    eps, counts = np.unique(setup.coupling_weights(), return_counts=True)
+    rows = max(1, _ZENO_BLOCK_ELEMENTS // half)
+    for lo in range(0, eps.size, rows):
+        phase = -1j * k * eps[lo:lo + rows, None]
+        mixer = np.zeros_like(phase)
         for a, w in terms:
-            mixer = mixer + w * np.exp(-1j * k * eps * a)
-        phi_hat *= mixer**count
+            mixer += w * np.exp(phase * a)
+        factor = mixer ** counts[lo:lo + rows, None]
+        factors = np.concatenate((factor, np.conj(factor[:, mirror])), axis=1)
+        for row in factors:
+            phi_hat *= row
     survival = float(np.sum(np.abs(phi_hat) ** 2) * grid.dx / grid.n)
     phi_hat /= np.sqrt(survival)
     samples = np.fft.ifft(phi_hat)
@@ -236,50 +255,52 @@ def pointer_shift_rate(psi: ComplexVectorState, a: HermitianOperator, g_t: float
     return g_t * expectation_value(psi, a)
 
 
-def _region_slice(psi: GridWavefunction, region) -> slice:
-    start, stop = int(region[0]), int(region[1])
+def _region_bounds(psi: GridWavefunction, region) -> tuple:
+    try:
+        start, stop = operator.index(region[0]), operator.index(region[1])
+    except TypeError:
+        raise ContractViolation(f"region bounds must be integers, not {region!r}") from None
     if not 0 <= start < stop <= psi.n:
         raise ContractViolation(f"region ({start}, {stop}) is empty or out of range")
-    return slice(start, stop)
+    return start, stop
+
+
+def _region_means(values: np.ndarray, dx: float, block: int) -> np.ndarray:
+    """(1/v) * integral of `values` over each run of `block` consecutive
+    grid points, v = block * dx; each run is one pairwise row sum."""
+    return values.reshape(-1, block).sum(axis=1) * dx / (block * dx)
 
 
 def measure_density(psi: GridWavefunction, region) -> float:
     """Region-averaged density: (1/v) * integral of |psi|^2 over the
     contiguous index range `region` (v = region length)."""
-    sl = _region_slice(psi, region)
-    rho = position_density(psi)[sl]
-    v = (sl.stop - sl.start) * psi.dx
-    return float(np.sum(rho) * psi.dx / v)
+    start, stop = _region_bounds(psi, region)
+    return float(_region_means(position_density(psi)[start:stop], psi.dx, stop - start)[0])
 
 
 def measure_flux(psi: GridWavefunction, region) -> float:
     """Region-averaged flux density over the contiguous index range."""
-    sl = _region_slice(psi, region)
-    j = flux_density(psi)[sl]
-    v = (sl.stop - sl.start) * psi.dx
-    return float(np.sum(j) * psi.dx / v)
+    start, stop = _region_bounds(psi, region)
+    return float(_region_means(flux_density(psi)[start:stop], psi.dx, stop - start)[0])
 
 
 def tomography(psi_true: GridWavefunction, n_regions: int) -> dict:
     """Reassemble the wavefunction from region-averaged density and flux.
 
     The grid is split into n_regions contiguous blocks; each block
-    contributes one measure_density and one measure_flux query.  The
-    piecewise-constant (rho, j) is fed to the phase-integral
-    reconstruction and the result compared to the hidden truth up to a
-    global phase.  The L2 error is first order in the region width.
+    contributes the density and flux means that measure_density and
+    measure_flux return for it.  The piecewise-constant (rho, j) is fed
+    to the phase-integral reconstruction and the result compared to the
+    hidden truth up to a global phase.  The L2 error is first order in
+    the region width.
     """
     if n_regions < 16:
         raise ContractViolation("need at least 16 regions")
     if psi_true.n % n_regions != 0:
         raise ContractViolation("region count must divide the grid size")
     block = psi_true.n // n_regions
-    rho_meas = np.empty(psi_true.n)
-    j_meas = np.empty(psi_true.n)
-    for r in range(n_regions):
-        region = (r * block, (r + 1) * block)
-        rho_meas[region[0]:region[1]] = measure_density(psi_true, region)
-        j_meas[region[0]:region[1]] = measure_flux(psi_true, region)
+    rho_meas = np.repeat(_region_means(position_density(psi_true), psi_true.dx, block), block)
+    j_meas = np.repeat(_region_means(flux_density(psi_true), psi_true.dx, block), block)
     pair = DensityPair(psi_true.x0, psi_true.dx, rho_meas, j_meas)
     recon = reconstruct_wavefunction(pair, psi_true.mass, psi_true.hbar)
     overlap = np.vdot(recon.samples, psi_true.samples) * psi_true.dx

@@ -183,6 +183,56 @@ class TestBoostedCorrelation:
         with pytest.raises(InsufficientOverlapError):
             frames.boosted_correlation_stats(traj, 0.5, coincidence_tol=1e-12)
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_rejects_negative_or_nan_tolerance(self, tol):
+        traj = make_pair_trajectory(n=1000)
+        with pytest.raises(ContractViolation):
+            frames.boosted_correlation_stats(traj, 0.5, coincidence_tol=tol)
+
+    def test_infinite_tolerance_pairs_every_stay(self):
+        traj = make_pair_trajectory(n=1000)
+        out = frames.boosted_correlation_stats(traj, 0.5, coincidence_tol=np.inf)
+        assert out["pairs"] == traj.instants
+
+
+def _brute_appearance_count(traj, positions, v, tol):
+    """Every pair of distinct instants, checked one by one: boosted times
+    within tol (|a - b| is the later minus the earlier, exactly) and
+    boosted positions different."""
+    t = traj.dt_instant * np.arange(traj.instants)
+    tb = frames.boost_times(t, positions, v)
+    xb = frames.boost_positions(t, positions, v)
+    later = np.triu(np.ones((t.size, t.size), dtype=bool), 1)
+    close = np.abs(tb[:, None] - tb[None, :]) <= tol
+    return int(np.sum(later & close & (xb[:, None] != xb[None, :])))
+
+
+@st.composite
+def scan_inputs(draw):
+    """Stays of up to 200 instants with positions that repeat (stay sites),
+    that put boosted times on a lattice of half the boosted spacing (exact
+    ties, and partners sitting on the tolerance up to a rounding), or that
+    spread freely; tolerance 0, half the boosted spacing, inf or the
+    boosted-time gap of two of the instants."""
+    n = draw(st.integers(0, 200))
+    dt = draw(st.sampled_from([1.0, 0.25, 0.1]))
+    v = draw(st.sampled_from([0.0, 0.3, -0.3, 0.9, 0.5]))
+    sites = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=int)
+    traj = rdm.StayTrajectory(sites, 4, dt_instant=dt)
+    t = dt * np.arange(n)
+    kind = draw(st.sampled_from(["sites", "lattice", "spread"]))
+    if kind == "lattice" and v != 0.0:
+        positions = (t - 0.5 * dt * sites) / v
+    elif kind == "spread":
+        positions = np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n)))
+    else:
+        positions = draw(st.sampled_from([1.0, 10.0])) * sites
+    tol = draw(st.sampled_from([0.0, 0.5 * dt / np.sqrt(1.0 - v**2), np.inf, "pair"]))
+    if tol == "pair":  # some partners sit on the tolerance up to a rounding
+        tb = frames.boost_times(t, positions, v)
+        tol = abs(tb[draw(st.integers(0, max(n - 1, 0)))] - tb[0]) if n else 0.0
+    return traj, positions, v, tol
+
 
 class TestMultiparticleScan:
     def test_home_frame_zero(self):
@@ -213,6 +263,56 @@ class TestMultiparticleScan:
                   for tol in (0.5, 0.05, 1e-12)]
         assert counts[0] >= counts[1] >= counts[2]
         assert counts[2] == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(scan_inputs())
+    def test_equals_brute_force_count(self, inputs):
+        traj, positions, v, tol = inputs
+        assert (frames.multiparticle_appearance_scan(traj, positions, v, coincidence_tol=tol)
+                == _brute_appearance_count(traj, positions, v, tol))
+
+    @pytest.mark.parametrize("tol", [0.0, 0.5 / np.sqrt(0.75), 1.0 / np.sqrt(0.75), np.inf])
+    def test_exact_ties_in_boosted_time(self, tol):
+        # at v = 0.5 the boosted time of x = 2 (t - T) is gamma T exactly,
+        # so instants sharing T tie and the lattice spacing sits on tol
+        traj = rdm.sample_stays([0.25, 0.25, 0.25, 0.25], 200, seed=11)
+        t = np.arange(traj.instants, dtype=float)
+        positions = 2.0 * (t - 0.5 * traj.stays)
+        tb = frames.boost_times(t, positions, 0.5)
+        assert np.unique(tb).size == 4
+        assert (frames.multiparticle_appearance_scan(traj, positions, 0.5, coincidence_tol=tol)
+                == _brute_appearance_count(traj, positions, 0.5, tol))
+
+    def test_window_end_is_the_exact_difference(self):
+        # tb[0] + tol rounds below tb[1] although tb[1] - tb[0] is tol
+        traj = rdm.StayTrajectory(np.array([0, 1]), 2)
+        positions = np.array([12.5, 0.5])
+        tb = frames.boost_times(np.arange(2.0), positions, 0.9)
+        tol = tb[1] - tb[0]
+        assert tb[0] + tol < tb[1]
+        assert frames.multiparticle_appearance_scan(traj, positions, 0.9,
+                                                    coincidence_tol=tol) == 1
+
+    def test_infinite_tolerance_counts_every_pair(self):
+        traj = rdm.sample_stays([0.25, 0.25, 0.25, 0.25], 20_000, seed=9)
+        n, sizes = traj.instants, np.bincount(traj.stays)
+        count = frames.multiparticle_appearance_scan(traj, 10.0 * traj.stays, 0.0,
+                                                     coincidence_tol=np.inf)
+        assert count == n * (n - 1) // 2 - int(np.sum(sizes * (sizes - 1) // 2))
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_rejects_negative_or_nan_tolerance(self, tol):
+        traj = rdm.sample_stays([0.5, 0.5], 100, seed=8)
+        with pytest.raises(ContractViolation):
+            frames.multiparticle_appearance_scan(traj, 10.0 * traj.stays, 0.3,
+                                                 coincidence_tol=tol)
+
+    def test_nonfinite_positions_rejected(self):
+        traj = rdm.sample_stays([0.5, 0.5], 10, seed=8)
+        positions = np.zeros(10)
+        positions[3] = np.nan
+        with pytest.raises(ContractViolation):
+            frames.multiparticle_appearance_scan(traj, positions, 0.3)
 
     def test_position_shape_checked(self):
         traj = rdm.sample_stays([1.0], 10, seed=8)

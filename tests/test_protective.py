@@ -111,6 +111,46 @@ def _zeno_reference(setup):
             "width_ratio": final.width() / setup.pointer.w0}
 
 
+def _zeno_per_impulse_reference(setup):
+    """The Zeno product on the full spectrum, one distinct impulse at a
+    time: M(eps) = sum_a w_a e^{-i k eps a} over every k, raised to the
+    impulse's multiplicity and multiplied in, in ascending eps."""
+    evals, evecs = np.linalg.eigh(setup.observable.matrix)
+    weights = np.abs(evecs.conj().T @ setup.system.amplitudes) ** 2
+    grid = setup.pointer.grid
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    phi_hat = np.fft.fft(grid.samples)
+    terms = [(a, w) for a, w in zip(evals, weights) if w != 0.0]
+    for eps, count in zip(*np.unique(setup.coupling_weights(), return_counts=True)):
+        mixer = np.zeros_like(phi_hat)
+        for a, w in terms:
+            mixer = mixer + w * np.exp(-1j * k * eps * a)
+        phi_hat *= mixer**count
+    survival = float(np.sum(np.abs(phi_hat) ** 2) * grid.dx / grid.n)
+    return np.fft.ifft(phi_hat / np.sqrt(survival)), survival
+
+
+@st.composite
+def zeno_setups(draw):
+    """Diagonal observables with 2-3 eigenvalues in [-3, 3], at least one
+    negative, optionally a component of zero weight; pointer grids of
+    n = 64..514 points (n // 2 odd and even), even N <= 2000."""
+    dim = draw(st.integers(2, 3))
+    evals = [draw(st.floats(-3.0, -0.01))] + [draw(st.floats(-3.0, 3.0))
+                                             for _ in range(dim - 1)]
+    amps = np.array([draw(st.floats(0.1, 1.0)) * np.exp(1j * draw(st.floats(0.0, 6.3)))
+                     for _ in range(dim)])
+    zero = draw(st.sampled_from([None] + list(range(dim))))
+    if zero is not None:
+        amps[zero] = 0.0
+    n = 2 * draw(st.integers(32, 257))
+    return protective.ProtectiveSetup(
+        hilbert.ComplexVectorState(amps / np.linalg.norm(amps)),
+        hilbert.HermitianOperator(np.diag(evals)), 2 * draw(st.integers(1, 1000)), 1.0,
+        pointer(w0=8.0, length=120.0, n=n),
+        g_profile=draw(st.sampled_from(protective.G_PROFILES)))
+
+
 class TestZenoRun:
     @settings(max_examples=20, deadline=None)
     @given(dim=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
@@ -126,6 +166,14 @@ class TestZenoRun:
         out = protective.zeno_protective_run(setup)
         for key, value in _zeno_reference(setup).items():
             assert abs(out[key] - value) <= 1e-10, key
+
+    @settings(max_examples=30, deadline=None)
+    @given(setup=zeno_setups())
+    def test_half_spectrum_bitwise_equal_to_full_spectrum(self, setup):
+        samples, survival = _zeno_per_impulse_reference(setup)
+        out = protective.zeno_protective_run(setup)
+        assert out["survival_probability"] == survival
+        assert np.array_equal(out["pointer"].grid.samples, samples)
 
     def test_survival_against_extended_precision(self):
         # sum_k |phi_k|^2 cos^{2N}(k eps / 2) dx / n evaluated in 80-bit floats
@@ -282,6 +330,18 @@ class TestRegionMeasurements:
             protective.measure_density(g, (10, 10))
 
 
+    @pytest.mark.parametrize("region", [(0.5, 10.7), (0, 10.0), ("0", 10), (None, 10)])
+    def test_non_integer_bounds_rejected(self, region):
+        g = sch.GridWavefunction.gaussian(-20, 40 / 256, 256, 0.0, 1.0)
+        for measure in (protective.measure_density, protective.measure_flux):
+            with pytest.raises(ContractViolation):
+                measure(g, region)
+
+    def test_numpy_integer_bounds(self):
+        g = sch.GridWavefunction.gaussian(-20, 40 / 256, 256, 0.0, 1.0)
+        assert (protective.measure_density(g, np.array([3, 40]))
+                == protective.measure_density(g, (3, 40)))
+
 class TestTomography:
     TRUTH = sch.GridWavefunction.gaussian(-16.0, 32.0 / 4096, 4096,
                                           center=0.5, sigma=2.5, momentum=0.5)
@@ -320,6 +380,30 @@ class TestTomography:
         g = sch.GridWavefunction(-length / 2, dx, psi)
         with pytest.raises(PhaseAmbiguityError):
             protective.tomography(g, 64)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.sampled_from([1024, 2048, 4096]), log_regions=st.integers(4, 10),
+           center=st.floats(-1.0, 1.0), sigma=st.floats(2.0, 3.0),
+           momentum=st.floats(-1.0, 1.0))
+    def test_region_means_bitwise_equal_to_measurements(self, n, log_regions, center,
+                                                        sigma, momentum):
+        # dx = 30 / n is not a power of two, so "* dx / v" rounds
+        truth = sch.GridWavefunction.gaussian(-15.0, 30.0 / n, n, center=center,
+                                              sigma=sigma, momentum=momentum)
+        regions = 2**log_regions
+        block = n // regions
+        out = protective.tomography(truth, regions)
+        rho, j = sch.position_density(truth), sch.flux_density(truth)
+        for r in range(regions):
+            region = (r * block, (r + 1) * block)
+            sl = slice(*region)
+            expect_rho = protective.measure_density(truth, region)
+            expect_j = protective.measure_flux(truth, region)
+            # the per-slice sum the region means were first written as
+            assert expect_rho == float(np.sum(rho[sl]) * truth.dx / (block * truth.dx))
+            assert expect_j == float(np.sum(j[sl]) * truth.dx / (block * truth.dx))
+            assert np.all(out["rho_measured"][sl] == expect_rho)
+            assert np.all(out["j_measured"][sl] == expect_j)
 
     def test_measured_averages_match_reconstruction(self):
         out = protective.tomography(self.TRUTH, 256)
