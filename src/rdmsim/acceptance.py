@@ -1,16 +1,18 @@
 """Acceptance criteria as callable checks.
 
-Each criterion_* function runs one end-to-end scenario at its stated
-tolerance and returns {"id", "name", "passed", "detail"}.  The pytest
-acceptance module asserts on these; `rdmsim verify --pack` runs the same
-functions from the bundled scenario pack.  All randomness is seeded, so
-the outcomes are reproducible.
+Each criterion_* function checks one end-to-end scenario at its stated
+tolerance and returns {"id", "name", "passed", "detail"}.  A criterion
+whose bundled scenario NN_*.yaml produces data is called by
+`cli.run_criterion` as fn(p, run): p is the parsed scenario, run its
+handler's computation; a leg that overrides one scenario value runs
+run({**p, key: value}).  Legs no subcommand can express are constants
+here.  All randomness is seeded, so the outcomes are reproducible.
 """
 
 import numpy as np
 from scipy import stats
 
-from . import beable, collapse, frames, hilbert, protective, rdm, schrodinger
+from . import beable, collapse, frames, hilbert, rdm, schrodinger
 from .collapse import CollapseConfig
 
 # (name, energy spread [eV], quoted target [s], allowed ratio)
@@ -47,39 +49,37 @@ def criterion_1_collapse_time_table():
     return _report(1, "collapse-time table", ok, "; ".join(rows))
 
 
-def criterion_2_born_martingale(n_trials=10_000, seed=20):
+def criterion_2_born_martingale(p, run):
     """Outcome frequencies and the conserved ensemble mean of P_1."""
-    s0 = hilbert.EnergySuperposition([0.0, 1.0], np.sqrt([0.3, 0.7]))
-    cfg = CollapseConfig(k_mode="frozen", k0=0.05, seed=seed)
+    s0, cfg, stats_res = run(p)
+    n_trials, p1 = p["n_trials"], float(p["probabilities"][0])
     res = collapse.ensemble_outcomes(s0, cfg, n_trials, max_steps=20_000)
     if np.any(res["outcomes"] < 0):
         return _report(2, "Born-rule martingale", False, "some trials never collapsed")
     freq = float(np.mean(res["outcomes"] == 0))
-    sigma = np.sqrt(0.3 * 0.7 / n_trials)
-    freq_ok = abs(freq - 0.3) <= 3.0 * sigma
+    sigma = np.sqrt(p1 * (1.0 - p1) / n_trials)
+    freq_ok = abs(freq - p1) <= 3.0 * sigma
 
-    stats_res = collapse.ensemble_statistics(s0, cfg, n_trials, n_steps=200,
-                                             slice_stride=20)
     mean_p1 = stats_res["mean_p"][1:, 0]  # skip step 0 (SE = 0 there)
     se_p1 = stats_res["se_p"][1:, 0]
-    mean_ok = bool(np.all(np.abs(mean_p1 - 0.3) <= 3.0 * se_p1))
-    detail = (f"outcome-0 freq {freq:.4f} vs 0.3 (3sig={3*sigma:.4f}); "
-              f"max |meanP1-0.3|/SE = {np.max(np.abs(mean_p1-0.3)/se_p1):.2f}")
+    mean_ok = bool(np.all(np.abs(mean_p1 - p1) <= 3.0 * se_p1))
+    detail = (f"outcome-0 freq {freq:.4f} vs {p1} (3sig={3*sigma:.4f}); "
+              f"max |meanP1-{p1}|/SE = {np.max(np.abs(mean_p1-p1)/se_p1):.2f}")
     return _report(2, "Born-rule martingale", freq_ok and mean_ok, detail)
 
 
-def criterion_3_offdiagonal_decay(n_trials=10_000, seed=21):
-    """mean P1 P2 tracks (1-k^2)^n from 0.25 at frozen k = 0.1."""
-    s0 = hilbert.EnergySuperposition([0.0, 1.0], np.sqrt([0.5, 0.5]))
-    cfg = CollapseConfig(k_mode="frozen", k0=0.1, seed=seed)
-    res = collapse.ensemble_statistics(s0, cfg, n_trials, n_steps=100, slice_stride=10)
+def criterion_3_offdiagonal_decay(p, run):
+    """mean P1 P2 tracks (1-k^2)^n P1 P2 at frozen k (first, middle, last slice)."""
+    _, cfg, res = run(p)
+    start = p["probabilities"][0] * p["probabilities"][1]
+    steps = res["steps"]
     ok = True
     rows = []
-    for target_step in (10, 50, 100):
-        idx = int(np.flatnonzero(res["steps"] == target_step)[0])
+    for idx in (1, len(steps) // 2, len(steps) - 1):
+        target_step = int(steps[idx])
         mean_pp = float(res["mean_pp"][idx, 0])
         se = float(res["se_pp"][idx, 0])
-        expect = (1.0 - 0.1**2) ** target_step * 0.25
+        expect = (1.0 - cfg.k0**2) ** target_step * start
         good = abs(mean_pp - expect) <= 3.0 * se
         ok &= good
         rows.append(f"n={target_step}: {mean_pp:.5f} vs {expect:.5f} (3SE={3*se:.5f})")
@@ -105,26 +105,12 @@ def criterion_4_collapse_time_scaling(seed=22):
                    f"{detail}; max/min={spread:.2f}")
 
 
-def _protective_setup(n_projections, g_profile="constant"):
-    psi = hilbert.ComplexVectorState(np.array([1.0, 1.0]) / np.sqrt(2.0))
-    a = hilbert.HermitianOperator(np.diag([1.0, 0.0]))
-    pointer = protective.PointerState.gaussian(x_min=-40.0, dx=80.0 / 512, n=512,
-                                               x0=0.0, w0=5.0)
-    return protective.ProtectiveSetup(psi, a, n_projections, tau=1.0,
-                                      pointer=pointer, g_profile=g_profile)
-
-
-def criterion_5_protective_convergence():
+def criterion_5_protective_convergence(p, run):
     """Shift -> <A>, survival -> 1, width preserved, 1/N rates."""
-    n_list = (100, 1000, 10_000)
-    shifts, survivals, widths = [], [], []
-    for n in n_list:
-        out = protective.zeno_protective_run(_protective_setup(n))
-        shifts.append(out["pointer_shift"])
-        survivals.append(out["survival_probability"])
-        widths.append(out["width_ratio"])
-    shift_err = np.abs(np.array(shifts) - 0.5)
-    deficit = 1.0 - np.array(survivals)
+    _, cols = run(p)
+    n_list, shifts, widths = cols["N"], cols["shift"], cols["width_ratio"]
+    shift_err = np.array(cols["shift_error"])
+    deficit = 1.0 - np.array(cols["survival"])
     shift_ok = shift_err[-1] <= 1e-3
     # survival deficit must fall off as 1/N
     surv_slope = _fit_loglog_slope(n_list, deficit)
@@ -141,59 +127,45 @@ def criterion_5_protective_convergence():
         shift_note = f"shift-error slope {slope:.2f}"
     width_ok = abs(widths[-1] - 1.0) < 1e-6
     ok = shift_ok and surv_ok and shift_rate_ok and width_ok
-    detail = (f"shift(1e4)={shifts[-1]:.6f}; survival slope {surv_slope:.2f}; "
+    largest = f"{n_list[-1]:.0e}".replace("e+0", "e")
+    detail = (f"shift({largest})={shifts[-1]:.6f}; survival slope {surv_slope:.2f}; "
               f"{shift_note}; width ratio-1 = {widths[-1]-1:.2e}")
     return _report(5, "protective convergence", ok, detail)
 
 
-def criterion_6_beable_equivariance(n_traj=10_000, seed=23):
+def criterion_6_beable_equivariance(p, run):
     """Ensembles track |psi(t)|^2; rates satisfy the defining relation;
     homogeneous noise leaves slice distributions unchanged."""
-    h = hilbert.HermitianOperator([[0.0, -1.0], [-1.0, 0.0]])
-    psi0 = hilbert.ComplexVectorState(np.sqrt([0.7, 0.3]))
-    dt, steps, every = 0.005, 1200, 120
-    rec_steps, sites, p_rows = beable.ensemble_jump_run(
-        h, psi0, n_traj, dt, steps, seed=seed, record_every=every)
-    chi_ok = True
-    worst_p = 1.0
-    for row in range(1, len(rec_steps)):
-        counts = np.bincount(sites[row], minlength=2)
-        expected = n_traj * p_rows[row]
-        stat = stats.chisquare(counts, f_exp=expected)
-        worst_p = min(worst_p, float(stat.pvalue))
-        chi_ok &= stat.pvalue > 0.001
+    h, psi0, _, slices = run(p)
+    worst_p = min(s["p_value"] for s in slices)
+    chi_ok = worst_p > 0.001
 
     # defining relation residual over the same sweep, with and without noise
     residual = 0.0
     for noise in (0.0, 1.0):
-        for p, j, t, _ in beable._rate_path(h, psi0, dt, steps, 1.0, noise):
-            rhs = t * p[:-1, None, :] - np.swapaxes(t, 1, 2) * p[:-1, :, None]
+        for pr, j, t, _ in beable._rate_path(h, psi0, p["dt"], p["steps"], p["hbar"], noise):
+            rhs = t * pr[:-1, None, :] - np.swapaxes(t, 1, 2) * pr[:-1, :, None]
             residual = max(residual, float(np.max(np.abs(j - rhs))))
     rel_ok = residual < 1e-10
 
-    # noise run: same dynamics, independent seed, c = 1
-    _, sites_noise, _ = beable.ensemble_jump_run(
-        h, psi0, n_traj, dt, steps, seed=seed + 1, noise_c=1.0, record_every=every)
-    noise_ok = True
-    worst_noise_p = 1.0
-    for row in range(1, len(rec_steps)):
-        table = np.array([np.bincount(sites[row], minlength=2),
-                          np.bincount(sites_noise[row], minlength=2)])
-        pval = float(stats.chi2_contingency(table).pvalue)
-        worst_noise_p = min(worst_noise_p, pval)
-        noise_ok &= pval > 0.001
+    # noise run: same dynamics, the next independent seed, c = 1
+    noise_slices = run({**p, "seed": p["seed"] + 1, "noise_c": 1.0})[3]
+    tables = [np.array([s["counts"], s_noise["counts"]])
+              for s, s_noise in zip(slices, noise_slices)]
+    worst_noise_p = min(float(stats.chi2_contingency(t).pvalue) for t in tables)
+    noise_ok = worst_noise_p > 0.001
     ok = chi_ok and rel_ok and noise_ok
     detail = (f"min chi2 p={worst_p:.4f}; relation residual={residual:.1e}; "
               f"min noise-invariance p={worst_noise_p:.4f}")
     return _report(6, "beable equivariance", ok, detail)
 
 
-def criterion_7_rdm_ergodicity(seed=24):
+def criterion_7_rdm_ergodicity(p, run):
     """Two-box occupancy and the O(1/sqrt(n)) density convergence."""
-    traj = rdm.sample_stays([0.3, 0.7], 100_000, seed=seed)
+    traj, a_sq, seed = run(p), p["two_box"]["a_sq"], p["seed"]
     frac = float(np.mean(traj.stays == 0))
-    sigma = np.sqrt(0.3 * 0.7 / traj.instants)
-    box_ok = abs(frac - 0.3) <= 3.0 * sigma
+    sigma = np.sqrt(a_sq * (1.0 - a_sq) / traj.instants)
+    box_ok = abs(frac - a_sq) <= 3.0 * sigma
 
     rng = np.random.Generator(np.random.PCG64(99))
     source = rng.random(16)
@@ -212,27 +184,19 @@ def criterion_7_rdm_ergodicity(seed=24):
     return _report(7, "ergodic sampling", box_ok and slope_ok, detail)
 
 
-def _entangled_trajectory(a_sq, n, seed):
-    spec = [
-        (a_sq, (0.0, 50.0), (10_000.0, 10_050.0)),
-        (1.0 - a_sq, (50.0, 100.0), (10_050.0, 10_100.0)),
-    ]
-    return rdm.sample_entangled_stays(spec, n, seed=seed)
-
-
-def criterion_8_entanglement_frames(n=100_000, seed=25):
-    """Exact home-frame synchronicity; boosted reversal 2|ab|^2."""
+def criterion_8_entanglement_frames(p, run):
+    """Exact home-frame synchronicity; boosted reversal 2|ab|^2 (also at a^2 = 0.9)."""
     ok = True
     rows = []
-    for a_sq in (0.5, 0.9):
-        traj = _entangled_trajectory(a_sq, n, seed)
-        home = frames.boosted_correlation_stats(traj, v=0.0)
+    for a_sq in (p["a_sq"], 0.9):
+        leg = {**p, "a_sq": a_sq}
+        home = run({**leg, "v": 0.0})[1]
         if home["reversed_fraction"] != 0.0:
             ok = False
             rows.append(f"a^2={a_sq}: home-frame reversal nonzero")
             continue
-        boosted = frames.boosted_correlation_stats(traj, v=0.5)
-        expect = 2.0 * a_sq * (1.0 - a_sq)
+        boosted = run(leg)[1]
+        expect = boosted["expected_reversed"]
         sigma = np.sqrt(max(expect * (1.0 - expect), 1e-12) / boosted["pairs"])
         good = abs(boosted["reversed_fraction"] - expect) <= 3.0 * sigma
         ok &= good
@@ -290,7 +254,7 @@ def criterion_10_frame_algebra(seed=26):
     return _report(10, "frame algebra", ok, detail)
 
 
-def criterion_11_schrodinger_checks():
+def criterion_11_schrodinger_checks(p, run):
     """Free-packet width doubling, dispersion order, tomography order.
 
     The doubling time 2 m D^2 / hbar is exact for the width convention
@@ -307,21 +271,20 @@ def criterion_11_schrodinger_checks():
     ratio = schrodinger.rms_width(evolved) / schrodinger.rms_width(psi)
     width_ok = abs(ratio - 2.0) <= 0.02 * 2.0
 
-    p = 2.0 * np.pi * 3.0 / (2.0 * np.pi)  # mode 3 on the default grid
-    r1 = schrodinger.dispersion_check(p, n_samples=128)
-    r2 = schrodinger.dispersion_check(p, n_samples=256)
+    mode_p = 2.0 * np.pi * 3.0 / (2.0 * np.pi)  # mode 3 on the default grid
+    r1 = schrodinger.dispersion_check(mode_p, n_samples=128)
+    r2 = schrodinger.dispersion_check(mode_p, n_samples=256)
     disp_ratio = r1 / r2
     disp_ok = 3.4 <= disp_ratio <= 4.6
 
-    truth = schrodinger.GridWavefunction.gaussian(-16.0, 32.0 / 4096, 4096,
-                                                  center=0.5, sigma=2.5, momentum=0.5)
-    e256 = protective.tomography(truth, 256)["l2_error"]
-    e1024 = protective.tomography(truth, 1024)["l2_error"]
-    tomo_ok = e256 < 1e-2 and 2.5 <= e256 / e1024 <= 6.5
+    # tomography: the scenario's regions and 4x as many
+    e_coarse = run(p)["l2_error"]
+    e_fine = run({**p, "n_regions": 4 * p["n_regions"]})["l2_error"]
+    tomo_ok = e_coarse < 1e-2 and 2.5 <= e_coarse / e_fine <= 6.5
     ok = width_ok and disp_ok and tomo_ok
     detail = (f"width ratio {ratio:.4f} vs 2; dispersion refinement ratio "
-              f"{disp_ratio:.2f}; tomography err(256)={e256:.2e}, "
-              f"err ratio {e256/e1024:.2f}")
+              f"{disp_ratio:.2f}; tomography err({p['n_regions']})={e_coarse:.2e}, "
+              f"err ratio {e_coarse/e_fine:.2f}")
     return _report(11, "grid evolution checks", ok, detail)
 
 

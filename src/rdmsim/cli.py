@@ -204,15 +204,22 @@ def _parse(schema: dict, values, path: str = "") -> dict:
 
 
 # --- subcommand handlers -------------------------------------------------
+#
+# The handlers of scenarios that feed an acceptance criterion are split:
+# the computation (in COMPUTE) and the cmd_* function that writes it.
 
-def cmd_rdm_sample(p, ctx):
+def rdm_sample(p):
     if p["weights"] is not None:
         weights = p["weights"]
     elif p["two_box"] is not None:
         weights = np.array([p["two_box"]["a_sq"], 1.0 - p["two_box"]["a_sq"]])
     else:
         raise ScenarioError("need 'weights' or 'two_box'")
-    traj = rdm.sample_stays(weights, p["n"], seed=p["seed"], dt_instant=p["dt_instant"])
+    return rdm.sample_stays(weights, p["n"], seed=p["seed"], dt_instant=p["dt_instant"])
+
+
+def cmd_rdm_sample(p, ctx):
+    traj = rdm_sample(p)
     if p["binary"]:
         path = ctx["out_dir"] / "stays.rdmt"
         io.write_trajectory_binary(path, traj)
@@ -229,45 +236,51 @@ def cmd_rdm_sample(p, ctx):
     return summary, [path]
 
 
-def cmd_beable_run(p, ctx):
+def beable_run(p):
+    """(H, psi0, trajectory, equivariance slices or None)."""
     h = hilbert.HermitianOperator(p["hamiltonian"])
     psi0 = hilbert.ComplexVectorState(p["psi0"])
     traj = beable.jump_trajectory(h, psi0, p["beable0"], p["dt"], p["steps"],
                                   seed=p["seed"], hbar=p["hbar"], noise_c=p["noise_c"])
-    summary = f"beable trajectory of {traj.instants - 1} steps written"
     ens = p["ensemble"]
-    if ens is not None:
-        from scipy import stats as sps
+    if ens is None:
+        return h, psi0, traj, None
+    from scipy import stats as sps
 
-        record_every = ens["record_every"]
-        if record_every is None:
-            record_every = max(1, p["steps"] // 10)
-        rec_steps, sites, p_rows = beable.ensemble_jump_run(
-            h, psi0, ens["n_traj"], p["dt"], p["steps"], seed=p["seed"] + 1,
-            hbar=p["hbar"], noise_c=p["noise_c"], record_every=record_every)
-        slices = []
-        for row in range(1, len(rec_steps)):
-            counts = np.bincount(sites[row], minlength=psi0.dim)
-            expected = ens["n_traj"] * p_rows[row]
-            test = sps.chisquare(counts, f_exp=expected)
-            slices.append({"step": int(rec_steps[row]),
-                           "time": float(rec_steps[row]) * p["dt"],
-                           "counts": counts.tolist(),
-                           "expected": expected.tolist(),
-                           "chi2": float(test.statistic),
-                           "p_value": float(test.pvalue)})
-        min_p = min((s["p_value"] for s in slices), default=float("nan"))
-        summary += f"; equivariance min p-value {min_p:.4f} over {len(slices)} slices"
+    record_every = ens["record_every"]
+    if record_every is None:
+        record_every = max(1, p["steps"] // 10)
+    rec_steps, sites, p_rows = beable.ensemble_jump_run(
+        h, psi0, ens["n_traj"], p["dt"], p["steps"], seed=p["seed"] + 1,
+        hbar=p["hbar"], noise_c=p["noise_c"], record_every=record_every)
+    slices = []
+    for row in range(1, len(rec_steps)):
+        counts = np.bincount(sites[row], minlength=psi0.dim)
+        expected = ens["n_traj"] * p_rows[row]
+        test = sps.chisquare(counts, f_exp=expected)
+        slices.append({"step": int(rec_steps[row]),
+                       "time": float(rec_steps[row]) * p["dt"],
+                       "counts": counts.tolist(),
+                       "expected": expected.tolist(),
+                       "chi2": float(test.statistic),
+                       "p_value": float(test.pvalue)})
+    return h, psi0, traj, slices
+
+
+def cmd_beable_run(p, ctx):
     # every result is computed before the first write, so a failed run writes nothing
+    _, _, traj, slices = beable_run(p)
+    summary = f"beable trajectory of {traj.instants - 1} steps written"
     path = ctx["out_dir"] / "beable_trajectory.csv"
     io.write_trajectory_csv(path, traj)
-    outputs = [path]
-    if ens is not None:
-        report = ctx["out_dir"] / "equivariance.json"
-        io.write_json(report, {"slices": slices, "n_traj": ens["n_traj"],
-                               "noise_c": p["noise_c"]})
-        outputs.append(report)
-    return summary, outputs
+    if slices is None:
+        return summary, [path]
+    min_p = min((s["p_value"] for s in slices), default=float("nan"))
+    report = ctx["out_dir"] / "equivariance.json"
+    io.write_json(report, {"slices": slices, "n_traj": p["ensemble"]["n_traj"],
+                           "noise_c": p["noise_c"]})
+    return (f"{summary}; equivariance min p-value {min_p:.4f} over {len(slices)} slices",
+            [path, report])
 
 
 def _collapse_setup(p):
@@ -299,10 +312,15 @@ def cmd_collapse_run(p, ctx):
     return summary, [path]
 
 
-def cmd_collapse_ensemble(p, ctx):
+def collapse_ensemble(p):
+    """(initial superposition, config, ensemble_statistics result)."""
     s0, cfg = _collapse_setup(p)
-    res = collapse.ensemble_statistics(s0, cfg, p["n_trials"], p["n_steps"],
-                                       p["slice_stride"])
+    return s0, cfg, collapse.ensemble_statistics(s0, cfg, p["n_trials"], p["n_steps"],
+                                                 p["slice_stride"])
+
+
+def cmd_collapse_ensemble(p, ctx):
+    _, _, res = collapse_ensemble(p)
     stats = ("mean_p", "se_p", "mean_pp", "se_pp")
     path = ctx["out_dir"] / "collapse_ensemble.json"
     io.write_json(path, {
@@ -346,7 +364,8 @@ def cmd_protect_run(p, ctx):
             f"{out['survival_probability']:.6f}"), [path]
 
 
-def cmd_protect_sweep(p, ctx):
+def protect_sweep(p):
+    """(<A> on psi, sweep columns keyed N, shift, shift_error, survival, width_ratio)."""
     psi, obs, pointer = _protect_parts(p)
     target = hilbert.expectation_value(psi, obs)
     cols = {"N": [], "shift": [], "shift_error": [], "survival": [],
@@ -360,17 +379,26 @@ def cmd_protect_sweep(p, ctx):
         cols["shift_error"].append(abs(out["pointer_shift"] - target))
         cols["survival"].append(out["survival_probability"])
         cols["width_ratio"].append(out["width_ratio"])
+    return target, cols
+
+
+def cmd_protect_sweep(p, ctx):
+    target, cols = protect_sweep(p)
     path = ctx["out_dir"] / "protect_sweep.csv"
     io.write_csv(path, cols, header_comments=[f"target_expectation={target!r}"])
     return f"swept N in {p['n_list']}", [path]
 
 
-def cmd_tomography(p, ctx):
+def tomography(p):
     g = p["state"]
     truth = schrodinger.GridWavefunction.gaussian(
         x0=g["x_min"], dx=g["dx"], n=g["n"], center=g["center"], sigma=g["sigma"],
         momentum=g["momentum"], mass=g["mass"], hbar=g["hbar"])
-    out = protective.tomography(truth, p["n_regions"])
+    return protective.tomography(truth, p["n_regions"])
+
+
+def cmd_tomography(p, ctx):
+    out = tomography(p)
     path = ctx["out_dir"] / "tomography.json"
     io.write_json(path, {
         "l2_error": out["l2_error"],
@@ -381,15 +409,21 @@ def cmd_tomography(p, ctx):
     return f"tomography L2 error {out['l2_error']:.3e}", [path]
 
 
-def cmd_frames_analyze(p, ctx):
+def frames_analyze(p):
+    """(paired trajectory, report: boosted correlation stats, expected_reversed, a_sq)."""
     a_sq = p["a_sq"]
     r = p["regions"]
     spec = [(a_sq, r["u1"], r["u2"]), (1.0 - a_sq, r["d1"], r["d2"])]
     traj = rdm.sample_entangled_stays(spec, p["n"], seed=p["seed"],
                                       dt_instant=p["dt_instant"])
     stats = frames.boosted_correlation_stats(traj, p["v"], p["coincidence_tol"])
+    return traj, {**stats, "expected_reversed": 2.0 * a_sq * (1.0 - a_sq), "a_sq": a_sq}
+
+
+def cmd_frames_analyze(p, ctx):
+    traj, stats = frames_analyze(p)
     path = ctx["out_dir"] / "frames_report.json"
-    io.write_json(path, {**stats, "expected_reversed": 2.0 * a_sq * (1.0 - a_sq), "a_sq": a_sq})
+    io.write_json(path, stats)
     outputs = [path]
     if p["events_csv"]:
         epath = ctx["out_dir"] / "stay_events.csv"
@@ -400,7 +434,7 @@ def cmd_frames_analyze(p, ctx):
 
 
 def cmd_verify(p, ctx):
-    by_id = {int(fn.__name__.split("_")[1]): fn for fn in acceptance.ALL_CRITERIA}
+    by_id = _criteria()
     wanted = None if p["criteria"] is None else set(p["criteria"])
     if wanted is not None and not wanted <= set(by_id):
         raise ScenarioError(f"unknown criteria in {p['criteria']}")
@@ -418,8 +452,8 @@ def cmd_verify(p, ctx):
                     lines.append(f"  FAIL {name}: {detail}")
     pack_results = []
     if p["pack"] or ctx["pack"] or wanted is not None:
-        for fn in [fn for i, fn in by_id.items() if wanted is None or i in wanted]:
-            res = fn()
+        for cid in [i for i in by_id if wanted is None or i in wanted]:
+            res = run_criterion(cid)
             pack_results.append(res)
             all_ok &= res["passed"]
             lines.append(f"criterion {res['id']:>2} "
@@ -452,10 +486,41 @@ HANDLERS = {
 }
 
 
-def bundled_scenarios():
-    """Paths of the built-in scenario pack, sorted by file name."""
-    root = resources.files("rdmsim") / "scenarios"
+COMPUTE = {
+    "rdm-sample": rdm_sample,
+    "beable-run": beable_run,
+    "collapse-ensemble": collapse_ensemble,
+    "protect-sweep": protect_sweep,
+    "tomography": tomography,
+    "frames-analyze": frames_analyze,
+}
+
+
+def bundled_scenarios(pack=None):
+    """Paths of the built-in scenario pack, or of directory `pack`, sorted by name."""
+    root = resources.files("rdmsim") / "scenarios" if pack is None else Path(pack)
     return sorted(root.iterdir(), key=lambda p: p.name)
+
+
+def _criteria():
+    """Acceptance criteria by id, read from acceptance.ALL_CRITERIA at call time."""
+    return {int(fn.__name__.split("_")[1]): fn for fn in acceptance.ALL_CRITERIA}
+
+
+def bundled_scenario(cid, pack=None):
+    """Parsed scenario `NN_*.yaml` of criterion `cid` from the pack, and
+    the computation of its handler (None for tau-c and verify)."""
+    path, = [f for f in bundled_scenarios(pack) if f.name.startswith(f"{cid:02d}_")]
+    scenario = load_scenario(path)
+    return parse_scenario(scenario, scenario["subcommand"]), COMPUTE.get(scenario["subcommand"])
+
+
+def run_criterion(cid, pack=None):
+    """Acceptance criterion `cid` checked on its bundled scenario: it gets the
+    parsed scenario and the handler's computation (see rdmsim.acceptance)."""
+    params, compute = bundled_scenario(cid, pack)
+    fn = _criteria()[cid]
+    return fn() if compute is None else fn(params, compute)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -483,17 +548,22 @@ def build_parser() -> _Parser:
     return parser
 
 
+def parse_scenario(scenario: dict, subcommand: str) -> dict:
+    """Parameters of `scenario` for `subcommand`, typed against SCHEMAS."""
+    declared = scenario.get("subcommand")
+    if declared is not None and declared != subcommand:
+        raise ScenarioError(f"scenario targets {declared!r}, not {subcommand!r}")
+    if not isinstance(scenario.get("name", ""), str):
+        raise ScenarioError("scenario key 'name' must be a string")
+    return _parse(SCHEMAS[subcommand],
+                  {k: v for k, v in scenario.items() if k not in ("name", "subcommand")})
+
+
 def _run(args) -> int:
     import os
 
     scenario = load_scenario(args.scenario) if args.scenario else {}
-    declared = scenario.get("subcommand")
-    if declared is not None and declared != args.subcommand:
-        raise ScenarioError(f"scenario targets {declared!r}, not {args.subcommand!r}")
-    if not isinstance(scenario.get("name", ""), str):
-        raise ScenarioError("scenario key 'name' must be a string")
-    params = _parse(SCHEMAS[args.subcommand],
-                    {k: v for k, v in scenario.items() if k not in ("name", "subcommand")})
+    params = parse_scenario(scenario, args.subcommand)
     seed_override = getattr(args, "seed", None)
     if seed_override is not None:
         params["seed"] = _convert(_seed, seed_override, "--seed")

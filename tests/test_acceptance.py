@@ -1,66 +1,65 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
-Each test runs one criterion end to end and records a PASS/FAIL line
-that conftest prints in the terminal summary (also visible live with
+Each test checks one criterion on its bundled scenario, through the
+same runner as `rdmsim verify --pack`, and records a PASS/FAIL line that
+conftest prints in the terminal summary (also visible live with
 pytest -s).  Tolerances are pinned inside rdmsim.acceptance.
 """
 
-import pytest
-
-from rdmsim import acceptance
+from rdmsim import cli
 
 from conftest import record_criterion
 
 
-def _run(fn):
-    result = fn()
+def _run(cid):
+    result = cli.run_criterion(cid)
     record_criterion(result)
     assert result["passed"], f"criterion {result['id']}: {result['detail']}"
 
 
 def test_criterion_01_collapse_time_table():
-    _run(acceptance.criterion_1_collapse_time_table)
+    _run(1)
 
 
 def test_criterion_02_born_martingale():
-    _run(acceptance.criterion_2_born_martingale)
+    _run(2)
 
 
 def test_criterion_03_offdiagonal_decay():
-    _run(acceptance.criterion_3_offdiagonal_decay)
+    _run(3)
 
 
 def test_criterion_04_collapse_time_scaling():
-    _run(acceptance.criterion_4_collapse_time_scaling)
+    _run(4)
 
 
 def test_criterion_05_protective_convergence():
-    _run(acceptance.criterion_5_protective_convergence)
+    _run(5)
 
 
 def test_criterion_06_beable_equivariance():
-    _run(acceptance.criterion_6_beable_equivariance)
+    _run(6)
 
 
 def test_criterion_07_rdm_ergodicity():
-    _run(acceptance.criterion_7_rdm_ergodicity)
+    _run(7)
 
 
 def test_criterion_08_entanglement_frames():
-    _run(acceptance.criterion_8_entanglement_frames)
+    _run(8)
 
 
 def test_criterion_09_relativistic_anisotropy():
-    _run(acceptance.criterion_9_relativistic_anisotropy)
+    _run(9)
 
 
 def test_criterion_10_frame_algebra():
-    _run(acceptance.criterion_10_frame_algebra)
+    _run(10)
 
 
 def test_criterion_11_schrodinger_checks():
-    _run(acceptance.criterion_11_schrodinger_checks)
+    _run(11)
 
 
 def test_criterion_12_nogo_constructions():
-    _run(acceptance.criterion_12_nogo_constructions)
+    _run(12)

@@ -484,6 +484,22 @@ class TestBundledScenarios:
         assert names == sorted(names)
 
     def test_every_pack_file_parses_and_targets_a_handler(self):
+        prefixes = []
         for path in cli.bundled_scenarios():
-            data = yaml.safe_load(path.read_text())
+            data = cli.load_scenario(path)
             assert data["subcommand"] in cli.HANDLERS
+            cli.parse_scenario(data, data["subcommand"])
+            prefixes.append(path.name[:3])
+        assert prefixes == [f"{i:02d}_" for i in range(1, 13)]
+
+    def test_scenario_drives_its_criterion(self, tmp_path):
+        for path in cli.bundled_scenarios():
+            text = path.read_text()
+            if path.name.startswith("03_"):
+                text = text.replace("k0: 0.1\n", "k0: 0.2\n")
+            (tmp_path / path.name).write_text(text)
+        result = cli.run_criterion(3, pack=tmp_path)
+        assert result["passed"], result["detail"]
+        # the expectation (1 - k0^2)^10 / 4 of the first slice follows k0
+        assert f"vs {(1.0 - 0.2**2) ** 10 * 0.25:.5f}" in result["detail"]
+        assert f"vs {(1.0 - 0.1**2) ** 10 * 0.25:.5f}" not in result["detail"]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdmsim import acceptance, hilbert, protective, schrodinger as sch
+from rdmsim import cli, hilbert, protective, schrodinger as sch
 from rdmsim.errors import ContractViolation, PhaseAmbiguityError, PointerDomainError
 
 
@@ -177,8 +177,11 @@ class TestZenoRun:
 
     def test_survival_against_extended_precision(self):
         # sum_k |phi_k|^2 cos^{2N}(k eps / 2) dx / n evaluated in 80-bit floats
-        out = protective.zeno_protective_run(acceptance._protective_setup(10_000))
-        assert abs(out["survival_probability"] - 0.9999997500000942) <= 1e-11
+        # the N = 1e4 run of the bundled sweep (scenario 05)
+        p, run = cli.bundled_scenario(5)
+        _, cols = run(p)
+        assert cols["N"][-1] == 10_000
+        assert abs(cols["survival"][-1] - 0.9999997500000942) <= 1e-11
 
     def test_eigenstate_exact(self):
         psi = hilbert.ComplexVectorState([1.0, 0.0])

@@ -25,3 +25,11 @@ class TestVerifyCli:
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert [r["id"] for r in report["acceptance"]] == [9, 12]
         assert report["all_ok"]
+
+    def test_plain_verify_is_green(self, tmp_path):
+        assert cli.main(["verify", "--out-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        checks = [c for suite in report["suites"].values() for c in suite]
+        assert checks and all(c["ok"] is True for c in checks), \
+            [c for c in checks if c["ok"] is not True]
+        assert report["acceptance"] == [] and report["all_ok"] is True
