@@ -127,7 +127,8 @@ def criterion_5_protective_convergence(p, run):
         shift_note = f"shift-error slope {slope:.2f}"
     width_ok = abs(widths[-1] - 1.0) < 1e-6
     ok = shift_ok and surv_ok and shift_rate_ok and width_ok
-    largest = f"{n_list[-1]:.0e}".replace("e+0", "e")
+    n, k = n_list[-1], round(np.log10(n_list[-1]))
+    largest = f"1e{k}" if n == 10**k else str(n)
     detail = (f"shift({largest})={shifts[-1]:.6f}; survival slope {surv_slope:.2f}; "
               f"{shift_note}; width ratio-1 = {widths[-1]-1:.2e}")
     return _report(5, "protective convergence", ok, detail)
@@ -189,13 +190,12 @@ def criterion_8_entanglement_frames(p, run):
     ok = True
     rows = []
     for a_sq in (p["a_sq"], 0.9):
-        leg = {**p, "a_sq": a_sq}
-        home = run({**leg, "v": 0.0})[1]
+        traj, boosted = run({**p, "a_sq": a_sq})
+        home = frames.boosted_correlation_stats(traj, 0.0, p["coincidence_tol"])
         if home["reversed_fraction"] != 0.0:
             ok = False
             rows.append(f"a^2={a_sq}: home-frame reversal nonzero")
             continue
-        boosted = run(leg)[1]
         expect = boosted["expected_reversed"]
         sigma = np.sqrt(max(expect * (1.0 - expect), 1e-12) / boosted["pairs"])
         good = abs(boosted["reversed_fraction"] - expect) <= 3.0 * sigma

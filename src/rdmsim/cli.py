@@ -496,10 +496,9 @@ COMPUTE = {
 }
 
 
-def bundled_scenarios(pack=None):
-    """Paths of the built-in scenario pack, or of directory `pack`, sorted by name."""
-    root = resources.files("rdmsim") / "scenarios" if pack is None else Path(pack)
-    return sorted(root.iterdir(), key=lambda p: p.name)
+def bundled_scenarios():
+    """Paths of the built-in scenario pack, sorted by name."""
+    return sorted((resources.files("rdmsim") / "scenarios").iterdir(), key=lambda p: p.name)
 
 
 def _criteria():
@@ -507,18 +506,18 @@ def _criteria():
     return {int(fn.__name__.split("_")[1]): fn for fn in acceptance.ALL_CRITERIA}
 
 
-def bundled_scenario(cid, pack=None):
+def bundled_scenario(cid):
     """Parsed scenario `NN_*.yaml` of criterion `cid` from the pack, and
     the computation of its handler (None for tau-c and verify)."""
-    path, = [f for f in bundled_scenarios(pack) if f.name.startswith(f"{cid:02d}_")]
+    path, = [f for f in bundled_scenarios() if f.name.startswith(f"{cid:02d}_")]
     scenario = load_scenario(path)
     return parse_scenario(scenario, scenario["subcommand"]), COMPUTE.get(scenario["subcommand"])
 
 
-def run_criterion(cid, pack=None):
+def run_criterion(cid):
     """Acceptance criterion `cid` checked on its bundled scenario: it gets the
     parsed scenario and the handler's computation (see rdmsim.acceptance)."""
-    params, compute = bundled_scenario(cid, pack)
+    params, compute = bundled_scenario(cid)
     fn = _criteria()[cid]
     return fn() if compute is None else fn(params, compute)
 

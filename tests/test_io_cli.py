@@ -492,13 +492,15 @@ class TestBundledScenarios:
             prefixes.append(path.name[:3])
         assert prefixes == [f"{i:02d}_" for i in range(1, 13)]
 
-    def test_scenario_drives_its_criterion(self, tmp_path):
+    def test_scenario_drives_its_criterion(self, tmp_path, monkeypatch):
         for path in cli.bundled_scenarios():
             text = path.read_text()
             if path.name.startswith("03_"):
                 text = text.replace("k0: 0.1\n", "k0: 0.2\n")
             (tmp_path / path.name).write_text(text)
-        result = cli.run_criterion(3, pack=tmp_path)
+        monkeypatch.setattr(cli, "bundled_scenarios",
+                            lambda: sorted(tmp_path.iterdir(), key=lambda f: f.name))
+        result = cli.run_criterion(3)
         assert result["passed"], result["detail"]
         # the expectation (1 - k0^2)^10 / 4 of the first slice follows k0
         assert f"vs {(1.0 - 0.2**2) ** 10 * 0.25:.5f}" in result["detail"]
