@@ -9,7 +9,7 @@ import numpy as np
 
 from . import beable, collapse, frames, hilbert, io, protective, rdm, schrodinger
 from .collapse import CollapseConfig
-from .seeding import derive_seed
+from .seeding import derive_seed, derive_seeds, trial_rngs
 
 
 def _rand_state(rng, dim):
@@ -253,8 +253,14 @@ def suite_io(rng, tmpdir):
 
 def suite_seeding(rng):
     checks = []
-    seeds = {derive_seed(12345, i) for i in range(10_000)}
-    checks.append(("10k derived seeds distinct", len(seeds) == 10_000, ""))
+    seeds = derive_seeds(12345, 0, 10_000)
+    checks.append(("10k derived seeds distinct", np.unique(seeds).size == 10_000, ""))
+    # the vectorised SeedSequence hash against the installed numpy's own
+    same = all(np.array_equal(gen.random(8), np.random.Generator(
+                   np.random.PCG64(derive_seed(master, t))).random(8))
+               for master in (12345, 2**64 - 1)
+               for t, gen in enumerate(trial_rngs(master, 0, 64)))
+    checks.append(("vectorised trial generators match PCG64(derive_seed)", same, ""))
     return checks
 
 

@@ -495,3 +495,12 @@ class TestConfig:
     def test_constants_finite_and_positive(self, field, value):
         with pytest.raises(ContractViolation):
             CollapseConfig(**{field: value})
+
+    @pytest.mark.parametrize("seed", [1.5, True, False, -1, 2**64, 2**64 + 1, "1", None])
+    def test_seed_must_be_a_64_bit_integer(self, seed):
+        with pytest.raises(ContractViolation, match="seed"):
+            CollapseConfig(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1)])
+    def test_seed_range_accepted(self, seed):
+        assert CollapseConfig(k_mode="frozen", k0=0.5, seed=seed).seed == seed

@@ -9,21 +9,69 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rdmsim import cli, io, rdm
+from rdmsim import cli, io, rdm, verify
 from rdmsim.errors import ContractViolation, ScenarioError
-from rdmsim.seeding import derive_seed, seeded_rng, trial_rng
+from rdmsim.seeding import (_seed_words, derive_seed, derive_seeds, seeded_rng, trial_rng,
+                            trial_rngs)
+
+# derive_seed(master, index), computed with SplitMix64 on Python integers
+KNOWN_SEEDS = {
+    (0, 0): 0xE220A8397B1DCDAF, (0, 1): 0x6E789E6AA1B965F4, (0, 12345): 0xAE3B8A9B02E1CCA9,
+    (7, 0): 0x63CBE1E459320DD7, (7, 1): 0x044C3CD7F43C661C, (7, 12345): 0x9C344DE3FEA3E759,
+    (2**63, 0): 0x481EC0A212A9F3DB, (2**63, 1): 0xC46FA638A6309012,
+    (2**63, 12345): 0xAA25A087EE4D1B50,
+    (2**64 - 1, 0): 0xE4D971771B652C20, (2**64 - 1, 1): 0xE99FF867DBF682C9,
+    (2**64 - 1, 12345): 0x33AEA1658BA2D28A,
+}
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+MASK64 = 2**64 - 1
+
+
+def splitmix_reference(master, index):
+    z = (master + (index + 1) * 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
 
 
 class TestSeeding:
-    def test_deterministic(self):
-        assert derive_seed(7, 3) == derive_seed(7, 3)
+    def test_known_answers(self):
+        assert {key: derive_seed(*key) for key in KNOWN_SEEDS} == KNOWN_SEEDS
 
     def test_distinct_indices(self):
         assert derive_seed(7, 0) != derive_seed(7, 1)
 
-    def test_no_collisions_over_10k(self):
-        seeds = {derive_seed(12345, i) for i in range(10_000)}
-        assert len(seeds) == 10_000
+    def test_verify_suite(self):
+        checks = verify.suite_seeding(None)
+        assert [name for name, _, _ in checks] == [
+            "10k derived seeds distinct",
+            "vectorised trial generators match PCG64(derive_seed)"]
+        assert all(ok for _, ok, _ in checks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(master=st.integers(-2**65, 2**66), lo=st.integers(-5, 2**64), n=st.integers(0, 40))
+    def test_derive_seeds_is_splitmix_on_each_index(self, master, lo, n):
+        seeds = derive_seeds(master, lo, lo + n)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [splitmix_reference(master, lo + i) for i in range(n)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, MASK64), max_size=40))
+    def test_seed_words_are_numpys_seed_sequence(self, drawn):
+        seeds = EDGE_SEEDS + drawn
+        words = _seed_words(np.array(seeds, dtype=np.uint64))
+        assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+        for row, seed in zip(words, seeds):
+            assert np.array_equal(row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+
+    @settings(max_examples=40, deadline=None)
+    @given(master=st.sampled_from([0, 7, -3, 2**32, 2**64 - 1, 2**64 + 5]) | st.integers(0, MASK64),
+           lo=st.integers(0, 10**6), n=st.integers(1, 20), k=st.integers(1, 9))
+    def test_trial_rngs_are_pcg64_of_derived_seeds(self, master, lo, n, k):
+        for i, gen in enumerate(trial_rngs(master, lo, lo + n)):
+            ref = np.random.Generator(np.random.PCG64(derive_seed(master, lo + i)))
+            assert np.array_equal(gen.random(k), ref.random(k))
+            assert np.array_equal(gen.integers(0, 2**62, 3), ref.integers(0, 2**62, 3))
 
     def test_distinct_masters(self):
         assert derive_seed(1, 0) != derive_seed(2, 0)
@@ -38,7 +86,7 @@ class TestSeeding:
             assert np.array_equal(seeded_rng(seed).random(8),
                                   np.random.Generator(np.random.PCG64(seed)).random(8))
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, None, "3"])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, None, "3", True])
     def test_seeded_rng_rejects_out_of_range(self, seed):
         with pytest.raises(ContractViolation, match="seed"):
             seeded_rng(seed)
