@@ -219,34 +219,28 @@ def criterion_9_relativistic_anisotropy():
 def criterion_10_frame_algebra(seed=26):
     """Synchrony-general reduction, absolute-sync form, interval invariance."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    worst_reduction = 0.0
-    for _ in range(200):
-        t, x = rng.uniform(-1, 1, 2)
-        v = rng.uniform(-0.99, 0.99)
-        e = frames.Event(t, x)
-        lt = frames.lorentz_transform(e, v)
-        ew = frames.edwards_winnie_transform(e, frames.SynchronyParams(v=v))
-        worst_reduction = max(worst_reduction, abs(lt.t - ew.t), abs(lt.x - ew.x))
+
+    def draw(n, k):  # n rows of k coordinates in [-1, 1) and a velocity in [-0.99, 0.99)
+        low = np.array([-1.0] * (k - 1) + [-0.99])
+        return rng.uniform(low, -low, (n, k)).T
+
+    t, x, v = draw(200, 3)
+    e = frames.Event(t, x)
+    lt = frames.lorentz_transform(e, v)
+    ew = frames.edwards_winnie_transform(e, frames.SynchronyParams(v=v))
+    worst_reduction = np.max(np.abs([lt.t - ew.t, lt.x - ew.x]))
     red_ok = worst_reduction < 1e-12
 
-    worst_sync = 0.0
-    for _ in range(200):
-        t, x = rng.uniform(-1, 1, 2)
-        v = rng.uniform(-0.99, 0.99)
-        e = frames.Event(t, x)
-        out = frames.edwards_winnie_transform(e, frames.absolute_sync_params(v))
-        worst_sync = max(worst_sync, abs(out.t - t * np.sqrt(1 - v**2)))
+    t, x, v = draw(200, 3)
+    out = frames.edwards_winnie_transform(frames.Event(t, x), frames.absolute_sync_params(v))
+    worst_sync = np.max(np.abs(out.t - t * np.sqrt(1 - v**2)))
     sync_ok = worst_sync < 1e-12
 
-    worst_interval = 0.0
-    for _ in range(10_000):
-        t1, x1, t2, x2 = rng.uniform(-1, 1, 4)
-        v = rng.uniform(-0.99, 0.99)
-        e1, e2 = frames.Event(t1, x1), frames.Event(t2, x2)
-        before = frames.interval(e1, e2)
-        after = frames.interval(frames.lorentz_transform(e1, v),
-                                frames.lorentz_transform(e2, v))
-        worst_interval = max(worst_interval, abs(before - after))
+    t1, x1, t2, x2, v = draw(10_000, 5)
+    e1, e2 = frames.Event(t1, x1), frames.Event(t2, x2)
+    before = frames.interval(e1, e2)
+    after = frames.interval(frames.lorentz_transform(e1, v), frames.lorentz_transform(e2, v))
+    worst_interval = np.max(np.abs(before - after))
     int_ok = worst_interval < 1e-12
     ok = red_ok and sync_ok and int_ok
     detail = (f"reduction residual {worst_reduction:.1e}; absolute-sync residual "

@@ -18,10 +18,9 @@ psi(t) does not depend on where the beables are, so both runners read
 one rate path: it advances psi by the iterated exact unitary step and
 evaluates P, J, T and the cumulative jump table cum[step, m, n] as
 stacked arrays, _RATE_BLOCK steps at a time, with the formulas that the
-public functions apply to one step.  Only the walk is per step.  The
-outflow guard (jump probability below 0.1) is a policy of each runner:
-jump_trajectory guards the walker's current site, ensemble_jump_run
-every site.
+public functions apply to one step.  Only the walk is per step.  Both
+runners keep one outflow guard: the jump probability out of every
+occupied site stays below 0.1.
 """
 
 from dataclasses import dataclass
@@ -195,20 +194,21 @@ def _rate_path(h: HermitianOperator, psi0: ComplexVectorState, dt: float, steps:
 
 
 def _walk(h: HermitianOperator, psi0: ComplexVectorState, sites: np.ndarray, dt: float,
-          steps: int, rng, hbar: float, noise_c: float, record_every: int, lone: bool):
+          steps: int, rng, hbar: float, noise_c: float, record_every: int):
     """Walk `sites` along the rate path: sites[i] jumps when its draw u <
-    cum[-1, sites[i]], to the count of m with cum[m, sites[i]] <= u.
+    cum[-1, sites[i]], to the count of m with cum[m, sites[i]] <= u.  The
+    guard rejects a step where an occupied site's outflow reaches 0.1.
     Returns (step indices, sites, P), a row every record_every steps."""
     rec = [(sites.copy(), np.abs(psi0.amplitudes) ** 2)]
     step = 0
     for p, _, _, cum in _rate_path(h, psi0, dt, steps, hbar, noise_c):
         for cum_t, p_next in zip(cum, p[1:]):
-            outflow = cum_t[-1, sites[0]] if lone else cum_t[-1].max()  # the guard policy
-            if outflow >= OUTFLOW_GUARD:
-                detail = f"probability {outflow:.3f} " if lone else ""
-                raise StepSizeError(f"step {step}: outflow {detail}exceeds the 0.1 guard", step=step)
+            outflow = cum_t[-1][sites]
+            if outflow.max() >= OUTFLOW_GUARD:
+                raise StepSizeError(f"step {step}: outflow probability {outflow.max():.3f} "
+                                    "exceeds the 0.1 guard", step=step)
             u = rng.random(sites.size)
-            jumped = u < cum_t[-1][sites]
+            jumped = u < outflow
             sites[jumped] = (u[jumped] >= cum_t[:, sites[jumped]]).sum(axis=0)
             step += 1
             if step % record_every == 0:
@@ -234,7 +234,7 @@ def jump_trajectory(h: HermitianOperator, psi0: ComplexVectorState, beable0: int
     if steps < 0:
         raise ContractViolation(f"steps must be >= 0, not {steps}")
     _, stays, _ = _walk(h, psi0, np.array([int(beable0)]), dt, steps, seeded_rng(seed),
-                        hbar, noise_c, 1, lone=True)
+                        hbar, noise_c, 1)
     return StayTrajectory(stays[:, 0], n_sites=psi0.dim, dt_instant=dt, seed=seed)
 
 
@@ -253,4 +253,4 @@ def ensemble_jump_run(h: HermitianOperator, psi0: ComplexVectorState, n_traj: in
     rng = seeded_rng(seed)
     p = np.abs(psi0.amplitudes) ** 2
     sites = np.searchsorted(np.cumsum(p) / p.sum(), rng.random(n_traj), side="right")
-    return _walk(h, psi0, sites, dt, steps, rng, hbar, noise_c, record_every, lone=False)
+    return _walk(h, psi0, sites, dt, steps, rng, hbar, noise_c, record_every)

@@ -219,6 +219,8 @@ def rdm_sample(p):
 
 
 def cmd_rdm_sample(p, ctx):
+    if p["binary"] and ctx["fmt"] == "json":
+        raise ScenarioError("binary: true writes .rdmt and cannot be combined with --format json")
     traj = rdm_sample(p)
     if p["binary"]:
         path = ctx["out_dir"] / "stays.rdmt"
@@ -291,7 +293,7 @@ def _collapse_setup(p):
         amps = np.sqrt(p["probabilities"])
     else:
         raise ScenarioError("need 'amplitudes' or 'probabilities'")
-    units = CollapseConfig.physical if p["units"] == "physical" else CollapseConfig.natural
+    units = CollapseConfig.physical if p["units"] == "physical" else CollapseConfig
     cfg = units(k_mode=p["k_mode"], k0=p["k0"], collapse_epsilon=p["collapse_epsilon"],
                 seed=p["seed"])
     return hilbert.EnergySuperposition(p["energies"], amps), cfg
@@ -438,6 +440,8 @@ def cmd_verify(p, ctx):
     wanted = None if p["criteria"] is None else set(p["criteria"])
     if wanted is not None and not wanted <= set(by_id):
         raise ScenarioError(f"unknown criteria in {p['criteria']}")
+    if wanted is not None and (p["pack"] or ctx["pack"]):
+        raise ScenarioError("the pack runs every criterion; give 'criteria' or the pack, not both")
     lines = []
     all_ok = True
     results = {}

@@ -24,7 +24,7 @@ pro rata afterwards.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,19 +72,12 @@ class CollapseConfig:
         check_seed(self.seed)
 
     @staticmethod
-    def natural(**kw) -> "CollapseConfig":
-        return CollapseConfig(**kw)
-
-    @staticmethod
     def physical(**kw) -> "CollapseConfig":
         """eV / s / m units with the pinned constants."""
         kw.setdefault("t_p", constants.PLANCK_TIME_S)
         kw.setdefault("hbar", constants.HBAR_EVS)
         kw.setdefault("c", constants.C_M_S)
         return CollapseConfig(**kw)
-
-    def frozen(self, k0: float) -> "CollapseConfig":
-        return replace(self, k_mode="frozen", k0=k0)
 
 
 @dataclass(frozen=True)

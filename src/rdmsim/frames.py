@@ -12,6 +12,10 @@ with k, k' in [-1, 1] the one-way-speed anisotropy parameters of the
 two frames (k = k' = 0 recovers the boost; k = 0, k' = -beta restores
 absolute simultaneity: t' = t sqrt(1 - beta^2)).
 
+The boost, the synchrony-general transformation and the interval take
+one event or arrays of events (and a scalar or array v): an Event holds
+scalars or arrays, and each is one formula that numpy broadcasts.
+
 Stay events of a sampled trajectory are discrete, so boosted-frame
 coincidences are decided by a time tolerance; the default is half the
 boosted inter-instant spacing.
@@ -33,15 +37,14 @@ from .rdm import PairedStayTrajectory, StayTrajectory
 
 @dataclass(frozen=True)
 class Event:
-    """A point (t, x) tagged with its frame; c rides along as config."""
+    """A point (t, x), or arrays of points; c rides along as config."""
 
     t: float
     x: float
-    frame: str = "S"
     c: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.t) and np.isfinite(self.x)):
+        if not (np.all(np.isfinite(self.t)) and np.all(np.isfinite(self.x))):
             raise ContractViolation("event coordinates must be finite")
         if self.c <= 0:
             raise ContractViolation("c must be positive")
@@ -49,7 +52,8 @@ class Event:
 
 @dataclass(frozen=True)
 class SynchronyParams:
-    """Boost velocity plus one-way-speed parameters of both frames."""
+    """Boost velocity plus one-way-speed parameters of both frames
+    (scalars or arrays)."""
 
     v: float
     k: float = 0.0
@@ -57,35 +61,33 @@ class SynchronyParams:
     c: float = 1.0
 
     def __post_init__(self):
-        if abs(self.v) >= self.c:
+        if np.any(np.abs(self.v) >= self.c):
             raise SuperluminalFrameError("|v| must be below c")
-        if abs(self.k) > 1.0 or abs(self.k_prime) > 1.0:
+        if np.any(np.abs(self.k) > 1.0) or np.any(np.abs(self.k_prime) > 1.0):
             raise ContractViolation("|k| and |k'| must not exceed 1")
 
 
 def _gamma(v: float, c: float) -> float:
-    if abs(v) >= c:
-        raise SuperluminalFrameError(f"|v| = {abs(v):g} >= c = {c:g}")
+    if np.any(np.abs(v) >= c):
+        raise SuperluminalFrameError(f"|v| = {np.max(np.abs(v)):g} >= c = {c:g}")
     return 1.0 / np.sqrt(1.0 - (v / c) ** 2)
 
 
-def lorentz_transform(e: Event, v: float, frame: str = None) -> Event:
-    """Standard boost: t' = gamma (t - x v / c^2), x' = gamma (x - v t)."""
-    g = _gamma(v, e.c)
-    t_new = g * (e.t - e.x * v / e.c**2)
-    x_new = g * (e.x - v * e.t)
-    return Event(t_new, x_new, frame or f"{e.frame}'", e.c)
-
-
 def boost_times(t: np.ndarray, x: np.ndarray, v: float, c: float = 1.0) -> np.ndarray:
-    """Vectorized boosted times for event arrays."""
+    """Boosted times t' = gamma (t - x v / c^2) of one event or arrays."""
     g = _gamma(v, c)
     return g * (np.asarray(t) - np.asarray(x) * v / c**2)
 
 
 def boost_positions(t: np.ndarray, x: np.ndarray, v: float, c: float = 1.0) -> np.ndarray:
+    """Boosted positions x' = gamma (x - v t) of one event or arrays."""
     g = _gamma(v, c)
     return g * (np.asarray(x) - v * np.asarray(t))
+
+
+def lorentz_transform(e: Event, v: float) -> Event:
+    """Standard boost of an event (or event arrays) by v."""
+    return Event(boost_times(e.t, e.x, v, e.c), boost_positions(e.t, e.x, v, e.c), e.c)
 
 
 def interval(e1: Event, e2: Event) -> float:
@@ -122,18 +124,14 @@ def entangled_frame_velocities(stay_a, stay_b, c: float = 1.0):
     t_a, x1a, x2a = map(float, stay_a)
     t_b, x1b, x2b = map(float, stay_b)
     out = []
-    for label, dx_pair, ev_pair in (
-        ("v_prime", x1a - x2b, ((t_a, x1a), (t_b, x2b))),
-        ("v_double_prime", x2a - x1b, ((t_a, x2a), (t_b, x1b))),
-    ):
+    for label, xs in (("v_prime", (x1a, x2b)), ("v_double_prime", (x2a, x1b))):
+        dx_pair = xs[0] - xs[1]
         if dx_pair == 0.0:
             raise SuperluminalFrameError(f"{label}: coincident positions give no frame")
         v = c**2 * (t_a - t_b) / dx_pair
         if abs(v) >= c:
             raise SuperluminalFrameError(f"{label} = {v:g} is not below c")
-        (ta, xa), (tb, xb) = ev_pair
-        ta_p = boost_times(np.array([ta]), np.array([xa]), v, c)[0]
-        tb_p = boost_times(np.array([tb]), np.array([xb]), v, c)[0]
+        ta_p, tb_p = boost_times(np.array([t_a, t_b]), np.array(xs), v, c)
         if abs(ta_p - tb_p) > 1e-12 * max(abs(ta_p), abs(tb_p), 1.0):
             raise ContractViolation(f"internal check failed for {label}")
         out.append(v)
@@ -145,13 +143,13 @@ def edwards_winnie_transform(e: Event, p: SynchronyParams) -> Event:
     c = p.c
     beta = p.v / c
     disc = (1.0 + beta * p.k) ** 2 - beta**2
-    if disc <= 0.0:
+    if np.any(disc <= 0.0):
         raise ContractViolation("degenerate synchrony parameters: eta is not real")
     eta = 1.0 / np.sqrt(disc)
     x_new = eta * (e.x - p.v * e.t)
     t_new = (eta * (1.0 + beta * (p.k + p.k_prime)) * e.t
              + eta * (beta * (p.k**2 - 1.0) + p.k - p.k_prime) * e.x / c)
-    return Event(t_new, x_new, f"{e.frame}'", c)
+    return Event(t_new, x_new, c)
 
 
 def one_way_speeds(p: SynchronyParams):
@@ -159,7 +157,7 @@ def one_way_speeds(p: SynchronyParams):
     c_+x = c/(1 - k) and c_-x = c/(1 + k), same with k' in the primed
     frame.  |k| = 1 makes one direction infinite and is flagged."""
     for name, k in (("k", p.k), ("k'", p.k_prime)):
-        if abs(k) == 1.0:
+        if np.any(np.abs(k) == 1.0):
             raise InfiniteOneWaySpeedError(f"{name} = +-1 gives an infinite one-way speed")
     c = p.c
     return (c / (1.0 - p.k), c / (1.0 + p.k),

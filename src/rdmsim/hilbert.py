@@ -45,14 +45,8 @@ class ComplexVectorState:
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm_sq() - 1.0) <= tol
-
-    def normalized(self) -> "ComplexVectorState":
-        n = np.sqrt(self.norm_sq())
-        if n == 0.0:
-            raise NormalizationError("cannot normalize the zero vector")
-        return ComplexVectorState(self.amplitudes / n)
+    def is_normalized(self) -> bool:
+        return abs(self.norm_sq() - 1.0) <= NORM_TOL
 
 
 @dataclass(frozen=True)

@@ -174,17 +174,8 @@ def continuity_residual(psi_series, dt: float) -> float:
 
 def _support_runs(mask: np.ndarray):
     """Contiguous True runs of `mask` as (start, stop) index pairs."""
-    runs = []
-    start = None
-    for i, flag in enumerate(mask):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, mask.size))
-    return runs
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+    return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
 
 
 def reconstruct_wavefunction(d: DensityPair, mass: float = 1.0, hbar: float = 1.0) -> GridWavefunction:

@@ -213,18 +213,14 @@ def suite_protective(rng):
 def suite_frames(rng):
     checks = []
     rng.random(5000)  # start 5000 draws in, so the residuals the verify report pins stay put
-    worst = 0.0
-    for _ in range(200):
-        e = frames.Event(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        v = rng.uniform(-0.99, 0.99)
-        back = frames.lorentz_transform(frames.lorentz_transform(e, v), -v)
-        worst = max(worst, abs(back.t - e.t), abs(back.x - e.x))
+    t, x, v = rng.uniform([-1.0, -1.0, -0.99], [1.0, 1.0, 0.99], (200, 3)).T
+    back = frames.lorentz_transform(frames.lorentz_transform(frames.Event(t, x), v), -v)
+    worst = np.max(np.abs([back.t - t, back.x - x]))
     checks.append(("boost inverse", worst < 1e-12, f"worst {worst:.1e}"))
 
-    worst = 0.0
-    for k in np.linspace(-0.95, 0.95, 21):
-        cp, cm, _, _ = frames.one_way_speeds(frames.SynchronyParams(v=0.1, k=k))
-        worst = max(worst, abs(2.0 / (1.0 / cp + 1.0 / cm) - 1.0))
+    k = np.linspace(-0.95, 0.95, 21)
+    cp, cm, _, _ = frames.one_way_speeds(frames.SynchronyParams(v=0.1, k=k))
+    worst = np.max(np.abs(2.0 / (1.0 / cp + 1.0 / cm) - 1.0))
     checks.append(("two-way speed invariant", worst < 1e-12, f"worst {worst:.1e}"))
 
     v = frames.simultaneity_frame(frames.Event(0, 0), frames.Event(1, 3))

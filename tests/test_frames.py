@@ -151,6 +151,72 @@ class TestOneWaySpeeds:
             frames.one_way_speeds(frames.SynchronyParams(v=0.0, k=1.0))
 
 
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+events = st.lists(st.tuples(coords, coords), min_size=1, max_size=20)
+
+
+class TestEventArrays:
+    """An Event of arrays goes through the same formula as each of its
+    elements on its own."""
+
+    @given(events, betas)
+    @settings(max_examples=200, deadline=None)
+    def test_lorentz_matches_scalar_calls(self, pairs, v):
+        t, x = np.array(pairs).T
+        out = frames.lorentz_transform(frames.Event(t, x), v)
+        one = [frames.lorentz_transform(frames.Event(*pair), v) for pair in pairs]
+        assert bits(out.t) == bits([e.t for e in one])
+        assert bits(out.x) == bits([e.x for e in one])
+
+    @given(events, betas, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_edwards_winnie_matches_scalar_calls(self, pairs, v, k, k_prime):
+        t, x = np.array(pairs).T
+        p = frames.SynchronyParams(v=v, k=k, k_prime=k_prime)
+        try:
+            one = [frames.edwards_winnie_transform(frames.Event(*pair), p) for pair in pairs]
+        except ContractViolation:  # eta is not real; that does not depend on the event
+            with pytest.raises(ContractViolation, match="eta is not real"):
+                frames.edwards_winnie_transform(frames.Event(t, x), p)
+            return
+        out = frames.edwards_winnie_transform(frames.Event(t, x), p)
+        assert bits(out.t) == bits([e.t for e in one])
+        assert bits(out.x) == bits([e.x for e in one])
+
+    @given(events, events, betas)
+    @settings(max_examples=200, deadline=None)
+    def test_interval_matches_scalar_calls(self, first, second, v):
+        n = min(len(first), len(second))
+        (t1, x1), (t2, x2) = np.array(first[:n]).T, np.array(second[:n]).T
+        e1 = frames.lorentz_transform(frames.Event(t1, x1), v)
+        e2 = frames.lorentz_transform(frames.Event(t2, x2), v)
+        out = frames.interval(e1, e2)
+        one = [frames.interval(frames.Event(*a), frames.Event(*b))
+               for a, b in zip(zip(e1.t, e1.x), zip(e2.t, e2.x))]
+        # numpy squares arrays and scalars by different routines: a few ulps
+        scale = (e2.t - e1.t) ** 2 + (e2.x - e1.x) ** 2
+        assert np.all(np.abs(out - one) <= 4 * np.finfo(float).eps * scale)
+
+    def test_superluminal_array_velocity_rejected(self):
+        e = frames.Event(np.zeros(3), np.ones(3))
+        for v in (np.array([0.1, -1.0, 0.5]), np.array([0.2, 0.3, 1.2])):
+            with pytest.raises(SuperluminalFrameError, match=f"= {np.max(np.abs(v)):g} >= c"):
+                frames.lorentz_transform(e, v)
+            with pytest.raises(SuperluminalFrameError):
+                frames.SynchronyParams(v=v)
+        with pytest.raises(SuperluminalFrameError):
+            frames.boost_times(np.zeros(2), np.zeros(2), np.array([0.5, np.nextafter(1.0, 2.0)]))
+
+    def test_array_checks(self):
+        with pytest.raises(ContractViolation):
+            frames.Event(np.array([0.0, np.inf]), np.zeros(2))
+        with pytest.raises(InfiniteOneWaySpeedError):
+            frames.one_way_speeds(frames.SynchronyParams(v=0.0, k=np.array([0.5, -1.0])))
+
+
 def make_pair_trajectory(a_sq=0.5, n=50_000, seed=3):
     spec = [(a_sq, (0.0, 50.0), (10_000.0, 10_050.0)),
             (1.0 - a_sq, (50.0, 100.0), (10_050.0, 10_100.0))]

@@ -203,11 +203,16 @@ class TestCliRuns:
                         "n_projections: 10\ntau: 1.0\n"
                         "pointer: {x_min: -20.0, dx: 0.5, n: 80, w0: 2.0}\n",
          ("--format", "json")),
+        ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: 0\nbinary: true\n",
+         ("--format", "json")),
+        ("verify", "criteria: [9]\npack: true\n", ()),
+        ("verify", "criteria: [9]\n", ("--pack",)),
     ], ids=["n-trials-abc", "max-steps-list", "two-box-empty", "two-box-number",
             "n-abc", "a-sq-abc", "entries-number", "state-number", "criteria-number",
             "binary-string", "units-bogus", "delta-e-reducer", "ensemble-unknown-key",
             "seed-negative", "seed-override-negative", "seed-without-seed-key",
-            "format-not-read"])
+            "format-not-read", "binary-with-json", "pack-key-with-criteria",
+            "pack-flag-with-criteria"])
     def test_malformed_value_exits_1(self, tmp_path, capsys, subcommand, body, extra):
         path = tmp_path / "s.yaml"
         path.write_text(f"subcommand: {subcommand}\n{body}")
@@ -301,14 +306,17 @@ class TestCliRuns:
         assert json.loads(outputs[1])["slices"][-1]["mean_pp"][0] < 0.096
 
     def test_beable_ensemble_guard_writes_nothing(self, tmp_path, capsys):
-        # the single trajectory passes, then the ensemble's outflow guard fires
+        # the single trajectory sits on site 1, which has no outflow, and
+        # passes; the ensemble starts on site 0, which still holds walkers
+        # when its outflow passes 0.1 at step 81
         path = tmp_path / "s.yaml"
         path.write_text("subcommand: beable-run\nhamiltonian: [[0.0, -1.0], [-1.0, 0.0]]\n"
                         f"psi0: [1.0, 0.0]\nbeable0: 1\ndt: {np.pi / 200!r}\nsteps: 90\n"
                         "seed: 0\nensemble: {n_traj: 50}\n")
         assert run_cli("beable-run", "--scenario", str(path),
                        "--out-dir", str(tmp_path / "out")) == 1
-        assert "StepSizeError" in capsys.readouterr().err
+        assert ("StepSizeError): step 81: outflow probability 0.102 exceeds the 0.1 guard"
+                in capsys.readouterr().err)
         assert list((tmp_path / "out").iterdir()) == []
 
     def test_precondition_violation_exits_1(self, tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdmsim import hilbert, schrodinger as sch
 from rdmsim.errors import (
@@ -244,6 +246,27 @@ class TestReconstruction:
             rec = sch.reconstruct_wavefunction(pair)
             assert np.max(np.abs(sch.position_density(rec) - rho)) < 1e-8
             assert np.max(np.abs(sch.flux_density(rec) - pair.j)) < 1e-8
+
+
+def brute_force_runs(mask):
+    """Contiguous True runs of mask as (start, stop), one element at a time."""
+    runs, start = [], None
+    for i, flag in enumerate(mask):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            runs.append((start, i))
+            start = None
+    if start is not None:
+        runs.append((start, len(mask)))
+    return runs
+
+
+@given(st.lists(st.booleans(), max_size=64))
+@settings(max_examples=300, deadline=None)
+def test_support_runs_match_brute_force(flags):
+    mask = np.array(flags, dtype=bool)
+    assert sch._support_runs(mask) == brute_force_runs(flags)
 
 
 class TestDispersion:

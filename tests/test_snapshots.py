@@ -19,11 +19,18 @@ class TestComplexScenarioStates:
 class TestVerifyCli:
     def test_single_criterion_filter(self, tmp_path):
         scenario = tmp_path / "s.yaml"
-        scenario.write_text("subcommand: verify\ncriteria: [9, 12]\n")
+        scenario.write_text("subcommand: verify\ncriteria: [9, 10, 12]\n")
         assert cli.main(["verify", "--scenario", str(scenario),
                          "--out-dir", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "verify_report.json").read_text())
-        assert [r["id"] for r in report["acceptance"]] == [9, 12]
+        assert [r["detail"] for r in report["acceptance"]] == [
+            "fractional difference 0.000400157 vs 4e-4",
+            "reduction residual 8.9e-16; absolute-sync residual 2.2e-16; "
+            "interval residual 8.9e-14",
+            "zeros on matching indices: True; others positive: True; "
+            "unitary check residuals: 0.0e+00/0.0e+00/2.2e-17",
+        ]
+        assert [r["id"] for r in report["acceptance"]] == [9, 10, 12]
         assert report["all_ok"]
 
     def test_plain_verify_is_green(self, tmp_path):
