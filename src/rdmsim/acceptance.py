@@ -10,7 +10,6 @@ here.  All randomness is seeded, so the outcomes are reproducible.
 """
 
 import numpy as np
-from scipy import stats
 
 from . import beable, collapse, frames, hilbert, rdm, schrodinger
 from .collapse import CollapseConfig
@@ -137,6 +136,8 @@ def criterion_5_protective_convergence(p, run):
 def criterion_6_beable_equivariance(p, run):
     """Ensembles track |psi(t)|^2; rates satisfy the defining relation;
     homogeneous noise leaves slice distributions unchanged."""
+    from scipy import stats
+
     h, psi0, _, slices = run(p)
     worst_p = min(s["p_value"] for s in slices)
     chi_ok = worst_p > 0.001

@@ -14,13 +14,14 @@ energy distribution is conserved.  Mean products P_i P_j decay as
 
 Every dynamic k comes from hilbert.energy_spread and passes one guard
 (_strength), so a global energy offset leaves it unchanged and a
-trial's k does not depend on the trials beside it.  The ensemble
-runners observe one stepping loop (_ensemble_walk); it and the single
-trajectory step through one kernel (_collapse_kernel).
+trial's k does not depend on the trials beside it.  Every runner
+observes one walk (_ensemble_walk) through one kernel (_collapse_kernel):
+a trajectory is trial 0 of it, and ensemble_statistics walks all its
+trials at once and sums them in fixed blocks, in block order.
 
 Branches with exactly equal energies are indistinguishable to the
-update and are merged for the draw; their joint probability is shared
-pro rata afterwards.
+update: the walk merges them once, up front, and steps the group
+weights; each member keeps its share of its group's weight.
 """
 
 import math
@@ -37,7 +38,7 @@ from .errors import (
     SuperPlanckianError,
 )
 from .hilbert import EnergySuperposition, energy_spread
-from .seeding import check_seed, trial_rng, trial_rngs
+from .seeding import check_seed, trial_rngs
 
 
 @dataclass(frozen=True)
@@ -137,84 +138,71 @@ def _strength(p, energies, cfg: CollapseConfig, step=None, trials=None):
 
 
 def step_strength(s: EnergySuperposition, cfg: CollapseConfig) -> float:
-    """Per-instant k of a superposition; guards the model's regime k <= 1."""
+    """Per-instant k of a superposition; guards the model's regime k <= 1.
+    A single step has no step or trial index, so its guard names neither."""
     return _strength(s.probabilities, s.energies, cfg)
 
 
-def _energy_groups(energies: np.ndarray):
-    """(group of each branch, first branch of each group): branches with
-    exactly equal energy share a group, numbered in first-seen order."""
+def _energy_groups(s: EnergySuperposition):
+    """(group of each branch, first branch of each group, each branch's
+    share p0 / G0 of its group's weight G0): branches with exactly equal
+    energy share a group, numbered in first-seen order; the members of an
+    empty group have share 0."""
     seen = {}
-    label = np.array([seen.setdefault(float(e), len(seen)) for e in energies])
-    return label, np.unique(label, return_index=True)[1]
-
-
-def _amplitude_step(amps, gp, label, phases, k, u):
-    """One instant on plain arrays; returns (new amplitudes, staying group).
-
-    The group weights gp (label maps each branch to its group) move by the
-    kernel with the uniform u; each member's amplitude scales by
-    sqrt(new / old group weight), so members keep their relative weights,
-    and turns by its phase.  An empty group cannot stay, so no mass is lost.
-    """
-    gp_new = gp.copy()
-    g_stay = int(_collapse_kernel(gp_new[:, None], u, k).argmax())
-    occupied = gp > 0.0
-    scale = np.where(occupied, np.sqrt(gp_new / np.where(occupied, gp, 1.0)), 0.0)
-    return amps * scale[label] * phases, g_stay
+    label = np.array([seen.setdefault(float(e), len(seen)) for e in s.energies])
+    p0 = s.probabilities
+    g0 = np.bincount(label, weights=p0)[label]
+    share = np.divide(p0, g0, out=np.zeros_like(p0), where=g0 > 0.0)
+    return label, np.unique(label, return_index=True)[1], share
 
 
 def collapse_step(s: EnergySuperposition, cfg: CollapseConfig, rng: np.random.Generator):
     """One discrete instant; returns (new state, staying branch index).
 
     Probabilities move by k(delta - P); phases advance by -E_i t_P/hbar.
-    Degenerate branches are merged for the draw and the group's new
-    probability is shared pro rata; the returned index is the first
-    member of the staying group.  Bounds 0 <= P_i <= 1 and sum P = 1
-    hold exactly (to rounding) for any k <= 1.
+    Degenerate branches are merged for the draw: each member's amplitude
+    scales by sqrt(new / old group weight), so members keep their relative
+    weights, and an empty group cannot stay.  The returned index is the
+    first member of the staying group.  Bounds 0 <= P_i <= 1 and sum P = 1
+    hold exactly (to rounding) for any k <= 1.  A guard names no step or
+    trial: a single step has neither.
     """
-    label, first = _energy_groups(s.energies)
+    label, first, _ = _energy_groups(s)
     p = s.probabilities
-    amps, g = _amplitude_step(s.amplitudes, np.bincount(label, weights=p), label,
-                              np.exp(-1j * s.energies * cfg.t_p / cfg.hbar),
-                              _strength(p, s.energies, cfg), rng.random(1))
-    return EnergySuperposition(s.energies, amps), int(first[g])
+    gp = np.bincount(label, weights=p)
+    gp_new = gp.copy()
+    k = _strength(p, s.energies, cfg)
+    g = int(_collapse_kernel(gp_new[:, None], rng.random(1), k).argmax())
+    occupied = gp > 0.0
+    scale = np.where(occupied, np.sqrt(gp_new / np.where(occupied, gp, 1.0)), 0.0)
+    phases = np.exp(-1j * s.energies * cfg.t_p / cfg.hbar)
+    return EnergySuperposition(s.energies, s.amplitudes * scale[label] * phases), int(first[g])
 
 
-def run_trajectory(s0: EnergySuperposition, cfg: CollapseConfig, max_steps: int,
-                   rng: np.random.Generator = None):
-    """Iterate collapse_step until max P_i > 1 - epsilon or max_steps.
+def run_trajectory(s0: EnergySuperposition, cfg: CollapseConfig, max_steps: int):
+    """Step trial 0 of the ensemble walk until max P_i > 1 - epsilon or
+    max_steps.
 
     Returns a dict with the per-step probability history, the staying
     branch of each step, the outcome branch (None if the threshold was
-    not reached) and the step count.  The groups and phases are computed
-    once and the amplitudes stepped as plain arrays; a guard names the
-    step where it fired.
+    not reached) and the step count.  The walk steps the group weights;
+    each member's history is its group's times its share of p0, expanded
+    once at the end.  A guard names the step and trial 0.
     """
     if max_steps < 0:
         raise ContractViolation(f"max_steps must be >= 0, not {max_steps}")
-    rng = trial_rng(cfg.seed, 0) if rng is None else rng
-    label, first = _energy_groups(s0.energies)
-    phases = np.exp(-1j * s0.energies * cfg.t_p / cfg.hbar)
-    amps, p = s0.amplitudes, s0.probabilities
-    history, staying = [p], []
+    groups = label, first, share = _energy_groups(s0)
+    history, staying = [], []
     outcome = None
-    for step in range(max_steps + 1):
-        gp = np.bincount(label, weights=p)
-        g_max = int(gp.argmax())
-        if gp[g_max] > 1.0 - cfg.collapse_epsilon:
-            outcome = int(first[g_max])
+    for step, p, _, stay in _ensemble_walk(s0, cfg, groups, 1, max_steps):
+        history.append(p[:, 0].copy())
+        if stay is not None:
+            staying.append(first[stay.argmax()])
+        if p.max() > 1.0 - cfg.collapse_epsilon:
+            outcome = int(first[p[:, 0].argmax()])
             break
-        if step == max_steps:
-            break
-        k = _strength(p, s0.energies, cfg, step)
-        amps, g = _amplitude_step(amps, gp, label, phases, k, rng.random(1))
-        # |c|^2 can stray one ulp above 1 after a sqrt round trip
-        p = np.minimum(np.abs(amps) ** 2, 1.0)
-        history.append(p)
-        staying.append(first[g])
     return {
-        "probabilities": np.array(history),
+        "probabilities": np.array(history)[:, label] * share,
         "staying": np.array(staying, dtype=np.int64),
         "outcome": outcome,
         "steps": step,
@@ -253,29 +241,35 @@ def _collapse_kernel(p: np.ndarray, u: np.ndarray, k) -> np.ndarray:
     return stay
 
 
-def _ensemble_walk(s0: EnergySuperposition, cfg: CollapseConfig, lo: int, hi: int,
+def _ensemble_walk(s0: EnergySuperposition, cfg: CollapseConfig, groups, n_trials: int,
                    n_steps: int):
-    """Trials lo..hi-1 of s0 stepped as one branch-major array p (m x n_live).
+    """Trials 0..n_trials-1 of s0 stepped as one group-major array p
+    (n_groups x n_live); groups is _energy_groups(s0).
 
-    Yields (step, p, trials) before each step and once more at step
-    n_steps; trials holds the absolute index of each live column, and p
-    is stepped in place once the walk resumes.  The value sent back is a
-    boolean mask of the columns to drop, or None; the walk ends early when
-    no trial is left.  Every trial draws one uniform per step from its own
-    seeded generator (all built by one trial_rngs call), held until the
-    walk ends (about 0.8 KB per trial).
+    Degenerate branches are merged once, up front: p holds the group
+    weights G0 = bincount(label, p0), stepped against the group energies,
+    so for distinct energies p is p0 bit for bit.  Yields (step, p, trials,
+    stay) before each step and once more at step n_steps; trials holds the
+    absolute index of each live column and stay the kernel's stay mask of
+    the previous step (None before the first), and p is stepped in place
+    once the walk resumes.  The value sent back is a boolean mask of the
+    columns to drop, or None; the walk ends early when no trial is left.
+    Every trial draws one uniform per step from its own seeded generator
+    (all built by one trial_rngs call), held until the walk ends (about
+    0.8 KB per trial).
     """
-    trials = np.arange(lo, hi)
-    gens = trial_rngs(cfg.seed, lo, hi)
-    p = np.repeat(s0.probabilities[:, None], hi - lo, axis=1)
-    energies = s0.energies[:, None]
+    label, first, _ = groups
+    trials = np.arange(n_trials)
+    gens = trial_rngs(cfg.seed, 0, n_trials)
+    p = np.repeat(np.bincount(label, weights=s0.probabilities)[:, None], n_trials, axis=1)
+    energies = s0.energies[first][:, None]
     # draws holds a chunk for the trials live when it was drawn; cols maps
     # each live column to its row there (None: row t is column t), so
     # leaving trials copy nothing
-    draws = cols = None
+    draws = cols = stay = None
     b = 0
     for step in range(n_steps + 1):
-        drop = yield step, p, trials
+        drop = yield step, p, trials, stay
         if drop is not None:
             live = ~drop
             # compress keeps p C-ordered; a boolean index would not
@@ -289,10 +283,10 @@ def _ensemble_walk(s0: EnergySuperposition, cfg: CollapseConfig, lo: int, hi: in
             draws = np.empty((trials.size, min(max(DRAW_BUDGET // trials.size, 8), 512,
                                                n_steps - step)))
             for row, t in enumerate(trials.tolist()):
-                gens[t - lo].random(out=draws[row])
+                gens[t].random(out=draws[row])
             cols, b = None, 0
         u = draws[:, b] if cols is None else draws[cols, b]
-        _collapse_kernel(p, u, _strength(p, energies, cfg, step, trials))
+        stay = _collapse_kernel(p, u, _strength(p, energies, cfg, step, trials))
         b += 1
 
 
@@ -302,32 +296,33 @@ def ensemble_statistics(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: 
     proxy) over an ensemble, with standard errors, at every
     slice_stride-th step.
 
-    Trials run in fixed blocks of TRIAL_BLOCK with per-trial seeds, and
-    the sums are accumulated in block order, so the output depends only
-    on the inputs.
+    All trials run as one walk with per-trial seeds.  At each slice the
+    sums are accumulated over blocks of TRIAL_BLOCK trials in block order,
+    so the output depends only on the inputs.  Degenerate branches share
+    their group's weight in proportion to p0.
     """
     if n_trials < 2 or n_steps < 0 or slice_stride < 1:
         raise ContractViolation("need n_trials >= 2, n_steps >= 0, slice_stride >= 1")
     m = s0.n_branches
-    if _energy_groups(s0.energies)[1].size != m:
-        raise ContractViolation("ensemble statistics expects distinct branch energies")
+    groups = label, _, share = _energy_groups(s0)
     ii, jj = np.triu_indices(m, 1)
     pairs = list(zip(ii.tolist(), jj.tolist()))
     slice_steps = sorted(set(range(0, n_steps + 1, slice_stride)) | {n_steps})
     s1, s2 = np.zeros((2, len(slice_steps), m))
     q1, q2 = np.zeros((2, len(slice_steps), len(pairs)))
-    for lo in range(0, n_trials, TRIAL_BLOCK):
-        row = 0
-        for step, p, _ in _ensemble_walk(s0, cfg, lo, min(lo + TRIAL_BLOCK, n_trials),
-                                         n_steps):
-            if step == slice_steps[row]:
-                pt = np.ascontiguousarray(p.T)
-                prods = pt[:, ii] * pt[:, jj]
-                s1[row] += pt.sum(axis=0)
-                s2[row] += (pt**2).sum(axis=0)
-                q1[row] += prods.sum(axis=0)
-                q2[row] += (prods**2).sum(axis=0)
-                row += 1
+    row = 0
+    for step, p, _, _ in _ensemble_walk(s0, cfg, groups, n_trials, n_steps):
+        if step == slice_steps[row]:
+            # C order, so a block's rows sum as a standalone block's would
+            pt = np.ascontiguousarray((p[label] * share[:, None]).T)
+            prods = pt[:, ii] * pt[:, jj]
+            for lo in range(0, n_trials, TRIAL_BLOCK):
+                blk, pp = pt[lo:lo + TRIAL_BLOCK], prods[lo:lo + TRIAL_BLOCK]
+                s1[row] += blk.sum(axis=0)
+                s2[row] += (blk**2).sum(axis=0)
+                q1[row] += pp.sum(axis=0)
+                q2[row] += (pp**2).sum(axis=0)
+            row += 1
     n = float(n_trials)
     mean_p = s1 / n
     var_p = np.maximum(s2 / n - mean_p**2, 0.0) * n / (n - 1.0)
@@ -347,7 +342,8 @@ def ensemble_statistics(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: 
 def ensemble_outcomes(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: int,
                       max_steps: int) -> dict:
     """Outcome branch and steps-to-collapse for each trial.  A trial
-    collapses when max P_i > 1 - epsilon; trials that never cross the
+    collapses when its largest group weight exceeds 1 - epsilon, and its
+    outcome is that group's first branch; trials that never cross the
     threshold report steps = max_steps and outcome -1.
 
     All trials step as one array and each leaves it at the step where it
@@ -357,21 +353,20 @@ def ensemble_outcomes(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: in
     """
     if n_trials < 1 or max_steps < 0:
         raise ContractViolation("need n_trials >= 1 and max_steps >= 0")
-    if _energy_groups(s0.energies)[1].size != s0.n_branches:
-        raise ContractViolation("ensemble outcomes expects distinct branch energies")
+    groups = _, first, _ = _energy_groups(s0)
     threshold = 1.0 - cfg.collapse_epsilon
     outcomes = np.full(n_trials, -1, dtype=np.int64)
     steps_to = np.full(n_trials, max_steps, dtype=np.int64)
-    walk = _ensemble_walk(s0, cfg, 0, n_trials, max_steps)
+    walk = _ensemble_walk(s0, cfg, groups, n_trials, max_steps)
     crossed = None
     while True:
         try:
-            step, p, trials = walk.send(crossed)
+            step, p, trials, _ = walk.send(crossed)
         except StopIteration:
             break
         crossed = p.max(axis=0) > threshold
         if crossed.any():
-            outcomes[trials[crossed]] = p[:, crossed].argmax(axis=0)
+            outcomes[trials[crossed]] = first[p[:, crossed].argmax(axis=0)]
             steps_to[trials[crossed]] = step
         else:
             crossed = None

@@ -114,9 +114,9 @@ class TestStrength:
         p0 = s.probabilities
         seed = next(seed for seed in range(200)
                     if trial_rng(seed, 0).random() * (p0[0] + p0[1]) >= p0[0])
-        with pytest.raises(SuperPlanckianError, match="> 1 at step 1$") as exc:
+        with pytest.raises(SuperPlanckianError, match="> 1 at step 1 of trial 0$") as exc:
             collapse.run_trajectory(s, CollapseConfig(seed=seed), 100)
-        assert (exc.value.step, exc.value.trial) == (1, None)
+        assert (exc.value.step, exc.value.trial) == (1, 0)
 
 
 def reference_step(s, cfg, rng):
@@ -165,6 +165,54 @@ class TestCollapseStepOnKernel:
             assert np.array_equal(ours.probabilities, ref.probabilities)
 
 
+def _trajectory_reference(s0, cfg, max_steps):
+    """run_trajectory written as an amplitude loop on trial 0's stream: the
+    group weights step through the kernel, each member's amplitude scales
+    by sqrt(new / old group weight) and turns by its phase, and
+    P = min(|c|^2, 1).  Returns (P history, staying branches, outcome,
+    steps)."""
+    rng = trial_rng(cfg.seed, 0)
+    seen = {}
+    label = np.array([seen.setdefault(float(e), len(seen)) for e in s0.energies])
+    first = np.unique(label, return_index=True)[1]
+    phases = np.exp(-1j * s0.energies * cfg.t_p / cfg.hbar)
+    amps, p = s0.amplitudes, s0.probabilities
+    history, staying = [p], []
+    outcome = None
+    for step in range(max_steps + 1):
+        gp = np.bincount(label, weights=p)
+        g_max = int(gp.argmax())
+        if gp[g_max] > 1.0 - cfg.collapse_epsilon:
+            outcome = int(first[g_max])
+            break
+        if step == max_steps:
+            break
+        k = collapse._strength(p, s0.energies, cfg, step)
+        gp_new = gp.copy()
+        g = int(collapse._collapse_kernel(gp_new[:, None], rng.random(1), k).argmax())
+        occupied = gp > 0.0
+        scale = np.where(occupied, np.sqrt(gp_new / np.where(occupied, gp, 1.0)), 0.0)
+        amps = amps * scale[label] * phases
+        p = np.minimum(np.abs(amps) ** 2, 1.0)
+        history.append(p)
+        staying.append(first[g])
+    return np.array(history), np.array(staying, dtype=np.int64), outcome, step
+
+
+@st.composite
+def trajectory_cases(draw):
+    m = draw(st.integers(1, 7))
+    energies = draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m, unique=True))
+    if m > 1 and draw(st.booleans()):
+        energies[1] = energies[0]  # a degenerate pair
+    # branch 0 keeps the state normalisable; any other branch may be empty
+    weights = [draw(st.floats(0.01, 1.0))] + draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=m - 1, max_size=m - 1))
+    k0 = draw(st.one_of(st.none(), st.floats(0.05, 0.6)))
+    return (energies, weights, k0, draw(st.sampled_from([1e-6, 1e-2])),
+            draw(st.integers(0, 3000)), draw(st.integers(0, 2**32)))
+
+
 class TestRunTrajectory:
     def test_eigenstate_immediate(self):
         s = hilbert.EnergySuperposition([5.0], [1.0])
@@ -191,21 +239,27 @@ class TestRunTrajectory:
         freq = np.mean(res["outcomes"] == 0)
         assert abs(freq - 0.3) <= 3 * np.sqrt(0.3 * 0.7 / 10_000)
 
-    def test_scalar_matches_vectorized(self):
-        # one column of the ensemble kernel follows the scalar walk (same
-        # uniform stream and update order; agreement to rounding)
-        s = equal_two_level()
-        cfg = CollapseConfig(k_mode="frozen", k0=0.05, seed=8)
-        scalar = collapse.run_trajectory(s, cfg, 50, rng=trial_rng(cfg.seed, 0))
-        u = trial_rng(cfg.seed, 0).random(50)
-        p = s.probabilities[:, None].copy()
-        path = [p[:, 0].copy()]
-        for step in range(50):
-            collapse._collapse_kernel(p, u[step:step + 1], cfg.k0)
-            path.append(p[:, 0].copy())
-        n = min(len(scalar["probabilities"]), len(path))
-        assert np.allclose(np.array(path[:n]), scalar["probabilities"][:n],
-                           atol=1e-13, rtol=0)
+    @given(trajectory_cases())
+    @settings(max_examples=25, deadline=None)
+    # a degenerate pair beside a third branch, dynamic k
+    @example(([0.2, 0.2, 0.7], [0.3, 0.2, 0.5], None, 1e-2, 3000, 15))
+    # an empty branch inside a degenerate pair, frozen k
+    @example(([0.0, 0.5, 0.5, 0.9], [0.4, 0.3, 0.0, 0.3], 0.2, 1e-6, 2000, 16))
+    def test_matches_amplitude_loop(self, case):
+        # the walk steps the group weights where the reference stepped the
+        # amplitudes (P = |c|^2 after a sqrt round trip): the same draws and
+        # staying sequence, P to rounding
+        energies, weights, k0, eps, max_steps, seed = case
+        w = np.asarray(weights) / np.sum(weights)
+        s0 = hilbert.EnergySuperposition(energies, np.sqrt(w))
+        cfg = CollapseConfig(k_mode="dynamic" if k0 is None else "frozen", k0=k0,
+                             collapse_epsilon=eps, seed=seed)
+        out = collapse.run_trajectory(s0, cfg, max_steps)
+        probs, staying, outcome, steps = _trajectory_reference(s0, cfg, max_steps)
+        assert (out["outcome"], out["steps"]) == (outcome, steps)
+        assert np.array_equal(out["staying"], staying)
+        assert out["probabilities"].shape == probs.shape
+        assert np.max(np.abs(out["probabilities"] - probs)) <= 1e-12
 
 
 class TestEnsembleStatistics:
@@ -259,10 +313,13 @@ class TestEnsembleStatistics:
         sums = sum(np.ascontiguousarray(p.T).sum(axis=0) for p in blocks)
         assert np.array_equal(a["mean_p"][-1], sums / 600.0)
 
-    def test_rejects_degenerate_energies(self):
-        s = hilbert.EnergySuperposition([1.0, 1.0], np.sqrt([0.5, 0.5]))
-        with pytest.raises(ContractViolation):
-            collapse.ensemble_statistics(s, CollapseConfig(), 10, 10, 5)
+    def test_degenerate_members_keep_their_ratio(self):
+        # every trial splits the pair's weight as p0 does, so the means do too
+        s = hilbert.EnergySuperposition([0.5, 0.5, 1.0], np.sqrt([0.1, 0.3, 0.6]))
+        cfg = CollapseConfig(k_mode="dynamic", seed=12)
+        res = collapse.ensemble_statistics(s, cfg, 600, 40, 10)
+        ratio = res["mean_p"][:, 0] / res["mean_p"][:, 1]
+        assert np.allclose(ratio, 1.0 / 3.0, rtol=1e-12, atol=0)
 
 
 def reference_outcome(s0, cfg, trial, max_steps):
@@ -353,9 +410,7 @@ class TestEnsembleOutcomes:
 
     @pytest.mark.parametrize("run", STRENGTH_RUNNERS)
     def test_nan_strength_rejected(self, run):
-        # the ensembles name trial 0; the single trajectory has no trial index
-        trial = None if run is STRENGTH_RUNNERS[-1] else 0
-        where = "" if trial is None else f" in trial {trial}"
+        # every runner names trial 0, the single trajectory included
         for energies, weights, value in [
             # the squared deviation overflows: an infinite spread
             ([0.0, 1e200], [0.5, 0.5], "inf"),
@@ -363,9 +418,25 @@ class TestEnsembleOutcomes:
             ([0.0, 1.0, 1e200], [0.5, 0.5, 0.0], "nan"),
         ]:
             s = hilbert.EnergySuperposition(energies, np.sqrt(weights))
-            with pytest.raises(NumericFailure, match=f"is {value}{where}$") as exc:
+            with pytest.raises(NumericFailure, match=f"is {value} in trial 0$") as exc:
                 run(s, CollapseConfig(k_mode="dynamic"))
-            assert (exc.value.step, exc.value.trial) == (0, trial)
+            assert (exc.value.step, exc.value.trial) == (0, 0)
+
+    def test_degenerate_energies_merged(self):
+        # [1, 1, 2] runs as the merged state [1, 2], reporting the pair's first
+        # member; (3/8)^2 + (4/8)^2 = (5/8)^2 exactly, so the pair's weights
+        # sum to the merged weight bit for bit
+        cfg = CollapseConfig(k_mode="dynamic", collapse_epsilon=1e-2, seed=15)
+        rest = math.sqrt(1.0 - 0.625**2)
+        split = hilbert.EnergySuperposition([1.0, 1.0, 2.0], [0.375, 0.5, rest])
+        merged = hilbert.EnergySuperposition([1.0, 2.0], [0.625, rest])
+        assert np.array_equal(np.bincount([0, 0, 1], weights=split.probabilities),
+                              merged.probabilities)
+        res = collapse.ensemble_outcomes(split, cfg, 300, 2000)
+        ref = collapse.ensemble_outcomes(merged, cfg, 300, 2000)
+        assert np.all(ref["outcomes"] >= 0)
+        assert np.array_equal(res["outcomes"], np.array([0, 2])[ref["outcomes"]])
+        assert np.array_equal(res["steps"], ref["steps"])
 
     def test_rejects_empty_ensemble(self):
         with pytest.raises(ContractViolation):

@@ -284,7 +284,7 @@ class TestCliRuns:
                         f"probabilities: [0.97, 0.03]\nseed: {seed}\n")
         assert run_cli("collapse-run", "--scenario", str(path),
                        "--out-dir", str(tmp_path)) == 1
-        assert "SuperPlanckianError): k = dE*t_P/hbar = 1.02 > 1 at step 1\n" in \
+        assert "SuperPlanckianError): k = dE*t_P/hbar = 1.02 > 1 at step 1 of trial 0\n" in \
             capsys.readouterr().err
 
     def test_energy_offset_leaves_ensemble_unchanged(self, tmp_path):
@@ -438,6 +438,12 @@ class TestCliRuns:
         out = subprocess.run([sys.executable, "-m", "rdmsim.cli", "--version"],
                              capture_output=True, text=True)
         assert out.returncode == 0
+
+    def test_import_leaves_scipy_out(self):
+        # scipy is imported only by the two runs that compute a p-value
+        code = "import sys, rdmsim.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0 and out.stdout.strip() == "False", out.stderr
 
 
 # One small valid scenario per subcommand, with every key set so that the
