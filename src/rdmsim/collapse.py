@@ -211,7 +211,7 @@ def run_trajectory(s0: EnergySuperposition, cfg: CollapseConfig, max_steps: int)
 
 
 TRIAL_BLOCK = 256  # ensemble_statistics sums trials in blocks of this size, in order
-DRAW_BUDGET = TRIAL_BLOCK * 512  # uniforms buffered at once, however many trials are live
+DRAW_BUDGET = TRIAL_BLOCK * 2048  # uniforms buffered at once, however many trials are live
 
 
 def _collapse_kernel(p: np.ndarray, u: np.ndarray, k) -> np.ndarray:
@@ -256,16 +256,18 @@ def _ensemble_walk(s0: EnergySuperposition, cfg: CollapseConfig, groups, n_trial
     columns to drop, or None; the walk ends early when no trial is left.
     Every trial draws one uniform per step from its own seeded generator
     (all built by one trial_rngs call), held until the walk ends (about
-    0.8 KB per trial).
+    0.7 KB per trial).  The draws go into one float64 buffer per walk, of
+    at most DRAW_BUDGET entries (4 MiB), or 8 x n_trials where that is more.
     """
     label, first, _ = groups
     trials = np.arange(n_trials)
     gens = trial_rngs(cfg.seed, 0, n_trials)
     p = np.repeat(np.bincount(label, weights=s0.probabilities)[:, None], n_trials, axis=1)
     energies = s0.energies[first][:, None]
-    # draws holds a chunk for the trials live when it was drawn; cols maps
-    # each live column to its row there (None: row t is column t), so
+    # draws views a chunk of buf for the trials live when it was drawn; cols
+    # maps each live column to its row there (None: row t is column t), so
     # leaving trials copy nothing
+    buf = np.empty(max(min(DRAW_BUDGET, n_trials * min(512, n_steps)), 8 * n_trials))
     draws = cols = stay = None
     b = 0
     for step in range(n_steps + 1):
@@ -279,13 +281,15 @@ def _ensemble_walk(s0: EnergySuperposition, cfg: CollapseConfig, groups, n_trial
         if step == n_steps or trials.size == 0:
             return
         if draws is None or b == draws.shape[1]:
-            # DRAW_BUDGET bounds the buffer; a trial's stream does not depend on the chunks
-            draws = np.empty((trials.size, min(max(DRAW_BUDGET // trials.size, 8), 512,
-                                               n_steps - step)))
+            # every entry of the old chunk is consumed; a trial's stream does
+            # not depend on the chunks
+            width = min(max(DRAW_BUDGET // trials.size, 8), 512, n_steps - step)
+            draws = buf[:trials.size * width].reshape(trials.size, width)
             for row, t in enumerate(trials.tolist()):
                 gens[t].random(out=draws[row])
             cols, b = None, 0
-        u = draws[:, b] if cols is None else draws[cols, b]
+        # a strided column, then the gather: faster than draws[cols, b]
+        u = draws[:, b] if cols is None else draws[:, b][cols]
         stay = _collapse_kernel(p, u, _strength(p, energies, cfg, step, trials))
         b += 1
 

@@ -99,13 +99,15 @@ def _seed_words(seeds: np.ndarray) -> np.ndarray:
 
 
 class _Words(ISeedSequence):
-    """A seed sequence that hands PCG64 its precomputed state words."""
+    """A seed sequence that hands PCG64 its precomputed state words once,
+    then drops them: the generator keeps no view of the words array."""
 
     def __init__(self, words):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+        words, self.words = self.words, None
+        return words
 
 
 def trial_rngs(master_seed: int, lo: int, hi: int) -> list:

@@ -313,6 +313,21 @@ class TestEnsembleStatistics:
         sums = sum(np.ascontiguousarray(p.T).sum(axis=0) for p in blocks)
         assert np.array_equal(a["mean_p"][-1], sums / 600.0)
 
+    @pytest.mark.parametrize("k0", [0.02, None])
+    def test_draw_chunking_invariant(self, k0):
+        # 600 trials over 1100 steps: a budget of 64 or 4096 gives the 8-column
+        # floor, 20,000 gives 33 columns and the default the 512 cap, so every
+        # budget refills several times at different steps
+        s = hilbert.EnergySuperposition([0.0, 0.4, 0.5], np.sqrt([0.3, 0.3, 0.4]))
+        cfg = CollapseConfig(k_mode="dynamic" if k0 is None else "frozen", k0=k0,
+                             seed=16)
+        ref = collapse.ensemble_statistics(s, cfg, 600, 1100, 100)
+        for budget in (64, 4096, 20_000):
+            with mock.patch.object(collapse, "DRAW_BUDGET", budget):
+                res = collapse.ensemble_statistics(s, cfg, 600, 1100, 100)
+            for key in ("mean_p", "se_p", "mean_pp", "se_pp"):
+                assert np.array_equal(res[key], ref[key]), (budget, key)
+
     def test_degenerate_members_keep_their_ratio(self):
         # every trial splits the pair's weight as p0 does, so the means do too
         s = hilbert.EnergySuperposition([0.5, 0.5, 1.0], np.sqrt([0.1, 0.3, 0.6]))
@@ -380,6 +395,8 @@ class TestEnsembleOutcomes:
     # frozen k: trials leave the array partway through a 20-step draw chunk
     @example(([0.0, 1.0], [0.5, 0.5], 0.3, 1e-6, 200, 400, 4, 4096))
     @example(([0.0, 1.0], [0.5, 0.5], 0.1, 1e-6, 60, 2000, 5, collapse.DRAW_BUDGET))
+    # the default budget, not the 512 cap, limits 1100 trials to 476-step chunks
+    @example(([0.0, 1.0], [0.5, 0.5], 0.3, 1e-6, 1100, 600, 6, collapse.DRAW_BUDGET))
     # dynamic k (which fades as a trial collapses, hence the wide epsilon)
     # with a chunk refill every 8 steps
     @example(([0.0, 0.3, 0.35, 0.9], [0.4, 0.1, 0.2, 0.3], None, 1e-2, 200, 400, 3, 64))
