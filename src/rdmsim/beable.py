@@ -203,12 +203,12 @@ def _walk(h: HermitianOperator, psi0: ComplexVectorState, sites: np.ndarray, dt:
     step = 0
     for p, _, _, cum in _rate_path(h, psi0, dt, steps, hbar, noise_c):
         for cum_t, p_next in zip(cum, p[1:]):
-            outflow = cum_t[-1][sites]
+            outflow = cum_t[-1].take(sites)
             if outflow.max() >= OUTFLOW_GUARD:
                 raise StepSizeError(f"step {step}: outflow probability {outflow.max():.3f} "
                                     "exceeds the 0.1 guard", step=step)
             u = rng.random(sites.size)
-            jumped = u < outflow
+            jumped = np.flatnonzero(u < outflow)
             sites[jumped] = (u[jumped] >= cum_t[:, sites[jumped]]).sum(axis=0)
             step += 1
             if step % record_every == 0:

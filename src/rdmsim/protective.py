@@ -164,13 +164,19 @@ def zeno_protective_run(setup: ProtectiveSetup) -> dict:
     0.5 flags protection failure in the report (the run still completes).
 
     The factors M(eps)^c are built for a block of distinct impulses at
-    once, on the first half k[0 .. n//2] of the spectrum only.  The
-    rest is their mirror image conjugated, which is exact:
-    2 pi fftfreq gives k[n - j] = -k[j] bit for bit, M(-k) = conj M(k)
-    because the w_a are real, and conj commutes bitwise with the phase
-    products, exp, the sum over a and the integer power.  The rows are
-    multiplied into phi_hat one at a time in ascending eps, so the result
-    does not depend on the block size.
+    once, on the first half k[0 .. n//2] of the spectrum only, and are
+    multiplied one row at a time, in ascending eps, into a two-row
+    accumulator: row 0 is phi_hat[0 .. n//2] and row j of row 1 is
+    conj(phi_hat[n - j]), so one half-spectrum row serves both halves.
+    This equals multiplying the full spectrum bit for bit: 2 pi fftfreq
+    gives k[n - j] = -k[j], M(-k) = conj M(k) because the w_a are real,
+    conj commutes bitwise with the phase products, exp, the sum over a
+    and the integer power, and conj(conj(x) r) = x conj(r) in IEEE
+    arithmetic.  A term with a = 0 adds w to M without an exp, which is
+    exact because exp(+-0 +- 0i) = 1 +- 0i and w (1 +- 0i) = w + 0i.
+    Rows of multiplicity 1 skip the power, which returns its base
+    unchanged for an exponent of 1.  The result does not depend on the
+    block size.
     """
     evals, evecs = np.linalg.eigh(setup.observable.matrix)
     psi_eig = evecs.conj().T @ setup.system.amplitudes
@@ -181,21 +187,27 @@ def zeno_protective_run(setup: ProtectiveSetup) -> dict:
 
     grid = setup.pointer.grid
     half = grid.n // 2 + 1
+    tail = grid.n - half  # k[n - j] == -k[j] for j = 1 .. tail
     k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)[:half]
-    mirror = np.arange(grid.n - half, 0, -1)  # k[half:] == -k[mirror]
     phi_hat = np.fft.fft(grid.samples)
+    acc = np.zeros((2, half), dtype=phi_hat.dtype)
+    acc[0] = phi_hat[:half]
+    acc[1, tail:0:-1] = np.conj(phi_hat[half:])
     terms = [(a, w) for a, w in zip(evals, weights) if w != 0.0]
     eps, counts = np.unique(setup.coupling_weights(), return_counts=True)
     rows = max(1, _ZENO_BLOCK_ELEMENTS // half)
     for lo in range(0, eps.size, rows):
         phase = -1j * k * eps[lo:lo + rows, None]
-        mixer = np.zeros_like(phase)
+        factor = np.zeros_like(phase)
         for a, w in terms:
-            mixer += w * np.exp(phase * a)
-        factor = mixer ** counts[lo:lo + rows, None]
-        factors = np.concatenate((factor, np.conj(factor[:, mirror])), axis=1)
-        for row in factors:
-            phi_hat *= row
+            factor += w if a == 0.0 else w * np.exp(phase * a)
+        c = counts[lo:lo + rows]
+        repeated = c != 1
+        factor[repeated] = factor[repeated] ** c[repeated, None]
+        for row in factor:
+            acc *= row
+    phi_hat[:half] = acc[0]
+    phi_hat[half:] = np.conj(acc[1, tail:0:-1])
     survival = float(np.sum(np.abs(phi_hat) ** 2) * grid.dx / grid.n)
     phi_hat /= np.sqrt(survival)
     samples = np.fft.ifft(phi_hat)

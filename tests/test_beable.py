@@ -437,3 +437,43 @@ class TestRatePathParity:
         with pytest.raises(error):
             beable.ensemble_jump_run(h, psi0, case["n_traj"], case["dt"], case["steps"],
                                      seed=case["seed"], noise_c=case["noise_c"])
+
+
+def walk_reference(h, psi0, sites, dt, steps, rng, hbar, noise_c, record_every):
+    """The walk loop that selected its jumpers with boolean masks."""
+    rec = [(sites.copy(), np.abs(psi0.amplitudes) ** 2)]
+    step = 0
+    for p, _, _, cum in beable._rate_path(h, psi0, dt, steps, hbar, noise_c):
+        for cum_t, p_next in zip(cum, p[1:]):
+            outflow = cum_t[-1][sites]
+            if outflow.max() >= beable.OUTFLOW_GUARD:
+                raise StepSizeError(f"step {step}: outflow probability {outflow.max():.3f} "
+                                    "exceeds the 0.1 guard", step=step)
+            u = rng.random(sites.size)
+            jumped = u < outflow
+            sites[jumped] = (u[jumped] >= cum_t[:, sites[jumped]]).sum(axis=0)
+            step += 1
+            if step % record_every == 0:
+                rec.append((sites.copy(), p_next))
+    rec_sites, rec_p = map(np.array, zip(*rec))
+    return np.arange(len(rec)) * record_every, rec_sites, rec_p
+
+
+class TestWalkParity:
+    """Both runners give the mask loop's exact recorded steps, sites and P."""
+
+    @pytest.mark.parametrize("noise_c", [0.0, 0.1])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_matches_mask_loop(self, dim, noise_c):
+        h, psi0 = rand_pair(np.random.Generator(np.random.PCG64(40 + dim)), dim)
+        common = dict(dt=0.002, steps=1500, seed=dim, noise_c=noise_c)
+        runs = [lambda: beable.ensemble_jump_run(h, psi0, 400, record_every=7, **common),
+                lambda: beable.jump_trajectory(h, psi0, 0, **common)]
+        for run in runs:
+            got = outcome(run)
+            with mock.patch.object(beable, "_walk", walk_reference):
+                want = outcome(run)
+            assert got[0] == "ok"
+            assert_same_outcome(got, want)
+        sites = got[1][0]
+        assert len(np.unique(sites)) > 1  # the trajectory jumped

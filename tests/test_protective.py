@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdmsim import cli, hilbert, protective, schrodinger as sch
@@ -151,6 +151,15 @@ def zeno_setups(draw):
         g_profile=draw(st.sampled_from(protective.G_PROFILES)))
 
 
+def _zeno_example(evals, n_projections, profile, pointer_state):
+    """The state (1, 1, ...) / sqrt(dim) on diag(evals)."""
+    dim = len(evals)
+    return protective.ProtectiveSetup(
+        hilbert.ComplexVectorState(np.ones(dim) / np.sqrt(dim)),
+        hilbert.HermitianOperator(np.diag(evals)), n_projections, 1.0, pointer_state,
+        g_profile=profile)
+
+
 class TestZenoRun:
     @settings(max_examples=20, deadline=None)
     @given(dim=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
@@ -169,6 +178,15 @@ class TestZenoRun:
 
     @settings(max_examples=30, deadline=None)
     @given(setup=zeno_setups())
+    # eigh sorts diag(1, 0) to a zero eigenvalue first; n // 2 even
+    @example(setup=_zeno_example([1.0, 0.0], 40, "triangular", pointer(8.0, 64, 120.0)))
+    # a zero eigenvalue after a negative one; the power goes through cpow; n // 2 odd
+    @example(setup=_zeno_example([-1.0, 0.0], 200, "constant", pointer(8.0, 66, 120.0)))
+    # no zero eigenvalue, with and without cpow; n // 2 odd and even
+    @example(setup=_zeno_example([0.5, -0.25], 400, "triangular", pointer(8.0, 130, 120.0)))
+    @example(setup=_zeno_example([2.0, 1.0], 100, "constant", pointer(8.0, 128, 120.0)))
+    # the benchmark's triangular job on its 512-point pointer
+    @example(setup=_zeno_example([1.0, 0.0], 10_000, "triangular", pointer()))
     def test_half_spectrum_bitwise_equal_to_full_spectrum(self, setup):
         samples, survival = _zeno_per_impulse_reference(setup)
         out = protective.zeno_protective_run(setup)
