@@ -208,13 +208,19 @@ def _parse(schema: dict, values, path: str = "") -> dict:
 # The handlers of scenarios that feed an acceptance criterion are split:
 # the computation (in COMPUTE) and the cmd_* function that writes it.
 
+def _one_of(p, a, b):
+    """Whichever of the keys a and b the scenario sets; it must set exactly one."""
+    given = [key for key in (a, b) if p[key] is not None]
+    if len(given) != 1:
+        raise ScenarioError(f"give {a!r} or {b!r}, not {'both' if given else 'neither'}")
+    return given[0]
+
+
 def rdm_sample(p):
-    if p["weights"] is not None:
+    if _one_of(p, "weights", "two_box") == "weights":
         weights = p["weights"]
-    elif p["two_box"] is not None:
-        weights = np.array([p["two_box"]["a_sq"], 1.0 - p["two_box"]["a_sq"]])
     else:
-        raise ScenarioError("need 'weights' or 'two_box'")
+        weights = np.array([p["two_box"]["a_sq"], 1.0 - p["two_box"]["a_sq"]])
     return rdm.sample_stays(weights, p["n"], seed=p["seed"], dt_instant=p["dt_instant"])
 
 
@@ -287,12 +293,10 @@ def cmd_beable_run(p, ctx):
 
 def _collapse_setup(p):
     """Initial superposition and config of the two collapse subcommands."""
-    if p["amplitudes"] is not None:
+    if _one_of(p, "amplitudes", "probabilities") == "amplitudes":
         amps = p["amplitudes"]
-    elif p["probabilities"] is not None:
-        amps = np.sqrt(p["probabilities"])
     else:
-        raise ScenarioError("need 'amplitudes' or 'probabilities'")
+        amps = np.sqrt(p["probabilities"])
     units = CollapseConfig.physical if p["units"] == "physical" else CollapseConfig
     cfg = units(k_mode=p["k_mode"], k0=p["k0"], collapse_epsilon=p["collapse_epsilon"],
                 seed=p["seed"])
@@ -440,13 +444,15 @@ def cmd_verify(p, ctx):
     wanted = None if p["criteria"] is None else set(p["criteria"])
     if wanted is not None and not wanted <= set(by_id):
         raise ScenarioError(f"unknown criteria in {p['criteria']}")
+    if wanted == set():
+        raise ScenarioError("'criteria' is empty; omit it to run the seeding suite")
     if wanted is not None and (p["pack"] or ctx["pack"]):
         raise ScenarioError("the pack runs every criterion; give 'criteria' or the pack, not both")
     lines = []
     all_ok = True
     results = {}
     if wanted is None:
-        results = verify.run_suites(str(ctx["out_dir"]))
+        results = verify.run_suites()
         for suite, checks in results.items():
             n_ok = sum(1 for _, ok, _ in checks if ok)
             all_ok &= n_ok == len(checks)

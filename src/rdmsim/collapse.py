@@ -47,7 +47,8 @@ class CollapseConfig:
 
     k_mode "dynamic" recomputes k = dE(t) * t_p / hbar each instant;
     "frozen" uses the constant k0 (the off-diagonal decay law is exact
-    in that mode); dynamic k always uses the one-body spread dE.
+    in that mode); dynamic k always uses the one-body spread dE, and
+    dynamic mode rejects a k0 rather than ignore it.
     Collapse is declared at max P_i > 1 - epsilon.  seed is the master
     seed of the trial streams, an integer (not a bool) in [0, 2^64).
     """
@@ -66,6 +67,9 @@ class CollapseConfig:
         if self.k_mode == "frozen":
             if self.k0 is None or not 0.0 <= self.k0 <= 1.0:
                 raise ContractViolation("frozen mode needs 0 <= k0 <= 1")
+        elif self.k0 is not None:
+            raise ContractViolation("k0 is ignored with k_mode 'dynamic'; drop k0 or "
+                                    "set k_mode to 'frozen'")
         if not all(math.isfinite(v) and v > 0 for v in (self.t_p, self.hbar, self.c)):
             raise ContractViolation("t_p, hbar and c must be positive and finite")
         if not 0.0 < self.collapse_epsilon < 1.0:

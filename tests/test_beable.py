@@ -99,9 +99,10 @@ class TestBellRates:
             if p.min() < 1e-6:
                 continue
             j = beable.probability_current(h, psi)
-            t = beable.bell_transition_rates(j, p)
-            rhs = t.rates * p[None, :] - t.rates.T * p[:, None]
-            worst = max(worst, float(np.max(np.abs(j - rhs))))
+            for c in (0.0, 1.0):  # the homogeneous noise keeps the relation
+                t = beable.add_homogeneous_noise(beable.bell_transition_rates(j, p), p, c)
+                rhs = t.rates * p[None, :] - t.rates.T * p[:, None]
+                worst = max(worst, float(np.max(np.abs(j - rhs))))
         assert worst < 1e-10
 
     def test_occupation_floor(self):
@@ -167,10 +168,13 @@ class TestMasterEquation:
 
     def test_conservation(self):
         rng = np.random.Generator(np.random.PCG64(5))
+        cases = [(np.array([0.25, 0.375, 0.375]),
+                  np.array([[0, 2.0, 0], [1.0, 0, 0.5], [0, 1.5, 0]]))]
         for _ in range(50):
             p = rng.random(5)
-            p /= p.sum()
-            t = beable.TransitionRateMatrix(rng.random((5, 5)))
+            cases.append((p / p.sum(), rng.random((5, 5))))
+        for p, rates in cases:
+            t = beable.TransitionRateMatrix(rates)
             p2 = beable.master_equation_step(p, t, 0.01)
             assert abs(p2.sum() - 1.0) < 1e-14
             assert np.all(p2 >= 0)
@@ -187,6 +191,11 @@ class TestJumpTrajectory:
         psi = hilbert.ComplexVectorState(np.array([1.0, -1.0]) / np.sqrt(2))
         traj = beable.jump_trajectory(h, psi, 1, 0.01, 500, seed=6)
         assert np.all(traj.stays == 1)
+        # a diagonal H carries no current, even from a superposition
+        h = hilbert.HermitianOperator([[1.0, 0.0], [0.0, 2.0]])
+        psi = hilbert.ComplexVectorState([0.6, 0.8])
+        traj = beable.jump_trajectory(h, psi, 0, 0.01, 200, seed=5)
+        assert np.all(traj.stays == 0)
 
     def test_reproducible(self):
         h, psi = TWO_SITE_H, hilbert.ComplexVectorState(np.sqrt([0.7, 0.3]))

@@ -36,15 +36,20 @@ class TestCollapseStep:
         assert found
 
     def test_bounds_and_sum(self):
-        cfg = CollapseConfig(k_mode="frozen", k0=0.3)
+        # frozen k on three branches, then dynamic k on five equal ones
+        # (dE = 0.71 keeps k inside the k <= 1 regime)
         rng = trial_rng(2, 0)
-        s = hilbert.EnergySuperposition([0.0, 0.4, 0.9],
-                                        np.sqrt([0.2, 0.5, 0.3]))
-        for _ in range(300):
-            s, _ = collapse.collapse_step(s, cfg, rng)
-            p = s.probabilities
-            assert np.all(p >= 0.0) and np.all(p <= 1.0)
-            assert abs(p.sum() - 1.0) < 1e-14
+        for cfg, s, steps in (
+                (CollapseConfig(k_mode="frozen", k0=0.3),
+                 hilbert.EnergySuperposition([0.0, 0.4, 0.9], np.sqrt([0.2, 0.5, 0.3])), 300),
+                (CollapseConfig(),
+                 hilbert.EnergySuperposition(0.5 * np.arange(5.0), np.sqrt(np.full(5, 0.2))),
+                 500)):
+            for _ in range(steps):
+                s, _ = collapse.collapse_step(s, cfg, rng)
+                p = s.probabilities
+                assert np.all(p >= 0.0) and np.all(p <= 1.0)
+                assert abs(p.sum() - 1.0) < 1e-14
 
     def test_martingale_identity(self):
         # summing over the staying draw, E[P'] = P exactly
@@ -532,13 +537,13 @@ class TestScaleInvariance:
         rng = np.random.Generator(np.random.PCG64(12))
         s = hilbert.EnergySuperposition(0.25 * np.arange(8.0),
                                         np.sqrt(np.full(8, 0.125)))
-        for _ in range(50):
-            perm = rng.permutation(8)
-            cut = int(rng.integers(1, 8))
-            grouping = [perm[:cut], perm[cut:]]
-            stay = int(rng.integers(0, 8))
-            assert collapse.scale_invariance_check(
-                s, CollapseConfig(), grouping, stay)["passed"]
+        for n_groups in (2, 3):
+            for _ in range(50):
+                perm = rng.permutation(8)
+                cuts = np.sort(rng.choice(np.arange(1, 8), size=n_groups - 1, replace=False))
+                stay = int(rng.integers(0, 8))
+                assert collapse.scale_invariance_check(
+                    s, CollapseConfig(), np.split(perm, cuts), stay)["passed"]
 
     def test_invalid_partition(self):
         s = equal_two_level()

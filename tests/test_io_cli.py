@@ -42,7 +42,7 @@ class TestSeeding:
         assert derive_seed(7, 0) != derive_seed(7, 1)
 
     def test_verify_suite(self):
-        checks = verify.suite_seeding(None)
+        checks = verify.suite_seeding()
         assert [name for name, _, _ in checks] == [
             "10k derived seeds distinct",
             "vectorised trial generators match PCG64(derive_seed)"]
@@ -176,49 +176,62 @@ class TestCliRuns:
         assert run_cli("rdm-sample", "--scenario", str(path),
                        "--out-dir", str(tmp_path)) == 1
 
-    @pytest.mark.parametrize("subcommand, body, extra", [
+    @pytest.mark.parametrize("subcommand, body, extra, expect", [
         ("collapse-ensemble", "energies: [0.0, 1.0]\nprobabilities: [0.5, 0.5]\n"
-                              "k_mode: frozen\nk0: 0.1\nn_trials: abc\n", ()),
+                              "k_mode: frozen\nk0: 0.1\nn_trials: abc\n", (), "ScenarioError"),
         ("collapse-run", "energies: [0.0, 1.0]\nprobabilities: [0.5, 0.5]\n"
-                         "max_steps: [1]\n", ()),
-        ("rdm-sample", "two_box: {}\nn: 10\nseed: 0\n", ()),
-        ("rdm-sample", "two_box: 0.3\nn: 10\nseed: 0\n", ()),
-        ("rdm-sample", "weights: [0.5, 0.5]\nn: abc\nseed: 0\n", ()),
-        ("frames-analyze", "a_sq: abc\nn: 10\nseed: 0\nv: 0.5\n", ()),
-        ("tau-c", "entries: 5\n", ()),
-        ("tomography", "state: 5\nn_regions: 16\n", ()),
-        ("verify", "criteria: 5\n", ()),
-        ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: 0\nbinary: 'no'\n", ()),
+                         "max_steps: [1]\n", (), "ScenarioError"),
+        ("rdm-sample", "two_box: {}\nn: 10\nseed: 0\n", (), "ScenarioError"),
+        ("rdm-sample", "two_box: 0.3\nn: 10\nseed: 0\n", (), "ScenarioError"),
+        ("rdm-sample", "weights: [0.5, 0.5]\nn: abc\nseed: 0\n", (), "ScenarioError"),
+        ("frames-analyze", "a_sq: abc\nn: 10\nseed: 0\nv: 0.5\n", (), "ScenarioError"),
+        ("tau-c", "entries: 5\n", (), "ScenarioError"),
+        ("tomography", "state: 5\nn_regions: 16\n", (), "ScenarioError"),
+        ("verify", "criteria: 5\n", (), "ScenarioError"),
+        ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: 0\nbinary: 'no'\n", (),
+         "ScenarioError"),
         ("collapse-run", "energies: [0.0, 1.0]\nprobabilities: [0.5, 0.5]\n"
-                         "units: bogus\n", ()),
+                         "units: bogus\n", (), "ScenarioError"),
         ("collapse-ensemble", "energies: [0.0, 1.0]\nprobabilities: [0.5, 0.5]\n"
-                              "delta_e_reducer: linear-sum\n", ()),
+                              "delta_e_reducer: linear-sum\n", (), "ScenarioError"),
         ("beable-run", "hamiltonian: [[0.0, -1.0], [-1.0, 0.0]]\npsi0: [0.6, 0.8]\n"
                        "dt: 0.01\nsteps: 10\nseed: 0\n"
-                       "ensemble: {n_traj: 10, foo: 1}\n", ()),
-        ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: -1\n", ()),
-        ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: 0\n", ("--seed", "-1")),
-        ("tau-c", "entries: [{name: x, delta_e_ev: 1.0}]\n", ("--seed", "5")),
+                       "ensemble: {n_traj: 10, foo: 1}\n", (), "ScenarioError"),
+        ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: -1\n", (), "ScenarioError"),
+        ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: 0\n", ("--seed", "-1"),
+         "ScenarioError"),
+        ("tau-c", "entries: [{name: x, delta_e_ev: 1.0}]\n", ("--seed", "5"), "ScenarioError"),
         ("protect-run", "psi: [0.6, 0.8]\nobservable: [[1.0, 0.0], [0.0, 0.0]]\n"
                         "n_projections: 10\ntau: 1.0\n"
                         "pointer: {x_min: -20.0, dx: 0.5, n: 80, w0: 2.0}\n",
-         ("--format", "json")),
+         ("--format", "json"), "ScenarioError"),
         ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: 0\nbinary: true\n",
-         ("--format", "json")),
-        ("verify", "criteria: [9]\npack: true\n", ()),
-        ("verify", "criteria: [9]\n", ("--pack",)),
+         ("--format", "json"), "ScenarioError"),
+        ("verify", "criteria: [9]\npack: true\n", (), "ScenarioError"),
+        ("verify", "criteria: [9]\n", ("--pack",), "ScenarioError"),
+        ("verify", "criteria: []\n", (), "error (ScenarioError): 'criteria' is empty"),
+        ("collapse-run", "energies: [0.0, 1.0]\namplitudes: [0.6, 0.8]\n"
+                         "probabilities: [0.36, 0.64]\n", (),
+         "error (ScenarioError): give 'amplitudes' or 'probabilities', not both"),
+        ("rdm-sample", "weights: [0.5, 0.5]\ntwo_box: {a_sq: 0.3}\nn: 10\nseed: 0\n", (),
+         "error (ScenarioError): give 'weights' or 'two_box', not both"),
+        ("collapse-run", "energies: [0.0, 1.0]\nprobabilities: [0.5, 0.5]\n"
+                         "k_mode: dynamic\nk0: 0.1\n", (),
+         "error (ContractViolation): k0 is ignored with k_mode 'dynamic'"),
     ], ids=["n-trials-abc", "max-steps-list", "two-box-empty", "two-box-number",
             "n-abc", "a-sq-abc", "entries-number", "state-number", "criteria-number",
             "binary-string", "units-bogus", "delta-e-reducer", "ensemble-unknown-key",
             "seed-negative", "seed-override-negative", "seed-without-seed-key",
             "format-not-read", "binary-with-json", "pack-key-with-criteria",
-            "pack-flag-with-criteria"])
-    def test_malformed_value_exits_1(self, tmp_path, capsys, subcommand, body, extra):
+            "pack-flag-with-criteria", "criteria-empty", "amplitudes-with-probabilities",
+            "weights-with-two-box", "k0-with-dynamic-k"])
+    def test_malformed_value_exits_1(self, tmp_path, capsys, subcommand, body, extra,
+                                     expect):
         path = tmp_path / "s.yaml"
         path.write_text(f"subcommand: {subcommand}\n{body}")
         assert run_cli(subcommand, "--scenario", str(path),
                        "--out-dir", str(tmp_path), *extra) == 1
-        assert "ScenarioError" in capsys.readouterr().err
+        assert expect in capsys.readouterr().err
 
     @pytest.mark.parametrize("subcommand, body, name", [
         ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: 0\ndt_instant: -1\n",
@@ -517,8 +530,6 @@ FUZZ_CASES = [(sub, path, junk) for sub, sc in SMALL_SCENARIOS.items()
 class TestScenarioFuzz:
     def test_small_scenarios_run(self, tmp_path):
         for sub, sc in SMALL_SCENARIOS.items():
-            if sub == "verify":
-                continue  # its built-in suites take a third of a second
             path = tmp_path / f"{sub}.yaml"
             path.write_text(yaml.safe_dump({"subcommand": sub, **sc}))
             assert run_cli(sub, "--scenario", str(path),

@@ -124,9 +124,11 @@ class TestEvolveGrid:
     def test_norm_drift_over_ten_thousand_steps(self):
         g = gaussian(n=256, sigma=2.0, momentum=0.5)
         v = 0.3 * np.cos(2 * np.pi * g.x / g.length)
-        out = sch.evolve_grid(g, v, 0.01, 10_000)
-        norm = out.dx * np.sum(np.abs(out.samples) ** 2)
-        assert abs(norm - 1.0) < 1e-7
+        drift = 0.0
+        for _ in range(100):
+            g = sch.evolve_grid(g, v, 0.01, 100)
+            drift = max(drift, abs(g.dx * np.sum(np.abs(g.samples) ** 2) - 1.0))
+        assert drift < 1e-7
 
 
 class TestDensities:

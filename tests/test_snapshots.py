@@ -36,6 +36,9 @@ class TestVerifyCli:
     def test_plain_verify_is_green(self, tmp_path):
         assert cli.main(["verify", "--out-dir", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert list(report["suites"]) == ["seeding"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "manifest.json", "verify_report.json"]
         checks = [c for suite in report["suites"].values() for c in suite]
         assert checks and all(c["ok"] is True for c in checks), \
             [c for c in checks if c["ok"] is not True]
