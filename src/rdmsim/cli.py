@@ -14,6 +14,7 @@ Exit codes: 0 ok, 1 contract violation (bad scenario / precondition),
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -537,6 +538,7 @@ class _Parser(argparse.ArgumentParser):
         raise ScenarioError(message)
 
 
+@functools.cache  # parse_args keeps no state, and building costs ~2 ms
 def build_parser() -> _Parser:
     parser = _Parser(prog="rdmsim", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)

@@ -37,7 +37,7 @@ from .errors import (
     NumericFailure,
     SuperPlanckianError,
 )
-from .hilbert import EnergySuperposition, energy_spread
+from .hilbert import EnergySuperposition, energy_spread, running_sum
 from .seeding import check_seed, trial_rngs
 
 
@@ -222,19 +222,15 @@ def _collapse_kernel(p: np.ndarray, u: np.ndarray, k) -> np.ndarray:
     """One instant for every column of the branch-major matrix p (m x n_live),
     in place; returns the stay mask (True at row s of column t).
 
-    Column t stays in branch s, the number of sequential cumulative sums
-    cum_j with u[t] * cum_{m-1} >= cum_j; then P <- P - kP, P += k on row s
-    (an exact +0.0 elsewhere), min(P, 1) against rounding overshoot.  k is
+    Column t stays in branch s, the number of running sums cum_j with
+    u[t] * cum_{m-1} >= cum_j; then P <- P - kP, P += k on row s (an
+    exact +0.0 elsewhere), min(P, 1) against rounding overshoot.  k is
     one value for all columns or one per column.  A column goes through the
     same IEEE operations whatever other columns share the array,
     collapse_step's single column included.
     """
-    # one add per row over all columns: np.add.accumulate(p, axis=0) gives the
-    # same bits but walks the columns one by one, 14x slower at 6,000 columns
-    cum = np.empty_like(p)
-    cum[0] = p[0]
-    for j in range(1, len(p)):
-        np.add(cum[j - 1], p[j], out=cum[j])
+    # one accumulate up to NARROW_COLUMNS live columns, else one add per row
+    cum = running_sum(p)
     passed = u * cum[-1] >= cum
     # cum is nondecreasing down a column, so s = j where u passes cum_{j-1} but not cum_j
     stay = ~passed

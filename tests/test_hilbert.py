@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdmsim import hilbert
@@ -97,6 +97,21 @@ class TestEnergyUncertainty:
     def test_degenerate_branches_have_zero_spread(self):
         s = hilbert.EnergySuperposition([2.0, 2.0], np.sqrt([0.3, 0.7]))
         assert hilbert.energy_uncertainty(s) == pytest.approx(0.0, abs=1e-15)
+
+
+class TestRunningSum:
+    @given(st.integers(1, 10), st.integers(1, 200), st.integers(0, 2**32 - 1))
+    @example(m=10, n=1, seed=0)  # one column: a trajectory's width
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_row_loop(self, m, n, seed):
+        gen = np.random.Generator(np.random.PCG64(seed))
+        # magnitudes over 16 decades, so that the order of the adds shows in the bits
+        x = gen.standard_normal((m, n)) * 10.0 ** gen.integers(-8, 9, (m, n))
+        ref = x.copy()
+        for j in range(1, m):
+            ref[j] = ref[j - 1] + x[j]
+        assert hilbert.running_sum(x).tobytes() == ref.tobytes()
+        assert hilbert.running_sum(x[:, 0]).tobytes() == ref[:, 0].tobytes()
 
 
 class TestTypeInvariants:

@@ -1,12 +1,14 @@
 import copy
+import csv
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rdmsim import cli, io, rdm, verify
@@ -130,6 +132,83 @@ class TestBinaryTrajectory:
         path.write_bytes(b"NOPE" + b"\0" * 40)
         with pytest.raises(ScenarioError):
             io.read_trajectory_binary(path)
+
+    @pytest.mark.parametrize("keep", [0, 4, 34])
+    def test_truncated_header_rejected(self, tmp_path, keep):
+        path = tmp_path / "run.rdmt"
+        io.write_trajectory_binary(path, rdm.sample_stays([0.3, 0.7], 5, seed=5))
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ScenarioError, match="truncated"):
+            io.read_trajectory_binary(path)
+
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_truncated_body_rejected(self, tmp_path, paired):
+        spec = [(0.4, (0.0, 1.0), (5.0, 6.0)), (0.6, (2.0, 3.0), (7.0, 8.0))]
+        traj = (rdm.sample_entangled_stays(spec, 5, seed=6) if paired
+                else rdm.sample_stays([0.3, 0.7], 5, seed=5))
+        path = tmp_path / "run.rdmt"
+        io.write_trajectory_binary(path, traj)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ScenarioError, match="truncated"):
+            io.read_trajectory_binary(path)
+
+
+def csv_module_writer(path, columns, header_comments=()):
+    """write_csv as it was written with the csv module: the byte reference."""
+    names = list(columns)
+    rows = zip(*(np.asarray(columns[n]).tolist() for n in names))
+    with open(path, "w", newline="") as fh:
+        for line in header_comments:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        writer.writerows(rows)
+
+
+CSV_TEXT = st.text(st.sampled_from(list('ab ,"\r\n\t\xe9')), max_size=5)
+CSV_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                                        1e16, 1e-5, 0.1]), st.floats())
+CSV_CELLS = [st.integers(-2**63, 2**63 - 1), CSV_FLOATS, st.booleans(), CSV_TEXT]
+
+
+@st.composite
+def csv_tables(draw):
+    names = draw(st.lists(CSV_TEXT, min_size=1, max_size=4, unique=True))
+    n_rows = draw(st.integers(0, 7))
+    return {name: draw(st.lists(draw(st.sampled_from(CSV_CELLS)), min_size=n_rows,
+                                max_size=n_rows))
+            for name in names}
+
+
+class TestWriteCsv:
+    @given(csv_tables(), st.sampled_from([1, 2, 3, io.CSV_BLOCK_ROWS]))
+    @example({"i": [-2**63, -1, 0, 2**63 - 1, 7, 8, 9, 10, 11],
+              "x": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1, 1.5],
+              "b": [True, False] * 4 + [True],
+              "s": ["", ",", '"', "\r", "\n", "a b", 'x"y,z', "\xe9", ""]}, 2)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_of_the_csv_module(self, tmp_path, monkeypatch, table, block):
+        monkeypatch.setattr(io, "CSV_BLOCK_ROWS", block)  # small blocks: several per table
+        io.write_csv(tmp_path / "new.csv", table, header_comments=["k=v"])
+        csv_module_writer(tmp_path / "ref.csv", table, header_comments=["k=v"])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_longer_than_one_block(self, tmp_path):
+        n = 2 * io.CSV_BLOCK_ROWS + 1
+        table = {"i": np.arange(n) - 2**62, "x": np.linspace(-1.0, 1e16, n),
+                 "b": np.arange(n) % 3 == 0, "s": np.array(["", "a,b", 'q"'] * n)[:n]}
+        io.write_csv(tmp_path / "new.csv", table)
+        csv_module_writer(tmp_path / "ref.csv", table)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_tau_c_quotes_a_name(self, tmp_path):
+        path = tmp_path / "s.yaml"
+        path.write_text(yaml.safe_dump({"subcommand": "tau-c", "entries": [
+            {"name": 'a, b "q"', "delta_e_ev": 1.0, "quoted_target_s": 1.0}]}))
+        assert run_cli("tau-c", "--scenario", str(path), "--out-dir", str(tmp_path)) == 0
+        row = (tmp_path / "tau_c.csv").read_bytes().split(b"\r\n")[1]
+        assert row == b'"a, b ""q""",1.0,8036043984000.873,1.0'
 
 
 class TestScenarioLoading:
@@ -366,6 +445,19 @@ class TestCliRuns:
                        "--out-dir", str(out2)) == 0
         assert (out1 / "collapse_ensemble.json").read_bytes() == \
                (out2 / "collapse_ensemble.json").read_bytes()
+
+    def test_consecutive_calls_share_no_state(self, tmp_path):
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text("subcommand: rdm-sample\nn: 20\nseed: 1\nweights: [0.5, 0.5]\n")
+        runs = [("json", "--format", "json", "--seed", "5"), ("plain",)]
+        for name, *extra in runs:
+            assert run_cli("rdm-sample", "--scenario", str(scenario),
+                           "--out-dir", str(tmp_path / name), *extra) == 0
+        assert not (tmp_path / "json" / "stays.csv").exists()
+        assert (tmp_path / "plain" / "stays.csv").exists()
+        seeds = [json.loads((tmp_path / name / "manifest.json").read_text())["seed_override"]
+                 for name, *_ in runs]
+        assert seeds == [5, None]
 
     def test_seed_override_changes_data(self, tmp_path):
         scenario = tmp_path / "s.yaml"
