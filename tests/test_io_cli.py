@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import math
+import shutil
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from rdmsim import cli, io, rdm, verify
 from rdmsim.errors import ContractViolation, ScenarioError
@@ -297,13 +299,19 @@ class TestCliRuns:
         ("collapse-run", "energies: [0.0, 1.0]\nprobabilities: [0.5, 0.5]\n"
                          "k_mode: dynamic\nk0: 0.1\n", (),
          "error (ContractViolation): k0 is ignored with k_mode 'dynamic'"),
+        ("rdm-sample", "weights: [0.5, 0.5]\nn: 100000000000000000000000000000\nseed: 0\n",
+         (), "error (ScenarioError): bad value for 'n': expected an integer in"),
+        ("collapse-ensemble", "energies: [0.0, 1.0]\nprobabilities: [0.5, 0.5]\n"
+                              "n_trials: 100000000000000000000000000000\n", (),
+         "error (ScenarioError): bad value for 'n_trials': expected an integer in"),
     ], ids=["n-trials-abc", "max-steps-list", "two-box-empty", "two-box-number",
             "n-abc", "a-sq-abc", "entries-number", "state-number", "criteria-number",
             "binary-string", "units-bogus", "delta-e-reducer", "ensemble-unknown-key",
             "seed-negative", "seed-override-negative", "seed-without-seed-key",
             "format-not-read", "binary-with-json", "pack-key-with-criteria",
             "pack-flag-with-criteria", "criteria-empty", "amplitudes-with-probabilities",
-            "weights-with-two-box", "k0-with-dynamic-k"])
+            "weights-with-two-box", "k0-with-dynamic-k", "n-beyond-int64",
+            "n-trials-beyond-int64"])
     def test_malformed_value_exits_1(self, tmp_path, capsys, subcommand, body, extra,
                                      expect):
         path = tmp_path / "s.yaml"
@@ -349,8 +357,9 @@ class TestCliRuns:
         path.write_text("subcommand: collapse-ensemble\nenergies: [0.0, 1.0e+200]\n"
                         "probabilities: [0.5, 0.5]\nn_trials: 10\nn_steps: 10\n")
         assert run_cli("collapse-ensemble", "--scenario", str(path),
-                       "--out-dir", str(tmp_path)) == 2
+                       "--out-dir", str(tmp_path / "out")) == 2
         assert "numeric failure at step 0" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("energies, probabilities", [
         ("[0.0, 1.0e+200]", "[0.5, 0.5]"),  # the spread overflows to inf
@@ -410,6 +419,13 @@ class TestCliRuns:
         assert ("StepSizeError): step 81: outflow probability 0.102 exceeds the 0.1 guard"
                 in capsys.readouterr().err)
         assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-a-file"])
+    def test_out_dir_naming_a_file_exits_1(self, tmp_path, capsys, under):
+        (tmp_path / "f").write_text("x")
+        assert run_cli("tau-c", "--out-dir", str(tmp_path / "f" / under)) == 1
+        assert "error (ScenarioError): cannot use --out-dir" in capsys.readouterr().err
+        assert (tmp_path / "f").read_text() == "x"
 
     def test_precondition_violation_exits_1(self, tmp_path):
         path = tmp_path / "s.yaml"
@@ -539,16 +555,84 @@ class TestCliRuns:
                        "--out-dir", str(tmp_path)) == 0
         assert json.loads((tmp_path / "equivariance.json").read_text())["slices"] == []
 
+    @pytest.mark.parametrize("hamiltonian, psi0", [
+        ("[[1.0, 0.0], [0.0, 2.0]]", "[1.0, 0.0]"),
+        ("[[0.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]", "[0.8, 0.6, 0.0]"),
+    ], ids=["one-held-site", "two-held-sites"])
+    def test_beable_zero_probability_site(self, tmp_path, hamiltonian, psi0):
+        # no walker reaches a site of zero amplitude: the site is left out of the test
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text(
+            f"subcommand: beable-run\nhamiltonian: {hamiltonian}\npsi0: {psi0}\n"
+            "dt: 0.01\nsteps: 20\nseed: 3\nensemble: {n_traj: 50}\n")
+        assert run_cli("beable-run", "--scenario", str(scenario),
+                       "--out-dir", str(tmp_path)) == 0
+
+        def no_constant(name):
+            raise ValueError(f"{name} in strict JSON")
+
+        report = json.loads((tmp_path / "equivariance.json").read_text(),
+                            parse_constant=no_constant)
+        assert len(report["slices"]) == 10
+        for entry in report["slices"]:
+            assert entry["counts"][-1] == 0 and entry["expected"][-1] == 0.0
+            if len(entry["counts"]) == 2:
+                assert entry["p_value"] == 1.0
+            else:
+                test = stats.chisquare(entry["counts"][:-1], f_exp=entry["expected"][:-1])
+                assert entry["chi2"] == test.statistic
+                assert entry["p_value"] == pytest.approx(test.pvalue, rel=1e-12)
+
     def test_console_entry_point(self):
         out = subprocess.run([sys.executable, "-m", "rdmsim.cli", "--version"],
                              capture_output=True, text=True)
         assert out.returncode == 0
 
-    def test_import_leaves_scipy_out(self):
-        # scipy is imported only by the two runs that compute a p-value
-        code = "import sys, rdmsim.cli; print('scipy' in sys.modules)"
+    def test_import_leaves_scipy_out(self, tmp_path):
+        # the two runs that compute a p-value: an ensemble beable-run and criterion 6
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text(yaml.safe_dump({"subcommand": "beable-run",
+                                            **SMALL_SCENARIOS["beable-run"]}))
+        code = ("import sys\nfrom rdmsim import cli\n"
+                f"assert cli.main(['beable-run', '--scenario', {str(scenario)!r}, "
+                f"'--out-dir', {str(tmp_path)!r}]) == 0\n"
+                "assert cli.run_criterion(6)['passed']\n"
+                "print('scipy' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert out.returncode == 0 and out.stdout.strip() == "False", out.stderr
+        assert out.returncode == 0 and out.stdout.splitlines()[-1] == "False", out.stderr
+        assert (tmp_path / "equivariance.json").exists()
+
+
+class TestChiSquare:
+    @settings(max_examples=500, deadline=None)
+    @given(dof=st.integers(1, 60), x=st.floats(0.0, 3000.0))
+    @example(dof=1, x=0.0)
+    @example(dof=2, x=5e-324)
+    @example(dof=1500, x=1490.0)  # a factored e^-h would underflow to 0 here
+    def test_survival_function_matches_scipy(self, dof, x):
+        ref = stats.chi2.sf(x, dof)
+        got = cli._chi2_sf(x, dof)
+        if ref > 1e-280:
+            assert abs(got - ref) <= 1e-12 * ref
+        else:
+            assert got < 2e-280
+
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_slice_statistic_is_scipys(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(dim, dim))
+        psi0 = 1.0 + rng.random(dim)
+        params = cli.parse_scenario({
+            "hamiltonian": ((m + m.T) / 2).tolist(),
+            "psi0": (psi0 / np.linalg.norm(psi0)).tolist(), "dt": 0.002, "steps": 40,
+            "seed": seed, "ensemble": {"n_traj": 300, "record_every": 10}}, "beable-run")
+        slices = cli.beable_run(params)[3]
+        assert len(slices) == 4
+        for entry in slices:
+            test = stats.chisquare(entry["counts"], f_exp=entry["expected"])
+            assert entry["chi2"] == test.statistic
+            assert entry["p_value"] == pytest.approx(test.pvalue, rel=1e-12)
 
 
 # One small valid scenario per subcommand, with every key set so that the
@@ -635,11 +719,15 @@ class TestScenarioFuzz:
         path = tmp_path / "s.yaml"
         path.write_text(yaml.safe_dump(
             {"subcommand": sub, **mutated(SMALL_SCENARIOS[sub], key_path, junk)}))
-        code = run_cli(sub, "--scenario", str(path), "--out-dir", str(tmp_path / "out"))
+        out = tmp_path / "out"
+        shutil.rmtree(out, ignore_errors=True)  # tmp_path is shared by the examples
+        code = run_cli(sub, "--scenario", str(path), "--out-dir", str(out))
         err = capsys.readouterr().err
         assert code in (0, 1, 2)
         if code == 1:
             assert "error (" in err
+        if code != 0:  # a failed run writes no file
+            assert not out.exists() or list(out.iterdir()) == []
 
 
 class TestBundledScenarios:
