@@ -263,9 +263,8 @@ def criterion_11_schrodinger_checks(p, run):
     ratio = schrodinger.rms_width(evolved) / schrodinger.rms_width(psi)
     width_ok = abs(ratio - 2.0) <= 0.02 * 2.0
 
-    mode_p = 2.0 * np.pi * 3.0 / (2.0 * np.pi)  # mode 3 on the default grid
-    r1 = schrodinger.dispersion_check(mode_p, n_samples=128)
-    r2 = schrodinger.dispersion_check(mode_p, n_samples=256)
+    r1 = schrodinger.dispersion_check(3.0, n_samples=128)  # p = 3: mode 3 of the 2 pi period
+    r2 = schrodinger.dispersion_check(3.0, n_samples=256)
     disp_ratio = r1 / r2
     disp_ok = 3.4 <= disp_ratio <= 4.6
 

@@ -60,7 +60,7 @@ def scenario_hash(scenario: dict) -> str:
 REQUIRED = object()
 
 
-def _int(value, lo=-2**63, hi=2**63) -> int:  # by default int64, numpy's largest size
+def _int(value, lo=-2**60, hi=2**60) -> int:  # by default the most float64s numpy can index
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise TypeError(f"expected an integer, not {value!r}")
     if not lo <= int(value) < hi:
@@ -99,6 +99,11 @@ def _seed(value) -> int:
 
 def _reals(*ndims):
     def convert(value) -> np.ndarray:
+        level = [value]  # np.asarray reads a bool as 1.0 or 0.0, so look for one first
+        for _ in range(max(ndims) + 1):
+            if any(isinstance(v, bool) for v in level):
+                raise TypeError(f"expected numbers, not a bool in {value!r}")
+            level = [x for v in level if isinstance(v, list) for x in v]
         arr = np.asarray(value, dtype=np.float64)
         if arr.ndim not in ndims or not np.all(np.isfinite(arr)):
             raise ValueError(f"expected a {' or '.join(map(str, ndims))}-d array of finite numbers")
@@ -124,8 +129,7 @@ _bool, _str, _floats = _instance(bool), _instance(str), _reals(1)
 _COLLAPSE = {
     "energies": (_floats, REQUIRED), "amplitudes": (_complex(1), None),
     "probabilities": (_floats, None), "k_mode": (_str, "dynamic"), "k0": (_float, None),
-    "collapse_epsilon": (_float, 1e-6), "seed": (_seed, 0),
-    "units": (_enum("natural", "physical"), "natural"),
+    "seed": (_seed, 0), "units": (_enum("natural", "physical"), "natural"),
 }
 _PROTECT = {
     "psi": (_complex(1), REQUIRED), "observable": (_complex(2), REQUIRED),
@@ -146,7 +150,8 @@ SCHEMAS = {
         # record_every defaults to max(1, steps // 10)
         "ensemble": ({"n_traj": (_int, REQUIRED), "record_every": (_int, None)}, None),
     },
-    "collapse-run": {**_COLLAPSE, "max_steps": (_int, 100_000)},
+    "collapse-run": {**_COLLAPSE, "collapse_epsilon": (_float, 1e-6),
+                     "max_steps": (_int, 100_000)},
     "collapse-ensemble": {**_COLLAPSE, "n_trials": (_int, 1000), "n_steps": (_int, 100),
                           "slice_stride": (_int, 10)},
     "tau-c": {"entries": ([{"name": (_str, REQUIRED), "delta_e_ev": (_float, REQUIRED),
@@ -171,7 +176,7 @@ SCHEMAS = {
                     {"u1": (0.0, 50.0), "u2": (10_000.0, 10_050.0),
                      "d1": (50.0, 100.0), "d2": (10_050.0, 10_100.0)}),
     },
-    "verify": {"pack": (_bool, False), "criteria": ([_int], None)},
+    "verify": {"criteria": ([_int], None)},
 }
 
 
@@ -305,20 +310,20 @@ def cmd_beable_run(p, ctx):
             [path, report])
 
 
-def _collapse_setup(p):
-    """Initial superposition and config of the two collapse subcommands."""
+def _collapse_setup(p, **config):
+    """Initial superposition and config of the two collapse subcommands;
+    `config` holds further CollapseConfig fields."""
     if _one_of(p, "amplitudes", "probabilities") == "amplitudes":
         amps = p["amplitudes"]
     else:
         amps = np.sqrt(p["probabilities"])
     units = CollapseConfig.physical if p["units"] == "physical" else CollapseConfig
-    cfg = units(k_mode=p["k_mode"], k0=p["k0"], collapse_epsilon=p["collapse_epsilon"],
-                seed=p["seed"])
+    cfg = units(k_mode=p["k_mode"], k0=p["k0"], seed=p["seed"], **config)
     return hilbert.EnergySuperposition(p["energies"], amps), cfg
 
 
 def cmd_collapse_run(p, ctx):
-    s0, cfg = _collapse_setup(p)
+    s0, cfg = _collapse_setup(p, collapse_epsilon=p["collapse_epsilon"])
     out = collapse.run_trajectory(s0, cfg, p["max_steps"])
     probs = out["probabilities"]
     columns = {"step": np.arange(probs.shape[0]),
@@ -460,7 +465,7 @@ def cmd_verify(p, ctx):
         raise ScenarioError(f"unknown criteria in {p['criteria']}")
     if wanted == set():
         raise ScenarioError("'criteria' is empty; omit it to run the seeding suite")
-    if wanted is not None and (p["pack"] or ctx["pack"]):
+    if wanted is not None and ctx["pack"]:
         raise ScenarioError("the pack runs every criterion; give 'criteria' or the pack, not both")
     lines = []
     all_ok = True
@@ -475,7 +480,7 @@ def cmd_verify(p, ctx):
                 if not ok:
                     lines.append(f"  FAIL {name}: {detail}")
     pack_results = []
-    if p["pack"] or ctx["pack"] or wanted is not None:
+    if ctx["pack"] or wanted is not None:
         for cid in [i for i in by_id if wanted is None or i in wanted]:
             res = run_criterion(cid)
             pack_results.append(res)
@@ -562,8 +567,7 @@ def build_parser() -> _Parser:
         if "seed" in SCHEMAS[name]:
             sp.add_argument("--seed", type=int, default=None,
                             help="override the scenario's master seed")
-        sp.add_argument("--out-dir", default=None,
-                        help="output directory (default: $RDMSIM_OUT_DIR or '.')")
+        sp.add_argument("--out-dir", default=".", help="output directory (default: '.')")
         if name == "rdm-sample":
             sp.add_argument("--format", choices=("csv", "json"), default="csv")
         if name == "verify":
@@ -584,14 +588,12 @@ def parse_scenario(scenario: dict, subcommand: str) -> dict:
 
 
 def _run(args) -> int:
-    import os
-
     scenario = load_scenario(args.scenario) if args.scenario else {}
     params = parse_scenario(scenario, args.subcommand)
     seed_override = getattr(args, "seed", None)
     if seed_override is not None:
         params["seed"] = _convert(_seed, seed_override, "--seed")
-    out_dir = Path(args.out_dir or os.environ.get("RDMSIM_OUT_DIR", "."))
+    out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -602,7 +604,10 @@ def _run(args) -> int:
         "pack": getattr(args, "pack", False),
     }
     t0 = time.time()
-    summary, outputs = HANDLERS[args.subcommand](params, ctx)
+    try:
+        summary, outputs = HANDLERS[args.subcommand](params, ctx)
+    except MemoryError as exc:  # a size within _int's range can still exceed memory
+        raise ScenarioError(f"{args.subcommand} cannot allocate its arrays: {exc}") from None
     manifest = {
         "tool": "rdmsim",
         "version": __version__,

@@ -1,11 +1,11 @@
 """Boost and synchrony-convention analysis of stay/collapse events in
-1+1 dimensions.
+1+1 dimensions, in natural units: c = 1, so a velocity is a fraction of c.
 
 Besides the standard boost this implements the synchrony-general
 transformation that preserves only the two-way light speed,
 
     x' = eta (x - v t)
-    t' = eta [1 + beta (k + k')] t + eta [beta (k^2 - 1) + k - k'] x / c
+    t' = eta [1 + beta (k + k')] t + eta [beta (k^2 - 1) + k - k'] x
     eta = 1 / sqrt((1 + beta k)^2 - beta^2)
 
 with k, k' in [-1, 1] the one-way-speed anisotropy parameters of the
@@ -37,17 +37,14 @@ from .rdm import PairedStayTrajectory, StayTrajectory
 
 @dataclass(frozen=True)
 class Event:
-    """A point (t, x), or arrays of points; c rides along as config."""
+    """A point (t, x), or arrays of points."""
 
     t: float
     x: float
-    c: float = 1.0
 
     def __post_init__(self):
         if not (np.all(np.isfinite(self.t)) and np.all(np.isfinite(self.x))):
             raise ContractViolation("event coordinates must be finite")
-        if self.c <= 0:
-            raise ContractViolation("c must be positive")
 
 
 @dataclass(frozen=True)
@@ -58,51 +55,49 @@ class SynchronyParams:
     v: float
     k: float = 0.0
     k_prime: float = 0.0
-    c: float = 1.0
 
     def __post_init__(self):
-        if np.any(np.abs(self.v) >= self.c):
+        if np.any(np.abs(self.v) >= 1.0):
             raise SuperluminalFrameError("|v| must be below c")
         if np.any(np.abs(self.k) > 1.0) or np.any(np.abs(self.k_prime) > 1.0):
             raise ContractViolation("|k| and |k'| must not exceed 1")
 
 
-def _gamma(v: float, c: float) -> float:
-    if np.any(np.abs(v) >= c):
-        raise SuperluminalFrameError(f"|v| = {np.max(np.abs(v)):g} >= c = {c:g}")
-    return 1.0 / np.sqrt(1.0 - (v / c) ** 2)
+def _gamma(v: float) -> float:
+    if np.any(np.abs(v) >= 1.0):
+        raise SuperluminalFrameError(f"|v| = {np.max(np.abs(v)):g} >= c = 1")
+    return 1.0 / np.sqrt(1.0 - v**2)
 
 
-def boost_times(t: np.ndarray, x: np.ndarray, v: float, c: float = 1.0) -> np.ndarray:
-    """Boosted times t' = gamma (t - x v / c^2) of one event or arrays."""
-    g = _gamma(v, c)
-    return g * (np.asarray(t) - np.asarray(x) * v / c**2)
+def boost_times(t: np.ndarray, x: np.ndarray, v: float) -> np.ndarray:
+    """Boosted times t' = gamma (t - x v) of one event or arrays."""
+    g = _gamma(v)
+    return g * (np.asarray(t) - np.asarray(x) * v)
 
 
-def boost_positions(t: np.ndarray, x: np.ndarray, v: float, c: float = 1.0) -> np.ndarray:
+def boost_positions(t: np.ndarray, x: np.ndarray, v: float) -> np.ndarray:
     """Boosted positions x' = gamma (x - v t) of one event or arrays."""
-    g = _gamma(v, c)
+    g = _gamma(v)
     return g * (np.asarray(x) - v * np.asarray(t))
 
 
 def lorentz_transform(e: Event, v: float) -> Event:
     """Standard boost of an event (or event arrays) by v."""
-    return Event(boost_times(e.t, e.x, v, e.c), boost_positions(e.t, e.x, v, e.c), e.c)
+    return Event(boost_times(e.t, e.x, v), boost_positions(e.t, e.x, v))
 
 
 def interval(e1: Event, e2: Event) -> float:
-    """Invariant c^2 dt^2 - dx^2 of an event pair."""
-    return e1.c**2 * (e2.t - e1.t) ** 2 - (e2.x - e1.x) ** 2
+    """Invariant dt^2 - dx^2 of an event pair."""
+    return (e2.t - e1.t) ** 2 - (e2.x - e1.x) ** 2
 
 
 def simultaneity_frame(e1: Event, e2: Event) -> float:
-    """Boost velocity v = c^2 dt / dx that makes a spacelike pair
+    """Boost velocity v = dt / dx that makes a spacelike pair
     simultaneous; verified internally by transforming both events."""
     dt, dx = e2.t - e1.t, e2.x - e1.x
-    c = e1.c
-    if abs(dx) <= c * abs(dt):
+    if abs(dx) <= abs(dt):
         raise NoSimultaneityFrameError("pair is not spacelike separated")
-    v = c**2 * dt / dx
+    v = dt / dx
     t1 = lorentz_transform(e1, v).t
     t2 = lorentz_transform(e2, v).t
     scale = max(abs(t1), abs(t2), 1.0)
@@ -111,14 +106,14 @@ def simultaneity_frame(e1: Event, e2: Event) -> float:
     return v
 
 
-def entangled_frame_velocities(stay_a, stay_b, c: float = 1.0):
+def entangled_frame_velocities(stay_a, stay_b):
     """Frame velocities exchanging the simultaneity of a two-particle
     stay pair.
 
     stay_a = (t_a, x_1a, x_2a), stay_b = (t_b, x_1b, x_2b).  v' makes
     particle 1's a-stay simultaneous with particle 2's b-stay
-    (v' = c^2 (t_a - t_b)/(x_1a - x_2b)); v'' does the reverse pairing
-    (v'' = c^2 (t_a - t_b)/(x_2a - x_1b)).  Each value errors if it
+    (v' = (t_a - t_b)/(x_1a - x_2b)); v'' does the reverse pairing
+    (v'' = (t_a - t_b)/(x_2a - x_1b)).  Each value errors if it
     reaches c.  Coincidence of the boosted times is verified.
     """
     t_a, x1a, x2a = map(float, stay_a)
@@ -128,10 +123,10 @@ def entangled_frame_velocities(stay_a, stay_b, c: float = 1.0):
         dx_pair = xs[0] - xs[1]
         if dx_pair == 0.0:
             raise SuperluminalFrameError(f"{label}: coincident positions give no frame")
-        v = c**2 * (t_a - t_b) / dx_pair
-        if abs(v) >= c:
+        v = (t_a - t_b) / dx_pair
+        if abs(v) >= 1.0:
             raise SuperluminalFrameError(f"{label} = {v:g} is not below c")
-        ta_p, tb_p = boost_times(np.array([t_a, t_b]), np.array(xs), v, c)
+        ta_p, tb_p = boost_times(np.array([t_a, t_b]), np.array(xs), v)
         if abs(ta_p - tb_p) > 1e-12 * max(abs(ta_p), abs(tb_p), 1.0):
             raise ContractViolation(f"internal check failed for {label}")
         out.append(v)
@@ -140,42 +135,40 @@ def entangled_frame_velocities(stay_a, stay_b, c: float = 1.0):
 
 def edwards_winnie_transform(e: Event, p: SynchronyParams) -> Event:
     """Synchrony-general transformation; k = k' = 0 is the boost."""
-    c = p.c
-    beta = p.v / c
+    beta = p.v
     disc = (1.0 + beta * p.k) ** 2 - beta**2
     if np.any(disc <= 0.0):
         raise ContractViolation("degenerate synchrony parameters: eta is not real")
     eta = 1.0 / np.sqrt(disc)
     x_new = eta * (e.x - p.v * e.t)
     t_new = (eta * (1.0 + beta * (p.k + p.k_prime)) * e.t
-             + eta * (beta * (p.k**2 - 1.0) + p.k - p.k_prime) * e.x / c)
-    return Event(t_new, x_new, c)
+             + eta * (beta * (p.k**2 - 1.0) + p.k - p.k_prime) * e.x)
+    return Event(t_new, x_new)
 
 
 def one_way_speeds(p: SynchronyParams):
     """(c_+x, c_-x, c_+x', c_-x') from the anisotropy parameters:
-    c_+x = c/(1 - k) and c_-x = c/(1 + k), same with k' in the primed
+    c_+x = 1/(1 - k) and c_-x = 1/(1 + k), same with k' in the primed
     frame.  |k| = 1 makes one direction infinite and is flagged."""
     for name, k in (("k", p.k), ("k'", p.k_prime)):
         if np.any(np.abs(k) == 1.0):
             raise InfiniteOneWaySpeedError(f"{name} = +-1 gives an infinite one-way speed")
-    c = p.c
-    return (c / (1.0 - p.k), c / (1.0 + p.k),
-            c / (1.0 - p.k_prime), c / (1.0 + p.k_prime))
+    return (1.0 / (1.0 - p.k), 1.0 / (1.0 + p.k),
+            1.0 / (1.0 - p.k_prime), 1.0 / (1.0 + p.k_prime))
 
 
-def absolute_sync_params(v: float, c: float = 1.0) -> SynchronyParams:
+def absolute_sync_params(v: float) -> SynchronyParams:
     """Parameters of the transformation that keeps the unprimed frame's
-    simultaneity absolute: k = 0, k' = -v/c."""
-    return SynchronyParams(v=v, k=0.0, k_prime=-v / c, c=c)
+    simultaneity absolute: k = 0, k' = -v."""
+    return SynchronyParams(v=v, k=0.0, k_prime=-v)
 
 
-def _coincidence_tol(tol, v: float, c: float, dt_instant: float) -> float:
+def _coincidence_tol(tol, v: float, dt_instant: float) -> float:
     """The boosted-time tolerance within which two stays coincide: half
     the boosted inter-instant spacing by default, else the given value,
     which must be non-negative (inf pairs every stay)."""
     if tol is None:
-        return 0.5 * _gamma(v, c) * dt_instant
+        return 0.5 * _gamma(v) * dt_instant
     if not tol >= 0:
         raise ContractViolation(f"coincidence_tol must be non-negative, not {tol!r}")
     return tol
@@ -198,7 +191,7 @@ def _match_sorted(times_a: np.ndarray, times_b: np.ndarray, tol: float) -> np.nd
 
 
 def boosted_correlation_stats(traj: PairedStayTrajectory, v: float,
-                              coincidence_tol: float = None, c: float = 1.0) -> dict:
+                              coincidence_tol: float = None) -> dict:
     """Classify boosted-frame coincidences of the two particles' stays.
 
     All stay events share the home-frame clock; each particle's events
@@ -212,9 +205,9 @@ def boosted_correlation_stats(traj: PairedStayTrajectory, v: float,
     frame is 2 |a|^2 |b|^2.
     """
     t = traj.times
-    coincidence_tol = _coincidence_tol(coincidence_tol, v, c, traj.dt_instant)
-    t1 = boost_times(t, traj.x1, v, c)
-    t2 = boost_times(t, traj.x2, v, c)
+    coincidence_tol = _coincidence_tol(coincidence_tol, v, traj.dt_instant)
+    t1 = boost_times(t, traj.x1, v)
+    t2 = boost_times(t, traj.x2, v)
     order = np.argsort(t2, kind="stable")
     match = _match_sorted(t1, t2[order], coincidence_tol)
     hit = match >= 0
@@ -233,7 +226,7 @@ def boosted_correlation_stats(traj: PairedStayTrajectory, v: float,
 
 
 def multiparticle_appearance_scan(traj: StayTrajectory, positions: np.ndarray, v: float,
-                                  coincidence_tol: float = None, c: float = 1.0) -> int:
+                                  coincidence_tol: float = None) -> int:
     """Count pairs of distinct home-frame instants whose boosted times
     coincide within the tolerance while their boosted positions differ.
 
@@ -254,10 +247,10 @@ def multiparticle_appearance_scan(traj: StayTrajectory, positions: np.ndarray, v
         raise ContractViolation("need one position per instant")
     if not np.all(np.isfinite(positions)):
         raise ContractViolation("positions must be finite")
-    tol = _coincidence_tol(coincidence_tol, v, c, traj.dt_instant)
+    tol = _coincidence_tol(coincidence_tol, v, traj.dt_instant)
     t = traj.dt_instant * np.arange(traj.instants)
-    tb = boost_times(t, positions, v, c)
-    xb = boost_positions(t, positions, v, c)
+    tb = boost_times(t, positions, v)
+    xb = boost_positions(t, positions, v)
     order = np.argsort(tb, kind="stable")
     tb, xb = tb[order], xb[order]
     n = tb.size

@@ -6,16 +6,16 @@ timestamps), so re-running an identical scenario reproduces the data
 files byte for byte.  A CSV body is one "%r,%r,..." % cells format per
 CSV_BLOCK_ROWS rows, string cells quoted first: csv.writer's bytes.
 
-Binary trajectory layout (little endian):
+Binary trajectory layout (little endian), for a single-particle stay
+trajectory; the kind byte is always 1:
     magic   4 bytes  b"RDMT"
     version u16      1
-    kind    u8       1 = single trajectory, 2 = paired stays
+    kind    u8       1
     n       u64      instant count
-    n_sites u32      site count (0 for paired stays)
+    n_sites u32      site count
     seed    u64      sampling seed
     dt      f64      instant duration
-    payload kind 1:  n * i32 site indices
-            kind 2:  n * u8 branch labels, n * f64 x1, n * f64 x2
+    payload          n * i32 site indices
 """
 
 import json
@@ -29,13 +29,6 @@ from .rdm import PairedStayTrajectory, StayTrajectory
 _MAGIC = b"RDMT"
 _VERSION = 1
 CSV_BLOCK_ROWS = 1 << 10  # rows per % format of write_csv, bounding the text held
-
-
-def complex_to_pairs(values) -> list:
-    """Nested [re, im] pairs for any complex array."""
-    arr = np.asarray(values, dtype=np.complex128)
-    stacked = np.stack([arr.real, arr.imag], axis=-1)
-    return stacked.tolist()
 
 
 def pairs_to_complex(pairs) -> np.ndarray:
@@ -115,26 +108,13 @@ def write_paired_trajectory_csv(path, traj: PairedStayTrajectory):
     )
 
 
-def write_trajectory_binary(path, traj):
-    """Compact binary run format; accepts either trajectory type."""
-    if isinstance(traj, StayTrajectory):
-        kind, n_sites = 1, traj.n_sites
-        n = traj.instants
-    elif isinstance(traj, PairedStayTrajectory):
-        kind, n_sites = 2, 0
-        n = traj.instants
-    else:
-        raise ScenarioError(f"cannot serialize {type(traj).__name__}")
-    header = struct.pack("<4sHBQIQd", _MAGIC, _VERSION, kind, n, n_sites,
+def write_trajectory_binary(path, traj: StayTrajectory):
+    """Compact binary run format of a single-particle stay trajectory."""
+    header = struct.pack("<4sHBQIQd", _MAGIC, _VERSION, 1, traj.instants, traj.n_sites,
                          traj.seed % (1 << 64), float(traj.dt_instant))
     with open(path, "wb") as fh:
         fh.write(header)
-        if kind == 1:
-            fh.write(traj.stays.astype("<i4").tobytes())
-        else:
-            fh.write(traj.branches.astype("<u1").tobytes())
-            fh.write(traj.x1.astype("<f8").tobytes())
-            fh.write(traj.x2.astype("<f8").tobytes())
+        fh.write(traj.stays.astype("<i4").tobytes())
 
 
 def read_trajectory_binary(path):
@@ -148,16 +128,10 @@ def read_trajectory_binary(path):
         raise ScenarioError("not a trajectory file (bad magic)")
     if version != _VERSION:
         raise ScenarioError(f"unsupported trajectory format version {version}")
+    if kind != 1:
+        raise ScenarioError(f"unknown trajectory kind {kind}")
     body = raw[head_size:]
-    if len(body) < {1: 4, 2: 17}.get(kind, 0) * n:
+    if len(body) < 4 * n:
         raise ScenarioError(f"truncated trajectory file ({len(raw)} bytes for {n} instants)")
-    if kind == 1:
-        stays = np.frombuffer(body, dtype="<i4", count=n).astype(np.int64)
-        return StayTrajectory(stays, n_sites=n_sites, dt_instant=dt, seed=seed)
-    if kind == 2:
-        branches = np.frombuffer(body, dtype="<u1", count=n).astype(np.int64)
-        off = n
-        x1 = np.frombuffer(body, dtype="<f8", count=n, offset=off)
-        x2 = np.frombuffer(body, dtype="<f8", count=n, offset=off + 8 * n)
-        return PairedStayTrajectory(branches, x1, x2, dt_instant=dt, seed=seed)
-    raise ScenarioError(f"unknown trajectory kind {kind}")
+    stays = np.frombuffer(body, dtype="<i4", count=n).astype(np.int64)
+    return StayTrajectory(stays, n_sites=n_sites, dt_instant=dt, seed=seed)

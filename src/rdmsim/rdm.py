@@ -106,14 +106,14 @@ def sample_stays(density, n: int, seed: int, dt_instant: float = 1.0) -> StayTra
     return StayTrajectory(stays, n_sites=p.size, dt_instant=dt_instant, seed=seed)
 
 
-def empirical_density(t: StayTrajectory, bins: int = None) -> np.ndarray:
-    """Normalized histogram of stays: the time-averaged stay measure.
+def empirical_density(t: StayTrajectory) -> np.ndarray:
+    """Normalized histogram of stays over the trajectory's sites: the
+    time-averaged stay measure.
 
     Converges to the source density as the instant count grows, with
     total-variation error O(1/sqrt(n)).
     """
-    nbins = t.n_sites if bins is None else int(bins)
-    counts = np.bincount(t.stays, minlength=nbins).astype(np.float64)
+    counts = np.bincount(t.stays, minlength=t.n_sites).astype(np.float64)
     return counts / max(t.instants, 1)
 
 

@@ -212,26 +212,24 @@ def reconstruct_wavefunction(d: DensityPair, mass: float = 1.0, hbar: float = 1.
     return GridWavefunction(d.x0, d.dx, psi, mass, hbar)
 
 
-def dispersion_check(p: float, mass: float = 1.0, hbar: float = 1.0,
-                     n_samples: int = 256, length: float = None) -> float:
-    """Residual of the free dispersion E = p^2/2m on the discrete grid.
+def dispersion_check(p: float, n_samples: int = 256) -> float:
+    """Residual of the free dispersion E = p^2/2 on the discrete grid
+    (hbar = m = 1).
 
-    Inserts the plane wave e^{i(px - Et)/hbar} into the free equation with
-    the Laplacian discretized by centered differences and returns the max
-    residual |E psi - (-hbar^2/2m) D2 psi|.  Second order: halving dx
-    cuts the residual ~4x.  A wrong E does not converge to zero.
+    Inserts the plane wave e^{i(px - Et)} into the free equation with the
+    Laplacian discretized by centered differences over one period 2 pi,
+    which holds the integer momenta, and returns the max residual
+    |E psi + D2 psi / 2|.  Second order: halving dx cuts the residual
+    ~4x.  A wrong E does not converge to zero.
     """
-    if length is None:
-        length = 2.0 * np.pi * hbar  # one momentum unit per mode
-    dx = length / n_samples
-    mode = p * length / (2.0 * np.pi * hbar)
-    if abs(mode - round(mode)) > 1e-9:
+    if abs(p - round(p)) > 1e-9:
         raise DimensionMismatchError("p is not compatible with the grid periodicity")
+    dx = 2.0 * np.pi / n_samples
     x = dx * np.arange(n_samples)
-    psi = np.exp(1j * p * x / hbar)
-    energy = p**2 / (2.0 * mass)
+    psi = np.exp(1j * p * x)
+    energy = p**2 / 2.0
     d2 = (np.roll(psi, -1) - 2.0 * psi + np.roll(psi, 1)) / dx**2
-    residual = energy * psi - (-(hbar**2) / (2.0 * mass)) * d2
+    residual = energy * psi + 0.5 * d2
     return float(np.max(np.abs(residual)))
 
 

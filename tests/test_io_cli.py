@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -99,11 +100,12 @@ class TestSeeding:
 class TestComplexJson:
     def test_round_trip_vector(self):
         v = np.array([0.6, 0.8j, -0.1 + 0.2j])
-        assert np.allclose(io.pairs_to_complex(io.complex_to_pairs(v)), v)
+        assert np.array_equal(io.pairs_to_complex([[0.6, 0.0], [0.0, 0.8], [-0.1, 0.2]]), v)
 
     def test_round_trip_matrix(self):
         m = np.array([[1.0, 1j], [-1j, 2.0]])
-        assert np.allclose(io.pairs_to_complex(io.complex_to_pairs(m)), m)
+        pairs = [[[1.0, 0.0], [0.0, 1.0]], [[0.0, -1.0], [2.0, 0.0]]]
+        assert np.array_equal(io.pairs_to_complex(pairs), m)
 
     def test_bad_payload(self):
         with pytest.raises(ScenarioError):
@@ -119,16 +121,6 @@ class TestBinaryTrajectory:
         assert np.array_equal(back.stays, traj.stays)
         assert back.n_sites == 2 and back.dt_instant == 0.5 and back.seed == 5
 
-    def test_paired_round_trip(self, tmp_path):
-        spec = [(0.4, (0.0, 1.0), (5.0, 6.0)), (0.6, (2.0, 3.0), (7.0, 8.0))]
-        traj = rdm.sample_entangled_stays(spec, 300, seed=6)
-        path = tmp_path / "pair.rdmt"
-        io.write_trajectory_binary(path, traj)
-        back = io.read_trajectory_binary(path)
-        assert np.array_equal(back.branches, traj.branches)
-        assert np.allclose(back.x1, traj.x1)
-        assert np.allclose(back.x2, traj.x2)
-
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.rdmt"
         path.write_bytes(b"NOPE" + b"\0" * 40)
@@ -143,15 +135,18 @@ class TestBinaryTrajectory:
         with pytest.raises(ScenarioError, match="truncated"):
             io.read_trajectory_binary(path)
 
-    @pytest.mark.parametrize("paired", [False, True])
-    def test_truncated_body_rejected(self, tmp_path, paired):
-        spec = [(0.4, (0.0, 1.0), (5.0, 6.0)), (0.6, (2.0, 3.0), (7.0, 8.0))]
-        traj = (rdm.sample_entangled_stays(spec, 5, seed=6) if paired
-                else rdm.sample_stays([0.3, 0.7], 5, seed=5))
+    def test_truncated_body_rejected(self, tmp_path):
         path = tmp_path / "run.rdmt"
-        io.write_trajectory_binary(path, traj)
+        io.write_trajectory_binary(path, rdm.sample_stays([0.3, 0.7], 5, seed=5))
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(ScenarioError, match="truncated"):
+            io.read_trajectory_binary(path)
+
+    def test_paired_kind_rejected(self, tmp_path):
+        path = tmp_path / "pair.rdmt"
+        header = struct.pack("<4sHBQIQd", b"RDMT", 1, 2, 5, 0, 6, 1.0)
+        path.write_bytes(header + b"\0" * (17 * 5))
+        with pytest.raises(ScenarioError, match="unknown trajectory kind 2"):
             io.read_trajectory_binary(path)
 
 
@@ -304,6 +299,16 @@ class TestCliRuns:
         ("collapse-ensemble", "energies: [0.0, 1.0]\nprobabilities: [0.5, 0.5]\n"
                               "n_trials: 100000000000000000000000000000\n", (),
          "error (ScenarioError): bad value for 'n_trials': expected an integer in"),
+        ("rdm-sample", f"weights: [0.5, 0.5]\nn: {2**62}\nseed: 0\n", (),
+         "error (ScenarioError): bad value for 'n': expected an integer in"),
+        ("collapse-run", "energies: [0.0, 1.0]\nprobabilities: [true, false]\n", (),
+         "error (ScenarioError): bad value for 'probabilities': expected numbers"),
+        ("rdm-sample", "weights: [true, false]\nn: 10\nseed: 0\n", (),
+         "error (ScenarioError): bad value for 'weights': expected numbers"),
+        ("collapse-ensemble", "energies: [0.0, 1.0]\nprobabilities: [0.5, 0.5]\n"
+                              "collapse_epsilon: 0.5\n", (),
+         "error (ScenarioError): unknown scenario keys: ['collapse_epsilon']"),
+        ("verify", "pack: true\n", (), "error (ScenarioError): unknown scenario keys: ['pack']"),
     ], ids=["n-trials-abc", "max-steps-list", "two-box-empty", "two-box-number",
             "n-abc", "a-sq-abc", "entries-number", "state-number", "criteria-number",
             "binary-string", "units-bogus", "delta-e-reducer", "ensemble-unknown-key",
@@ -311,7 +316,8 @@ class TestCliRuns:
             "format-not-read", "binary-with-json", "pack-key-with-criteria",
             "pack-flag-with-criteria", "criteria-empty", "amplitudes-with-probabilities",
             "weights-with-two-box", "k0-with-dynamic-k", "n-beyond-int64",
-            "n-trials-beyond-int64"])
+            "n-trials-beyond-int64", "n-beyond-numpy-index", "bools-as-probabilities",
+            "bools-as-weights", "collapse-epsilon-in-ensemble", "pack-key"])
     def test_malformed_value_exits_1(self, tmp_path, capsys, subcommand, body, extra,
                                      expect):
         path = tmp_path / "s.yaml"
@@ -319,6 +325,22 @@ class TestCliRuns:
         assert run_cli(subcommand, "--scenario", str(path),
                        "--out-dir", str(tmp_path), *extra) == 1
         assert expect in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand, body", [
+        ("rdm-sample", f"weights: [0.5, 0.5]\nn: {2**59}\nseed: 0\n"),
+        ("collapse-ensemble", f"energies: [0.0, 1.0]\nprobabilities: [0.5, 0.5]\n"
+                              f"n_trials: {2**59}\n"),
+    ], ids=["n", "n-trials"])
+    def test_unallocatable_size_exits_1(self, tmp_path, capsys, subcommand, body):
+        # 2^59 float64s (4 EiB) exceed the address space, so numpy fails at once
+        path = tmp_path / "s.yaml"
+        path.write_text(f"subcommand: {subcommand}\n{body}")
+        assert run_cli(subcommand, "--scenario", str(path),
+                       "--out-dir", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert f"error (ScenarioError): {subcommand} cannot allocate its arrays" in err
+        assert "Traceback" not in err
+        assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("subcommand, body, name", [
         ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: 0\ndt_instant: -1\n",
@@ -636,7 +658,8 @@ class TestChiSquare:
 
 
 # One small valid scenario per subcommand, with every key set so that the
-# fuzz test can corrupt each one; verify's pack and criteria stay off.
+# fuzz test can corrupt each one; verify runs criterion 9, which takes
+# milliseconds.
 SMALL_SCENARIOS = {
     "rdm-sample": {"n": 20, "seed": 1, "two_box": {"a_sq": 0.3}, "dt_instant": 1.0,
                    "binary": False},
@@ -647,7 +670,7 @@ SMALL_SCENARIOS = {
                      "k_mode": "frozen", "k0": 0.3, "collapse_epsilon": 1e-3,
                      "units": "natural", "seed": 3, "max_steps": 50},
     "collapse-ensemble": {"energies": [0.0, 1.0], "amplitudes": [0.6, 0.8],
-                          "k_mode": "frozen", "k0": 0.1, "collapse_epsilon": 1e-3,
+                          "k_mode": "frozen", "k0": 0.1,
                           "units": "natural", "seed": 4, "n_trials": 8, "n_steps": 6,
                           "slice_stride": 3},
     "tau-c": {"entries": [{"name": "x", "delta_e_ev": 1.0, "quoted_target_s": 1.0}]},
@@ -667,7 +690,7 @@ SMALL_SCENARIOS = {
                        "regions": {"u1": [0.0, 5.0], "u2": [50.0, 55.0],
                                    "d1": [5.0, 10.0], "d2": [55.0, 60.0]},
                        "coincidence_tol": 0.5, "dt_instant": 1.0, "events_csv": False},
-    "verify": {"pack": False},
+    "verify": {"criteria": [9]},
 }
 
 JUNK = ["abc", [], {}, None, -1, 0, 1.5, float("nan"), True]
@@ -699,8 +722,7 @@ def mutated(scenario, path, junk):
 
 
 FUZZ_CASES = [(sub, path, junk) for sub, sc in SMALL_SCENARIOS.items()
-              for path in key_paths(sc) for junk in JUNK
-              if not (sub == "verify" and junk is True)]
+              for path in key_paths(sc) for junk in JUNK]
 
 
 class TestScenarioFuzz:
