@@ -36,11 +36,10 @@ def _fit_loglog_slope(x, y):
 
 def criterion_1_collapse_time_table():
     """Deterministic calculator values against the quoted targets."""
-    cfg = CollapseConfig.physical()
     rows = []
     ok = True
     for name, de, target, factor in TAU_C_TABLE:
-        tau = collapse.collapse_time(de, cfg)
+        tau = collapse.collapse_time(de)
         ratio = tau / target
         good = 1.0 / factor <= ratio <= factor
         ok &= good
@@ -143,7 +142,7 @@ def criterion_6_beable_equivariance(p, run):
     # defining relation residual over the same sweep, with and without noise
     residual = 0.0
     for noise in (0.0, 1.0):
-        for pr, j, t, _ in beable._rate_path(h, psi0, p["dt"], p["steps"], p["hbar"], noise):
+        for pr, j, t, _ in beable._rate_path(h, psi0, p["dt"], p["steps"], noise):
             rhs = t * pr[:-1, None, :] - np.swapaxes(t, 1, 2) * pr[:-1, :, None]
             residual = max(residual, float(np.max(np.abs(j - rhs))))
     rel_ok = residual < 1e-10
@@ -205,9 +204,8 @@ def criterion_8_entanglement_frames(p, run):
 
 def criterion_9_relativistic_anisotropy():
     """60 km/s frame change shifts tau_c fractionally by 4e-4."""
-    cfg = CollapseConfig.physical()
-    base = collapse.relativistic_collapse_time(1.0, 0.0, cfg)
-    moved = collapse.relativistic_collapse_time(1.0, 60_000.0, cfg)
+    base = collapse.relativistic_collapse_time(1.0, 0.0)
+    moved = collapse.relativistic_collapse_time(1.0, 60_000.0)
     frac = (base - moved) / base
     ok = abs(frac / 4e-4 - 1.0) <= 0.05
     return _report(9, "relativistic collapse anisotropy", ok,
@@ -249,7 +247,7 @@ def criterion_10_frame_algebra(seed=26):
 def criterion_11_schrodinger_checks(p, run):
     """Free-packet width doubling, dispersion order, tomography order.
 
-    The doubling time 2 m D^2 / hbar is exact for the width convention
+    The doubling time 2 D^2 (hbar = m = 1) is exact for the width convention
     D^2 = sqrt(3) * sigma_rms^2 (see the analytic spreading law); the
     run checks the measured RMS-width ratio equals 2 within 2%.
     """
@@ -257,7 +255,7 @@ def criterion_11_schrodinger_checks(p, run):
     n, length = 2048, 80.0
     psi = schrodinger.GridWavefunction.gaussian(-length / 2, length / n, n,
                                                 center=0.0, sigma=sigma0)
-    t_double = 2.0 * np.sqrt(3.0) * sigma0**2  # = 2 m D^2/hbar, D^2 = sqrt(3) sigma0^2
+    t_double = 2.0 * np.sqrt(3.0) * sigma0**2  # = 2 D^2, D^2 = sqrt(3) sigma0^2
     steps = 200
     evolved = schrodinger.evolve_grid(psi, None, t_double / steps, steps)
     ratio = schrodinger.rms_width(evolved) / schrodinger.rms_width(psi)

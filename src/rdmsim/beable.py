@@ -1,15 +1,15 @@
 """Discrete beable dynamics: a definite site variable driven by jump
 rates built from the quantum probability current.
 
-Conventions (all contracts are in these terms):
+Conventions, in natural units (hbar = 1; all contracts are in these terms):
   J[n, m] = 2 Im( psi*_n H[n, m] psi_m )        antisymmetric current
-  hbar dP_n/dt = sum_m J[n, m]                  discrete continuity
+  dP_n/dt = sum_m J[n, m]                       discrete continuity
   T[m, n] * dt = probability of a jump n -> m   (destination-major)
   dP_n/dt = sum_m (T[n, m] P_m - T[m, n] P_n)   master equation
-  J[n, m] / hbar = T[n, m] P_m - T[m, n] P_n    defining relation
+  J[n, m] = T[n, m] P_m - T[m, n] P_n           defining relation
 
 The minimal rate choice puts the whole current on one direction per
-pair:  T[n, m] = J[n, m] / (hbar P_m) when J[n, m] >= 0, else 0.  Any
+pair:  T[n, m] = J[n, m] / P_m when J[n, m] >= 0, else 0.  Any
 homogeneous solution T0[n, m] P_m = T0[m, n] P_n may be added on top
 without changing ensemble distributions; add_homogeneous_noise exposes
 the one-parameter family T0[n, m] = c / P_m.
@@ -62,7 +62,7 @@ class TransitionRateMatrix:
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise DimensionMismatchError("rate matrix must be square")
         np.fill_diagonal(r, 0.0)  # the diagonal carries no rate semantics
-        if np.any(r < 0):
+        if not np.all(r >= 0):  # NaN fails too
             raise NormalizationError("jump rates must be non-negative")
         r.setflags(write=False)
         object.__setattr__(self, "rates", r)
@@ -79,10 +79,10 @@ def _current(hm: np.ndarray, amps: np.ndarray) -> np.ndarray:
     return 2.0 * np.imag(np.conj(amps)[..., :, None] * hm * amps[..., None, :])
 
 
-def _minimal_rates(j: np.ndarray, p: np.ndarray, hbar: float):
+def _minimal_rates(j: np.ndarray, p: np.ndarray):
     low = p < OCCUPATION_FLOOR
     off = ~np.eye(p.shape[-1], dtype=bool)
-    t = np.where(off & (j > 0.0), j / (hbar * np.where(low, 1.0, p)[..., None, :]), 0.0)
+    t = np.where(off & (j > 0.0), j / np.where(low, 1.0, p)[..., None, :], 0.0)
     return t, np.any(np.any(np.abs(j) > 0.0, axis=-2) & low, axis=-1)
 
 
@@ -92,20 +92,19 @@ def _noise(p: np.ndarray, c: float):
     return np.where(on, 0.0, c / np.where(low, 1.0, p)[..., None, :]), np.any(low, axis=-1)
 
 
-def probability_current(h: HermitianOperator, psi: ComplexVectorState,
-                        hbar: float = 1.0) -> np.ndarray:
+def probability_current(h: HermitianOperator, psi: ComplexVectorState) -> np.ndarray:
     """J[n, m] = 2 Im(psi*_n H[n, m] psi_m); antisymmetric, and
-    hbar dP_n/dt = sum_m J[n, m] under the unitary evolution by H."""
+    dP_n/dt = sum_m J[n, m] under the unitary evolution by H."""
     if h.dim != psi.dim:
         raise DimensionMismatchError(f"operator dim {h.dim} != state dim {psi.dim}")
     return _current(h.matrix, psi.amplitudes)
 
 
-def bell_transition_rates(j: np.ndarray, p: np.ndarray, hbar: float = 1.0) -> TransitionRateMatrix:
-    """Minimal rates: T[n, m] = J[n, m]/(hbar P_m) where J[n, m] >= 0.
+def bell_transition_rates(j: np.ndarray, p: np.ndarray) -> TransitionRateMatrix:
+    """Minimal rates: T[n, m] = J[n, m]/P_m where J[n, m] >= 0.
 
     Exactly one direction per pair is active, and the defining relation
-    J[n, m]/hbar = T[n, m] P_m - T[m, n] P_n holds to rounding.  Sites
+    J[n, m] = T[n, m] P_m - T[m, n] P_n holds to rounding.  Sites
     with occupation below 1e-12 that carry current raise
     DegenerateOccupationError (the division is singular there).
     """
@@ -113,7 +112,7 @@ def bell_transition_rates(j: np.ndarray, p: np.ndarray, hbar: float = 1.0) -> Tr
     p = np.asarray(p, dtype=np.float64)
     if j.shape != (p.size, p.size):
         raise DimensionMismatchError("current matrix and occupation vector disagree")
-    t, void = _minimal_rates(j, p, hbar)
+    t, void = _minimal_rates(j, p)
     if void:
         raise DegenerateOccupationError(_CURRENT_BELOW_FLOOR)
     return TransitionRateMatrix(t)
@@ -150,14 +149,14 @@ def master_equation_step(p: np.ndarray, t: TransitionRateMatrix, dt: float) -> n
     return p + dt * flow
 
 
-def unitary_step_matrix(h: HermitianOperator, dt: float, hbar: float) -> np.ndarray:
-    """exp(-i H dt / hbar) via the eigendecomposition (exact, reused)."""
+def unitary_step_matrix(h: HermitianOperator, dt: float) -> np.ndarray:
+    """exp(-i H dt) via the eigendecomposition (exact, reused)."""
     evals, evecs = np.linalg.eigh(h.matrix)
-    return (evecs * np.exp(-1j * evals * dt / hbar)) @ evecs.conj().T
+    return (evecs * np.exp(-1j * evals * dt)) @ evecs.conj().T
 
 
 def _rate_path(h: HermitianOperator, psi0: ComplexVectorState, dt: float, steps: int,
-               hbar: float, noise_c: float):
+               noise_c: float):
     """Yield (P, J, T, cum) over psi0's exact unitary evolution, a block of
     steps at a time: J, T (noise included) and cum[i, m, n] = dt
     sum_{m' <= m} T[i, m', n] at each step i, P also after the last.  A
@@ -166,12 +165,11 @@ def _rate_path(h: HermitianOperator, psi0: ComplexVectorState, dt: float, steps:
     arguments are checked before the first block, even for no steps."""
     if h.dim != psi0.dim:
         raise DimensionMismatchError(f"operator dim {h.dim} != state dim {psi0.dim}")
-    for name, value in (("dt", dt), ("hbar", hbar)):
-        if not 0 < value < np.inf:
-            raise ContractViolation(f"{name} must be positive and finite, not {value}")
+    if not 0 < dt < np.inf:
+        raise ContractViolation(f"dt must be positive and finite, not {dt}")
     if not noise_c >= 0:  # NaN fails too
         raise NormalizationError("noise rate c must be non-negative")
-    u = unitary_step_matrix(h, dt, hbar)
+    u = unitary_step_matrix(h, dt)
     amps = psi0.amplitudes
     for start in range(0, steps, _RATE_BLOCK):
         a = [amps]
@@ -180,7 +178,7 @@ def _rate_path(h: HermitianOperator, psi0: ComplexVectorState, dt: float, steps:
         amps, a = a[-1], np.array(a)
         p = np.abs(a) ** 2
         j = _current(h.matrix, a[:-1])
-        t, void = _minimal_rates(j, p[:-1], hbar)
+        t, void = _minimal_rates(j, p[:-1])
         noise, low = _noise(p[:-1], noise_c)
         failures = [(~np.all(np.isfinite(a[:-1]), axis=1), NormalizationError("non-finite amplitude")),
                     (void, DegenerateOccupationError(_CURRENT_BELOW_FLOOR)),
@@ -194,14 +192,14 @@ def _rate_path(h: HermitianOperator, psi0: ComplexVectorState, dt: float, steps:
 
 
 def _walk(h: HermitianOperator, psi0: ComplexVectorState, sites: np.ndarray, dt: float,
-          steps: int, rng, hbar: float, noise_c: float, record_every: int):
+          steps: int, rng, noise_c: float, record_every: int):
     """Walk `sites` along the rate path: sites[i] jumps when its draw u <
     cum[-1, sites[i]], to the count of m with cum[m, sites[i]] <= u.  The
     guard rejects a step where an occupied site's outflow reaches 0.1.
     Returns (step indices, sites, P), a row every record_every steps."""
     rec = [(sites.copy(), np.abs(psi0.amplitudes) ** 2)]
     step = 0
-    for p, _, _, cum in _rate_path(h, psi0, dt, steps, hbar, noise_c):
+    for p, _, _, cum in _rate_path(h, psi0, dt, steps, noise_c):
         for cum_t, p_next in zip(cum, p[1:]):
             outflow = cum_t[-1].take(sites)
             if outflow.max() >= OUTFLOW_GUARD:
@@ -218,8 +216,7 @@ def _walk(h: HermitianOperator, psi0: ComplexVectorState, sites: np.ndarray, dt:
 
 
 def jump_trajectory(h: HermitianOperator, psi0: ComplexVectorState, beable0: int,
-                    dt: float, steps: int, seed: int, hbar: float = 1.0,
-                    noise_c: float = 0.0) -> StayTrajectory:
+                    dt: float, steps: int, seed: int, noise_c: float = 0.0) -> StayTrajectory:
     """Co-evolve the wavefunction (exact unitary steps) and the site
     beable (sampled jumps with per-step probabilities T[m, n]*dt).
 
@@ -234,13 +231,13 @@ def jump_trajectory(h: HermitianOperator, psi0: ComplexVectorState, beable0: int
     if steps < 0:
         raise ContractViolation(f"steps must be >= 0, not {steps}")
     _, stays, _ = _walk(h, psi0, np.array([int(beable0)]), dt, steps, seeded_rng(seed),
-                        hbar, noise_c, 1)
+                        noise_c, 1)
     return StayTrajectory(stays[:, 0], n_sites=psi0.dim, dt_instant=dt, seed=seed)
 
 
 def ensemble_jump_run(h: HermitianOperator, psi0: ComplexVectorState, n_traj: int,
-                      dt: float, steps: int, seed: int, hbar: float = 1.0,
-                      noise_c: float = 0.0, record_every: int = 1):
+                      dt: float, steps: int, seed: int, noise_c: float = 0.0,
+                      record_every: int = 1):
     """Ensemble of jump trajectories, initialized ~ |psi(0)|^2.  Returns
     (recorded step indices, site matrix n_rec x n_traj, P(t) rows).
     """
@@ -253,4 +250,4 @@ def ensemble_jump_run(h: HermitianOperator, psi0: ComplexVectorState, n_traj: in
     rng = seeded_rng(seed)
     p = np.abs(psi0.amplitudes) ** 2
     sites = np.searchsorted(np.cumsum(p) / p.sum(), rng.random(n_traj), side="right")
-    return _walk(h, psi0, sites, dt, steps, rng, hbar, noise_c, record_every)
+    return _walk(h, psi0, sites, dt, steps, rng, noise_c, record_every)

@@ -129,7 +129,7 @@ _bool, _str, _floats = _instance(bool), _instance(str), _reals(1)
 _COLLAPSE = {
     "energies": (_floats, REQUIRED), "amplitudes": (_complex(1), None),
     "probabilities": (_floats, None), "k_mode": (_str, "dynamic"), "k0": (_float, None),
-    "seed": (_seed, 0), "units": (_enum("natural", "physical"), "natural"),
+    "seed": (_seed, 0),
 }
 _PROTECT = {
     "psi": (_complex(1), REQUIRED), "observable": (_complex(2), REQUIRED),
@@ -146,7 +146,7 @@ SCHEMAS = {
     "beable-run": {
         "hamiltonian": (_complex(2), REQUIRED), "psi0": (_complex(1), REQUIRED),
         "dt": (_float, REQUIRED), "steps": (_int, REQUIRED), "seed": (_seed, REQUIRED),
-        "beable0": (_int, 0), "hbar": (_float, 1.0), "noise_c": (_float, 0.0),
+        "beable0": (_int, 0), "noise_c": (_float, 0.0),
         # record_every defaults to max(1, steps // 10)
         "ensemble": ({"n_traj": (_int, REQUIRED), "record_every": (_int, None)}, None),
     },
@@ -163,8 +163,7 @@ SCHEMAS = {
     "tomography": {
         "state": ({"type": (_enum("gaussian"), "gaussian"), "x_min": (_float, REQUIRED),
                    "dx": (_float, REQUIRED), "n": (_int, REQUIRED), "center": (_float, 0.0),
-                   "sigma": (_float, 1.0), "momentum": (_float, 0.0), "mass": (_float, 1.0),
-                   "hbar": (_float, 1.0)}, REQUIRED),
+                   "sigma": (_float, 1.0), "momentum": (_float, 0.0)}, REQUIRED),
         "n_regions": (_int, REQUIRED),
     },
     "frames-analyze": {
@@ -257,7 +256,7 @@ def beable_run(p):
     h = hilbert.HermitianOperator(p["hamiltonian"])
     psi0 = hilbert.ComplexVectorState(p["psi0"])
     traj = beable.jump_trajectory(h, psi0, p["beable0"], p["dt"], p["steps"],
-                                  seed=p["seed"], hbar=p["hbar"], noise_c=p["noise_c"])
+                                  seed=p["seed"], noise_c=p["noise_c"])
     ens = p["ensemble"]
     if ens is None:
         return h, psi0, traj, None
@@ -266,7 +265,7 @@ def beable_run(p):
         record_every = max(1, p["steps"] // 10)
     rec_steps, sites, p_rows = beable.ensemble_jump_run(
         h, psi0, ens["n_traj"], p["dt"], p["steps"], seed=p["seed"] + 1,
-        hbar=p["hbar"], noise_c=p["noise_c"], record_every=record_every)
+        noise_c=p["noise_c"], record_every=record_every)
     slices = []
     for row in range(1, len(rec_steps)):
         counts = np.bincount(sites[row], minlength=psi0.dim)
@@ -317,8 +316,7 @@ def _collapse_setup(p, **config):
         amps = p["amplitudes"]
     else:
         amps = np.sqrt(p["probabilities"])
-    units = CollapseConfig.physical if p["units"] == "physical" else CollapseConfig
-    cfg = units(k_mode=p["k_mode"], k0=p["k0"], seed=p["seed"], **config)
+    cfg = CollapseConfig(k_mode=p["k_mode"], k0=p["k0"], seed=p["seed"], **config)
     return hilbert.EnergySuperposition(p["energies"], amps), cfg
 
 
@@ -360,11 +358,10 @@ def cmd_collapse_ensemble(p, ctx):
 
 def cmd_tau_c(p, ctx):
     entries = p["entries"]
-    cfg = CollapseConfig.physical()
     des = [row["delta_e_ev"] for row in entries]
     path = ctx["out_dir"] / "tau_c.csv"
     io.write_csv(path, {"name": [row["name"] for row in entries], "delta_e_ev": des,
-                        "tau_c_s": [collapse.collapse_time(de, cfg) for de in des],
+                        "tau_c_s": [collapse.collapse_time(de) for de in des],
                         "quoted_target_s": [row["quoted_target_s"] for row in entries]},
                  header_comments=[
                      f"hbar_ev_s={constants.HBAR_EVS!r} t_p_s={constants.PLANCK_TIME_S!r}"])
@@ -418,7 +415,7 @@ def tomography(p):
     g = p["state"]
     truth = schrodinger.GridWavefunction.gaussian(
         x0=g["x_min"], dx=g["dx"], n=g["n"], center=g["center"], sigma=g["sigma"],
-        momentum=g["momentum"], mass=g["mass"], hbar=g["hbar"])
+        momentum=g["momentum"])
     return protective.tomography(truth, p["n_regions"])
 
 

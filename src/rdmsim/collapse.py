@@ -1,16 +1,18 @@
 """Energy-conserved discrete collapse dynamics.
 
-One instant of duration t_P updates the branch probabilities of an
-energy superposition around a randomly drawn staying branch s:
+The kernel works in Planck units (hbar = t_P = 1).  One instant updates
+the branch probabilities of an energy superposition around a randomly
+drawn staying branch s:
 
-    P_i(t + t_P) = P_i(t) + k [delta_{is} - P_i(t)],   k = dE * t_P / hbar
+    P_i(t + 1) = P_i(t) + k [delta_{is} - P_i(t)],   k = dE
 
 with dE the RMS energy spread of the instantaneous state ("dynamic"
 mode) or a frozen constant k0.  The staying branch is drawn with the
 current probabilities, which makes every P_i a martingale: outcome
 frequencies reproduce the initial weights exactly, and the ensemble
 energy distribution is conserved.  Mean products P_i P_j decay as
-(1 - k^2)^n, giving the characteristic time ~ t_P / k^2.
+(1 - k^2)^n, giving the characteristic time ~ 1 / k^2 instants.  Only
+the collapse-time calculators work in seconds, with the pinned constants.
 
 Every dynamic k comes from hilbert.energy_spread and passes one guard
 (_strength), so a global energy offset leaves it unchanged and a
@@ -43,9 +45,9 @@ from .seeding import check_seed, trial_rngs
 
 @dataclass(frozen=True)
 class CollapseConfig:
-    """Knobs of the discrete collapse run.
+    """Knobs of the discrete collapse run, in Planck units.
 
-    k_mode "dynamic" recomputes k = dE(t) * t_p / hbar each instant;
+    k_mode "dynamic" recomputes k = dE(t) each instant;
     "frozen" uses the constant k0 (the off-diagonal decay law is exact
     in that mode); dynamic k always uses the one-body spread dE, and
     dynamic mode rejects a k0 rather than ignore it.
@@ -55,9 +57,6 @@ class CollapseConfig:
 
     k_mode: str = "dynamic"
     k0: float = None
-    t_p: float = 1.0
-    hbar: float = 1.0
-    c: float = 1.0
     collapse_epsilon: float = 1e-6
     seed: int = 0
 
@@ -70,19 +69,9 @@ class CollapseConfig:
         elif self.k0 is not None:
             raise ContractViolation("k0 is ignored with k_mode 'dynamic'; drop k0 or "
                                     "set k_mode to 'frozen'")
-        if not all(math.isfinite(v) and v > 0 for v in (self.t_p, self.hbar, self.c)):
-            raise ContractViolation("t_p, hbar and c must be positive and finite")
         if not 0.0 < self.collapse_epsilon < 1.0:
             raise ContractViolation("collapse_epsilon must lie in (0, 1)")
         check_seed(self.seed)
-
-    @staticmethod
-    def physical(**kw) -> "CollapseConfig":
-        """eV / s / m units with the pinned constants."""
-        kw.setdefault("t_p", constants.PLANCK_TIME_S)
-        kw.setdefault("hbar", constants.HBAR_EVS)
-        kw.setdefault("c", constants.C_M_S)
-        return CollapseConfig(**kw)
 
 
 @dataclass(frozen=True)
@@ -103,7 +92,7 @@ class ManyBodyBranchTable:
             raise DimensionMismatchError("energies must be n_subsystems x m_branches")
         if not np.all(np.isfinite(e)):
             raise NormalizationError("non-finite branch energy")
-        if abs(float(np.sum(np.abs(c) ** 2)) - 1.0) > 1e-10:
+        if not abs(float(np.sum(np.abs(c) ** 2)) - 1.0) <= 1e-10:  # NaN fails too
             raise NormalizationError("branch weights do not sum to 1 within 1e-10")
         e.setflags(write=False)
         c.setflags(write=False)
@@ -116,8 +105,8 @@ class ManyBodyBranchTable:
 
 
 def _strength(p, energies, cfg: CollapseConfig, step=None, trials=None):
-    """k for the branch-major p: cfg.k0 when frozen, else dE * t_P / hbar
-    for every column (energies broadcast against p as in energy_spread).
+    """k for the branch-major p: cfg.k0 when frozen, else dE for every
+    column (energies broadcast against p as in energy_spread).
 
     The one guard of the model's regime k <= 1: a non-finite k raises
     NumericFailure, a finite k > 1 SuperPlanckianError.  Both carry the
@@ -125,7 +114,7 @@ def _strength(p, energies, cfg: CollapseConfig, step=None, trials=None):
     """
     if cfg.k_mode == "frozen":
         return cfg.k0
-    k = energy_spread(p, energies) * cfg.t_p / cfg.hbar
+    k = energy_spread(p, energies)
     if not k.max() <= 1.0:  # written so that NaN fails it too
         flat = np.ravel(k)
         bad = int(np.flatnonzero(~(flat <= 1.0))[0])
@@ -163,7 +152,7 @@ def _energy_groups(s: EnergySuperposition):
 def collapse_step(s: EnergySuperposition, cfg: CollapseConfig, rng: np.random.Generator):
     """One discrete instant; returns (new state, staying branch index).
 
-    Probabilities move by k(delta - P); phases advance by -E_i t_P/hbar.
+    Probabilities move by k(delta - P); phases advance by -E_i.
     Degenerate branches are merged for the draw: each member's amplitude
     scales by sqrt(new / old group weight), so members keep their relative
     weights, and an empty group cannot stay.  The returned index is the
@@ -179,7 +168,7 @@ def collapse_step(s: EnergySuperposition, cfg: CollapseConfig, rng: np.random.Ge
     g = int(_collapse_kernel(gp_new[:, None], rng.random(1), k).argmax())
     occupied = gp > 0.0
     scale = np.where(occupied, np.sqrt(gp_new / np.where(occupied, gp, 1.0)), 0.0)
-    phases = np.exp(-1j * s.energies * cfg.t_p / cfg.hbar)
+    phases = np.exp(-1j * s.energies)
     return EnergySuperposition(s.energies, s.amplitudes * scale[label] * phases), int(first[g])
 
 
@@ -377,24 +366,25 @@ def ensemble_outcomes(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: in
     return {"outcomes": outcomes, "steps": steps_to}
 
 
-def collapse_time(delta_e: float, cfg: CollapseConfig) -> float:
-    """Characteristic time (hbar / dE)^2 / t_P for an energy spread dE.
+def collapse_time(delta_e: float) -> float:
+    """Characteristic time (hbar / dE)^2 / t_P in seconds for an energy
+    spread dE in eV, with the pinned constants.
 
     The prefactor is fixed at 1 (the model determines it only to order
     unity); all quoted targets are order-of-magnitude.
     """
     if delta_e <= 0:
         raise ContractViolation("delta_e must be positive")
-    return (cfg.hbar / delta_e) ** 2 / cfg.t_p
+    return (constants.HBAR_EVS / delta_e) ** 2 / constants.PLANCK_TIME_S
 
 
-def relativistic_collapse_time(delta_e: float, v: float, cfg: CollapseConfig) -> float:
-    """(1 + v/c)^-2 times the rest-frame value; v is the experimental
-    frame's velocity relative to the frame where the base formula holds.
-    Valid in the high-energy regime E ~ pc."""
-    if abs(v) >= cfg.c:
+def relativistic_collapse_time(delta_e: float, v: float) -> float:
+    """(1 + v/c)^-2 times the rest-frame value; v [m/s] is the
+    experimental frame's velocity relative to the frame where the base
+    formula holds.  Valid in the high-energy regime E ~ pc."""
+    if abs(v) >= constants.C_M_S:
         raise ContractViolation("|v| must be below c")
-    return (1.0 + v / cfg.c) ** -2 * collapse_time(delta_e, cfg)
+    return (1.0 + v / constants.C_M_S) ** -2 * collapse_time(delta_e)
 
 
 def manybody_delta_e(table: ManyBodyBranchTable, reducer: str = "rms") -> float:

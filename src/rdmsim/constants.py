@@ -1,7 +1,8 @@
 """Physical constants pinned for bit-reproducible calculator output.
 
-Natural-unit runs set hbar = t_P = c = 1; the physical values below are
-used only by the collapse-time and horizon-level calculators.
+Every dynamics kernel works in natural units (hbar = m = t_P = c = 1) and
+has no unit to set; the physical values below are used only by the
+collapse-time and horizon-level calculators.
 """
 
 import math

@@ -60,7 +60,7 @@ class HermitianOperator:
         m = _frozen(self.matrix, np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError("operator matrix must be square")
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
+        if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:  # NaN fails too
             raise NormalizationError("matrix is not Hermitian within 1e-12")
         object.__setattr__(self, "matrix", m)
 

@@ -112,8 +112,15 @@ class ProtectiveSetup:
 def _translate(grid: GridWavefunction, shift: float) -> np.ndarray:
     """Exact periodic translation psi(x) -> psi(x - shift) via the
     momentum-space phase e^{-i k shift}."""
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    k = grid.momentum_grid()
     return np.fft.ifft(np.exp(-1j * k * shift) * np.fft.fft(grid.samples))
+
+
+def _eigen_amplitudes(setup: ProtectiveSetup):
+    """Eigenvalues of the observable and the system state's amplitudes
+    in its eigenbasis."""
+    evals, evecs = np.linalg.eigh(setup.observable.matrix)
+    return evals, evecs.conj().T @ setup.system.amplitudes
 
 
 def _check_shift_fits(pointer: PointerState, shift: float):
@@ -134,8 +141,7 @@ def unprotected_measurement(setup: ProtectiveSetup):
 
     Branch weights are the Born weights; every pointer keeps its width.
     """
-    evals, evecs = np.linalg.eigh(setup.observable.matrix)
-    amps = evecs.conj().T @ setup.system.amplitudes
+    evals, amps = _eigen_amplitudes(setup)
     branches = []
     for a, c in zip(evals, amps):
         if abs(c) ** 2 < 1e-30:
@@ -178,8 +184,7 @@ def zeno_protective_run(setup: ProtectiveSetup) -> dict:
     unchanged for an exponent of 1.  The result does not depend on the
     block size.
     """
-    evals, evecs = np.linalg.eigh(setup.observable.matrix)
-    psi_eig = evecs.conj().T @ setup.system.amplitudes
+    evals, psi_eig = _eigen_amplitudes(setup)
     weights = np.abs(psi_eig) ** 2
     total_shift_bound = float(np.max(np.abs(evals)))
     _check_shift_fits(setup.pointer, total_shift_bound)
@@ -188,7 +193,7 @@ def zeno_protective_run(setup: ProtectiveSetup) -> dict:
     grid = setup.pointer.grid
     half = grid.n // 2 + 1
     tail = grid.n - half  # k[n - j] == -k[j] for j = 1 .. tail
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)[:half]
+    k = grid.momentum_grid()[:half]
     phi_hat = np.fft.fft(grid.samples)
     acc = np.zeros((2, half), dtype=phi_hat.dtype)
     acc[0] = phi_hat[:half]
@@ -227,8 +232,8 @@ def zeno_protective_run(setup: ProtectiveSetup) -> dict:
 
 def first_order_branch_check(setup: ProtectiveSetup) -> dict:
     """Amplitude of the system component orthogonal to psi after one
-    substep, against the leading-order value eps * ||(A - <A>) psi|| *
-    ||P phi|| / hbar (hbar = 1 here).
+    substep, against the leading-order value
+    eps * ||(A - <A>) psi|| * ||P phi||.
 
     The residual between the two is at most second order in
     eps = tau g / N, so doubling N shrinks it by >= 4x (a symmetric
@@ -237,11 +242,10 @@ def first_order_branch_check(setup: ProtectiveSetup) -> dict:
     """
     if setup.n_projections < 1000:
         raise ContractViolation("first-order check needs N >= 1000")
-    evals, evecs = np.linalg.eigh(setup.observable.matrix)
-    psi_eig = evecs.conj().T @ setup.system.amplitudes
+    evals, psi_eig = _eigen_amplitudes(setup)
     eps = float(setup.coupling_weights()[0])
     grid = setup.pointer.grid
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    k = grid.momentum_grid()
     phi_hat = np.fft.fft(grid.samples)
     # kicked joint state, eigencomponent a: psi_a e^{-i k eps a} phi_hat
     kicked = psi_eig[:, None] * np.exp(-1j * k[None, :] * eps * evals[:, None]) * phi_hat[None, :]
@@ -314,7 +318,7 @@ def tomography(psi_true: GridWavefunction, n_regions: int) -> dict:
     rho_meas = np.repeat(_region_means(position_density(psi_true), psi_true.dx, block), block)
     j_meas = np.repeat(_region_means(flux_density(psi_true), psi_true.dx, block), block)
     pair = DensityPair(psi_true.x0, psi_true.dx, rho_meas, j_meas)
-    recon = reconstruct_wavefunction(pair, psi_true.mass, psi_true.hbar)
+    recon = reconstruct_wavefunction(pair)
     overlap = np.vdot(recon.samples, psi_true.samples) * psi_true.dx
     l2 = float(np.sqrt(max(0.0, 2.0 * (1.0 - abs(overlap)))))
     return {

@@ -83,17 +83,14 @@ def _as_probabilities(density) -> np.ndarray:
         p = np.asarray(density, dtype=np.float64)
     if p.ndim != 1 or p.size < 1:
         raise DimensionMismatchError("density must be a 1-d vector or a grid wavefunction")
-    if np.any(p < 0) or abs(float(p.sum()) - 1.0) > DENSITY_TOL:
+    if not (np.all(p >= 0) and abs(float(p.sum()) - 1.0) <= DENSITY_TOL):  # NaN fails too
         raise NormalizationError("density must be non-negative and sum to 1 within 1e-8")
     return p
 
 
-def sample_stays(density, n: int, seed: int, dt_instant: float = 1.0) -> StayTrajectory:
-    """Draw n iid stays from the discrete density (inverse CDF).
-
-    Accepts a probability vector or a GridWavefunction (binned to the
-    grid first).  Reproducible from the seed.
-    """
+def _draw_sites(density, n: int, seed: int, dt_instant: float):
+    """(probabilities, the seeded generator, n sites drawn by inverse CDF):
+    the checks and the first draws that both samplers share."""
     p = _as_probabilities(density)
     if n < 1:
         raise DimensionMismatchError("need n >= 1 instants")
@@ -102,7 +99,16 @@ def sample_stays(density, n: int, seed: int, dt_instant: float = 1.0) -> StayTra
     rng = seeded_rng(seed)
     cdf = np.cumsum(p)
     cdf[-1] = 1.0  # guard the top edge against rounding
-    stays = np.searchsorted(cdf, rng.random(n), side="right")
+    return p, rng, np.searchsorted(cdf, rng.random(n), side="right")
+
+
+def sample_stays(density, n: int, seed: int, dt_instant: float = 1.0) -> StayTrajectory:
+    """Draw n iid stays from the discrete density (inverse CDF).
+
+    Accepts a probability vector or a GridWavefunction (binned to the
+    grid first).  Reproducible from the seed.
+    """
+    p, _, stays = _draw_sites(density, n, seed, dt_instant)
     return StayTrajectory(stays, n_sites=p.size, dt_instant=dt_instant, seed=seed)
 
 
@@ -132,22 +138,12 @@ def sample_entangled_stays(branch_spec, n: int, seed: int, dt_instant: float = 1
     uniformly inside its own branch region.  The branch label is shared,
     so the two particles jump between branches in exact lockstep.
     """
-    weights = np.array([float(b[0]) for b in branch_spec])
-    if abs(float(weights.sum()) - 1.0) > DENSITY_TOL or np.any(weights < 0):
-        raise NormalizationError("branch weights must be non-negative and sum to 1")
-    if n < 1:
-        raise DimensionMismatchError("need n >= 1 instants")
-    if not dt_instant > 0:
-        raise ContractViolation(f"dt_instant must be positive, not {dt_instant}")
     regions1 = [tuple(map(float, b[1])) for b in branch_spec]
     regions2 = [tuple(map(float, b[2])) for b in branch_spec]
     for lo, hi in regions1 + regions2:
         if not hi > lo:
             raise DimensionMismatchError("region must be a (lo, hi) interval with hi > lo")
-    rng = seeded_rng(seed)
-    cdf = np.cumsum(weights)
-    cdf[-1] = 1.0
-    branches = np.searchsorted(cdf, rng.random(n), side="right")
+    _, rng, branches = _draw_sites([float(b[0]) for b in branch_spec], n, seed, dt_instant)
     u1 = rng.random(n)
     u2 = rng.random(n)
     lo1 = np.array([r[0] for r in regions1])

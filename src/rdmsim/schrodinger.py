@@ -1,4 +1,5 @@
-"""Unitary evolution and the density/flux picture on a 1-d periodic grid.
+"""Unitary evolution and the density/flux picture on a 1-d periodic grid,
+in natural units (hbar = m = 1).
 
 Grid evolution uses the symmetric split-step method: a half kick of the
 position-space potential phase, a full momentum-space kinetic phase, and
@@ -36,14 +37,12 @@ class GridWavefunction:
     x0: float
     dx: float
     samples: np.ndarray
-    mass: float = 1.0
-    hbar: float = 1.0
 
     def __post_init__(self):
         s = _frozen(self.samples, np.complex128)
         if s.ndim != 1 or s.size < 8 or s.size % 2 != 0:
             raise DimensionMismatchError("grid needs >= 8 samples and an even count")
-        GridWavefunction._check_scales(self.dx, self.mass, self.hbar)
+        GridWavefunction._check_dx(self.dx)
         if not np.all(np.isfinite(s.view(np.float64))):
             raise NumericFailure("non-finite grid sample")
         if abs(self.dx * float(np.sum(np.abs(s) ** 2)) - 1.0) > GRID_NORM_TOL:
@@ -63,27 +62,27 @@ class GridWavefunction:
         return self.dx * self.n
 
     def momentum_grid(self) -> np.ndarray:
-        return 2.0 * np.pi * self.hbar * np.fft.fftfreq(self.n, d=self.dx)
+        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
     def with_samples(self, samples) -> "GridWavefunction":
-        return GridWavefunction(self.x0, self.dx, samples, self.mass, self.hbar)
+        return GridWavefunction(self.x0, self.dx, samples)
 
     @staticmethod
-    def _check_scales(dx, mass, hbar):
-        if not (dx > 0 and mass > 0 and hbar > 0):  # NaN fails too
-            raise DimensionMismatchError("dx, mass and hbar must be positive")
+    def _check_dx(dx):
+        if not dx > 0:  # NaN fails too
+            raise DimensionMismatchError("dx must be positive")
 
     @staticmethod
-    def gaussian(x0, dx, n, center, sigma, momentum=0.0, mass=1.0, hbar=1.0):
+    def gaussian(x0, dx, n, center, sigma, momentum=0.0):
         """Normalized Gaussian packet with RMS position width sigma,
         optionally boosted to mean momentum `momentum`."""
         if not sigma > 0:
             raise ContractViolation(f"sigma must be positive, not {sigma}")
-        GridWavefunction._check_scales(dx, mass, hbar)
+        GridWavefunction._check_dx(dx)
         x = x0 + dx * np.arange(n)
-        psi = np.exp(-((x - center) ** 2) / (4.0 * sigma**2) + 1j * momentum * x / hbar)
+        psi = np.exp(-((x - center) ** 2) / (4.0 * sigma**2) + 1j * momentum * x)
         psi /= np.sqrt(dx * np.sum(np.abs(psi) ** 2))
-        return GridWavefunction(x0, dx, psi, mass, hbar)
+        return GridWavefunction(x0, dx, psi)
 
 
 @dataclass(frozen=True)
@@ -109,17 +108,17 @@ class DensityPair:
         object.__setattr__(self, "j", j)
 
 
-def evolve_phases(s: EnergySuperposition, t: float, hbar: float = 1.0) -> EnergySuperposition:
-    """Free evolution in the energy eigenbasis: c_i -> c_i e^{-i E_i t / hbar}.
+def evolve_phases(s: EnergySuperposition, t: float) -> EnergySuperposition:
+    """Free evolution in the energy eigenbasis: c_i -> c_i e^{-i E_i t}.
 
     Branch probabilities are untouched, so Born statistics are invariant.
     """
-    phases = np.exp(-1j * s.energies * t / hbar)
+    phases = np.exp(-1j * s.energies * t)
     return EnergySuperposition(s.energies, s.amplitudes * phases)
 
 
 def evolve_grid(psi: GridWavefunction, v, dt: float, steps: int) -> GridWavefunction:
-    """Propagate under H = p^2/2m + V(x) for `steps` steps of size dt.
+    """Propagate under H = p^2/2 + V(x) for `steps` steps of size dt.
 
     V is piecewise constant over each step.  Norm is preserved to 1e-10
     per step by construction; NaN/overflow aborts with the step index.
@@ -131,11 +130,11 @@ def evolve_grid(psi: GridWavefunction, v, dt: float, steps: int) -> GridWavefunc
         raise DimensionMismatchError("potential must match the grid")
     if steps == 0:
         return psi
-    if float(np.max(np.abs(v))) * dt / psi.hbar >= 0.5:
-        raise StepSizeError("max|V|*dt/hbar must stay below 0.5")
+    if float(np.max(np.abs(v))) * dt >= 0.5:
+        raise StepSizeError("max|V|*dt must stay below 0.5")
     p = psi.momentum_grid()
-    half_v = np.exp(-0.5j * v * dt / psi.hbar)
-    kinetic = np.exp(-0.5j * p**2 * dt / (psi.mass * psi.hbar))
+    half_v = np.exp(-0.5j * v * dt)
+    kinetic = np.exp(-0.5j * p**2 * dt)
     s = psi.samples.copy()
     for step in range(steps):
         s = half_v * np.fft.ifft(kinetic * np.fft.fft(half_v * s))
@@ -150,10 +149,10 @@ def position_density(psi: GridWavefunction) -> np.ndarray:
 
 
 def flux_density(psi: GridWavefunction) -> np.ndarray:
-    """j = (hbar/m) Im(psi* dpsi/dx), centered differences, periodic wrap."""
+    """j = Im(psi* dpsi/dx), centered differences, periodic wrap."""
     s = psi.samples
     dpsi = (np.roll(s, -1) - np.roll(s, 1)) / (2.0 * psi.dx)
-    return (psi.hbar / psi.mass) * np.imag(np.conj(s) * dpsi)
+    return np.imag(np.conj(s) * dpsi)
 
 
 def continuity_residual(psi_series, dt: float) -> float:
@@ -178,8 +177,8 @@ def _support_runs(mask: np.ndarray):
     return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
 
 
-def reconstruct_wavefunction(d: DensityPair, mass: float = 1.0, hbar: float = 1.0) -> GridWavefunction:
-    """Rebuild psi = sqrt(rho) exp(i m int v dx' / hbar) with v = j/rho.
+def reconstruct_wavefunction(d: DensityPair) -> GridWavefunction:
+    """Rebuild psi = sqrt(rho) exp(i int v dx') with v = j/rho.
 
     The support is {k : rho_k > 1e-12 * max rho}.  If an interior node
     splits the support into more than one occupied region the phase
@@ -202,19 +201,16 @@ def reconstruct_wavefunction(d: DensityPair, mass: float = 1.0, hbar: float = 1.
     phase = np.zeros_like(rho)
     # cumulative trapezoid of v from the first support point
     seg = v[a:b]
-    phase[a:b] = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (seg[1:] + seg[:-1]) * d.dx))
-    ) * (mass / hbar)
+    phase[a:b] = np.concatenate(([0.0], np.cumsum(0.5 * (seg[1:] + seg[:-1]) * d.dx)))
     # outside the support the amplitude is ~0; freeze the phase at the edges
     phase[:a] = phase[a]
     phase[b:] = phase[b - 1]
     psi = np.sqrt(rho) * np.exp(1j * phase)
-    return GridWavefunction(d.x0, d.dx, psi, mass, hbar)
+    return GridWavefunction(d.x0, d.dx, psi)
 
 
 def dispersion_check(p: float, n_samples: int = 256) -> float:
-    """Residual of the free dispersion E = p^2/2 on the discrete grid
-    (hbar = m = 1).
+    """Residual of the free dispersion E = p^2/2 on the discrete grid.
 
     Inserts the plane wave e^{i(px - Et)} into the free equation with the
     Laplacian discretized by centered differences over one period 2 pi,

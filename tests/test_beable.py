@@ -55,11 +55,11 @@ class TestProbabilityCurrent:
             assert np.max(np.abs(j + j.T)) < 1e-12
 
     def test_continuity_against_finite_difference(self):
-        # hbar dP/dt = row sums of J, checked against a centered difference
+        # dP/dt = row sums of J, checked against a centered difference
         rng = np.random.Generator(np.random.PCG64(1))
         h, psi = rand_pair(rng, 4)
         dt = 1e-5
-        u = beable.unitary_step_matrix(h, dt, 1.0)
+        u = beable.unitary_step_matrix(h, dt)
         u_inv = u.conj().T
         p_plus = np.abs(u @ psi.amplitudes) ** 2
         p_minus = np.abs(u_inv @ psi.amplitudes) ** 2
@@ -137,7 +137,7 @@ class TestHomogeneousNoise:
     def test_master_evolution_invariant(self):
         # integrating with rates rebuilt each step, the noise cancels
         h, psi0 = TWO_SITE_H, hilbert.ComplexVectorState(np.sqrt([0.7, 0.3]))
-        u = beable.unitary_step_matrix(h, 0.01, 1.0)
+        u = beable.unitary_step_matrix(h, 0.01)
         amps = psi0.amplitudes.copy()
         p_plain = np.abs(amps) ** 2
         p_noisy = p_plain.copy()
@@ -258,7 +258,6 @@ class TestJumpTrajectory:
         ({"steps": -1}, "steps"), ({"n_traj": -1}, "n_traj"),
         ({"record_every": 0}, "record_every"), ({"seed": -1}, "seed"),
         ({"dt": 0.0}, "dt"), ({"steps": 0, "noise_c": -1.0}, "noise"),
-        ({"steps": 0, "hbar": 0.0}, "hbar"),
     ])
     def test_ensemble_rejects_bad_counts(self, kw, name):
         args = {"n_traj": 10, "dt": 0.01, "steps": 5, "seed": 1, "record_every": 1, **kw}
@@ -276,26 +275,24 @@ class TestJumpTrajectory:
             with pytest.raises(NormalizationError, match="noise"):
                 beable.jump_trajectory(TWO_SITE_H, TWO_SITE_PSI, 0, 0.01, steps, seed=1,
                                        noise_c=-1.0)
-        with pytest.raises(ContractViolation, match="hbar"):
-            beable.jump_trajectory(TWO_SITE_H, TWO_SITE_PSI, 0, 0.01, 0, seed=1, hbar=-1.0)
         with pytest.raises(DimensionMismatchError, match="operator dim 3"):
             beable.jump_trajectory(hilbert.HermitianOperator(np.eye(3)), TWO_SITE_PSI, 0,
                                    0.01, 0, seed=1)
 
 
-def reference_trajectory(h, psi0, beable0, dt, steps, seed, hbar=1.0, noise_c=0.0):
+def reference_trajectory(h, psi0, beable0, dt, steps, seed, noise_c=0.0):
     """The per-step jump_trajectory loop that the rate path replaced."""
     rng = seeded_rng(seed)
-    u = beable.unitary_step_matrix(h, dt, hbar)
+    u = beable.unitary_step_matrix(h, dt)
     amps = psi0.amplitudes.copy()
     site = int(beable0)
     stays = np.empty(steps + 1, dtype=np.int64)
     stays[0] = site
     for step in range(steps):
         state = hilbert.ComplexVectorState(amps)
-        j = beable.probability_current(h, state, hbar)
+        j = beable.probability_current(h, state)
         p = np.abs(amps) ** 2
-        t = beable.bell_transition_rates(j, p, hbar)
+        t = beable.bell_transition_rates(j, p)
         if noise_c != 0.0:  # add_homogeneous_noise rejects c < 0
             t = beable.add_homogeneous_noise(t, p, noise_c)
         jump_p = t.rates[:, site] * dt
@@ -312,11 +309,10 @@ def reference_trajectory(h, psi0, beable0, dt, steps, seed, hbar=1.0, noise_c=0.
     return StayTrajectory(stays, n_sites=psi0.dim, dt_instant=dt, seed=seed)
 
 
-def reference_ensemble(h, psi0, n_traj, dt, steps, seed, hbar=1.0, noise_c=0.0,
-                       record_every=1):
+def reference_ensemble(h, psi0, n_traj, dt, steps, seed, noise_c=0.0, record_every=1):
     """The per-step ensemble_jump_run loop that the rate path replaced."""
     rng = seeded_rng(seed)
-    u = beable.unitary_step_matrix(h, dt, hbar)
+    u = beable.unitary_step_matrix(h, dt)
     amps = psi0.amplitudes.copy()
     p = np.abs(amps) ** 2
     sites = np.searchsorted(np.cumsum(p) / p.sum(), rng.random(n_traj), side="right")
@@ -325,9 +321,9 @@ def reference_ensemble(h, psi0, n_traj, dt, steps, seed, hbar=1.0, noise_c=0.0,
     rec_p = [p.copy()]
     for step in range(steps):
         state = hilbert.ComplexVectorState(amps)
-        j = beable.probability_current(h, state, hbar)
+        j = beable.probability_current(h, state)
         p = np.abs(amps) ** 2
-        t = beable.bell_transition_rates(j, p, hbar)
+        t = beable.bell_transition_rates(j, p)
         if noise_c != 0.0:  # add_homogeneous_noise rejects c < 0
             t = beable.add_homogeneous_noise(t, p, noise_c)
         # per-site cumulative jump table, shared across the ensemble
@@ -385,14 +381,14 @@ def rate_path_cases(draw):
     return dict(h=h, psi=v / np.linalg.norm(v), beable0=draw(st.integers(0, dim - 1)),
                 dt=draw(st.floats(0.001, 0.03)), steps=draw(st.integers(0, 40)),
                 noise_c=draw(st.sampled_from([0.0, 0.0, 0.3, 2.0])),
-                hbar=draw(st.sampled_from([1.0, 0.7])), n_traj=draw(st.integers(1, 60)),
+                n_traj=draw(st.integers(1, 60)),
                 record_every=draw(st.integers(1, 5)), block=draw(st.sampled_from([1, 7, 256])),
                 seed=draw(st.integers(0, 1000)))
 
 
 RABI_FROM_ONE_SITE = dict(  # P_0 = cos^2 t: site 0's outflow passes 0.1 at step 81, P_0 < 1e-12 at 100
     h=[[0.0, -1.0], [-1.0, 0.0]], psi=[1.0, 0.0], beable0=0, dt=np.pi / 200, steps=300,
-    noise_c=0.0, hbar=1.0, n_traj=50, record_every=10, block=64, seed=3)
+    noise_c=0.0, n_traj=50, record_every=10, block=64, seed=3)
 PINNED = {
     "degenerate-at-step-0": dict(RABI_FROM_ONE_SITE, h=[[0.0, -1j], [1j, 0.0]],
                                  psi=np.array([1.0, 1e-7]) / np.hypot(1.0, 1e-7), steps=20),
@@ -417,7 +413,7 @@ class TestRatePathParity:
         h = hilbert.HermitianOperator(case["h"])
         psi0 = hilbert.ComplexVectorState(case["psi"])
         common = dict(dt=case["dt"], steps=case["steps"], seed=case["seed"],
-                      hbar=case["hbar"], noise_c=case["noise_c"])
+                      noise_c=case["noise_c"])
         runs = [(beable.jump_trajectory, reference_trajectory, dict(beable0=case["beable0"])),
                 (beable.ensemble_jump_run, reference_ensemble,
                  dict(n_traj=case["n_traj"], record_every=case["record_every"]))]
@@ -448,11 +444,11 @@ class TestRatePathParity:
                                      seed=case["seed"], noise_c=case["noise_c"])
 
 
-def walk_reference(h, psi0, sites, dt, steps, rng, hbar, noise_c, record_every):
+def walk_reference(h, psi0, sites, dt, steps, rng, noise_c, record_every):
     """The walk loop that selected its jumpers with boolean masks."""
     rec = [(sites.copy(), np.abs(psi0.amplitudes) ** 2)]
     step = 0
-    for p, _, _, cum in beable._rate_path(h, psi0, dt, steps, hbar, noise_c):
+    for p, _, _, cum in beable._rate_path(h, psi0, dt, steps, noise_c):
         for cum_t, p_next in zip(cum, p[1:]):
             outflow = cum_t[-1][sites]
             if outflow.max() >= beable.OUTFLOW_GUARD:

@@ -145,7 +145,7 @@ def reference_step(s, cfg, rng):
     scale = np.ones_like(p)
     for g, idx in enumerate(groups):
         scale[idx] = math.sqrt(gp_new[g] / gp[g]) if gp[g] > 0.0 else 0.0
-    phases = np.exp(-1j * s.energies * cfg.t_p / cfg.hbar)
+    phases = np.exp(-1j * s.energies)
     return (hilbert.EnergySuperposition(s.energies, s.amplitudes * scale * phases),
             groups[g_stay][0])
 
@@ -182,7 +182,7 @@ def _trajectory_reference(s0, cfg, max_steps):
     seen = {}
     label = np.array([seen.setdefault(float(e), len(seen)) for e in s0.energies])
     first = np.unique(label, return_index=True)[1]
-    phases = np.exp(-1j * s0.energies * cfg.t_p / cfg.hbar)
+    phases = np.exp(-1j * s0.energies)
     amps, p = s0.amplitudes, s0.probabilities
     history, staying = [p], []
     outcome = None
@@ -362,7 +362,7 @@ def reference_outcome(s0, cfg, trial, max_steps):
             d = [ei - e[0] for ei in e]
             mean = sum(pi * di for pi, di in zip(p, d))
             var = sum(pi * (di - mean) ** 2 for pi, di in zip(p, d))
-            k = math.sqrt(max(var, 0.0)) * cfg.t_p / cfg.hbar
+            k = math.sqrt(max(var, 0.0))
         cum, total = [], 0.0
         for x in p:
             total += x
@@ -469,26 +469,23 @@ class TestEnsembleOutcomes:
 
 class TestCollapseTime:
     def test_reference_values(self):
-        cfg = CollapseConfig.physical()
-        assert collapse.collapse_time(1e-6, cfg) == pytest.approx(8.04e24, rel=0.01)
-        assert collapse.collapse_time(8.6e-6, cfg) == pytest.approx(1.087e23, rel=0.01)
-        assert collapse.collapse_time(2.5e11, cfg) == pytest.approx(1.286e-10, rel=0.01)
+        assert collapse.collapse_time(1e-6) == pytest.approx(8.04e24, rel=0.01)
+        assert collapse.collapse_time(8.6e-6) == pytest.approx(1.087e23, rel=0.01)
+        assert collapse.collapse_time(2.5e11) == pytest.approx(1.286e-10, rel=0.01)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ContractViolation):
-            collapse.collapse_time(0.0, CollapseConfig())
+            collapse.collapse_time(0.0)
 
     def test_relativistic_factor(self):
-        cfg = CollapseConfig.physical()
-        base = collapse.collapse_time(1.0, cfg)
-        assert collapse.relativistic_collapse_time(1.0, 0.0, cfg) == base
-        third = collapse.relativistic_collapse_time(1.0, cfg.c / 3.0, cfg)
+        base = collapse.collapse_time(1.0)
+        assert collapse.relativistic_collapse_time(1.0, 0.0) == base
+        third = collapse.relativistic_collapse_time(1.0, constants.C_M_S / 3.0)
         assert third / base == pytest.approx(9.0 / 16.0, abs=1e-12)
 
     def test_rejects_superluminal(self):
-        cfg = CollapseConfig.physical()
         with pytest.raises(ContractViolation):
-            collapse.relativistic_collapse_time(1.0, cfg.c, cfg)
+            collapse.relativistic_collapse_time(1.0, constants.C_M_S)
 
 
 class TestManyBodyDeltaE:
@@ -575,21 +572,9 @@ class TestConfig:
         with pytest.raises(ContractViolation):
             CollapseConfig(k_mode="frozen")
 
-    def test_physical_constants(self):
-        cfg = CollapseConfig.physical()
-        assert cfg.hbar == constants.HBAR_EVS
-        assert cfg.t_p == constants.PLANCK_TIME_S
-        assert cfg.c == constants.C_M_S
-
     def test_epsilon_range(self):
         with pytest.raises(ContractViolation):
             CollapseConfig(collapse_epsilon=1.5)
-
-    @pytest.mark.parametrize("field", ["t_p", "hbar", "c"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
-    def test_constants_finite_and_positive(self, field, value):
-        with pytest.raises(ContractViolation):
-            CollapseConfig(**{field: value})
 
     @pytest.mark.parametrize("seed", [1.5, True, False, -1, 2**64, 2**64 + 1, "1", None])
     def test_seed_must_be_a_64_bit_integer(self, seed):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rdmsim import hilbert
+from rdmsim import beable, collapse, hilbert, rdm
 from rdmsim.errors import DimensionMismatchError, NormalizationError
 
 
@@ -124,6 +124,18 @@ class TestTypeInvariants:
             hilbert.EnergySuperposition([0.0, 1.0], [0.9, 0.9])
         with pytest.raises(NormalizationError):  # sqrt of a negative weight
             hilbert.EnergySuperposition([0.0, 1.0], [np.nan, 1.0])
+
+    @pytest.mark.parametrize("build", [
+        lambda: hilbert.HermitianOperator([[np.nan, 0.0], [0.0, 0.0]]),
+        lambda: collapse.ManyBodyBranchTable([[0.0, 1.0]], [np.nan, 1.0]),
+        lambda: beable.TransitionRateMatrix([[0.0, np.nan], [1.0, 0.0]]),
+        lambda: rdm.sample_stays([np.nan, 1.0], 10, seed=0),
+        lambda: rdm.sample_entangled_stays(
+            [(np.nan, (0.0, 1.0), (2.0, 3.0)), (1.0, (1.0, 2.0), (3.0, 4.0))], 10, seed=0),
+    ], ids=["hermitian", "branch-table", "rate-matrix", "stays", "entangled-stays"])
+    def test_nan_fails_validation(self, build):
+        with pytest.raises(NormalizationError):
+            build()
 
     def test_states_immutable(self):
         s = hilbert.ComplexVectorState([1.0, 0.0])

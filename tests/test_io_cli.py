@@ -309,6 +309,18 @@ class TestCliRuns:
                               "collapse_epsilon: 0.5\n", (),
          "error (ScenarioError): unknown scenario keys: ['collapse_epsilon']"),
         ("verify", "pack: true\n", (), "error (ScenarioError): unknown scenario keys: ['pack']"),
+        ("collapse-run", "energies: [0.0, 1.0]\nprobabilities: [0.5, 0.5]\nunits: natural\n", (),
+         "error (ScenarioError): unknown scenario keys: ['units']"),
+        ("collapse-ensemble", "energies: [0.0, 1.0]\nprobabilities: [0.5, 0.5]\n"
+                              "units: natural\n", (),
+         "error (ScenarioError): unknown scenario keys: ['units']"),
+        ("beable-run", "hamiltonian: [[0.0, -1.0], [-1.0, 0.0]]\npsi0: [0.6, 0.8]\n"
+                       "dt: 0.01\nsteps: 10\nseed: 0\nhbar: 1.0\n", (),
+         "error (ScenarioError): unknown scenario keys: ['hbar']"),
+        ("tomography", "state: {x_min: -8.0, dx: 0.125, n: 128, mass: 2.0}\nn_regions: 16\n", (),
+         "error (ScenarioError): unknown scenario keys: ['state.mass']"),
+        ("tomography", "state: {x_min: -8.0, dx: 0.125, n: 128, hbar: 1.0}\nn_regions: 16\n", (),
+         "error (ScenarioError): unknown scenario keys: ['state.hbar']"),
     ], ids=["n-trials-abc", "max-steps-list", "two-box-empty", "two-box-number",
             "n-abc", "a-sq-abc", "entries-number", "state-number", "criteria-number",
             "binary-string", "units-bogus", "delta-e-reducer", "ensemble-unknown-key",
@@ -317,7 +329,9 @@ class TestCliRuns:
             "pack-flag-with-criteria", "criteria-empty", "amplitudes-with-probabilities",
             "weights-with-two-box", "k0-with-dynamic-k", "n-beyond-int64",
             "n-trials-beyond-int64", "n-beyond-numpy-index", "bools-as-probabilities",
-            "bools-as-weights", "collapse-epsilon-in-ensemble", "pack-key"])
+            "bools-as-weights", "collapse-epsilon-in-ensemble", "pack-key", "units-in-run",
+            "units-in-ensemble", "hbar-in-beable-run", "mass-in-tomography",
+            "hbar-in-tomography"])
     def test_malformed_value_exits_1(self, tmp_path, capsys, subcommand, body, extra,
                                      expect):
         path = tmp_path / "s.yaml"
@@ -664,14 +678,14 @@ SMALL_SCENARIOS = {
     "rdm-sample": {"n": 20, "seed": 1, "two_box": {"a_sq": 0.3}, "dt_instant": 1.0,
                    "binary": False},
     "beable-run": {"hamiltonian": [[0.0, -1.0], [-1.0, 0.0]], "psi0": [0.8, 0.6],
-                   "dt": 0.01, "steps": 4, "seed": 2, "beable0": 0, "hbar": 1.0,
+                   "dt": 0.01, "steps": 4, "seed": 2, "beable0": 0,
                    "noise_c": 0.0, "ensemble": {"n_traj": 20, "record_every": 2}},
     "collapse-run": {"energies": [0.0, 1.0], "probabilities": [0.5, 0.5],
                      "k_mode": "frozen", "k0": 0.3, "collapse_epsilon": 1e-3,
-                     "units": "natural", "seed": 3, "max_steps": 50},
+                     "seed": 3, "max_steps": 50},
     "collapse-ensemble": {"energies": [0.0, 1.0], "amplitudes": [0.6, 0.8],
                           "k_mode": "frozen", "k0": 0.1,
-                          "units": "natural", "seed": 4, "n_trials": 8, "n_steps": 6,
+                          "seed": 4, "n_trials": 8, "n_steps": 6,
                           "slice_stride": 3},
     "tau-c": {"entries": [{"name": "x", "delta_e_ev": 1.0, "quoted_target_s": 1.0}]},
     "protect-run": {"psi": [0.6, 0.8], "observable": [[1.0, 0.0], [0.0, 0.0]],
@@ -683,8 +697,7 @@ SMALL_SCENARIOS = {
                       "pointer": {"x_min": -20.0, "dx": 0.5, "n": 80, "x0": 0.0,
                                   "w0": 2.0}},
     "tomography": {"state": {"type": "gaussian", "x_min": -8.0, "dx": 0.125, "n": 128,
-                             "center": 0.0, "sigma": 1.0, "momentum": 0.5,
-                             "mass": 1.0, "hbar": 1.0},
+                             "center": 0.0, "sigma": 1.0, "momentum": 0.5},
                    "n_regions": 16},
     "frames-analyze": {"a_sq": 0.5, "n": 200, "seed": 5, "v": 0.5,
                        "regions": {"u1": [0.0, 5.0], "u2": [50.0, 55.0],
