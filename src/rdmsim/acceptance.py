@@ -160,7 +160,7 @@ def criterion_6_beable_equivariance(p, run):
 
 def criterion_7_rdm_ergodicity(p, run):
     """Two-box occupancy and the O(1/sqrt(n)) density convergence."""
-    traj, a_sq, seed = run(p), p["two_box"]["a_sq"], p["seed"]
+    traj, a_sq, seed = run(p), p["weights"][0], p["seed"]
     frac = float(np.mean(traj.stays == 0))
     sigma = np.sqrt(a_sq * (1.0 - a_sq) / traj.instants)
     box_ok = abs(frac - a_sq) <= 3.0 * sigma

@@ -4,10 +4,9 @@ Every subcommand reads its parameters from a scenario file (YAML, with
 JSON as the canonical subset), checked and typed against SCHEMAS before
 anything runs, and writes declared outputs plus a manifest into
 --out-dir.  --seed, which overrides the scenario's master seed, exists
-only on the subcommands whose schema has a seed; --format only on
-rdm-sample, the one subcommand that writes either CSV or JSON.  Identical
-scenario + seed reproduce byte-identical data files; only the manifest's
-wall-time field differs between runs.
+only on the subcommands whose schema has a seed.  Identical scenario +
+seed reproduce byte-identical data files; only the manifest's wall-time
+field differs between runs.
 
 Exit codes: 0 ok, 1 contract violation (bad scenario / precondition),
 2 numeric failure (NaN or overflow mid-run).
@@ -85,14 +84,6 @@ def _instance(kind):
     return convert
 
 
-def _enum(*choices):
-    def convert(value):
-        if value not in choices:
-            raise ValueError(f"expected one of {'|'.join(choices)}, not {value!r}")
-        return value
-    return convert
-
-
 def _seed(value) -> int:
     return seeding.check_seed(_int(value, hi=2**64))
 
@@ -127,21 +118,13 @@ def _interval(value) -> tuple:
 _bool, _str, _floats = _instance(bool), _instance(str), _reals(1)
 
 _COLLAPSE = {
-    "energies": (_floats, REQUIRED), "amplitudes": (_complex(1), None),
-    "probabilities": (_floats, None), "k_mode": (_str, "dynamic"), "k0": (_float, None),
-    "seed": (_seed, 0),
-}
-_PROTECT = {
-    "psi": (_complex(1), REQUIRED), "observable": (_complex(2), REQUIRED),
-    "tau": (_float, REQUIRED), "g_profile": (_str, "constant"),
-    "pointer": ({"x_min": (_float, REQUIRED), "dx": (_float, REQUIRED), "n": (_int, REQUIRED),
-                 "x0": (_float, 0.0), "w0": (_float, REQUIRED)}, REQUIRED),
+    "energies": (_floats, REQUIRED), "probabilities": (_floats, REQUIRED),
+    "k_mode": (_str, "dynamic"), "k0": (_float, None), "seed": (_seed, 0),
 }
 SCHEMAS = {
     "rdm-sample": {
-        "n": (_int, REQUIRED), "seed": (_seed, REQUIRED), "weights": (_floats, None),
-        "two_box": ({"a_sq": (_float, REQUIRED)}, None), "dt_instant": (_float, 1.0),
-        "binary": (_bool, False),
+        "n": (_int, REQUIRED), "seed": (_seed, REQUIRED), "weights": (_floats, REQUIRED),
+        "dt_instant": (_float, 1.0), "binary": (_bool, False),
     },
     "beable-run": {
         "hamiltonian": (_complex(2), REQUIRED), "psi0": (_complex(1), REQUIRED),
@@ -158,12 +141,18 @@ SCHEMAS = {
                             "quoted_target_s": (_float, float("nan"))}],
                           [{"name": n, "delta_e_ev": d, "quoted_target_s": t}
                            for n, d, t, _ in acceptance.TAU_C_TABLE])},
-    "protect-run": {**_PROTECT, "n_projections": (_int, REQUIRED)},
-    "protect-sweep": {**_PROTECT, "n_list": ([_int], REQUIRED)},
+    "protect-sweep": {
+        "psi": (_complex(1), REQUIRED), "observable": (_complex(2), REQUIRED),
+        "tau": (_float, REQUIRED), "g_profile": (_str, "constant"),
+        "pointer": ({"x_min": (_float, REQUIRED), "dx": (_float, REQUIRED),
+                     "n": (_int, REQUIRED), "x0": (_float, 0.0), "w0": (_float, REQUIRED)},
+                    REQUIRED),
+        "n_list": ([_int], REQUIRED),
+    },
     "tomography": {
-        "state": ({"type": (_enum("gaussian"), "gaussian"), "x_min": (_float, REQUIRED),
-                   "dx": (_float, REQUIRED), "n": (_int, REQUIRED), "center": (_float, 0.0),
-                   "sigma": (_float, 1.0), "momentum": (_float, 0.0)}, REQUIRED),
+        "state": ({"x_min": (_float, REQUIRED), "dx": (_float, REQUIRED), "n": (_int, REQUIRED),
+                   "center": (_float, 0.0), "sigma": (_float, 1.0), "momentum": (_float, 0.0)},
+                  REQUIRED),
         "n_regions": (_int, REQUIRED),
     },
     "frames-analyze": {
@@ -215,36 +204,18 @@ def _parse(schema: dict, values, path: str = "") -> dict:
 # The handlers of scenarios that feed an acceptance criterion are split:
 # the computation (in COMPUTE) and the cmd_* function that writes it.
 
-def _one_of(p, a, b):
-    """Whichever of the keys a and b the scenario sets; it must set exactly one."""
-    given = [key for key in (a, b) if p[key] is not None]
-    if len(given) != 1:
-        raise ScenarioError(f"give {a!r} or {b!r}, not {'both' if given else 'neither'}")
-    return given[0]
-
-
 def rdm_sample(p):
-    if _one_of(p, "weights", "two_box") == "weights":
-        weights = p["weights"]
-    else:
-        weights = np.array([p["two_box"]["a_sq"], 1.0 - p["two_box"]["a_sq"]])
-    return rdm.sample_stays(weights, p["n"], seed=p["seed"], dt_instant=p["dt_instant"])
+    return rdm.sample_stays(p["weights"], p["n"], seed=p["seed"], dt_instant=p["dt_instant"])
 
 
 def cmd_rdm_sample(p, ctx):
-    if p["binary"] and ctx["fmt"] == "json":
-        raise ScenarioError("binary: true writes .rdmt and cannot be combined with --format json")
     traj = rdm_sample(p)
     if p["binary"]:
         path = ctx["out_dir"] / "stays.rdmt"
         io.write_trajectory_binary(path, traj)
-    elif ctx["fmt"] == "csv":
+    else:
         path = ctx["out_dir"] / "stays.csv"
         io.write_trajectory_csv(path, traj)
-    else:
-        path = ctx["out_dir"] / "stays.json"
-        io.write_json(path, {"stays": traj.stays.tolist(), "n_sites": traj.n_sites,
-                             "seed": traj.seed, "dt_instant": traj.dt_instant})
     hist = rdm.empirical_density(traj)
     summary = (f"sampled {traj.instants} stays over {traj.n_sites} sites; "
                f"empirical density {np.round(hist, 4).tolist()}")
@@ -312,12 +283,8 @@ def cmd_beable_run(p, ctx):
 def _collapse_setup(p, **config):
     """Initial superposition and config of the two collapse subcommands;
     `config` holds further CollapseConfig fields."""
-    if _one_of(p, "amplitudes", "probabilities") == "amplitudes":
-        amps = p["amplitudes"]
-    else:
-        amps = np.sqrt(p["probabilities"])
     cfg = CollapseConfig(k_mode=p["k_mode"], k0=p["k0"], seed=p["seed"], **config)
-    return hilbert.EnergySuperposition(p["energies"], amps), cfg
+    return hilbert.EnergySuperposition(p["energies"], np.sqrt(p["probabilities"])), cfg
 
 
 def cmd_collapse_run(p, ctx):
@@ -368,27 +335,11 @@ def cmd_tau_c(p, ctx):
     return f"{len(entries)} collapse-time rows written", [path]
 
 
-def _protect_parts(p):
-    return (hilbert.ComplexVectorState(p["psi"]), hilbert.HermitianOperator(p["observable"]),
-            protective.PointerState.gaussian(**p["pointer"]))
-
-
-def cmd_protect_run(p, ctx):
-    psi, obs, pointer = _protect_parts(p)
-    setup = protective.ProtectiveSetup(psi, obs, p["n_projections"], p["tau"], pointer,
-                                       g_profile=p["g_profile"])
-    out = protective.zeno_protective_run(setup)
-    path = ctx["out_dir"] / "protective_run.json"
-    keys = ("pointer_shift", "survival_probability", "final_width", "width_ratio",
-            "protection_failed")
-    io.write_json(path, {**{k: out[k] for k in keys}, "n_projections": setup.n_projections})
-    return (f"shift {out['pointer_shift']:.6f}, survival "
-            f"{out['survival_probability']:.6f}"), [path]
-
-
 def protect_sweep(p):
     """(<A> on psi, sweep columns keyed N, shift, shift_error, survival, width_ratio)."""
-    psi, obs, pointer = _protect_parts(p)
+    psi = hilbert.ComplexVectorState(p["psi"])
+    obs = hilbert.HermitianOperator(p["observable"])
+    pointer = protective.PointerState.gaussian(**p["pointer"])
     target = hilbert.expectation_value(psi, obs)
     cols = {"N": [], "shift": [], "shift_error": [], "survival": [],
             "width_ratio": []}
@@ -504,7 +455,6 @@ HANDLERS = {
     "collapse-run": cmd_collapse_run,
     "collapse-ensemble": cmd_collapse_ensemble,
     "tau-c": cmd_tau_c,
-    "protect-run": cmd_protect_run,
     "protect-sweep": cmd_protect_sweep,
     "tomography": cmd_tomography,
     "frames-analyze": cmd_frames_analyze,
@@ -565,8 +515,6 @@ def build_parser() -> _Parser:
             sp.add_argument("--seed", type=int, default=None,
                             help="override the scenario's master seed")
         sp.add_argument("--out-dir", default=".", help="output directory (default: '.')")
-        if name == "rdm-sample":
-            sp.add_argument("--format", choices=("csv", "json"), default="csv")
         if name == "verify":
             sp.add_argument("--pack", action="store_true",
                             help="also run the bundled acceptance scenario pack")
@@ -595,16 +543,14 @@ def _run(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ScenarioError(f"cannot use --out-dir {str(out_dir)!r}: {exc}") from None
-    ctx = {
-        "out_dir": out_dir,
-        "fmt": getattr(args, "format", "csv"),
-        "pack": getattr(args, "pack", False),
-    }
+    ctx = {"out_dir": out_dir, "pack": getattr(args, "pack", False)}
     t0 = time.time()
     try:
         summary, outputs = HANDLERS[args.subcommand](params, ctx)
     except MemoryError as exc:  # a size within _int's range can still exceed memory
         raise ScenarioError(f"{args.subcommand} cannot allocate its arrays: {exc}") from None
+    except OverflowError as exc:  # Python's float ** raises where numpy would give inf
+        raise NumericFailure(f"{args.subcommand} overflows: {exc}") from None
     manifest = {
         "tool": "rdmsim",
         "version": __version__,

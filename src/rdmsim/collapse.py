@@ -373,16 +373,22 @@ def collapse_time(delta_e: float) -> float:
     The prefactor is fixed at 1 (the model determines it only to order
     unity); all quoted targets are order-of-magnitude.
     """
-    if delta_e <= 0:
+    if not delta_e > 0:  # NaN fails too
         raise ContractViolation("delta_e must be positive")
-    return (constants.HBAR_EVS / delta_e) ** 2 / constants.PLANCK_TIME_S
+    try:
+        tau = (constants.HBAR_EVS / delta_e) ** 2 / constants.PLANCK_TIME_S
+    except OverflowError:
+        tau = math.inf
+    if not math.isfinite(tau):
+        raise NumericFailure(f"collapse time overflows at dE = {delta_e!r} eV")
+    return tau
 
 
 def relativistic_collapse_time(delta_e: float, v: float) -> float:
     """(1 + v/c)^-2 times the rest-frame value; v [m/s] is the
     experimental frame's velocity relative to the frame where the base
     formula holds.  Valid in the high-energy regime E ~ pc."""
-    if abs(v) >= constants.C_M_S:
+    if not abs(v) < constants.C_M_S:  # NaN fails too
         raise ContractViolation("|v| must be below c")
     return (1.0 + v / constants.C_M_S) ** -2 * collapse_time(delta_e)
 
@@ -436,13 +442,13 @@ def horizon_energy_levels(r_u_m: float, n_max: int, mass_ev: float = None) -> np
     Massless: E_n = n^2 h c / (4 R_U).  Massive (rest energy mc^2 in eV):
     E_n = n^2 h^2 c^2 / (32 mc^2 R_U^2).  Physical units (eV, m, s).
     """
-    if r_u_m <= 0 or n_max < 1:
+    if not (r_u_m > 0 and n_max >= 1):  # NaN fails too
         raise ContractViolation("need R_U > 0 and n_max >= 1")
     n = np.arange(1, n_max + 1, dtype=np.float64)
     if mass_ev is None:
         e1 = constants.H_EVS * constants.C_M_S / (4.0 * r_u_m)
     else:
-        if mass_ev <= 0:
+        if not mass_ev > 0:  # NaN fails too
             raise ContractViolation("mass_ev must be positive")
         e1 = (constants.H_EVS * constants.C_M_S) ** 2 / (32.0 * mass_ev * r_u_m**2)
     return n**2 * e1

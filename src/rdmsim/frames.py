@@ -57,7 +57,7 @@ class SynchronyParams:
     k_prime: float = 0.0
 
     def __post_init__(self):
-        if np.any(np.abs(self.v) >= 1.0):
+        if not np.all(np.abs(self.v) < 1.0):  # NaN fails too
             raise SuperluminalFrameError("|v| must be below c")
         if np.any(np.abs(self.k) > 1.0) or np.any(np.abs(self.k_prime) > 1.0):
             raise ContractViolation("|k| and |k'| must not exceed 1")

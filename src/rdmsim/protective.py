@@ -44,7 +44,7 @@ class PointerState:
     w0: float
 
     def __post_init__(self):
-        if self.w0 < 4.0 * self.grid.dx:
+        if not self.w0 >= 4.0 * self.grid.dx:  # NaN fails too
             raise ContractViolation("pointer width w0 must be at least 4 grid spacings")
 
     @staticmethod
@@ -82,8 +82,8 @@ class ProtectiveSetup:
             raise ContractViolation("system state must be normalized")
         if self.n_projections < 1:
             raise ContractViolation("need N >= 1 projections")
-        if self.tau <= 0:
-            raise ContractViolation("tau must be positive")
+        if not 0 < self.tau < np.inf:  # NaN fails too
+            raise ContractViolation("tau must be positive and finite")
         if self.g_profile not in G_PROFILES:
             raise ContractViolation(f"unknown g profile {self.g_profile!r}")
 
@@ -104,7 +104,7 @@ class ProtectiveSetup:
             g = np.where(t <= half, 4.0 * t / self.tau**2,
                          4.0 * (self.tau - t) / self.tau**2)
         w = (self.tau / n) * g
-        if abs(float(w.sum()) - 1.0) > 1e-12:
+        if not abs(float(w.sum()) - 1.0) <= 1e-12:  # NaN fails too
             raise ContractViolation("discretized coupling does not integrate to 1")
         return w
 

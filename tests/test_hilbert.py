@@ -3,8 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rdmsim import beable, collapse, hilbert, rdm
-from rdmsim.errors import DimensionMismatchError, NormalizationError
+from rdmsim import beable, collapse, frames, hilbert, protective, rdm
+from rdmsim.errors import (
+    ContractViolation,
+    DimensionMismatchError,
+    NormalizationError,
+    SuperluminalFrameError,
+)
 
 
 def rand_state(rng, dim):
@@ -114,6 +119,16 @@ class TestRunningSum:
         assert hilbert.running_sum(x[:, 0]).tobytes() == ref[:, 0].tobytes()
 
 
+def pointer():
+    return protective.PointerState.gaussian(x_min=-20.0, dx=0.5, n=80, x0=0.0, w0=2.0)
+
+
+def protective_setup(tau):
+    return protective.ProtectiveSetup(hilbert.ComplexVectorState([0.6, 0.8]),
+                                      hilbert.HermitianOperator([[1.0, 0.0], [0.0, 0.0]]),
+                                      10, tau, pointer())
+
+
 class TestTypeInvariants:
     def test_hermitian_rejects_nonhermitian(self):
         with pytest.raises(NormalizationError):
@@ -135,6 +150,21 @@ class TestTypeInvariants:
     ], ids=["hermitian", "branch-table", "rate-matrix", "stays", "entangled-stays"])
     def test_nan_fails_validation(self, build):
         with pytest.raises(NormalizationError):
+            build()
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: collapse.collapse_time(np.nan), ContractViolation),
+        (lambda: collapse.relativistic_collapse_time(1.0, np.nan), ContractViolation),
+        (lambda: collapse.horizon_energy_levels(np.nan, 2), ContractViolation),
+        (lambda: collapse.horizon_energy_levels(1.0, 2, mass_ev=np.nan), ContractViolation),
+        (lambda: protective_setup(np.nan), ContractViolation),
+        (lambda: protective_setup(np.inf).coupling_weights(), ContractViolation),
+        (lambda: protective.PointerState(pointer().grid, 0.0, np.nan), ContractViolation),
+        (lambda: frames.SynchronyParams(v=np.nan), SuperluminalFrameError),
+    ], ids=["collapse-time", "relativistic-collapse-time", "horizon-radius", "horizon-mass",
+            "protective-tau", "coupling-weights-inf-tau", "pointer-w0", "synchrony-v"])
+    def test_nan_fails_scalar_guards(self, build, error):
+        with pytest.raises(error):
             build()
 
     def test_states_immutable(self):

@@ -257,8 +257,10 @@ class TestCliRuns:
                               "k_mode: frozen\nk0: 0.1\nn_trials: abc\n", (), "ScenarioError"),
         ("collapse-run", "energies: [0.0, 1.0]\nprobabilities: [0.5, 0.5]\n"
                          "max_steps: [1]\n", (), "ScenarioError"),
-        ("rdm-sample", "two_box: {}\nn: 10\nseed: 0\n", (), "ScenarioError"),
-        ("rdm-sample", "two_box: 0.3\nn: 10\nseed: 0\n", (), "ScenarioError"),
+        ("rdm-sample", "two_box: {}\nn: 10\nseed: 0\n", (),
+         "error (ScenarioError): unknown scenario keys: ['two_box']"),
+        ("rdm-sample", "two_box: 0.3\nn: 10\nseed: 0\n", (),
+         "error (ScenarioError): unknown scenario keys: ['two_box']"),
         ("rdm-sample", "weights: [0.5, 0.5]\nn: abc\nseed: 0\n", (), "ScenarioError"),
         ("frames-analyze", "a_sq: abc\nn: 10\nseed: 0\nv: 0.5\n", (), "ScenarioError"),
         ("tau-c", "entries: 5\n", (), "ScenarioError"),
@@ -277,20 +279,11 @@ class TestCliRuns:
         ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: 0\n", ("--seed", "-1"),
          "ScenarioError"),
         ("tau-c", "entries: [{name: x, delta_e_ev: 1.0}]\n", ("--seed", "5"), "ScenarioError"),
-        ("protect-run", "psi: [0.6, 0.8]\nobservable: [[1.0, 0.0], [0.0, 0.0]]\n"
-                        "n_projections: 10\ntau: 1.0\n"
-                        "pointer: {x_min: -20.0, dx: 0.5, n: 80, w0: 2.0}\n",
-         ("--format", "json"), "ScenarioError"),
-        ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: 0\nbinary: true\n",
-         ("--format", "json"), "ScenarioError"),
+        ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: 0\n", ("--format", "json"),
+         "error (ScenarioError): unrecognized arguments: --format json"),
         ("verify", "criteria: [9]\npack: true\n", (), "ScenarioError"),
         ("verify", "criteria: [9]\n", ("--pack",), "ScenarioError"),
         ("verify", "criteria: []\n", (), "error (ScenarioError): 'criteria' is empty"),
-        ("collapse-run", "energies: [0.0, 1.0]\namplitudes: [0.6, 0.8]\n"
-                         "probabilities: [0.36, 0.64]\n", (),
-         "error (ScenarioError): give 'amplitudes' or 'probabilities', not both"),
-        ("rdm-sample", "weights: [0.5, 0.5]\ntwo_box: {a_sq: 0.3}\nn: 10\nseed: 0\n", (),
-         "error (ScenarioError): give 'weights' or 'two_box', not both"),
         ("collapse-run", "energies: [0.0, 1.0]\nprobabilities: [0.5, 0.5]\n"
                          "k_mode: dynamic\nk0: 0.1\n", (),
          "error (ContractViolation): k0 is ignored with k_mode 'dynamic'"),
@@ -321,17 +314,30 @@ class TestCliRuns:
          "error (ScenarioError): unknown scenario keys: ['state.mass']"),
         ("tomography", "state: {x_min: -8.0, dx: 0.125, n: 128, hbar: 1.0}\nn_regions: 16\n", (),
          "error (ScenarioError): unknown scenario keys: ['state.hbar']"),
+        ("collapse-run", "energies: [0.0, 1.0]\nprobabilities: [0.36, 0.64]\n"
+                         "amplitudes: [0.6, 0.8]\n", (),
+         "error (ScenarioError): unknown scenario keys: ['amplitudes']"),
+        ("collapse-ensemble", "energies: [0.0, 1.0]\nprobabilities: [0.36, 0.64]\n"
+                              "amplitudes: [0.6, 0.8]\n", (),
+         "error (ScenarioError): unknown scenario keys: ['amplitudes']"),
+        ("tomography", "state: {type: gaussian, x_min: -8.0, dx: 0.125, n: 128}\n"
+                       "n_regions: 16\n", (),
+         "error (ScenarioError): unknown scenario keys: ['state.type']"),
+        ("protect-run", "psi: [0.6, 0.8]\nobservable: [[1.0, 0.0], [0.0, 0.0]]\n"
+                        "n_projections: 10\ntau: 1.0\n"
+                        "pointer: {x_min: -20.0, dx: 0.5, n: 80, w0: 2.0}\n", (),
+         "error (ScenarioError): argument subcommand: invalid choice: 'protect-run'"),
     ], ids=["n-trials-abc", "max-steps-list", "two-box-empty", "two-box-number",
             "n-abc", "a-sq-abc", "entries-number", "state-number", "criteria-number",
             "binary-string", "units-bogus", "delta-e-reducer", "ensemble-unknown-key",
             "seed-negative", "seed-override-negative", "seed-without-seed-key",
-            "format-not-read", "binary-with-json", "pack-key-with-criteria",
-            "pack-flag-with-criteria", "criteria-empty", "amplitudes-with-probabilities",
-            "weights-with-two-box", "k0-with-dynamic-k", "n-beyond-int64",
+            "format-not-read", "pack-key-with-criteria",
+            "pack-flag-with-criteria", "criteria-empty", "k0-with-dynamic-k", "n-beyond-int64",
             "n-trials-beyond-int64", "n-beyond-numpy-index", "bools-as-probabilities",
             "bools-as-weights", "collapse-epsilon-in-ensemble", "pack-key", "units-in-run",
             "units-in-ensemble", "hbar-in-beable-run", "mass-in-tomography",
-            "hbar-in-tomography"])
+            "hbar-in-tomography", "amplitudes-in-run", "amplitudes-in-ensemble",
+            "type-in-tomography", "protect-run"])
     def test_malformed_value_exits_1(self, tmp_path, capsys, subcommand, body, extra,
                                      expect):
         path = tmp_path / "s.yaml"
@@ -365,9 +371,9 @@ class TestCliRuns:
                        "dt: -0.005\nsteps: 10\nseed: 0\n", "dt"),
         ("tomography", "state: {x_min: -8.0, dx: 0.125, n: 128, sigma: 0}\n"
                        "n_regions: 16\n", "sigma"),
-        ("protect-run", "psi: [0.6, 0.8]\nobservable: [[1.0, 0.0], [0.0, 0.0]]\n"
-                        "n_projections: 10\ntau: 1.0\n"
-                        "pointer: {x_min: -20.0, dx: 0.5, n: 80, w0: 0}\n", "w0"),
+        ("protect-sweep", "psi: [0.6, 0.8]\nobservable: [[1.0, 0.0], [0.0, 0.0]]\n"
+                          "n_list: [10]\ntau: 1.0\n"
+                          "pointer: {x_min: -20.0, dx: 0.5, n: 80, w0: 0}\n", "w0"),
     ], ids=["rdm-dt-instant", "frames-dt-instant", "beable-dt", "tomography-sigma",
             "pointer-w0"])
     def test_nonpositive_step_or_width_exits_1(self, tmp_path, capsys, subcommand, body,
@@ -395,6 +401,27 @@ class TestCliRuns:
         assert run_cli("collapse-ensemble", "--scenario", str(path),
                        "--out-dir", str(tmp_path / "out")) == 2
         assert "numeric failure at step 0" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("subcommand, body", [
+        ("tau-c", "entries: [{name: x, delta_e_ev: 1.0e-200}]\n"),  # (hbar/dE)^2 raises
+        ("tau-c", "entries: [{name: x, delta_e_ev: 1.0e-160}]\n"),  # tau_c comes out inf
+        ("tomography", "state: {x_min: -8.0, dx: 0.125, n: 128, sigma: 1.0e+200}\n"
+                       "n_regions: 16\n"),
+        ("protect-sweep", "psi: [0.6, 0.8]\nobservable: [[1.0, 0.0], [0.0, 0.0]]\n"
+                          "n_list: [10]\ntau: 1.0\n"
+                          "pointer: {x_min: -20.0, dx: 0.5, n: 80, w0: 1.0e+200}\n"),
+        ("protect-sweep", "psi: [0.6, 0.8]\nobservable: [[1.0, 0.0], [0.0, 0.0]]\n"
+                          "n_list: [10]\ntau: 1.0e+200\ng_profile: triangular\n"
+                          "pointer: {x_min: -20.0, dx: 0.5, n: 80, w0: 2.0}\n"),
+    ], ids=["tau-c-raises", "tau-c-inf", "tomography-sigma", "pointer-w0", "triangular-tau"])
+    def test_overflow_exits_2(self, tmp_path, capsys, subcommand, body):
+        path = tmp_path / "s.yaml"
+        path.write_text(f"subcommand: {subcommand}\n{body}")
+        assert run_cli(subcommand, "--scenario", str(path),
+                       "--out-dir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "Traceback" not in err
         assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("energies, probabilities", [
@@ -501,11 +528,14 @@ class TestCliRuns:
     def test_consecutive_calls_share_no_state(self, tmp_path):
         scenario = tmp_path / "s.yaml"
         scenario.write_text("subcommand: rdm-sample\nn: 20\nseed: 1\nweights: [0.5, 0.5]\n")
-        runs = [("json", "--format", "json", "--seed", "5"), ("plain",)]
-        for name, *extra in runs:
-            assert run_cli("rdm-sample", "--scenario", str(scenario),
+        binary = tmp_path / "b.yaml"
+        binary.write_text(scenario.read_text() + "binary: true\n")
+        runs = [("binary", binary, "--seed", "5"), ("plain", scenario)]
+        for name, path, *extra in runs:
+            assert run_cli("rdm-sample", "--scenario", str(path),
                            "--out-dir", str(tmp_path / name), *extra) == 0
-        assert not (tmp_path / "json" / "stays.csv").exists()
+        assert (tmp_path / "binary" / "stays.rdmt").exists()
+        assert not (tmp_path / "binary" / "stays.csv").exists()
         assert (tmp_path / "plain" / "stays.csv").exists()
         seeds = [json.loads((tmp_path / name / "manifest.json").read_text())["seed_override"]
                  for name, *_ in runs]
@@ -524,16 +554,17 @@ class TestCliRuns:
     def test_protect_run(self, tmp_path):
         scenario = tmp_path / "s.yaml"
         scenario.write_text(
-            "subcommand: protect-run\n"
+            "subcommand: protect-sweep\n"
             "psi: [0.7071067811865476, 0.7071067811865476]\n"
             "observable: [[1.0, 0.0], [0.0, 0.0]]\n"
-            "n_projections: 500\ntau: 1.0\n"
+            "n_list: [500]\ntau: 1.0\n"
             "pointer: {x_min: -40.0, dx: 0.3125, n: 256, x0: 0.0, w0: 5.0}\n")
-        assert run_cli("protect-run", "--scenario", str(scenario),
+        assert run_cli("protect-sweep", "--scenario", str(scenario),
                        "--out-dir", str(tmp_path)) == 0
-        report = json.loads((tmp_path / "protective_run.json").read_text())
-        assert abs(report["pointer_shift"] - 0.5) < 1e-2
-        assert not report["protection_failed"]
+        rows = (tmp_path / "protect_sweep.csv").read_text().splitlines()
+        row = dict(zip(rows[1].split(","), rows[2].split(",")))
+        assert abs(float(row["shift"]) - 0.5) < 1e-2
+        assert float(row["survival"]) >= 0.5
 
     def test_frames_analyze_emits_events(self, tmp_path):
         scenario = tmp_path / "s.yaml"
@@ -675,7 +706,7 @@ class TestChiSquare:
 # fuzz test can corrupt each one; verify runs criterion 9, which takes
 # milliseconds.
 SMALL_SCENARIOS = {
-    "rdm-sample": {"n": 20, "seed": 1, "two_box": {"a_sq": 0.3}, "dt_instant": 1.0,
+    "rdm-sample": {"n": 20, "seed": 1, "weights": [0.3, 0.7], "dt_instant": 1.0,
                    "binary": False},
     "beable-run": {"hamiltonian": [[0.0, -1.0], [-1.0, 0.0]], "psi0": [0.8, 0.6],
                    "dt": 0.01, "steps": 4, "seed": 2, "beable0": 0,
@@ -683,20 +714,16 @@ SMALL_SCENARIOS = {
     "collapse-run": {"energies": [0.0, 1.0], "probabilities": [0.5, 0.5],
                      "k_mode": "frozen", "k0": 0.3, "collapse_epsilon": 1e-3,
                      "seed": 3, "max_steps": 50},
-    "collapse-ensemble": {"energies": [0.0, 1.0], "amplitudes": [0.6, 0.8],
+    "collapse-ensemble": {"energies": [0.0, 1.0], "probabilities": [0.36, 0.64],
                           "k_mode": "frozen", "k0": 0.1,
                           "seed": 4, "n_trials": 8, "n_steps": 6,
                           "slice_stride": 3},
     "tau-c": {"entries": [{"name": "x", "delta_e_ev": 1.0, "quoted_target_s": 1.0}]},
-    "protect-run": {"psi": [0.6, 0.8], "observable": [[1.0, 0.0], [0.0, 0.0]],
-                    "n_projections": 10, "tau": 1.0, "g_profile": "constant",
-                    "pointer": {"x_min": -20.0, "dx": 0.5, "n": 80, "x0": 0.0,
-                                "w0": 2.0}},
     "protect-sweep": {"psi": [0.6, 0.8], "observable": [[1.0, 0.0], [0.0, 0.0]],
                       "n_list": [10, 20], "tau": 1.0, "g_profile": "constant",
                       "pointer": {"x_min": -20.0, "dx": 0.5, "n": 80, "x0": 0.0,
                                   "w0": 2.0}},
-    "tomography": {"state": {"type": "gaussian", "x_min": -8.0, "dx": 0.125, "n": 128,
+    "tomography": {"state": {"x_min": -8.0, "dx": 0.125, "n": 128,
                              "center": 0.0, "sigma": 1.0, "momentum": 0.5},
                    "n_regions": 16},
     "frames-analyze": {"a_sq": 0.5, "n": 200, "seed": 5, "v": 0.5,
@@ -725,6 +752,18 @@ def key_paths(value, prefix=()):
     return paths
 
 
+def schema_paths(schema, prefix=()):
+    """Paths of every key of a cli.SCHEMAS entry, with list indices left out."""
+    paths = []
+    for key, (convert, _) in schema.items():
+        paths.append(prefix + (key,))
+        if isinstance(convert, list):
+            convert = convert[0]
+        if isinstance(convert, dict):
+            paths += schema_paths(convert, prefix + (key,))
+    return paths
+
+
 def mutated(scenario, path, junk):
     out = copy.deepcopy(scenario)
     node = out
@@ -739,6 +778,12 @@ FUZZ_CASES = [(sub, path, junk) for sub, sc in SMALL_SCENARIOS.items()
 
 
 class TestScenarioFuzz:
+    def test_small_scenarios_set_every_key(self):
+        assert set(SMALL_SCENARIOS) == set(cli.HANDLERS)
+        for sub, sc in SMALL_SCENARIOS.items():
+            covered = {tuple(k for k in path if isinstance(k, str)) for path in key_paths(sc)}
+            assert set(schema_paths(cli.SCHEMAS[sub])) <= covered, sub
+
     def test_small_scenarios_run(self, tmp_path):
         for sub, sc in SMALL_SCENARIOS.items():
             path = tmp_path / f"{sub}.yaml"
