@@ -132,23 +132,6 @@ def add_homogeneous_noise(t: TransitionRateMatrix, p: np.ndarray, c: float) -> T
     return TransitionRateMatrix(t.rates + noise)
 
 
-def master_equation_step(p: np.ndarray, t: TransitionRateMatrix, dt: float) -> np.ndarray:
-    """One explicit Euler step of dP_n/dt = sum_m (T[n,m] P_m - T[m,n] P_n).
-
-    Probability is conserved by construction (inflow and outflow use the
-    same terms); the step guard keeps every per-step outflow below 0.1.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    r = t.rates
-    if p.size != t.dim:
-        raise DimensionMismatchError("occupation vector and rate matrix disagree")
-    outflow = r.sum(axis=0)
-    if dt * float(np.max(outflow)) >= OUTFLOW_GUARD:
-        raise StepSizeError("dt * max total outflow rate must stay below 0.1")
-    flow = r @ p - outflow * p
-    return p + dt * flow
-
-
 def unitary_step_matrix(h: HermitianOperator, dt: float) -> np.ndarray:
     """exp(-i H dt) via the eigendecomposition (exact, reused)."""
     evals, evecs = np.linalg.eigh(h.matrix)
@@ -161,8 +144,9 @@ def _rate_path(h: HermitianOperator, psi0: ComplexVectorState, dt: float, steps:
     steps at a time: J, T (noise included) and cum[i, m, n] = dt
     sum_{m' <= m} T[i, m', n] at each step i, P also after the last.  A
     block is cut before its first step with non-finite amplitudes or void
-    rates, whose error is raised after the cut block is yielded.  The
-    arguments are checked before the first block, even for no steps."""
+    rates, whose error, naming that step, is raised after the cut block is
+    yielded.  The arguments are checked before the first block, even for
+    no steps."""
     if h.dim != psi0.dim:
         raise DimensionMismatchError(f"operator dim {h.dim} != state dim {psi0.dim}")
     if not 0 < dt < np.inf:
@@ -188,14 +172,16 @@ def _rate_path(h: HermitianOperator, psi0: ComplexVectorState, dt: float, steps:
         t = t + noise
         yield p[:n + 1], j[:n], t[:n], np.cumsum(t[:n] * dt, axis=1)
         if n < len(t):  # the first failing check, in the order one step makes them
-            raise next(error for mask, error in failures if mask[n])
+            error = next(error for mask, error in failures if mask[n])
+            raise type(error)(f"step {start + n}: {error}")
 
 
 def _walk(h: HermitianOperator, psi0: ComplexVectorState, sites: np.ndarray, dt: float,
-          steps: int, rng, noise_c: float, record_every: int):
+          steps: int, rng, noise_c: float, record_every: int, ensemble: bool):
     """Walk `sites` along the rate path: sites[i] jumps when its draw u <
     cum[-1, sites[i]], to the count of m with cum[m, sites[i]] <= u.  The
-    guard rejects a step where an occupied site's outflow reaches 0.1.
+    guard rejects a step where an occupied site's outflow reaches 0.1 and,
+    in an ensemble, names the first trial whose site that is.
     Returns (step indices, sites, P), a row every record_every steps."""
     rec = [(sites.copy(), np.abs(psi0.amplitudes) ** 2)]
     step = 0
@@ -203,8 +189,11 @@ def _walk(h: HermitianOperator, psi0: ComplexVectorState, sites: np.ndarray, dt:
         for cum_t, p_next in zip(cum, p[1:]):
             outflow = cum_t[-1].take(sites)
             if outflow.max() >= OUTFLOW_GUARD:
-                raise StepSizeError(f"step {step}: outflow probability {outflow.max():.3f} "
-                                    "exceeds the 0.1 guard", step=step)
+                i = int(np.argmax(outflow >= OUTFLOW_GUARD))
+                trial = i if ensemble else None
+                where = "" if trial is None else f" in trial {trial}"
+                raise StepSizeError(f"step {step}: outflow probability {outflow[i]:.3f} "
+                                    f"exceeds the 0.1 guard{where}", step=step, trial=trial)
             u = rng.random(sites.size)
             jumped = np.flatnonzero(u < outflow)
             sites[jumped] = (u[jumped] >= cum_t[:, sites[jumped]]).sum(axis=0)
@@ -231,7 +220,7 @@ def jump_trajectory(h: HermitianOperator, psi0: ComplexVectorState, beable0: int
     if steps < 0:
         raise ContractViolation(f"steps must be >= 0, not {steps}")
     _, stays, _ = _walk(h, psi0, np.array([int(beable0)]), dt, steps, seeded_rng(seed),
-                        noise_c, 1)
+                        noise_c, 1, False)
     return StayTrajectory(stays[:, 0], n_sites=psi0.dim, dt_instant=dt, seed=seed)
 
 
@@ -250,4 +239,4 @@ def ensemble_jump_run(h: HermitianOperator, psi0: ComplexVectorState, n_traj: in
     rng = seeded_rng(seed)
     p = np.abs(psi0.amplitudes) ** 2
     sites = np.searchsorted(np.cumsum(p) / p.sum(), rng.random(n_traj), side="right")
-    return _walk(h, psi0, sites, dt, steps, rng, noise_c, record_every)
+    return _walk(h, psi0, sites, dt, steps, rng, noise_c, record_every, True)

@@ -32,13 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants
-from .errors import (
-    ContractViolation,
-    DimensionMismatchError,
-    NormalizationError,
-    NumericFailure,
-    SuperPlanckianError,
-)
+from .errors import ContractViolation, NumericFailure, SuperPlanckianError
 from .hilbert import EnergySuperposition, energy_spread, running_sum
 from .seeding import check_seed, trial_rngs
 
@@ -74,36 +68,6 @@ class CollapseConfig:
         check_seed(self.seed)
 
 
-@dataclass(frozen=True)
-class ManyBodyBranchTable:
-    """Branch energies of an n-subsystem entangled state.
-
-    energies[j, i] is the energy of subsystem j in branch i; amplitudes
-    are the shared branch amplitudes c_i.
-    """
-
-    energies: np.ndarray
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.energies, dtype=np.float64).copy()
-        c = np.asarray(self.amplitudes, dtype=np.complex128).copy()
-        if e.ndim != 2 or c.ndim != 1 or e.shape[1] != c.size:
-            raise DimensionMismatchError("energies must be n_subsystems x m_branches")
-        if not np.all(np.isfinite(e)):
-            raise NormalizationError("non-finite branch energy")
-        if not abs(float(np.sum(np.abs(c) ** 2)) - 1.0) <= 1e-10:  # NaN fails too
-            raise NormalizationError("branch weights do not sum to 1 within 1e-10")
-        e.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "energies", e)
-        object.__setattr__(self, "amplitudes", c)
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-
 def _strength(p, energies, cfg: CollapseConfig, step=None, trials=None):
     """k for the branch-major p: cfg.k0 when frozen, else dE for every
     column (energies broadcast against p as in energy_spread).
@@ -130,12 +94,6 @@ def _strength(p, energies, cfg: CollapseConfig, step=None, trials=None):
     return k
 
 
-def step_strength(s: EnergySuperposition, cfg: CollapseConfig) -> float:
-    """Per-instant k of a superposition; guards the model's regime k <= 1.
-    A single step has no step or trial index, so its guard names neither."""
-    return _strength(s.probabilities, s.energies, cfg)
-
-
 def _energy_groups(s: EnergySuperposition):
     """(group of each branch, first branch of each group, each branch's
     share p0 / G0 of its group's weight G0): branches with exactly equal
@@ -147,29 +105,6 @@ def _energy_groups(s: EnergySuperposition):
     g0 = np.bincount(label, weights=p0)[label]
     share = np.divide(p0, g0, out=np.zeros_like(p0), where=g0 > 0.0)
     return label, np.unique(label, return_index=True)[1], share
-
-
-def collapse_step(s: EnergySuperposition, cfg: CollapseConfig, rng: np.random.Generator):
-    """One discrete instant; returns (new state, staying branch index).
-
-    Probabilities move by k(delta - P); phases advance by -E_i.
-    Degenerate branches are merged for the draw: each member's amplitude
-    scales by sqrt(new / old group weight), so members keep their relative
-    weights, and an empty group cannot stay.  The returned index is the
-    first member of the staying group.  Bounds 0 <= P_i <= 1 and sum P = 1
-    hold exactly (to rounding) for any k <= 1.  A guard names no step or
-    trial: a single step has neither.
-    """
-    label, first, _ = _energy_groups(s)
-    p = s.probabilities
-    gp = np.bincount(label, weights=p)
-    gp_new = gp.copy()
-    k = _strength(p, s.energies, cfg)
-    g = int(_collapse_kernel(gp_new[:, None], rng.random(1), k).argmax())
-    occupied = gp > 0.0
-    scale = np.where(occupied, np.sqrt(gp_new / np.where(occupied, gp, 1.0)), 0.0)
-    phases = np.exp(-1j * s.energies)
-    return EnergySuperposition(s.energies, s.amplitudes * scale[label] * phases), int(first[g])
 
 
 def run_trajectory(s0: EnergySuperposition, cfg: CollapseConfig, max_steps: int):
@@ -215,8 +150,8 @@ def _collapse_kernel(p: np.ndarray, u: np.ndarray, k) -> np.ndarray:
     u[t] * cum_{m-1} >= cum_j; then P <- P - kP, P += k on row s (an
     exact +0.0 elsewhere), min(P, 1) against rounding overshoot.  k is
     one value for all columns or one per column.  A column goes through the
-    same IEEE operations whatever other columns share the array,
-    collapse_step's single column included.
+    same IEEE operations whatever other columns share the array, a
+    trajectory's single column included.
     """
     # one accumulate up to NARROW_COLUMNS live columns, else one add per row
     cum = running_sum(p)
@@ -391,64 +326,3 @@ def relativistic_collapse_time(delta_e: float, v: float) -> float:
     if not abs(v) < constants.C_M_S:  # NaN fails too
         raise ContractViolation("|v| must be below c")
     return (1.0 + v / constants.C_M_S) ** -2 * collapse_time(delta_e)
-
-
-def manybody_delta_e(table: ManyBodyBranchTable, reducer: str = "rms") -> float:
-    """Total energy spread of an entangled state.
-
-    Per subsystem j the spread is s_j = sqrt(sum_i P_i (E_ji - Ebar_j)^2).
-    reducer "rms" returns sqrt(sum_j s_j^2); "linear-sum" returns
-    sum_j s_j.  Both reduce to the one-body spread for one subsystem.
-    """
-    if reducer not in ("rms", "linear-sum"):
-        raise ContractViolation(f"unknown reducer {reducer!r}")
-    spread = energy_spread(table.probabilities[:, None], table.energies.T)
-    if reducer == "rms":
-        return float(np.sqrt(np.sum(spread**2)))
-    return float(spread.sum())
-
-
-def scale_invariance_check(s: EnergySuperposition, cfg: CollapseConfig,
-                           grouping, staying_branch: int) -> dict:
-    """Verify that grouped branch probabilities follow the same two-level
-    update: Delta(sum_G P) = k (1 - sum_G P) for the group G holding the
-    staying branch, and Delta(sum_G P) = -k sum_G P otherwise.
-
-    grouping is a partition of branch indices; the staying branch must
-    lie inside one group.  Returns the max deviation (exact algebra: the
-    residual is rounding-level for any partition).
-    """
-    groups = [list(g) for g in grouping]
-    flat = sorted(i for g in groups for i in g)
-    if flat != list(range(s.n_branches)):
-        raise ContractViolation("grouping must partition the branch indices")
-    if not any(staying_branch in g for g in groups):
-        raise ContractViolation("staying branch missing from the partition")
-    k = step_strength(s, cfg)
-    p = s.probabilities
-    p_new = p - k * p
-    p_new[staying_branch] += k
-    worst = 0.0
-    for g in groups:
-        q = float(p[g].sum())
-        q_new_direct = q + k * (1.0 - q) if staying_branch in g else q - k * q
-        worst = max(worst, abs(float(p_new[g].sum()) - q_new_direct))
-    return {"max_deviation": worst, "passed": worst < 1e-14}
-
-
-def horizon_energy_levels(r_u_m: float, n_max: int, mass_ev: float = None) -> np.ndarray:
-    """Discrete energy levels enforced by a finite horizon of radius R_U.
-
-    Massless: E_n = n^2 h c / (4 R_U).  Massive (rest energy mc^2 in eV):
-    E_n = n^2 h^2 c^2 / (32 mc^2 R_U^2).  Physical units (eV, m, s).
-    """
-    if not (r_u_m > 0 and n_max >= 1):  # NaN fails too
-        raise ContractViolation("need R_U > 0 and n_max >= 1")
-    n = np.arange(1, n_max + 1, dtype=np.float64)
-    if mass_ev is None:
-        e1 = constants.H_EVS * constants.C_M_S / (4.0 * r_u_m)
-    else:
-        if not mass_ev > 0:  # NaN fails too
-            raise ContractViolation("mass_ev must be positive")
-        e1 = (constants.H_EVS * constants.C_M_S) ** 2 / (32.0 * mass_ev * r_u_m**2)
-    return n**2 * e1

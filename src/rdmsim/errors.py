@@ -44,16 +44,8 @@ class PhaseAmbiguityError(ContractViolation):
     integral is undefined across it."""
 
 
-class NoSimultaneityFrameError(ContractViolation):
-    """Event pair is timelike or lightlike: no boost makes it simultaneous."""
-
-
 class SuperluminalFrameError(ContractViolation):
     """Requested boost velocity is at or beyond the light speed."""
-
-
-class InfiniteOneWaySpeedError(ContractViolation):
-    """Synchrony parameter k = +-1 makes a one-way light speed infinite."""
 
 
 class PointerDomainError(ContractViolation):

@@ -25,13 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ContractViolation,
-    InfiniteOneWaySpeedError,
-    InsufficientOverlapError,
-    NoSimultaneityFrameError,
-    SuperluminalFrameError,
-)
+from .errors import ContractViolation, InsufficientOverlapError, SuperluminalFrameError
 from .rdm import PairedStayTrajectory, StayTrajectory
 
 
@@ -59,12 +53,13 @@ class SynchronyParams:
     def __post_init__(self):
         if not np.all(np.abs(self.v) < 1.0):  # NaN fails too
             raise SuperluminalFrameError("|v| must be below c")
-        if np.any(np.abs(self.k) > 1.0) or np.any(np.abs(self.k_prime) > 1.0):
+        if not (np.all(np.abs(self.k) <= 1.0)  # NaN fails too
+                and np.all(np.abs(self.k_prime) <= 1.0)):
             raise ContractViolation("|k| and |k'| must not exceed 1")
 
 
 def _gamma(v: float) -> float:
-    if np.any(np.abs(v) >= 1.0):
+    if not np.all(np.abs(v) < 1.0):  # NaN fails too
         raise SuperluminalFrameError(f"|v| = {np.max(np.abs(v)):g} >= c = 1")
     return 1.0 / np.sqrt(1.0 - v**2)
 
@@ -91,48 +86,6 @@ def interval(e1: Event, e2: Event) -> float:
     return (e2.t - e1.t) ** 2 - (e2.x - e1.x) ** 2
 
 
-def simultaneity_frame(e1: Event, e2: Event) -> float:
-    """Boost velocity v = dt / dx that makes a spacelike pair
-    simultaneous; verified internally by transforming both events."""
-    dt, dx = e2.t - e1.t, e2.x - e1.x
-    if abs(dx) <= abs(dt):
-        raise NoSimultaneityFrameError("pair is not spacelike separated")
-    v = dt / dx
-    t1 = lorentz_transform(e1, v).t
-    t2 = lorentz_transform(e2, v).t
-    scale = max(abs(t1), abs(t2), 1.0)
-    if abs(t1 - t2) > 1e-12 * scale:
-        raise ContractViolation("internal check failed: boosted times differ")
-    return v
-
-
-def entangled_frame_velocities(stay_a, stay_b):
-    """Frame velocities exchanging the simultaneity of a two-particle
-    stay pair.
-
-    stay_a = (t_a, x_1a, x_2a), stay_b = (t_b, x_1b, x_2b).  v' makes
-    particle 1's a-stay simultaneous with particle 2's b-stay
-    (v' = (t_a - t_b)/(x_1a - x_2b)); v'' does the reverse pairing
-    (v'' = (t_a - t_b)/(x_2a - x_1b)).  Each value errors if it
-    reaches c.  Coincidence of the boosted times is verified.
-    """
-    t_a, x1a, x2a = map(float, stay_a)
-    t_b, x1b, x2b = map(float, stay_b)
-    out = []
-    for label, xs in (("v_prime", (x1a, x2b)), ("v_double_prime", (x2a, x1b))):
-        dx_pair = xs[0] - xs[1]
-        if dx_pair == 0.0:
-            raise SuperluminalFrameError(f"{label}: coincident positions give no frame")
-        v = (t_a - t_b) / dx_pair
-        if abs(v) >= 1.0:
-            raise SuperluminalFrameError(f"{label} = {v:g} is not below c")
-        ta_p, tb_p = boost_times(np.array([t_a, t_b]), np.array(xs), v)
-        if abs(ta_p - tb_p) > 1e-12 * max(abs(ta_p), abs(tb_p), 1.0):
-            raise ContractViolation(f"internal check failed for {label}")
-        out.append(v)
-    return tuple(out)
-
-
 def edwards_winnie_transform(e: Event, p: SynchronyParams) -> Event:
     """Synchrony-general transformation; k = k' = 0 is the boost."""
     beta = p.v
@@ -144,17 +97,6 @@ def edwards_winnie_transform(e: Event, p: SynchronyParams) -> Event:
     t_new = (eta * (1.0 + beta * (p.k + p.k_prime)) * e.t
              + eta * (beta * (p.k**2 - 1.0) + p.k - p.k_prime) * e.x)
     return Event(t_new, x_new)
-
-
-def one_way_speeds(p: SynchronyParams):
-    """(c_+x, c_-x, c_+x', c_-x') from the anisotropy parameters:
-    c_+x = 1/(1 - k) and c_-x = 1/(1 + k), same with k' in the primed
-    frame.  |k| = 1 makes one direction infinite and is flagged."""
-    for name, k in (("k", p.k), ("k'", p.k_prime)):
-        if np.any(np.abs(k) == 1.0):
-            raise InfiniteOneWaySpeedError(f"{name} = +-1 gives an infinite one-way speed")
-    return (1.0 / (1.0 - p.k), 1.0 / (1.0 + p.k),
-            1.0 / (1.0 - p.k_prime), 1.0 / (1.0 + p.k_prime))
 
 
 def absolute_sync_params(v: float) -> SynchronyParams:

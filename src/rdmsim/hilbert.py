@@ -1,5 +1,5 @@
-"""Finite-dimensional quantum states, Born probabilities, energy
-uncertainty, and two small verification constructions (a four-state
+"""Finite-dimensional quantum states, expectation values, the energy
+spread, and two small verification constructions (a four-state
 product/measurement table and a two-state unitary check) used by the
 test suites.
 
@@ -103,13 +103,6 @@ class EnergySuperposition:
         return np.minimum(np.abs(self.amplitudes) ** 2, 1.0)
 
 
-def born_probabilities(state: ComplexVectorState) -> np.ndarray:
-    """|c_i|^2 for each basis index of a normalized state."""
-    if not state.is_normalized():
-        raise NormalizationError("born_probabilities requires a normalized state")
-    return np.abs(state.amplitudes) ** 2
-
-
 def expectation_value(state: ComplexVectorState, a: HermitianOperator) -> float:
     """<psi|A|psi>, asserted real to 1e-12 and returned as a float."""
     if state.dim != a.dim:
@@ -151,12 +144,6 @@ def running_sum(x: np.ndarray) -> np.ndarray:
     for j in range(1, len(x)):
         np.add(cum[j - 1], x[j], out=cum[j])
     return cum
-
-
-def energy_uncertainty(s: EnergySuperposition) -> float:
-    """RMS spread dE of a superposition; zero iff all the occupied
-    branches share one energy."""
-    return float(energy_spread(s.probabilities, s.energies))
 
 
 # --- small no-go constructions used as verification fixtures ------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DimensionMismatchError, PointerDomainError
-from .hilbert import ComplexVectorState, HermitianOperator, expectation_value
+from .hilbert import ComplexVectorState, HermitianOperator
 from .schrodinger import (
     DensityPair,
     GridWavefunction,
@@ -109,13 +109,6 @@ class ProtectiveSetup:
         return w
 
 
-def _translate(grid: GridWavefunction, shift: float) -> np.ndarray:
-    """Exact periodic translation psi(x) -> psi(x - shift) via the
-    momentum-space phase e^{-i k shift}."""
-    k = grid.momentum_grid()
-    return np.fft.ifft(np.exp(-1j * k * shift) * np.fft.fft(grid.samples))
-
-
 def _eigen_amplitudes(setup: ProtectiveSetup):
     """Eigenvalues of the observable and the system state's amplitudes
     in its eigenbasis."""
@@ -132,26 +125,6 @@ def _check_shift_fits(pointer: PointerState, shift: float):
             f"pointer shift {shift:g} leaves the grid (allowed center range "
             f"[{lo:g}, {hi:g}])"
         )
-
-
-def unprotected_measurement(setup: ProtectiveSetup):
-    """Impulsive coupling with no protection: each A-eigencomponent's
-    pointer is translated by its eigenvalue, leaving the entangled
-    branch list [(amplitude, eigenvalue, pointer state)].
-
-    Branch weights are the Born weights; every pointer keeps its width.
-    """
-    evals, amps = _eigen_amplitudes(setup)
-    branches = []
-    for a, c in zip(evals, amps):
-        if abs(c) ** 2 < 1e-30:
-            continue
-        _check_shift_fits(setup.pointer, float(a))
-        shifted = _translate(setup.pointer.grid, float(a))
-        branches.append((complex(c), float(a),
-                         PointerState(setup.pointer.grid.with_samples(shifted),
-                                      setup.pointer.x0 + float(a), setup.pointer.w0)))
-    return branches
 
 
 def zeno_protective_run(setup: ProtectiveSetup) -> dict:
@@ -228,47 +201,6 @@ def zeno_protective_run(setup: ProtectiveSetup) -> dict:
         "pointer": final,
         "protection_failed": survival < 0.5,
     }
-
-
-def first_order_branch_check(setup: ProtectiveSetup) -> dict:
-    """Amplitude of the system component orthogonal to psi after one
-    substep, against the leading-order value
-    eps * ||(A - <A>) psi|| * ||P phi||.
-
-    The residual between the two is at most second order in
-    eps = tau g / N, so doubling N shrinks it by >= 4x (a symmetric
-    pointer kills the cross term and gives third order); the check needs
-    N >= 1e3 to sit safely in the asymptotic regime.
-    """
-    if setup.n_projections < 1000:
-        raise ContractViolation("first-order check needs N >= 1000")
-    evals, psi_eig = _eigen_amplitudes(setup)
-    eps = float(setup.coupling_weights()[0])
-    grid = setup.pointer.grid
-    k = grid.momentum_grid()
-    phi_hat = np.fft.fft(grid.samples)
-    # kicked joint state, eigencomponent a: psi_a e^{-i k eps a} phi_hat
-    kicked = psi_eig[:, None] * np.exp(-1j * k[None, :] * eps * evals[:, None]) * phi_hat[None, :]
-    overlap = np.conj(psi_eig) @ kicked  # pointer wave of the kept branch
-    orth = kicked - psi_eig[:, None] * overlap[None, :]
-    cell = grid.dx / grid.n  # Parseval weight for fft-normalized sums
-    measured = float(np.sqrt(np.sum(np.abs(orth) ** 2) * cell))
-    a_exp = float(np.real(np.conj(psi_eig) @ (evals * psi_eig)))
-    a_dev = float(np.sqrt(np.sum(np.abs((evals - a_exp) * psi_eig) ** 2)))
-    p_norm = float(np.sqrt(np.sum(np.abs(k * phi_hat) ** 2) * cell))
-    predicted = eps * a_dev * p_norm
-    return {
-        "measured_amplitude": measured,
-        "predicted_amplitude": predicted,
-        "residual": abs(measured - predicted),
-        "eps": eps,
-    }
-
-
-def pointer_shift_rate(psi: ComplexVectorState, a: HermitianOperator, g_t: float) -> float:
-    """Instantaneous pointer drift g(t) <A> of a protected run; its time
-    integral over [0, tau] is <A> exactly because g integrates to 1."""
-    return g_t * expectation_value(psi, a)
 
 
 def _region_bounds(psi: GridWavefunction, region) -> tuple:

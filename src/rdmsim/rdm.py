@@ -123,12 +123,6 @@ def empirical_density(t: StayTrajectory) -> np.ndarray:
     return counts / max(t.instants, 1)
 
 
-def effective_charge_density(psi: GridWavefunction, charge: float) -> np.ndarray:
-    """Q |psi(x)|^2: the charge density a charge-Q particle's ergodic
-    stays build up; integrates (dx * sum) to Q within 1e-8."""
-    return charge * position_density(psi)
-
-
 def sample_entangled_stays(branch_spec, n: int, seed: int, dt_instant: float = 1.0) -> PairedStayTrajectory:
     """Synchronized two-particle sampling.
 

@@ -20,7 +20,7 @@ from .errors import (
     PhaseAmbiguityError,
     StepSizeError,
 )
-from .hilbert import EnergySuperposition, _frozen
+from .hilbert import _frozen
 
 GRID_NORM_TOL = 1e-8
 
@@ -106,15 +106,6 @@ class DensityPair:
             raise NormalizationError("dx * sum rho != 1 within 1e-8")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "j", j)
-
-
-def evolve_phases(s: EnergySuperposition, t: float) -> EnergySuperposition:
-    """Free evolution in the energy eigenbasis: c_i -> c_i e^{-i E_i t}.
-
-    Branch probabilities are untouched, so Born statistics are invariant.
-    """
-    phases = np.exp(-1j * s.energies * t)
-    return EnergySuperposition(s.energies, s.amplitudes * phases)
 
 
 def evolve_grid(psi: GridWavefunction, v, dt: float, steps: int) -> GridWavefunction:

@@ -130,8 +130,3 @@ def check_seed(seed) -> int:
 def seeded_rng(seed: int) -> np.random.Generator:
     """PCG64 generator for a seed in [0, 2^64)."""
     return np.random.Generator(np.random.PCG64(check_seed(seed)))
-
-
-def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Independent PCG64 generator for one trial."""
-    return trial_rngs(master_seed, trial_index, trial_index + 1)[0]

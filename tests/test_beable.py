@@ -134,56 +134,6 @@ class TestHomogeneousNoise:
             flow_noisy = noisy.rates @ p - (noisy.rates.sum(0) - np.diag(noisy.rates)) * p
             assert np.max(np.abs(flow_base - flow_noisy)) < 1e-12
 
-    def test_master_evolution_invariant(self):
-        # integrating with rates rebuilt each step, the noise cancels
-        h, psi0 = TWO_SITE_H, hilbert.ComplexVectorState(np.sqrt([0.7, 0.3]))
-        u = beable.unitary_step_matrix(h, 0.01)
-        amps = psi0.amplitudes.copy()
-        p_plain = np.abs(amps) ** 2
-        p_noisy = p_plain.copy()
-        for _ in range(200):
-            state = hilbert.ComplexVectorState(amps)
-            j = beable.probability_current(h, state)
-            pq = np.abs(amps) ** 2
-            t_plain = beable.bell_transition_rates(j, p_plain)
-            p_plain = beable.master_equation_step(p_plain, t_plain, 0.01)
-            t_noisy = beable.add_homogeneous_noise(
-                beable.bell_transition_rates(j, p_noisy), p_noisy, 1.0)
-            p_noisy = beable.master_equation_step(p_noisy, t_noisy, 0.01)
-            amps = u @ amps
-        assert np.max(np.abs(p_plain - p_noisy)) < 1e-9
-
-
-class TestMasterEquation:
-    def test_zero_rates_identity(self):
-        p = np.array([0.3, 0.7])
-        t = beable.TransitionRateMatrix(np.zeros((2, 2)))
-        assert np.array_equal(beable.master_equation_step(p, t, 0.05), p)
-
-    def test_euler_step_value(self):
-        # T_21 = 2, dt = 0.01 moves 0.01 of probability from site 1
-        t = beable.TransitionRateMatrix(np.array([[0.0, 0.0], [2.0, 0.0]]))
-        p = beable.master_equation_step(np.array([0.5, 0.5]), t, 0.01)
-        assert np.allclose(p, [0.49, 0.51], atol=1e-15)
-
-    def test_conservation(self):
-        rng = np.random.Generator(np.random.PCG64(5))
-        cases = [(np.array([0.25, 0.375, 0.375]),
-                  np.array([[0, 2.0, 0], [1.0, 0, 0.5], [0, 1.5, 0]]))]
-        for _ in range(50):
-            p = rng.random(5)
-            cases.append((p / p.sum(), rng.random((5, 5))))
-        for p, rates in cases:
-            t = beable.TransitionRateMatrix(rates)
-            p2 = beable.master_equation_step(p, t, 0.01)
-            assert abs(p2.sum() - 1.0) < 1e-14
-            assert np.all(p2 >= 0)
-
-    def test_step_guard(self):
-        t = beable.TransitionRateMatrix(np.array([[0.0, 0.0], [50.0, 0.0]]))
-        with pytest.raises(StepSizeError):
-            beable.master_equation_step(np.array([0.5, 0.5]), t, 0.01)
-
 
 class TestJumpTrajectory:
     def test_eigenstate_never_jumps(self):
@@ -254,6 +204,32 @@ class TestJumpTrajectory:
             beable.ensemble_jump_run(h, psi, 100, 0.01, 100, seed=13)
         assert exc.value.step == 1
 
+    def test_ensemble_guard_names_the_first_trial(self):
+        # only site 0 has outflow (0.75 at step 0); a walker starts there when
+        # its draw falls below P_0 = 0.64, which seed 5 first gives trial 2
+        psi = hilbert.ComplexVectorState([0.8, 0.6j])
+        first = int(np.argmax(seeded_rng(5).random(50) < 0.64))
+        assert first == 2
+        with pytest.raises(StepSizeError, match=f"^step 0: .* guard in trial {first}$") as exc:
+            beable.ensemble_jump_run(TWO_SITE_H, psi, 50, 0.5, 10, seed=5)
+        assert (exc.value.step, exc.value.trial) == (0, first)
+        # a single walk has no trial to name
+        with pytest.raises(StepSizeError, match="^step 0: .* guard$") as exc:
+            beable.jump_trajectory(TWO_SITE_H, psi, 0, 0.5, 10, seed=5)
+        assert (exc.value.step, exc.value.trial) == (0, None)
+
+    def test_degenerate_occupation_names_its_step(self):
+        tiny = hilbert.ComplexVectorState(np.array([1.0, 1e-7j]) / np.hypot(1.0, 1e-7))
+        with pytest.raises(DegenerateOccupationError, match="^step 0: current in/out"):
+            beable.jump_trajectory(TWO_SITE_H, tiny, 0, 0.01, 20, seed=1)
+        # P_0 = cos^2 t falls below the floor at step 100, which a block of 7
+        # steps reaches as step 2 of the block from 98
+        rabi = hilbert.ComplexVectorState([1.0, 0.0])
+        for block in (7, 256):
+            with mock.patch.object(beable, "_RATE_BLOCK", block):
+                with pytest.raises(DegenerateOccupationError, match="^step 100: current"):
+                    beable.ensemble_jump_run(TWO_SITE_H, rabi, 1, np.pi / 200, 300, seed=3)
+
     @pytest.mark.parametrize("kw, name", [
         ({"steps": -1}, "steps"), ({"n_traj": -1}, "n_traj"),
         ({"record_every": 0}, "record_every"), ({"seed": -1}, "seed"),
@@ -280,6 +256,20 @@ class TestJumpTrajectory:
                                    0.01, 0, seed=1)
 
 
+def reference_rates(h, amps, noise_c, step):
+    """The public per-step formulas: J, the minimal rates and the noise of
+    amps; a failure names its step, as the runners' do."""
+    try:
+        j = beable.probability_current(h, hilbert.ComplexVectorState(amps))
+        p = np.abs(amps) ** 2
+        t = beable.bell_transition_rates(j, p)
+        if noise_c != 0.0:  # add_homogeneous_noise rejects c < 0
+            t = beable.add_homogeneous_noise(t, p, noise_c)
+    except ContractViolation as exc:
+        raise type(exc)(f"step {step}: {exc}") from None
+    return t
+
+
 def reference_trajectory(h, psi0, beable0, dt, steps, seed, noise_c=0.0):
     """The per-step jump_trajectory loop that the rate path replaced."""
     rng = seeded_rng(seed)
@@ -289,12 +279,7 @@ def reference_trajectory(h, psi0, beable0, dt, steps, seed, noise_c=0.0):
     stays = np.empty(steps + 1, dtype=np.int64)
     stays[0] = site
     for step in range(steps):
-        state = hilbert.ComplexVectorState(amps)
-        j = beable.probability_current(h, state)
-        p = np.abs(amps) ** 2
-        t = beable.bell_transition_rates(j, p)
-        if noise_c != 0.0:  # add_homogeneous_noise rejects c < 0
-            t = beable.add_homogeneous_noise(t, p, noise_c)
+        t = reference_rates(h, amps, noise_c, step)
         jump_p = t.rates[:, site] * dt
         total = float(jump_p.sum())
         if total >= beable.OUTFLOW_GUARD:
@@ -320,20 +305,15 @@ def reference_ensemble(h, psi0, n_traj, dt, steps, seed, noise_c=0.0, record_eve
     rec_sites = [sites.copy()]
     rec_p = [p.copy()]
     for step in range(steps):
-        state = hilbert.ComplexVectorState(amps)
-        j = beable.probability_current(h, state)
-        p = np.abs(amps) ** 2
-        t = beable.bell_transition_rates(j, p)
-        if noise_c != 0.0:  # add_homogeneous_noise rejects c < 0
-            t = beable.add_homogeneous_noise(t, p, noise_c)
+        t = reference_rates(h, amps, noise_c, step)
         # per-site cumulative jump table, shared across the ensemble
         jump_p = t.rates * dt
         np.fill_diagonal(jump_p, 0.0)
-        outflow = float(jump_p.sum(axis=0)[sites].max())  # the occupied sites only
-        if outflow >= beable.OUTFLOW_GUARD:
-            raise StepSizeError(
-                f"step {step}: outflow probability {outflow:.3f} exceeds the 0.1 guard"
-            )
+        outflow = jump_p.sum(axis=0)[sites]  # the occupied sites only
+        if outflow.max() >= beable.OUTFLOW_GUARD:
+            trial = int(np.argmax(outflow >= beable.OUTFLOW_GUARD))
+            raise StepSizeError(f"step {step}: outflow probability {outflow[trial]:.3f} "
+                                f"exceeds the 0.1 guard in trial {trial}")
         cum = np.cumsum(jump_p, axis=0)  # cum[:, n] for source site n
         draws = rng.random(n_traj)
         source_cum = cum[:, sites]  # dim x n_traj
@@ -444,8 +424,9 @@ class TestRatePathParity:
                                      seed=case["seed"], noise_c=case["noise_c"])
 
 
-def walk_reference(h, psi0, sites, dt, steps, rng, noise_c, record_every):
-    """The walk loop that selected its jumpers with boolean masks."""
+def walk_reference(h, psi0, sites, dt, steps, rng, noise_c, record_every, ensemble):
+    """The walk loop that selected its jumpers with boolean masks; the runs
+    compared with it stay below the guard, so it names no trial."""
     rec = [(sites.copy(), np.abs(psi0.amplitudes) ** 2)]
     step = 0
     for p, _, _, cum in beable._rate_path(h, psi0, dt, steps, noise_c):

@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdmsim import collapse, constants, hilbert
-from rdmsim.collapse import CollapseConfig, ManyBodyBranchTable
+from rdmsim.collapse import CollapseConfig
 from rdmsim.errors import ContractViolation, NumericFailure, SuperPlanckianError
-from rdmsim.seeding import trial_rng
+from rdmsim.seeding import trial_rngs
 
 
 def equal_two_level():
@@ -17,37 +17,25 @@ def equal_two_level():
 
 
 class TestCollapseStep:
-    def test_eigenstate_unchanged(self):
-        s = hilbert.EnergySuperposition([3.0], [1.0])
-        out, stay = collapse.collapse_step(s, CollapseConfig(), trial_rng(0, 0))
-        assert stay == 0
-        assert out.probabilities[0] == pytest.approx(1.0)
-
     def test_hand_evaluated_update(self):
         # natural units, dE = 0.5 so k = 0.5; staying branch 1 gives (0.25, 0.75)
-        rng = trial_rng(1, 0)
-        found = False
-        for _ in range(20):
-            out, stay = collapse.collapse_step(equal_two_level(), CollapseConfig(), rng)
-            if stay == 1:
-                assert np.allclose(out.probabilities, [0.25, 0.75], atol=1e-15)
-                found = True
+        for seed in range(20):
+            out = collapse.run_trajectory(equal_two_level(), CollapseConfig(seed=seed), 1)
+            if out["staying"][0] == 1:
                 break
-        assert found
+        assert seed == 1
+        assert np.allclose(out["probabilities"][1], [0.25, 0.75], atol=1e-15)
 
     def test_bounds_and_sum(self):
         # frozen k on three branches, then dynamic k on five equal ones
         # (dE = 0.71 keeps k inside the k <= 1 regime)
-        rng = trial_rng(2, 0)
         for cfg, s, steps in (
-                (CollapseConfig(k_mode="frozen", k0=0.3),
+                (CollapseConfig(k_mode="frozen", k0=0.3, seed=2),
                  hilbert.EnergySuperposition([0.0, 0.4, 0.9], np.sqrt([0.2, 0.5, 0.3])), 300),
-                (CollapseConfig(),
+                (CollapseConfig(seed=2),
                  hilbert.EnergySuperposition(0.5 * np.arange(5.0), np.sqrt(np.full(5, 0.2))),
                  500)):
-            for _ in range(steps):
-                s, _ = collapse.collapse_step(s, cfg, rng)
-                p = s.probabilities
+            for p in collapse.run_trajectory(s, cfg, steps)["probabilities"]:
                 assert np.all(p >= 0.0) and np.all(p <= 1.0)
                 assert abs(p.sum() - 1.0) < 1e-14
 
@@ -60,31 +48,6 @@ class TestCollapseStep:
                        for stay in range(3))
         assert np.allclose(expected, p, atol=1e-15)
 
-    def test_super_planckian_guard(self):
-        s = hilbert.EnergySuperposition([0.0, 3.0], np.sqrt([0.5, 0.5]))
-        with pytest.raises(SuperPlanckianError):
-            collapse.collapse_step(s, CollapseConfig(), trial_rng(3, 0))
-
-    def test_phases_advance(self):
-        cfg = CollapseConfig(k_mode="frozen", k0=0.0)
-        s = hilbert.EnergySuperposition([0.0, np.pi], np.sqrt([0.5, 0.5]))
-        out, _ = collapse.collapse_step(s, cfg, trial_rng(4, 0))
-        # k = 0: probabilities frozen, phases rotated by -E t_P
-        assert np.allclose(out.probabilities, [0.5, 0.5], atol=1e-15)
-        rel = out.amplitudes[1] / out.amplitudes[0]
-        assert np.angle(rel) == pytest.approx(-np.pi, abs=1e-12)
-
-    def test_degenerate_branches_move_together(self):
-        cfg = CollapseConfig(k_mode="frozen", k0=0.2)
-        s = hilbert.EnergySuperposition([1.0, 1.0, 2.0],
-                                        np.sqrt([0.2, 0.3, 0.5]))
-        out, stay = collapse.collapse_step(s, cfg, trial_rng(5, 0))
-        p = out.probabilities
-        # members of the degenerate group keep their relative weights
-        assert p[0] / p[1] == pytest.approx(2.0 / 3.0, rel=1e-12)
-        assert stay in (0, 2)
-
-
 class TestStrength:
     @given(st.integers(-10**8, 10**8),
            st.lists(st.tuples(st.integers(0, 1024), st.floats(0.01, 1.0)),
@@ -95,8 +58,7 @@ class TestStrength:
         j = np.array([b[0] for b in branches]) * 2.0**-10
         w = np.array([b[1] for b in branches])
         amps = np.sqrt(w / w.sum())
-        k = [collapse.step_strength(hilbert.EnergySuperposition(e, amps), CollapseConfig())
-             for e in (j, c + j)]
+        k = [collapse._strength(amps**2, e, CollapseConfig()) for e in (j, c + j)]
         assert np.float64(k[0]).tobytes() == np.float64(k[1]).tobytes()
 
     # up to 200 columns: a column alone takes running_sum's accumulate and the
@@ -120,56 +82,10 @@ class TestStrength:
         s = hilbert.EnergySuperposition([0.0, 2.1], np.sqrt([0.97, 0.03]))
         p0 = s.probabilities
         seed = next(seed for seed in range(200)
-                    if trial_rng(seed, 0).random() * (p0[0] + p0[1]) >= p0[0])
+                    if trial_rngs(seed, 0, 1)[0].random() * (p0[0] + p0[1]) >= p0[0])
         with pytest.raises(SuperPlanckianError, match="> 1 at step 1 of trial 0$") as exc:
             collapse.run_trajectory(s, CollapseConfig(seed=seed), 100)
         assert (exc.value.step, exc.value.trial) == (1, 0)
-
-
-def reference_step(s, cfg, rng):
-    """collapse_step with the staying-branch draw and the update written out
-    inline: cumsum, u * cum[-1] >= cum, P - kP, P[s] += k, min(P, 1)."""
-    k = collapse.step_strength(s, cfg)
-    p = s.probabilities
-    by_energy = {}
-    for i, e in enumerate(s.energies):
-        by_energy.setdefault(float(e), []).append(i)
-    groups = list(by_energy.values())
-    gp = np.array([p[idx].sum() for idx in groups])
-    draw = rng.random()
-    cum = np.cumsum(gp)
-    g_stay = int(np.sum(draw * cum[-1] >= cum))
-    gp_new = gp - k * gp
-    gp_new[g_stay] += k
-    np.minimum(gp_new, 1.0, out=gp_new)
-    scale = np.ones_like(p)
-    for g, idx in enumerate(groups):
-        scale[idx] = math.sqrt(gp_new[g] / gp[g]) if gp[g] > 0.0 else 0.0
-    phases = np.exp(-1j * s.energies)
-    return (hilbert.EnergySuperposition(s.energies, s.amplitudes * scale * phases),
-            groups[g_stay][0])
-
-
-class TestCollapseStepOnKernel:
-    @pytest.mark.parametrize("m, k_mode, degenerate", [
-        (m, k_mode, degenerate) for m in range(1, 6) for k_mode in ("frozen", "dynamic")
-        for degenerate in (False, True) if m > 1 or not degenerate])
-    def test_matches_inline_update(self, m, k_mode, degenerate):
-        # a degenerate pair shares one energy, so the draw runs over merged groups
-        gen = np.random.Generator(np.random.PCG64(100 * m + degenerate))
-        energies = gen.random(m)
-        if degenerate:
-            energies[1] = energies[0]
-        weights = gen.random(m) + 0.05
-        s = hilbert.EnergySuperposition(energies, np.sqrt(weights / weights.sum()))
-        cfg = CollapseConfig(k_mode=k_mode, k0=0.2 if k_mode == "frozen" else None)
-        ours, ref = s, s
-        rng_ours, rng_ref = trial_rng(m, 1), trial_rng(m, 1)
-        for _ in range(200):
-            ours, stay = collapse.collapse_step(ours, cfg, rng_ours)
-            ref, ref_stay = reference_step(ref, cfg, rng_ref)
-            assert stay == ref_stay
-            assert np.array_equal(ours.probabilities, ref.probabilities)
 
 
 def _trajectory_reference(s0, cfg, max_steps):
@@ -178,7 +94,7 @@ def _trajectory_reference(s0, cfg, max_steps):
     by sqrt(new / old group weight) and turns by its phase, and
     P = min(|c|^2, 1).  Returns (P history, staying branches, outcome,
     steps)."""
-    rng = trial_rng(cfg.seed, 0)
+    rng = trial_rngs(cfg.seed, 0, 1)[0]
     seen = {}
     label = np.array([seen.setdefault(float(e), len(seen)) for e in s0.energies])
     first = np.unique(label, return_index=True)[1]
@@ -304,7 +220,7 @@ class TestEnsembleStatistics:
         cfg = CollapseConfig(k_mode="frozen", k0=0.1, seed=11)
 
         def paths(lo, hi):
-            u = np.array([trial_rng(cfg.seed, t).random(30) for t in range(lo, hi)]).T
+            u = np.array([trial_rngs(cfg.seed, t, t + 1)[0].random(30) for t in range(lo, hi)]).T
             p = np.repeat(s.probabilities[:, None], hi - lo, axis=1)
             for step in range(30):
                 collapse._collapse_kernel(p, u[step], cfg.k0)
@@ -347,7 +263,7 @@ class TestEnsembleStatistics:
 def reference_outcome(s0, cfg, trial, max_steps):
     """One trial on Python floats: k, the staying branch and the update
     written out directly, one uniform per step from the trial's stream."""
-    rng = trial_rng(cfg.seed, trial)
+    rng = trial_rngs(cfg.seed, trial, trial + 1)[0]
     p = [float(x) for x in s0.probabilities]
     e = [float(x) for x in s0.energies]
     for step in range(max_steps + 1):
@@ -427,7 +343,7 @@ class TestEnsembleOutcomes:
         cfg = CollapseConfig(k_mode="dynamic", seed=14)
         p0 = s.probabilities
         first = next(t for t in range(50)
-                     if trial_rng(cfg.seed, t).random() * (p0[0] + p0[1]) >= p0[0])
+                     if trial_rngs(cfg.seed, t, t + 1)[0].random() * (p0[0] + p0[1]) >= p0[0])
         with pytest.raises(SuperPlanckianError, match=f"at step 1 of trial {first}$") as exc:
             collapse.ensemble_outcomes(s, cfg, 50, 100)
         assert (exc.value.step, exc.value.trial) == (1, first)
@@ -488,83 +404,27 @@ class TestCollapseTime:
             collapse.relativistic_collapse_time(1.0, constants.C_M_S)
 
 
-class TestManyBodyDeltaE:
-    def test_single_subsystem_matches(self):
-        s = hilbert.EnergySuperposition([0.0, 1.0, 2.0], np.sqrt([0.5, 0.3, 0.2]))
-        table = ManyBodyBranchTable(s.energies[None, :], s.amplitudes)
-        expected = hilbert.energy_uncertainty(s)
-        assert collapse.manybody_delta_e(table, "rms") == pytest.approx(expected)
-        assert collapse.manybody_delta_e(table, "linear-sum") == pytest.approx(expected)
-
-    def test_two_subsystem_example(self):
-        # two subsystems, equal two-branch superposition, unit gap each
-        table = ManyBodyBranchTable([[0.0, 1.0], [0.0, 1.0]],
-                                    np.sqrt([0.5, 0.5]))
-        assert collapse.manybody_delta_e(table, "rms") == pytest.approx(np.sqrt(0.5))
-        assert collapse.manybody_delta_e(table, "linear-sum") == pytest.approx(1.0)
-
-    def test_product_state_zero(self):
-        table = ManyBodyBranchTable([[2.0, 2.0], [5.0, 5.0]],
-                                    np.sqrt([0.4, 0.6]))
-        assert collapse.manybody_delta_e(table, "rms") == 0.0
-        assert collapse.manybody_delta_e(table, "linear-sum") == 0.0
-
-    def test_degenerate_total_but_nonzero_sum(self):
-        # branch total energies equal, per-subsystem spreads do not vanish
-        table = ManyBodyBranchTable([[0.0, 1.0], [1.0, 0.0]],
-                                    np.sqrt([0.5, 0.5]))
-        totals = table.energies.sum(axis=0)
-        assert totals[0] == totals[1]
-        assert collapse.manybody_delta_e(table, "rms") > 0.5
-
-
 class TestScaleInvariance:
-    def test_singleton_grouping(self):
-        s = hilbert.EnergySuperposition([0.0, 0.3, 0.6],
-                                        np.sqrt([0.2, 0.5, 0.3]))
-        res = collapse.scale_invariance_check(s, CollapseConfig(), [[0], [1], [2]], 1)
-        assert res["passed"]
-
-    def test_pairwise_grouping(self):
-        s = hilbert.EnergySuperposition([0.0, 0.2, 0.4, 0.6],
-                                        np.sqrt([0.25, 0.25, 0.25, 0.25]))
-        res = collapse.scale_invariance_check(s, CollapseConfig(),
-                                              [[0, 1], [2, 3]], 0)
-        assert res["passed"]
-
-    def test_random_partitions(self):
-        rng = np.random.Generator(np.random.PCG64(12))
-        s = hilbert.EnergySuperposition(0.25 * np.arange(8.0),
-                                        np.sqrt(np.full(8, 0.125)))
-        for n_groups in (2, 3):
-            for _ in range(50):
-                perm = rng.permutation(8)
-                cuts = np.sort(rng.choice(np.arange(1, 8), size=n_groups - 1, replace=False))
-                stay = int(rng.integers(0, 8))
-                assert collapse.scale_invariance_check(
-                    s, CollapseConfig(), np.split(perm, cuts), stay)["passed"]
-
-    def test_invalid_partition(self):
-        s = equal_two_level()
-        with pytest.raises(ContractViolation):
-            collapse.scale_invariance_check(s, CollapseConfig(), [[0]], 0)
-
-
-class TestHorizonLevels:
-    def test_massless_value(self):
-        levels = collapse.horizon_energy_levels(1e25, 3)
-        assert levels[0] == pytest.approx(3.1e-32, rel=0.01)
-        assert levels[1] / levels[0] == pytest.approx(4.0)
-        assert levels[2] / levels[0] == pytest.approx(9.0)
-
-    def test_electron_value(self):
-        levels = collapse.horizon_energy_levels(
-            1e25, 1, mass_ev=constants.ELECTRON_MC2_EV)
-        assert levels[0] == pytest.approx(9.4e-70, rel=0.01)
-
-    def test_doubling_n_quadruples(self):
-        levels = collapse.horizon_energy_levels(3.3e24, 4)
-        assert levels[3] / levels[1] == pytest.approx(4.0)
+    # up to 200 columns, so that the kernel takes running_sum's row loop too
+    @given(st.integers(1, 10), st.integers(1, 200), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_random_partitions(self, m, n, seed):
+        # any grouping G of the branches follows the same two-level update:
+        # sum_G P' = sum_G P + k (1[stay in G] - sum_G P)
+        gen = np.random.Generator(np.random.PCG64(seed))
+        p = gen.random((m, n)) + 1e-3
+        p /= p.sum(axis=0)
+        k = gen.random(n)
+        p_new = p.copy()
+        stay = collapse._collapse_kernel(p_new, gen.random(n), k)
+        assert np.all(stay.sum(axis=0) == 1)
+        for _ in range(5):
+            label = gen.integers(0, gen.integers(1, m + 1), m)
+            for g in np.unique(label):
+                rows = label == g
+                q = p[rows].sum(axis=0)
+                expected = q + k * (stay[rows].any(axis=0) - q)
+                assert np.max(np.abs(p_new[rows].sum(axis=0) - expected)) <= 1e-15
 
 
 class TestConfig:

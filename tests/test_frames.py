@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdmsim import frames, rdm
-from rdmsim.errors import (
-    ContractViolation,
-    InfiniteOneWaySpeedError,
-    InsufficientOverlapError,
-    NoSimultaneityFrameError,
-    SuperluminalFrameError,
-)
+from rdmsim.errors import ContractViolation, InsufficientOverlapError, SuperluminalFrameError
 
 coords = st.floats(-1.0, 1.0)
 betas = st.floats(-0.99, 0.99)
@@ -51,46 +45,6 @@ class TestLorentzTransform:
         assert abs(before - after) < 1e-12
 
 
-class TestSimultaneityFrame:
-    def test_equal_times_zero_velocity(self):
-        v = frames.simultaneity_frame(frames.Event(1.0, 0.0), frames.Event(1.0, 2.0))
-        assert v == 0.0
-
-    def test_formula_value(self):
-        v = frames.simultaneity_frame(frames.Event(0.0, 0.0), frames.Event(1.0, 3.0))
-        assert v == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-    def test_timelike_rejected(self):
-        with pytest.raises(NoSimultaneityFrameError):
-            frames.simultaneity_frame(frames.Event(0.0, 0.0), frames.Event(1.0, 0.5))
-
-    def test_lightlike_rejected(self):
-        with pytest.raises(NoSimultaneityFrameError):
-            frames.simultaneity_frame(frames.Event(0.0, 0.0), frames.Event(1.0, 1.0))
-
-
-class TestEntangledFrameVelocities:
-    def test_equal_times_give_zero(self):
-        v1, v2 = frames.entangled_frame_velocities((0.0, 0.0, 10.0), (0.0, 5.0, 15.0))
-        assert v1 == 0.0 and v2 == 0.0
-
-    def test_formula(self):
-        # t_a - t_b = 1, x_1a - x_2b = 5 -> v' = 0.2
-        v1, _ = frames.entangled_frame_velocities((1.0, 6.0, 100.0), (0.0, 90.0, 1.0))
-        assert v1 == pytest.approx(0.2)
-
-    def test_wide_separation_small_velocity(self):
-        # short |t_a - t_b| over a wide particle separation: both frame
-        # velocities are far below c
-        v1, v2 = frames.entangled_frame_velocities((0.01, 0.0, 1e4),
-                                                   (0.0, 50.0, 1e4 + 50.0))
-        assert abs(v1) < 1e-5 and abs(v2) < 1e-5
-
-    def test_superluminal_rejected(self):
-        with pytest.raises(SuperluminalFrameError):
-            frames.entangled_frame_velocities((1.0, 0.0, 10.0), (0.0, 10.0, 0.5))
-
-
 class TestEdwardsWinnie:
     @given(coords, coords, betas)
     @settings(max_examples=300, deadline=None)
@@ -114,20 +68,6 @@ class TestEdwardsWinnie:
         out = frames.edwards_winnie_transform(e, frames.SynchronyParams(v=0.0))
         assert out.t == pytest.approx(e.t) and out.x == pytest.approx(e.x)
 
-
-class TestOneWaySpeeds:
-    def test_isotropic_at_zero(self):
-        cp, cm, cpp, cmp_ = frames.one_way_speeds(frames.SynchronyParams(v=0.1))
-        assert cp == cm == cpp == cmp_ == 1.0
-
-    def test_absolute_sync_speeds(self):
-        # k' = -beta: light co-moving with the frame is slower,
-        # c/(1+beta) = c^2/(c+v); counter-moving faster, c^2/(c-v)
-        v = 0.4
-        _, _, cpp, cmp_ = frames.one_way_speeds(frames.absolute_sync_params(v))
-        assert cpp == pytest.approx(1.0 / (1.0 + v))
-        assert cmp_ == pytest.approx(1.0 / (1.0 - v))
-
     def test_absolute_sync_speeds_kinematic_oracle(self):
         # chase a light pulse through the absolute-sync transformation
         v = 0.4
@@ -139,17 +79,6 @@ class TestOneWaySpeeds:
             speed = (e1.x - e0.x) / (e1.t - e0.t)
             expected = 1.0 / (1.0 + v) if direction > 0 else -1.0 / (1.0 - v)
             assert speed == pytest.approx(expected, abs=1e-12)
-
-    @given(st.floats(-0.99, 0.99))
-    @example(np.linspace(-0.95, 0.95, 21))
-    @settings(max_examples=100, deadline=None)
-    def test_two_way_speed_harmonic_mean(self, k):
-        cp, cm, _, _ = frames.one_way_speeds(frames.SynchronyParams(v=0.1, k=k))
-        assert np.max(np.abs(2.0 / (1.0 / cp + 1.0 / cm) - 1.0)) < 1e-12
-
-    def test_infinite_speed_flagged(self):
-        with pytest.raises(InfiniteOneWaySpeedError):
-            frames.one_way_speeds(frames.SynchronyParams(v=0.0, k=1.0))
 
 
 def bits(values):
@@ -214,8 +143,6 @@ class TestEventArrays:
     def test_array_checks(self):
         with pytest.raises(ContractViolation):
             frames.Event(np.array([0.0, np.inf]), np.zeros(2))
-        with pytest.raises(InfiniteOneWaySpeedError):
-            frames.one_way_speeds(frames.SynchronyParams(v=0.0, k=np.array([0.5, -1.0])))
 
 
 def make_pair_trajectory(a_sq=0.5, n=50_000, seed=3):
@@ -315,8 +242,7 @@ class TestMultiparticleScan:
         i, j = 10, 20
         while positions[i] == positions[j]:
             j += 1
-        v = frames.simultaneity_frame(frames.Event(t[i], positions[i]),
-                                      frames.Event(t[j], positions[j]))
+        v = (t[j] - t[i]) / (positions[j] - positions[i])
         count = frames.multiparticle_appearance_scan(traj, positions, v,
                                                      coincidence_tol=1e-9)
         assert count >= 1

@@ -16,8 +16,7 @@ from scipy import stats
 
 from rdmsim import cli, io, rdm, verify
 from rdmsim.errors import ContractViolation, ScenarioError
-from rdmsim.seeding import (_seed_words, derive_seed, derive_seeds, seeded_rng, trial_rng,
-                            trial_rngs)
+from rdmsim.seeding import _seed_words, derive_seed, derive_seeds, seeded_rng, trial_rngs
 
 # derive_seed(master, index), computed with SplitMix64 on Python integers
 KNOWN_SEEDS = {
@@ -82,8 +81,8 @@ class TestSeeding:
         assert derive_seed(1, 0) != derive_seed(2, 0)
 
     def test_rng_stream_reproducible(self):
-        a = trial_rng(9, 4).random(8)
-        b = trial_rng(9, 4).random(8)
+        a = trial_rngs(9, 4, 5)[0].random(8)
+        b = trial_rngs(9, 4, 5)[0].random(8)
         assert np.array_equal(a, b)
 
     def test_seeded_rng_is_plain_pcg64(self):
@@ -442,7 +441,7 @@ class TestCliRuns:
         # k = 0.36 at step 0 and above 1 once branch 1 stays
         p0 = np.sqrt([0.97, 0.03]) ** 2
         seed = next(seed for seed in range(200)
-                    if trial_rng(seed, 0).random() * (p0[0] + p0[1]) >= p0[0])
+                    if trial_rngs(seed, 0, 1)[0].random() * (p0[0] + p0[1]) >= p0[0])
         path = tmp_path / "s.yaml"
         path.write_text("subcommand: collapse-run\nenergies: [0.0, 2.1]\n"
                         f"probabilities: [0.97, 0.03]\nseed: {seed}\n")

@@ -43,48 +43,6 @@ class TestSetupInvariants:
             setup.coupling_weights()
 
 
-class TestUnprotectedMeasurement:
-    def test_eigenstate_single_branch(self):
-        psi = hilbert.ComplexVectorState([0.0, 1.0])
-        a = hilbert.HermitianOperator(np.diag([2.0, -1.5]))
-        setup = protective.ProtectiveSetup(psi, a, 1, 1.0, pointer())
-        branches = protective.unprotected_measurement(setup)
-        assert len(branches) == 1
-        _, eig, ps = branches[0]
-        assert eig == pytest.approx(-1.5)
-        assert ps.mean_position() == pytest.approx(-1.5, abs=1e-9)
-
-    def test_superposition_two_branches(self):
-        setup = protective.ProtectiveSetup(plus_state(), projector0(), 1, 1.0,
-                                           pointer())
-        branches = protective.unprotected_measurement(setup)
-        assert len(branches) == 2
-        weights = sorted(abs(c) ** 2 for c, _, _ in branches)
-        assert np.allclose(weights, [0.5, 0.5])
-        centers = sorted(ps.mean_position() for _, _, ps in branches)
-        assert centers[0] == pytest.approx(0.0, abs=1e-9)
-        assert centers[1] == pytest.approx(1.0, abs=1e-9)
-
-    def test_zero_observable_leaves_pointer(self):
-        a = hilbert.HermitianOperator(np.zeros((2, 2)))
-        setup = protective.ProtectiveSetup(plus_state(), a, 1, 1.0, pointer())
-        branches = protective.unprotected_measurement(setup)
-        for _, _, ps in branches:
-            assert ps.mean_position() == pytest.approx(0.0, abs=1e-12)
-
-    def test_widths_unchanged(self):
-        setup = protective.ProtectiveSetup(plus_state(), projector0(), 1, 1.0,
-                                           pointer())
-        for _, _, ps in protective.unprotected_measurement(setup):
-            assert ps.width() == pytest.approx(pointer().width(), rel=1e-12)
-
-    def test_shift_domain_guard(self):
-        a = hilbert.HermitianOperator(np.diag([100.0, 0.0]))
-        setup = protective.ProtectiveSetup(plus_state(), a, 1, 1.0, pointer())
-        with pytest.raises(PointerDomainError):
-            protective.unprotected_measurement(setup)
-
-
 def _zeno_reference(setup):
     """The Zeno run written as N kicks, each followed by a projection and a
     renormalisation, with the survival as the product of the kept norms."""
@@ -278,52 +236,11 @@ class TestZenoRun:
         assert out["survival_probability"] < 0.5
         assert out["protection_failed"]
 
-
-class TestFirstOrderBranch:
-    def test_eigenstate_no_leakage(self):
-        psi = hilbert.ComplexVectorState([1.0, 0.0])
-        a = hilbert.HermitianOperator(np.diag([0.8, -0.3]))
-        setup = protective.ProtectiveSetup(psi, a, 2000, 1.0, pointer())
-        out = protective.first_order_branch_check(setup)
-        assert out["measured_amplitude"] < 1e-12
-
-    def test_leading_amplitude_matches(self):
-        setup = protective.ProtectiveSetup(plus_state(), projector0(), 2000,
-                                           1.0, pointer())
-        out = protective.first_order_branch_check(setup)
-        assert out["residual"] <= 0.01 * out["predicted_amplitude"]
-
-    def test_residual_at_least_second_order(self):
-        # the deviation from the leading-order amplitude is O(1/N^2) at
-        # worst; a symmetric Gaussian pointer kills the cross term and
-        # yields O(1/N^3), so the refinement ratio is >= 4
-        setups = [protective.ProtectiveSetup(plus_state(), projector0(), n,
-                                             1.0, pointer())
-                  for n in (2000, 4000)]
-        res = [protective.first_order_branch_check(s)["residual"] for s in setups]
-        assert res[0] / res[1] >= 3.4
-
-
-class TestPointerShiftRate:
-    def test_constant_profile(self):
-        rate = protective.pointer_shift_rate(plus_state(), projector0(), 1.0 / 2.0)
-        assert rate == pytest.approx(0.25)
-
-    def test_zero_expectation(self):
-        a = hilbert.HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        psi = hilbert.ComplexVectorState([1.0, 0.0])
-        assert protective.pointer_shift_rate(psi, a, 3.0) == 0.0
-
-    def test_integral_profile_independent(self):
-        # quadrature oracle: integrating g(t) <A> over [0, tau] gives <A>
-        tau = 2.0
-        t = np.linspace(0, tau, 20_001)
-        tri = np.where(t <= tau / 2, 4 * t / tau**2, 4 * (tau - t) / tau**2)
-        target = hilbert.expectation_value(plus_state(), projector0())
-        integral = np.trapezoid(
-            [protective.pointer_shift_rate(plus_state(), projector0(), g)
-             for g in tri], t)
-        assert integral == pytest.approx(target, abs=1e-6)
+    def test_shift_domain_guard(self):
+        a = hilbert.HermitianOperator(np.diag([100.0, 0.0]))
+        setup = protective.ProtectiveSetup(plus_state(), a, 1, 1.0, pointer())
+        with pytest.raises(PointerDomainError):
+            protective.zeno_protective_run(setup)
 
 
 class TestRegionMeasurements:

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from rdmsim import rdm, schrodinger as sch
@@ -48,6 +52,49 @@ class TestSampleStays:
             rdm.sample_stays([1.0], 0, seed=0)
 
 
+@st.composite
+def densities(draw):
+    """A density over 1-20 sites, some of them empty."""
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                            min_size=1, max_size=20))
+    if not any(weights):
+        weights[draw(st.integers(0, len(weights) - 1))] = 1.0
+    w = np.array(weights)
+    return w / w.sum()
+
+
+def tv_bound(n_sites, n, delta=1e-9):
+    """The TV distance that the empirical density of n iid draws over
+    n_sites reaches with probability at most delta, by the
+    Bretagnolle-Huber-Carol inequality
+    P(sum |p_hat - p| >= 2 lam / sqrt(n)) <= 2^n_sites exp(-2 lam^2)."""
+    lam = math.sqrt((n_sites * math.log(2.0) + math.log(1.0 / delta)) / 2.0)
+    return lam / math.sqrt(n)
+
+
+class TestSampleStaysProperties:
+    @given(densities(), st.integers(1, 20_000), st.integers(0, 2**64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_stays_on_the_support(self, p, n, seed):
+        stays = rdm.sample_stays(p, n, seed=seed).stays
+        assert np.all((stays >= 0) & (stays < p.size))
+        assert np.all(p[stays] > 0.0)
+
+    @given(densities(), st.integers(1, 20_000), st.integers(0, 2**64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_same_seed_same_bytes(self, p, n, seed):
+        a = rdm.sample_stays(p, n, seed=seed).stays
+        b = rdm.sample_stays(p, n, seed=seed).stays
+        assert a.tobytes() == b.tobytes()
+
+    @given(densities(), st.integers(1, 20_000), st.integers(0, 2**64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_tv_distance_within_bhc_bound(self, p, n, seed):
+        # a correct sampler fails this with probability below 1e-9 per example
+        traj = rdm.sample_stays(p, n, seed=seed)
+        assert rdm.total_variation(rdm.empirical_density(traj), p) < tv_bound(p.size, n)
+
+
 class TestEmpiricalDensity:
     def test_delta_histogram(self):
         traj = rdm.StayTrajectory(np.full(100, 2), n_sites=4)
@@ -84,31 +131,6 @@ class TestEmpiricalDensity:
             means.append(np.mean(tvs))
         slope = np.polyfit(np.log(ns), np.log(means), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.1)
-
-
-class TestEffectiveChargeDensity:
-    def test_zero_charge(self):
-        g = sch.GridWavefunction.gaussian(-10, 20 / 64, 64, 0.0, 1.0)
-        assert np.all(rdm.effective_charge_density(g, 0.0) == 0.0)
-
-    def test_box_charge_fraction(self):
-        # a two-box profile carries |a|^2 Q in box 1
-        n = 128
-        rho = np.zeros(n)
-        rho[:32] = 0.36 / 32
-        rho[64:96] = 0.64 / 32
-        dx = 1.0
-        psi = np.sqrt(rho / dx)
-        g = sch.GridWavefunction(0.0, dx, psi.astype(complex))
-        q = 2.5
-        charge = rdm.effective_charge_density(g, q)
-        assert dx * charge[:32].sum() == pytest.approx(0.36 * q, abs=1e-12)
-
-    def test_total_charge(self):
-        g = sch.GridWavefunction.gaussian(-10, 20 / 256, 256, 0.4, 1.3,
-                                          momentum=0.5)
-        total = g.dx * rdm.effective_charge_density(g, -1.0).sum()
-        assert total == pytest.approx(-1.0, abs=1e-8)
 
 
 class TestEntangledStays:

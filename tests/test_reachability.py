@@ -1,0 +1,52 @@
+"""Every public top-level def or class of the library is reached by the code
+that runs: some other top-level statement of src/rdmsim/ or bench/ names
+it, as a bare name, an attribute or a string that getattr resolves.  A
+name that only tests call is dead weight, unless it is one of the
+references that tests compare the runners against."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+TEST_ORACLES = {
+    "probability_current": "reference_trajectory's per-step J against the rate path",
+    "bell_transition_rates": "reference_trajectory's per-step minimal rates",
+    "add_homogeneous_noise": "reference_trajectory's per-step noise family",
+    "measure_density": "the bitwise reference for tomography's density means",
+    "measure_flux": "the bitwise reference for tomography's flux means",
+    "continuity_residual": "the continuity check on evolve_grid",
+    "mean_momentum": "the momentum check on evolve_grid",
+    "read_trajectory_binary": "the only reader of the .rdmt format that io writes",
+}
+
+
+def _names(node) -> set:
+    """Every name, attribute and string constant inside node."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found.add(sub.value)
+    return found
+
+
+def unreached() -> set:
+    """Public top-level defs and classes of the library that no other
+    top-level statement of the library or the bench names."""
+    library = sorted((ROOT / "src" / "rdmsim").glob("*.py"))
+    trees = {path: ast.parse(path.read_text())
+             for path in library + sorted((ROOT / "bench").glob("*.py"))}
+    named = [(stmt, _names(stmt)) for tree in trees.values() for stmt in tree.body
+             if not isinstance(stmt, (ast.Import, ast.ImportFrom))]
+    return {stmt.name for path in library for stmt in trees[path].body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and not stmt.name.startswith("_")
+            and not any(stmt.name in names for other, names in named if other is not stmt)}
+
+
+def test_every_public_name_is_reached():
+    assert unreached() == set(TEST_ORACLES)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdmsim import hilbert, schrodinger as sch
+from rdmsim import schrodinger as sch
 from rdmsim.errors import (
     DimensionMismatchError,
     NormalizationError,
@@ -42,34 +42,6 @@ class TestGridInvariants:
     def test_gaussian_normalized(self):
         g = gaussian()
         assert abs(g.dx * np.sum(np.abs(g.samples) ** 2) - 1.0) < 1e-12
-
-
-class TestEvolvePhases:
-    def test_identity_at_t0(self):
-        s = hilbert.EnergySuperposition([0.0, 1.0], np.sqrt([0.5, 0.5]))
-        out = sch.evolve_phases(s, 0.0)
-        assert np.array_equal(out.amplitudes, s.amplitudes)
-
-    def test_single_branch_global_phase(self):
-        s = hilbert.EnergySuperposition([2.5], [1.0])
-        out = sch.evolve_phases(s, 1.3)
-        assert abs(abs(out.amplitudes[0]) - 1.0) < 1e-15
-
-    def test_pi_relative_phase_orthogonal(self):
-        # E = (0, pi), t = 1: equal superposition becomes orthogonal
-        s = hilbert.EnergySuperposition([0.0, np.pi], np.sqrt([0.5, 0.5]))
-        out = sch.evolve_phases(s, 1.0)
-        overlap = np.vdot(s.amplitudes, out.amplitudes)
-        assert abs(overlap) < 1e-15
-
-    def test_probabilities_bit_stable(self):
-        rng = np.random.Generator(np.random.PCG64(4))
-        for _ in range(20):
-            c = rng.normal(size=4) + 1j * rng.normal(size=4)
-            c /= np.linalg.norm(c)
-            s = hilbert.EnergySuperposition(rng.normal(size=4), c)
-            out = sch.evolve_phases(s, rng.uniform(0, 100))
-            assert np.max(np.abs(out.probabilities - s.probabilities)) < 1e-15
 
 
 class TestEvolveGrid:
