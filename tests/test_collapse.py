@@ -17,6 +17,14 @@ def equal_two_level():
 
 
 class TestCollapseStep:
+    def test_eigenstate_unchanged(self):
+        # one branch: the kernel keeps it, whatever the draw and k
+        p = np.array([[1.0, 1.0, 1.0]])
+        stay = collapse._collapse_kernel(p, np.array([0.0, 0.5, 1.0 - 2.0**-53]),
+                                         np.array([0.0, 0.4, 1.0]))
+        assert np.all(stay)
+        assert np.all(p == 1.0)
+
     def test_hand_evaluated_update(self):
         # natural units, dE = 0.5 so k = 0.5; staying branch 1 gives (0.25, 0.75)
         for seed in range(20):
@@ -47,6 +55,22 @@ class TestCollapseStep:
                                           p - k * p)
                        for stay in range(3))
         assert np.allclose(expected, p, atol=1e-15)
+
+    def test_super_planckian_guard(self):
+        s = hilbert.EnergySuperposition([0.0, 3.0], np.sqrt([0.5, 0.5]))
+        with pytest.raises(SuperPlanckianError):
+            collapse.run_trajectory(s, CollapseConfig(seed=3), 10)
+
+    def test_degenerate_branches_move_together(self):
+        cfg = CollapseConfig(k_mode="frozen", k0=0.2, seed=5)
+        s = hilbert.EnergySuperposition([1.0, 1.0, 2.0],
+                                        np.sqrt([0.2, 0.3, 0.5]))
+        out = collapse.run_trajectory(s, cfg, 1)
+        p = out["probabilities"][1]
+        # members of the degenerate group keep their relative weights
+        assert p[0] / p[1] == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert out["staying"][0] in (0, 2)
+
 
 class TestStrength:
     @given(st.integers(-10**8, 10**8),
@@ -86,6 +110,47 @@ class TestStrength:
         with pytest.raises(SuperPlanckianError, match="> 1 at step 1 of trial 0$") as exc:
             collapse.run_trajectory(s, CollapseConfig(seed=seed), 100)
         assert (exc.value.step, exc.value.trial) == (1, 0)
+
+
+def reference_step(gp, energies, cfg, step, rng):
+    """One instant on the group weights gp written out inline: the strength,
+    cumsum, u * cum[-1] >= cum, P - kP, P[s] += k, min(P, 1).  Returns (new
+    group weights, staying group)."""
+    k = collapse._strength(gp, energies, cfg, step)
+    draw = rng.random()
+    cum = np.cumsum(gp)
+    g_stay = int(np.sum(draw * cum[-1] >= cum))
+    gp_new = gp - k * gp
+    gp_new[g_stay] += k
+    np.minimum(gp_new, 1.0, out=gp_new)
+    return gp_new, g_stay
+
+
+class TestCollapseStepOnKernel:
+    @pytest.mark.parametrize("m, k_mode, degenerate", [
+        (m, k_mode, degenerate) for m in range(1, 6) for k_mode in ("frozen", "dynamic")
+        for degenerate in (False, True) if m > 1 or not degenerate])
+    def test_matches_inline_update(self, m, k_mode, degenerate):
+        # a degenerate pair shares one energy, so the draw runs over merged
+        # groups; run_trajectory's kernel must take the inline update's
+        # staying groups and give its weights bit for bit
+        gen = np.random.Generator(np.random.PCG64(100 * m + degenerate))
+        energies = gen.random(m)
+        if degenerate:
+            energies[1] = energies[0]
+        weights = gen.random(m) + 0.05
+        s = hilbert.EnergySuperposition(energies, np.sqrt(weights / weights.sum()))
+        cfg = CollapseConfig(k_mode=k_mode, k0=0.2 if k_mode == "frozen" else None,
+                             seed=m)
+        out = collapse.run_trajectory(s, cfg, 200)
+        label, first, share = collapse._energy_groups(s)
+        gp = np.bincount(label, weights=s.probabilities)
+        rng = trial_rngs(cfg.seed, 0, 1)[0]
+        assert np.array_equal(out["probabilities"][0], gp[label] * share)
+        for step, stay in enumerate(out["staying"]):
+            gp, g_stay = reference_step(gp, energies[first], cfg, step, rng)
+            assert stay == first[g_stay]
+            assert np.array_equal(out["probabilities"][step + 1], gp[label] * share)
 
 
 def _trajectory_reference(s0, cfg, max_steps):
@@ -404,7 +469,40 @@ class TestCollapseTime:
             collapse.relativistic_collapse_time(1.0, constants.C_M_S)
 
 
+def forced_step(p, stay, k):
+    """_collapse_kernel on the single column p with the draw u set to the
+    middle of branch stay's share of the running sum; returns (P', stay
+    mask)."""
+    cum = np.cumsum(p)
+    lo = cum[stay - 1] if stay > 0 else 0.0
+    col = np.array(p, dtype=np.float64)[:, None]
+    mask = collapse._collapse_kernel(col, np.array([0.5 * (lo + cum[stay]) / cum[-1]]), k)
+    return col[:, 0], mask[:, 0]
+
+
 class TestScaleInvariance:
+    def test_singleton_grouping(self):
+        # every branch on its own follows P' = P + k (1[stay] - P)
+        s = hilbert.EnergySuperposition([0.0, 0.3, 0.6],
+                                        np.sqrt([0.2, 0.5, 0.3]))
+        p = s.probabilities
+        k = collapse._strength(p, s.energies, CollapseConfig())
+        p_new, mask = forced_step(p, 1, k)
+        assert np.array_equal(mask, [False, True, False])
+        assert np.allclose(p_new, p + k * (mask - p), atol=1e-15)
+
+    def test_pairwise_grouping(self):
+        # the pairs {0, 1} and {2, 3} move as two branches would
+        s = hilbert.EnergySuperposition([0.0, 0.2, 0.4, 0.6],
+                                        np.sqrt([0.25, 0.25, 0.25, 0.25]))
+        p = s.probabilities
+        k = collapse._strength(p, s.energies, CollapseConfig())
+        p_new, mask = forced_step(p, 0, k)
+        assert mask[0] and mask.sum() == 1
+        for rows, held in (([0, 1], 1.0), ([2, 3], 0.0)):
+            q = p[rows].sum()
+            assert p_new[rows].sum() == pytest.approx(q + k * (held - q), abs=1e-15)
+
     # up to 200 columns, so that the kernel takes running_sum's row loop too
     @given(st.integers(1, 10), st.integers(1, 200), st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)

@@ -68,6 +68,8 @@ class TestEdwardsWinnie:
         out = frames.edwards_winnie_transform(e, frames.SynchronyParams(v=0.0))
         assert out.t == pytest.approx(e.t) and out.x == pytest.approx(e.x)
 
+
+class TestOneWaySpeeds:
     def test_absolute_sync_speeds_kinematic_oracle(self):
         # chase a light pulse through the absolute-sync transformation
         v = 0.4
@@ -79,6 +81,64 @@ class TestEdwardsWinnie:
             speed = (e1.x - e0.x) / (e1.t - e0.t)
             expected = 1.0 / (1.0 + v) if direction > 0 else -1.0 / (1.0 - v)
             assert speed == pytest.approx(expected, abs=1e-12)
+
+
+class TestSimultaneityFrame:
+    """Two events share a time in the frame v = dt/dx, which the boost
+    reaches only for a spacelike pair."""
+
+    def test_equal_times_zero_velocity(self):
+        t, x = np.array([1.0, 1.0]), np.array([0.0, 2.0])
+        tb = frames.boost_times(t, x, 0.0)
+        assert tb[0] == tb[1]
+
+    def test_formula_value(self):
+        # (0, 0) and (1, 3): v = 1/3
+        t, x = np.array([0.0, 1.0]), np.array([0.0, 3.0])
+        tb = frames.boost_times(t, x, (t[1] - t[0]) / (x[1] - x[0]))
+        assert tb[1] == pytest.approx(tb[0], abs=1e-14)
+
+    def test_timelike_rejected(self):
+        # (0, 0) and (1, 0.5): v = 2
+        with pytest.raises(SuperluminalFrameError):
+            frames.lorentz_transform(frames.Event(0.0, 0.0), 1.0 / 0.5)
+
+    def test_lightlike_rejected(self):
+        # (0, 0) and (1, 1): v = 1
+        with pytest.raises(SuperluminalFrameError):
+            frames.lorentz_transform(frames.Event(0.0, 0.0), 1.0 / 1.0)
+
+
+class TestEntangledFrameVelocities:
+    """Events a and b of two particles, at (t_a, x_1a) and (t_b, x_2b),
+    share a time in the frame v' = (t_a - t_b) / (x_1a - x_2b)."""
+
+    @staticmethod
+    def frame_of(a, b):
+        (t_a, x_a), (t_b, x_b) = a, b
+        v = (t_a - t_b) / (x_a - x_b)
+        return v, frames.boost_times(np.array([t_a, t_b]), np.array([x_a, x_b]), v)
+
+    def test_equal_times_give_zero(self):
+        v, tb = self.frame_of((0.0, 0.0), (0.0, 15.0))
+        assert v == 0.0 and tb[0] == tb[1]
+
+    def test_formula(self):
+        # t_a - t_b = 1, x_1a - x_2b = 5 -> v' = 0.2
+        v, tb = self.frame_of((1.0, 6.0), (0.0, 1.0))
+        assert v == pytest.approx(0.2)
+        assert tb[1] == pytest.approx(tb[0], abs=1e-14)
+
+    def test_wide_separation_small_velocity(self):
+        # short |t_a - t_b| over a wide particle separation: the frame
+        # velocity is far below c
+        v, tb = self.frame_of((0.01, 0.0), (0.0, 1e4 + 50.0))
+        assert abs(v) < 1e-5
+        assert tb[1] == pytest.approx(tb[0], abs=1e-12)
+
+    def test_superluminal_rejected(self):
+        with pytest.raises(SuperluminalFrameError):
+            self.frame_of((1.0, 0.0), (0.0, 0.5))
 
 
 def bits(values):

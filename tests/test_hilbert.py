@@ -17,6 +17,34 @@ def rand_state(rng, dim):
     return hilbert.ComplexVectorState(v / np.linalg.norm(v))
 
 
+class TestBornProbabilities:
+    """|c_i|^2 of the branch state that the collapse runs step."""
+
+    def test_basis_state(self):
+        s = hilbert.EnergySuperposition([0.0, 1.0], [1.0, 0.0])
+        assert np.allclose(s.probabilities, [1.0, 0.0])
+
+    def test_equal_superposition(self):
+        s = hilbert.EnergySuperposition([0.0, 1.0], np.array([1.0, 1.0]) / np.sqrt(2))
+        assert np.allclose(s.probabilities, [0.5, 0.5])
+
+    def test_complex_amplitudes(self):
+        # hand-evaluated modulus squares of (0.6, 0.8i)
+        s = hilbert.EnergySuperposition([0.0, 1.0], [0.6, 0.8j])
+        assert np.allclose(s.probabilities, [0.36, 0.64], atol=1e-15)
+
+    def test_rejects_unnormalized(self):
+        with pytest.raises(NormalizationError):
+            hilbert.EnergySuperposition([0.0, 1.0], [1.0, 1.0])
+
+    def test_sum_to_one(self):
+        rng = np.random.Generator(np.random.PCG64(0))
+        for _ in range(100):
+            c = rand_state(rng, int(rng.integers(1, 8))).amplitudes
+            s = hilbert.EnergySuperposition(rng.normal(size=c.size), c)
+            assert abs(s.probabilities.sum() - 1.0) < 1e-10
+
+
 class TestExpectationValue:
     def test_eigenstate(self):
         a = hilbert.HermitianOperator(np.diag([3.0, -2.0]))
