@@ -188,7 +188,7 @@ def criterion_8_entanglement_frames(p, run):
     rows = []
     for a_sq in (p["a_sq"], 0.9):
         traj, boosted = run({**p, "a_sq": a_sq})
-        home = frames.boosted_correlation_stats(traj, 0.0, p["coincidence_tol"])
+        home = frames.boosted_correlation_stats(traj, 0.0)
         if home["reversed_fraction"] != 0.0:
             ok = False
             rows.append(f"a^2={a_sq}: home-frame reversal nonzero")

@@ -192,7 +192,7 @@ def _walk(h: HermitianOperator, psi0: ComplexVectorState, sites: np.ndarray, dt:
                 i = int(np.argmax(outflow >= OUTFLOW_GUARD))
                 trial = i if ensemble else None
                 where = "" if trial is None else f" in trial {trial}"
-                raise StepSizeError(f"step {step}: outflow probability {outflow[i]:.3f} "
+                raise StepSizeError(f"step {step}: outflow probability {outflow[i]:.3g} "
                                     f"exceeds the 0.1 guard{where}", step=step, trial=trial)
             u = rng.random(sites.size)
             jumped = np.flatnonzero(u < outflow)

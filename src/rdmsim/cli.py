@@ -3,10 +3,9 @@
 Every subcommand reads its parameters from a scenario file (YAML, with
 JSON as the canonical subset), checked and typed against SCHEMAS before
 anything runs, and writes declared outputs plus a manifest into
---out-dir.  --seed, which overrides the scenario's master seed, exists
-only on the subcommands whose schema has a seed.  Identical scenario +
-seed reproduce byte-identical data files; only the manifest's wall-time
-field differs between runs.
+--out-dir.  The scenario's `seed` key is the one spelling of the master
+seed.  Identical scenarios reproduce byte-identical data files; only the
+manifest's wall-time field differs between runs.
 
 Exit codes: 0 ok, 1 contract violation (bad scenario / precondition),
 2 numeric failure (NaN or overflow mid-run).
@@ -115,26 +114,31 @@ def _interval(value) -> tuple:
     return lo, hi
 
 
+def _probabilities(value) -> np.ndarray:
+    arr = _floats(value)
+    if np.any(arr < 0.0):
+        raise ValueError(f"expected non-negative numbers, not {value!r}")
+    return arr
+
+
 _bool, _str, _floats = _instance(bool), _instance(str), _reals(1)
 
 _COLLAPSE = {
-    "energies": (_floats, REQUIRED), "probabilities": (_floats, REQUIRED),
+    "energies": (_floats, REQUIRED), "probabilities": (_probabilities, REQUIRED),
     "k_mode": (_str, "dynamic"), "k0": (_float, None), "seed": (_seed, 0),
 }
 SCHEMAS = {
     "rdm-sample": {
         "n": (_int, REQUIRED), "seed": (_seed, REQUIRED), "weights": (_floats, REQUIRED),
-        "dt_instant": (_float, 1.0), "binary": (_bool, False),
+        "binary": (_bool, False),
     },
     "beable-run": {
         "hamiltonian": (_complex(2), REQUIRED), "psi0": (_complex(1), REQUIRED),
         "dt": (_float, REQUIRED), "steps": (_int, REQUIRED), "seed": (_seed, REQUIRED),
         "beable0": (_int, 0), "noise_c": (_float, 0.0),
-        # record_every defaults to max(1, steps // 10)
-        "ensemble": ({"n_traj": (_int, REQUIRED), "record_every": (_int, None)}, None),
+        "ensemble": ({"n_traj": (_int, REQUIRED)}, None),
     },
-    "collapse-run": {**_COLLAPSE, "collapse_epsilon": (_float, 1e-6),
-                     "max_steps": (_int, 100_000)},
+    "collapse-run": {**_COLLAPSE, "max_steps": (_int, 100_000)},
     "collapse-ensemble": {**_COLLAPSE, "n_trials": (_int, 1000), "n_steps": (_int, 100),
                           "slice_stride": (_int, 10)},
     "tau-c": {"entries": ([{"name": (_str, REQUIRED), "delta_e_ev": (_float, REQUIRED),
@@ -157,8 +161,7 @@ SCHEMAS = {
     },
     "frames-analyze": {
         "a_sq": (_float, REQUIRED), "n": (_int, REQUIRED), "seed": (_seed, REQUIRED),
-        "v": (_float, REQUIRED), "coincidence_tol": (_float, None),
-        "dt_instant": (_float, 1.0), "events_csv": (_bool, False),
+        "v": (_float, REQUIRED), "events_csv": (_bool, False),
         "regions": ({"u1": (_interval, REQUIRED), "u2": (_interval, REQUIRED),
                      "d1": (_interval, REQUIRED), "d2": (_interval, REQUIRED)},
                     {"u1": (0.0, 50.0), "u2": (10_000.0, 10_050.0),
@@ -205,7 +208,7 @@ def _parse(schema: dict, values, path: str = "") -> dict:
 # the computation (in COMPUTE) and the cmd_* function that writes it.
 
 def rdm_sample(p):
-    return rdm.sample_stays(p["weights"], p["n"], seed=p["seed"], dt_instant=p["dt_instant"])
+    return rdm.sample_stays(p["weights"], p["n"], seed=p["seed"])
 
 
 def cmd_rdm_sample(p, ctx):
@@ -223,7 +226,8 @@ def cmd_rdm_sample(p, ctx):
 
 
 def beable_run(p):
-    """(H, psi0, trajectory, equivariance slices or None)."""
+    """(H, psi0, trajectory, equivariance slices or None); the ensemble
+    records a slice every max(1, steps // 10) steps."""
     h = hilbert.HermitianOperator(p["hamiltonian"])
     psi0 = hilbert.ComplexVectorState(p["psi0"])
     traj = beable.jump_trajectory(h, psi0, p["beable0"], p["dt"], p["steps"],
@@ -231,12 +235,9 @@ def beable_run(p):
     ens = p["ensemble"]
     if ens is None:
         return h, psi0, traj, None
-    record_every = ens["record_every"]
-    if record_every is None:
-        record_every = max(1, p["steps"] // 10)
     rec_steps, sites, p_rows = beable.ensemble_jump_run(
         h, psi0, ens["n_traj"], p["dt"], p["steps"], seed=p["seed"] + 1,
-        noise_c=p["noise_c"], record_every=record_every)
+        noise_c=p["noise_c"], record_every=max(1, p["steps"] // 10))
     slices = []
     for row in range(1, len(rec_steps)):
         counts = np.bincount(sites[row], minlength=psi0.dim)
@@ -280,15 +281,14 @@ def cmd_beable_run(p, ctx):
             [path, report])
 
 
-def _collapse_setup(p, **config):
-    """Initial superposition and config of the two collapse subcommands;
-    `config` holds further CollapseConfig fields."""
-    cfg = CollapseConfig(k_mode=p["k_mode"], k0=p["k0"], seed=p["seed"], **config)
+def _collapse_setup(p):
+    """Initial superposition and config of the two collapse subcommands."""
+    cfg = CollapseConfig(k_mode=p["k_mode"], k0=p["k0"], seed=p["seed"])
     return hilbert.EnergySuperposition(p["energies"], np.sqrt(p["probabilities"])), cfg
 
 
 def cmd_collapse_run(p, ctx):
-    s0, cfg = _collapse_setup(p, collapse_epsilon=p["collapse_epsilon"])
+    s0, cfg = _collapse_setup(p)
     out = collapse.run_trajectory(s0, cfg, p["max_steps"])
     probs = out["probabilities"]
     columns = {"step": np.arange(probs.shape[0]),
@@ -296,7 +296,7 @@ def cmd_collapse_run(p, ctx):
                "staying_index": np.concatenate(([-1], out["staying"]))}
     path = ctx["out_dir"] / "collapse_trajectory.csv"
     io.write_csv(path, columns, header_comments=[
-        f"k_mode={cfg.k_mode} k0={cfg.k0} epsilon={cfg.collapse_epsilon} seed={cfg.seed}"])
+        f"k_mode={cfg.k_mode} k0={cfg.k0} epsilon={collapse.COLLAPSE_EPSILON} seed={cfg.seed}"])
     summary = (f"collapsed to branch {out['outcome']} after {out['steps']} steps"
                if out["collapsed"] else f"no collapse within {out['steps']} steps")
     return summary, [path]
@@ -387,9 +387,8 @@ def frames_analyze(p):
     a_sq = p["a_sq"]
     r = p["regions"]
     spec = [(a_sq, r["u1"], r["u2"]), (1.0 - a_sq, r["d1"], r["d2"])]
-    traj = rdm.sample_entangled_stays(spec, p["n"], seed=p["seed"],
-                                      dt_instant=p["dt_instant"])
-    stats = frames.boosted_correlation_stats(traj, p["v"], p["coincidence_tol"])
+    traj = rdm.sample_entangled_stays(spec, p["n"], seed=p["seed"])
+    stats = frames.boosted_correlation_stats(traj, p["v"])
     return traj, {**stats, "expected_reversed": 2.0 * a_sq * (1.0 - a_sq), "a_sq": a_sq}
 
 
@@ -511,9 +510,6 @@ def build_parser() -> _Parser:
     for name in HANDLERS:
         sp = sub.add_parser(name)
         sp.add_argument("--scenario", help="YAML/JSON scenario file")
-        if "seed" in SCHEMAS[name]:
-            sp.add_argument("--seed", type=int, default=None,
-                            help="override the scenario's master seed")
         sp.add_argument("--out-dir", default=".", help="output directory (default: '.')")
         if name == "verify":
             sp.add_argument("--pack", action="store_true",
@@ -535,9 +531,6 @@ def parse_scenario(scenario: dict, subcommand: str) -> dict:
 def _run(args) -> int:
     scenario = load_scenario(args.scenario) if args.scenario else {}
     params = parse_scenario(scenario, args.subcommand)
-    seed_override = getattr(args, "seed", None)
-    if seed_override is not None:
-        params["seed"] = _convert(_seed, seed_override, "--seed")
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -556,7 +549,6 @@ def _run(args) -> int:
         "version": __version__,
         "subcommand": args.subcommand,
         "scenario_hash": scenario_hash(scenario),
-        "seed_override": seed_override,
         "constants": {
             "hbar_ev_s": constants.HBAR_EVS,
             "t_p_s": constants.PLANCK_TIME_S,

@@ -37,6 +37,9 @@ from .hilbert import EnergySuperposition, energy_spread, running_sum
 from .seeding import check_seed, trial_rngs
 
 
+COLLAPSE_EPSILON = 1e-6  # collapse is declared at max P_i > 1 - COLLAPSE_EPSILON
+
+
 @dataclass(frozen=True)
 class CollapseConfig:
     """Knobs of the discrete collapse run, in Planck units.
@@ -45,13 +48,12 @@ class CollapseConfig:
     "frozen" uses the constant k0 (the off-diagonal decay law is exact
     in that mode); dynamic k always uses the one-body spread dE, and
     dynamic mode rejects a k0 rather than ignore it.
-    Collapse is declared at max P_i > 1 - epsilon.  seed is the master
-    seed of the trial streams, an integer (not a bool) in [0, 2^64).
+    seed is the master seed of the trial streams, an integer (not a
+    bool) in [0, 2^64).
     """
 
     k_mode: str = "dynamic"
     k0: float = None
-    collapse_epsilon: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
@@ -63,8 +65,6 @@ class CollapseConfig:
         elif self.k0 is not None:
             raise ContractViolation("k0 is ignored with k_mode 'dynamic'; drop k0 or "
                                     "set k_mode to 'frozen'")
-        if not 0.0 < self.collapse_epsilon < 1.0:
-            raise ContractViolation("collapse_epsilon must lie in (0, 1)")
         check_seed(self.seed)
 
 
@@ -108,8 +108,8 @@ def _energy_groups(s: EnergySuperposition):
 
 
 def run_trajectory(s0: EnergySuperposition, cfg: CollapseConfig, max_steps: int):
-    """Step trial 0 of the ensemble walk until max P_i > 1 - epsilon or
-    max_steps.
+    """Step trial 0 of the ensemble walk until max P_i > 1 - COLLAPSE_EPSILON
+    or max_steps.
 
     Returns a dict with the per-step probability history, the staying
     branch of each step, the outcome branch (None if the threshold was
@@ -126,7 +126,7 @@ def run_trajectory(s0: EnergySuperposition, cfg: CollapseConfig, max_steps: int)
         history.append(p[:, 0].copy())
         if stay is not None:
             staying.append(first[stay.argmax()])
-        if p.max() > 1.0 - cfg.collapse_epsilon:
+        if p.max() > 1.0 - COLLAPSE_EPSILON:
             outcome = int(first[p[:, 0].argmax()])
             break
     return {
@@ -270,9 +270,9 @@ def ensemble_statistics(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: 
 def ensemble_outcomes(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: int,
                       max_steps: int) -> dict:
     """Outcome branch and steps-to-collapse for each trial.  A trial
-    collapses when its largest group weight exceeds 1 - epsilon, and its
-    outcome is that group's first branch; trials that never cross the
-    threshold report steps = max_steps and outcome -1.
+    collapses when its largest group weight exceeds 1 - COLLAPSE_EPSILON,
+    and its outcome is that group's first branch; trials that never cross
+    the threshold report steps = max_steps and outcome -1.
 
     All trials step as one array and each leaves it at the step where it
     crosses, so the work follows the live trials, not the slowest one.
@@ -282,7 +282,7 @@ def ensemble_outcomes(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: in
     if n_trials < 1 or max_steps < 0:
         raise ContractViolation("need n_trials >= 1 and max_steps >= 0")
     groups = _, first, _ = _energy_groups(s0)
-    threshold = 1.0 - cfg.collapse_epsilon
+    threshold = 1.0 - COLLAPSE_EPSILON
     outcomes = np.full(n_trials, -1, dtype=np.int64)
     steps_to = np.full(n_trials, max_steps, dtype=np.int64)
     walk = _ensemble_walk(s0, cfg, groups, n_trials, max_steps)

@@ -17,8 +17,9 @@ one event or arrays of events (and a scalar or array v): an Event holds
 scalars or arrays, and each is one formula that numpy broadcasts.
 
 Stay events of a sampled trajectory are discrete, so boosted-frame
-coincidences are decided by a time tolerance; the default is half the
-boosted inter-instant spacing.
+coincidences are decided by a time tolerance: half the boosted
+inter-instant spacing for the correlation statistics, and by default
+for the appearance scan.
 """
 
 from dataclasses import dataclass
@@ -105,17 +106,6 @@ def absolute_sync_params(v: float) -> SynchronyParams:
     return SynchronyParams(v=v, k=0.0, k_prime=-v)
 
 
-def _coincidence_tol(tol, v: float, dt_instant: float) -> float:
-    """The boosted-time tolerance within which two stays coincide: half
-    the boosted inter-instant spacing by default, else the given value,
-    which must be non-negative (inf pairs every stay)."""
-    if tol is None:
-        return 0.5 * _gamma(v) * dt_instant
-    if not tol >= 0:
-        raise ContractViolation(f"coincidence_tol must be non-negative, not {tol!r}")
-    return tol
-
-
 def _match_sorted(times_a: np.ndarray, times_b: np.ndarray, tol: float) -> np.ndarray:
     """Index of the nearest entry of sorted times_b for each times_a,
     or -1 when the nearest is farther than tol."""
@@ -132,14 +122,13 @@ def _match_sorted(times_a: np.ndarray, times_b: np.ndarray, tol: float) -> np.nd
     return best
 
 
-def boosted_correlation_stats(traj: PairedStayTrajectory, v: float,
-                              coincidence_tol: float = None) -> dict:
+def boosted_correlation_stats(traj: PairedStayTrajectory, v: float) -> dict:
     """Classify boosted-frame coincidences of the two particles' stays.
 
     All stay events share the home-frame clock; each particle's events
     are boosted, then every particle-1 stay is paired with the nearest
-    particle-2 stay within the tolerance (default: half the boosted
-    inter-instant spacing).  Pairs with equal branch labels count as
+    particle-2 stay within half the boosted inter-instant spacing,
+    0.5 gamma.  Pairs with equal branch labels count as
     correlation-kept, the rest as reversed; the two fractions sum to 1
     over the classified pairs.  At v = 0 pairing is instant-by-instant
     and the reversed fraction is exactly 0.  For iid branch draws with
@@ -147,11 +136,11 @@ def boosted_correlation_stats(traj: PairedStayTrajectory, v: float,
     frame is 2 |a|^2 |b|^2.
     """
     t = traj.times
-    coincidence_tol = _coincidence_tol(coincidence_tol, v, traj.dt_instant)
+    tol = 0.5 * _gamma(v)
     t1 = boost_times(t, traj.x1, v)
     t2 = boost_times(t, traj.x2, v)
     order = np.argsort(t2, kind="stable")
-    match = _match_sorted(t1, t2[order], coincidence_tol)
+    match = _match_sorted(t1, t2[order], tol)
     hit = match >= 0
     if not np.any(hit):
         raise InsufficientOverlapError("no coincident stay pairs at this tolerance")
@@ -162,7 +151,7 @@ def boosted_correlation_stats(traj: PairedStayTrajectory, v: float,
         "kept_fraction": kept,
         "reversed_fraction": 1.0 - kept,
         "pairs": int(hit.sum()),
-        "tolerance": float(coincidence_tol),
+        "tolerance": float(tol),
         "v": float(v),
     }
 
@@ -189,7 +178,9 @@ def multiparticle_appearance_scan(traj: StayTrajectory, positions: np.ndarray, v
         raise ContractViolation("need one position per instant")
     if not np.all(np.isfinite(positions)):
         raise ContractViolation("positions must be finite")
-    tol = _coincidence_tol(coincidence_tol, v, traj.dt_instant)
+    tol = 0.5 * _gamma(v) * traj.dt_instant if coincidence_tol is None else coincidence_tol
+    if not tol >= 0:  # NaN fails too; inf pairs every instant
+        raise ContractViolation(f"coincidence_tol must be non-negative, not {tol!r}")
     t = traj.dt_instant * np.arange(traj.instants)
     tb = boost_times(t, positions, v)
     xb = boost_positions(t, positions, v)

@@ -104,7 +104,7 @@ def write_paired_trajectory_csv(path, traj: PairedStayTrajectory):
             "x1": traj.x1,
             "x2": traj.x2,
         },
-        header_comments=[f"dt_instant={traj.dt_instant!r} seed={traj.seed}"],
+        header_comments=[f"dt_instant=1.0 seed={traj.seed}"],
     )
 
 

@@ -7,11 +7,12 @@ Sampling is exact discrete inverse-CDF so that identical (inputs, seed)
 give bit-identical trajectories.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, DimensionMismatchError, NormalizationError
+from .errors import DimensionMismatchError, NormalizationError, NumericFailure
 from .hilbert import _frozen
 from .schrodinger import GridWavefunction, position_density
 from .seeding import seeded_rng
@@ -47,13 +48,13 @@ class PairedStayTrajectory:
 
     Branch labels are identical for the two particles at every instant
     (exact, by construction).  Positions are real coordinates inside the
-    branch regions, needed by the boosted-frame analysis.
+    branch regions, needed by the boosted-frame analysis.  Instant n is
+    at time n: the instant is the time unit.
     """
 
     branches: np.ndarray
     x1: np.ndarray
     x2: np.ndarray
-    dt_instant: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -72,7 +73,7 @@ class PairedStayTrajectory:
 
     @property
     def times(self) -> np.ndarray:
-        return self.dt_instant * np.arange(self.instants)
+        return np.arange(self.instants, dtype=np.float64)
 
 
 def _as_probabilities(density) -> np.ndarray:
@@ -88,28 +89,27 @@ def _as_probabilities(density) -> np.ndarray:
     return p
 
 
-def _draw_sites(density, n: int, seed: int, dt_instant: float):
+def _draw_sites(density, n: int, seed: int):
     """(probabilities, the seeded generator, n sites drawn by inverse CDF):
     the checks and the first draws that both samplers share."""
     p = _as_probabilities(density)
     if n < 1:
         raise DimensionMismatchError("need n >= 1 instants")
-    if not dt_instant > 0:
-        raise ContractViolation(f"dt_instant must be positive, not {dt_instant}")
     rng = seeded_rng(seed)
     cdf = np.cumsum(p)
     cdf[-1] = 1.0  # guard the top edge against rounding
     return p, rng, np.searchsorted(cdf, rng.random(n), side="right")
 
 
-def sample_stays(density, n: int, seed: int, dt_instant: float = 1.0) -> StayTrajectory:
-    """Draw n iid stays from the discrete density (inverse CDF).
+def sample_stays(density, n: int, seed: int) -> StayTrajectory:
+    """Draw n iid stays, one per instant, from the discrete density
+    (inverse CDF).
 
     Accepts a probability vector or a GridWavefunction (binned to the
     grid first).  Reproducible from the seed.
     """
-    p, _, stays = _draw_sites(density, n, seed, dt_instant)
-    return StayTrajectory(stays, n_sites=p.size, dt_instant=dt_instant, seed=seed)
+    p, _, stays = _draw_sites(density, n, seed)
+    return StayTrajectory(stays, n_sites=p.size, seed=seed)
 
 
 def empirical_density(t: StayTrajectory) -> np.ndarray:
@@ -123,21 +123,26 @@ def empirical_density(t: StayTrajectory) -> np.ndarray:
     return counts / max(t.instants, 1)
 
 
-def sample_entangled_stays(branch_spec, n: int, seed: int, dt_instant: float = 1.0) -> PairedStayTrajectory:
+def sample_entangled_stays(branch_spec, n: int, seed: int) -> PairedStayTrajectory:
     """Synchronized two-particle sampling.
 
     branch_spec is a list of (weight, region1, region2) with regions as
     (lo, hi) position intervals.  Per instant: one branch is drawn with
     its weight, then each particle's position is drawn independently and
     uniformly inside its own branch region.  The branch label is shared,
-    so the two particles jump between branches in exact lockstep.
+    so the two particles jump between branches in exact lockstep.  A
+    region whose width hi - lo overflows raises NumericFailure.
     """
     regions1 = [tuple(map(float, b[1])) for b in branch_spec]
     regions2 = [tuple(map(float, b[2])) for b in branch_spec]
-    for lo, hi in regions1 + regions2:
-        if not hi > lo:
-            raise DimensionMismatchError("region must be a (lo, hi) interval with hi > lo")
-    _, rng, branches = _draw_sites([float(b[0]) for b in branch_spec], n, seed, dt_instant)
+    for i, regions in enumerate(zip(regions1, regions2)):
+        for particle, (lo, hi) in enumerate(regions, 1):
+            if not hi > lo:
+                raise DimensionMismatchError("region must be a (lo, hi) interval with hi > lo")
+            if not math.isfinite(hi - lo):
+                raise NumericFailure(f"the width of particle {particle}'s region "
+                                     f"[{lo!r}, {hi!r}] in branch {i} overflows")
+    _, rng, branches = _draw_sites([float(b[0]) for b in branch_spec], n, seed)
     u1 = rng.random(n)
     u2 = rng.random(n)
     lo1 = np.array([r[0] for r in regions1])
@@ -146,7 +151,7 @@ def sample_entangled_stays(branch_spec, n: int, seed: int, dt_instant: float = 1
     hi2 = np.array([r[1] for r in regions2])
     x1 = lo1[branches] + u1 * (hi1 - lo1)[branches]
     x2 = lo2[branches] + u2 * (hi2 - lo2)[branches]
-    return PairedStayTrajectory(branches, x1, x2, dt_instant=dt_instant, seed=seed)
+    return PairedStayTrajectory(branches, x1, x2, seed=seed)
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:

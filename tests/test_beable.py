@@ -284,7 +284,7 @@ def reference_trajectory(h, psi0, beable0, dt, steps, seed, noise_c=0.0):
         total = float(jump_p.sum())
         if total >= beable.OUTFLOW_GUARD:
             raise StepSizeError(
-                f"step {step}: outflow probability {total:.3f} exceeds the 0.1 guard"
+                f"step {step}: outflow probability {total:.3g} exceeds the 0.1 guard"
             )
         u_draw = rng.random()
         if u_draw < total:
@@ -312,7 +312,7 @@ def reference_ensemble(h, psi0, n_traj, dt, steps, seed, noise_c=0.0, record_eve
         outflow = jump_p.sum(axis=0)[sites]  # the occupied sites only
         if outflow.max() >= beable.OUTFLOW_GUARD:
             trial = int(np.argmax(outflow >= beable.OUTFLOW_GUARD))
-            raise StepSizeError(f"step {step}: outflow probability {outflow[trial]:.3f} "
+            raise StepSizeError(f"step {step}: outflow probability {outflow[trial]:.3g} "
                                 f"exceeds the 0.1 guard in trial {trial}")
         cum = np.cumsum(jump_p, axis=0)  # cum[:, n] for source site n
         draws = rng.random(n_traj)
@@ -424,6 +424,24 @@ class TestRatePathParity:
                                      seed=case["seed"], noise_c=case["noise_c"])
 
 
+class TestRatePathProperties:
+    @given(rate_path_cases(), st.integers(1, 600), st.floats(0.001, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_p_rows_sum_to_one(self, case, steps, dt):
+        # row k is |u^k psi0|^2 for the exact unitary step u, so its sum
+        # leaves 1 by rounding alone, a few eps per step
+        h = hilbert.HermitianOperator(case["h"])
+        psi0 = hilbert.ComplexVectorState(case["psi"])
+        rows = []
+        try:
+            for p, _, _, _ in beable._rate_path(h, psi0, dt, steps, case["noise_c"]):
+                rows.append(p)
+        except DegenerateOccupationError:  # raised after the rows before it
+            pass
+        p = np.concatenate(rows)
+        assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 128 * (steps + 1) * np.finfo(float).eps
+
+
 def walk_reference(h, psi0, sites, dt, steps, rng, noise_c, record_every, ensemble):
     """The walk loop that selected its jumpers with boolean masks; the runs
     compared with it stay below the guard, so it names no trial."""
@@ -433,7 +451,7 @@ def walk_reference(h, psi0, sites, dt, steps, rng, noise_c, record_every, ensemb
         for cum_t, p_next in zip(cum, p[1:]):
             outflow = cum_t[-1][sites]
             if outflow.max() >= beable.OUTFLOW_GUARD:
-                raise StepSizeError(f"step {step}: outflow probability {outflow.max():.3f} "
+                raise StepSizeError(f"step {step}: outflow probability {outflow.max():.3g} "
                                     "exceeds the 0.1 guard", step=step)
             u = rng.random(sites.size)
             jumped = u < outflow

@@ -32,7 +32,7 @@ def test_traced_cli_runs_count_work_and_restore_entry_points(tmp_path):
         "rdm-sample": {"weights": [0.25, 0.75], "n": 300, "seed": 9},
         "beable-run": {"hamiltonian": [[0.0, -1.0], [-1.0, 0.0]], "psi0": [0.8, 0.6],
                        "dt": 0.01, "steps": 4, "seed": 2,
-                       "ensemble": {"n_traj": 20, "record_every": 2}},
+                       "ensemble": {"n_traj": 20}},
         "tomography": {"state": {"x_min": -8.0, "dx": 0.125, "n": 128, "momentum": 0.5},
                        "n_regions": 16},
     }

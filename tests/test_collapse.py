@@ -170,7 +170,7 @@ def _trajectory_reference(s0, cfg, max_steps):
     for step in range(max_steps + 1):
         gp = np.bincount(label, weights=p)
         g_max = int(gp.argmax())
-        if gp[g_max] > 1.0 - cfg.collapse_epsilon:
+        if gp[g_max] > 1.0 - collapse.COLLAPSE_EPSILON:
             outcome = int(first[g_max])
             break
         if step == max_steps:
@@ -240,10 +240,10 @@ class TestRunTrajectory:
         energies, weights, k0, eps, max_steps, seed = case
         w = np.asarray(weights) / np.sum(weights)
         s0 = hilbert.EnergySuperposition(energies, np.sqrt(w))
-        cfg = CollapseConfig(k_mode="dynamic" if k0 is None else "frozen", k0=k0,
-                             collapse_epsilon=eps, seed=seed)
-        out = collapse.run_trajectory(s0, cfg, max_steps)
-        probs, staying, outcome, steps = _trajectory_reference(s0, cfg, max_steps)
+        cfg = CollapseConfig(k_mode="dynamic" if k0 is None else "frozen", k0=k0, seed=seed)
+        with mock.patch.object(collapse, "COLLAPSE_EPSILON", eps):
+            out = collapse.run_trajectory(s0, cfg, max_steps)
+            probs, staying, outcome, steps = _trajectory_reference(s0, cfg, max_steps)
         assert (out["outcome"], out["steps"]) == (outcome, steps)
         assert np.array_equal(out["staying"], staying)
         assert out["probabilities"].shape == probs.shape
@@ -333,7 +333,7 @@ def reference_outcome(s0, cfg, trial, max_steps):
     e = [float(x) for x in s0.energies]
     for step in range(max_steps + 1):
         top = max(p)
-        if top > 1.0 - cfg.collapse_epsilon:
+        if top > 1.0 - collapse.COLLAPSE_EPSILON:
             return p.index(top), step
         if step == max_steps:
             return -1, max_steps
@@ -392,13 +392,13 @@ class TestEnsembleOutcomes:
         energies, weights, k0, eps, n_trials, max_steps, seed, budget = case
         w = np.asarray(weights) / np.sum(weights)
         s0 = hilbert.EnergySuperposition(energies, np.sqrt(w))
-        cfg = CollapseConfig(k_mode="dynamic" if k0 is None else "frozen", k0=k0,
-                             collapse_epsilon=eps, seed=seed)
+        cfg = CollapseConfig(k_mode="dynamic" if k0 is None else "frozen", k0=k0, seed=seed)
         # a patched budget shrinks the draw chunks down to 8 steps
-        with mock.patch.object(collapse, "DRAW_BUDGET", budget):
+        with mock.patch.object(collapse, "DRAW_BUDGET", budget), \
+                mock.patch.object(collapse, "COLLAPSE_EPSILON", eps):
             res = collapse.ensemble_outcomes(s0, cfg, n_trials, max_steps)
-        ref = np.array([reference_outcome(s0, cfg, t, max_steps)
-                        for t in range(n_trials)])
+            ref = np.array([reference_outcome(s0, cfg, t, max_steps)
+                            for t in range(n_trials)])
         assert np.array_equal(res["outcomes"], ref[:, 0])
         assert np.array_equal(res["steps"], ref[:, 1])
 
@@ -431,14 +431,15 @@ class TestEnsembleOutcomes:
         # [1, 1, 2] runs as the merged state [1, 2], reporting the pair's first
         # member; (3/8)^2 + (4/8)^2 = (5/8)^2 exactly, so the pair's weights
         # sum to the merged weight bit for bit
-        cfg = CollapseConfig(k_mode="dynamic", collapse_epsilon=1e-2, seed=15)
+        cfg = CollapseConfig(k_mode="dynamic", seed=15)
         rest = math.sqrt(1.0 - 0.625**2)
         split = hilbert.EnergySuperposition([1.0, 1.0, 2.0], [0.375, 0.5, rest])
         merged = hilbert.EnergySuperposition([1.0, 2.0], [0.625, rest])
         assert np.array_equal(np.bincount([0, 0, 1], weights=split.probabilities),
                               merged.probabilities)
-        res = collapse.ensemble_outcomes(split, cfg, 300, 2000)
-        ref = collapse.ensemble_outcomes(merged, cfg, 300, 2000)
+        with mock.patch.object(collapse, "COLLAPSE_EPSILON", 1e-2):
+            res = collapse.ensemble_outcomes(split, cfg, 300, 2000)
+            ref = collapse.ensemble_outcomes(merged, cfg, 300, 2000)
         assert np.all(ref["outcomes"] >= 0)
         assert np.array_equal(res["outcomes"], np.array([0, 2])[ref["outcomes"]])
         assert np.array_equal(res["steps"], ref["steps"])
@@ -529,10 +530,6 @@ class TestConfig:
     def test_frozen_requires_k0(self):
         with pytest.raises(ContractViolation):
             CollapseConfig(k_mode="frozen")
-
-    def test_epsilon_range(self):
-        with pytest.raises(ContractViolation):
-            CollapseConfig(collapse_epsilon=1.5)
 
     @pytest.mark.parametrize("seed", [1.5, True, False, -1, 2**64, 2**64 + 1, "1", None])
     def test_seed_must_be_a_64_bit_integer(self, seed):

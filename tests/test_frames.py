@@ -233,20 +233,18 @@ class TestBoostedCorrelation:
         assert abs(out["reversed_fraction"] - expect) <= 3 * sigma
 
     def test_insufficient_overlap(self):
-        traj = make_pair_trajectory(n=100)
+        # at v = 0.5 particle 2, 1000 away, is boosted 500 gamma earlier:
+        # far beyond the 0.5 gamma tolerance of every instant
+        traj = rdm.PairedStayTrajectory(np.zeros(100), np.zeros(100), np.full(100, 1000.0))
         with pytest.raises(InsufficientOverlapError):
-            frames.boosted_correlation_stats(traj, 0.5, coincidence_tol=1e-12)
+            frames.boosted_correlation_stats(traj, 0.5)
 
-    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
-    def test_rejects_negative_or_nan_tolerance(self, tol):
-        traj = make_pair_trajectory(n=1000)
-        with pytest.raises(ContractViolation):
-            frames.boosted_correlation_stats(traj, 0.5, coincidence_tol=tol)
-
-    def test_infinite_tolerance_pairs_every_stay(self):
-        traj = make_pair_trajectory(n=1000)
-        out = frames.boosted_correlation_stats(traj, 0.5, coincidence_tol=np.inf)
-        assert out["pairs"] == traj.instants
+    @pytest.mark.parametrize("v", [0.0, 0.5, -0.9])
+    def test_tolerance_is_half_the_boosted_spacing(self, v):
+        traj = rdm.PairedStayTrajectory(np.zeros(10), np.zeros(10), np.zeros(10))
+        out = frames.boosted_correlation_stats(traj, v)
+        assert out["tolerance"] == 0.5 / np.sqrt(1.0 - v**2)
+        assert out["pairs"] == 10
 
 
 def _brute_appearance_count(traj, positions, v, tol):

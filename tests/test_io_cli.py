@@ -113,7 +113,8 @@ class TestComplexJson:
 
 class TestBinaryTrajectory:
     def test_single_round_trip(self, tmp_path):
-        traj = rdm.sample_stays([0.3, 0.7], 500, seed=5, dt_instant=0.5)
+        traj = rdm.StayTrajectory(rdm.sample_stays([0.3, 0.7], 500, seed=5).stays, 2,
+                                  dt_instant=0.5, seed=5)
         path = tmp_path / "run.rdmt"
         io.write_trajectory_binary(path, traj)
         back = io.read_trajectory_binary(path)
@@ -276,8 +277,10 @@ class TestCliRuns:
                        "ensemble: {n_traj: 10, foo: 1}\n", (), "ScenarioError"),
         ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: -1\n", (), "ScenarioError"),
         ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: 0\n", ("--seed", "-1"),
-         "ScenarioError"),
+         "error (ScenarioError): unrecognized arguments: --seed -1"),
         ("tau-c", "entries: [{name: x, delta_e_ev: 1.0}]\n", ("--seed", "5"), "ScenarioError"),
+        ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: 0\n", ("--seed", "5"),
+         "error (ScenarioError): unrecognized arguments: --seed 5"),
         ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: 0\n", ("--format", "json"),
          "error (ScenarioError): unrecognized arguments: --format json"),
         ("verify", "criteria: [9]\npack: true\n", (), "ScenarioError"),
@@ -326,17 +329,32 @@ class TestCliRuns:
                         "n_projections: 10\ntau: 1.0\n"
                         "pointer: {x_min: -20.0, dx: 0.5, n: 80, w0: 2.0}\n", (),
          "error (ScenarioError): argument subcommand: invalid choice: 'protect-run'"),
+        ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: 0\ndt_instant: -1\n", (),
+         "error (ScenarioError): unknown scenario keys: ['dt_instant']"),
+        ("frames-analyze", "a_sq: 0.5\nn: 10\nseed: 0\nv: 0.5\ndt_instant: 0\n", (),
+         "error (ScenarioError): unknown scenario keys: ['dt_instant']"),
+        ("frames-analyze", "a_sq: 0.5\nn: 10\nseed: 0\nv: 0.5\ncoincidence_tol: 0.5\n", (),
+         "error (ScenarioError): unknown scenario keys: ['coincidence_tol']"),
+        ("collapse-run", "energies: [0.0, 1.0]\nprobabilities: [0.5, 0.5]\n"
+                         "collapse_epsilon: 0.5\n", (),
+         "error (ScenarioError): unknown scenario keys: ['collapse_epsilon']"),
+        ("beable-run", "hamiltonian: [[0.0, -1.0], [-1.0, 0.0]]\npsi0: [0.6, 0.8]\n"
+                       "dt: 0.01\nsteps: 10\nseed: 0\n"
+                       "ensemble: {n_traj: 10, record_every: 1}\n", (),
+         "error (ScenarioError): unknown scenario keys: ['ensemble.record_every']"),
     ], ids=["n-trials-abc", "max-steps-list", "two-box-empty", "two-box-number",
             "n-abc", "a-sq-abc", "entries-number", "state-number", "criteria-number",
             "binary-string", "units-bogus", "delta-e-reducer", "ensemble-unknown-key",
-            "seed-negative", "seed-override-negative", "seed-without-seed-key",
+            "seed-negative", "seed-override-negative", "seed-without-seed-key", "seed-flag",
             "format-not-read", "pack-key-with-criteria",
             "pack-flag-with-criteria", "criteria-empty", "k0-with-dynamic-k", "n-beyond-int64",
             "n-trials-beyond-int64", "n-beyond-numpy-index", "bools-as-probabilities",
             "bools-as-weights", "collapse-epsilon-in-ensemble", "pack-key", "units-in-run",
             "units-in-ensemble", "hbar-in-beable-run", "mass-in-tomography",
             "hbar-in-tomography", "amplitudes-in-run", "amplitudes-in-ensemble",
-            "type-in-tomography", "protect-run"])
+            "type-in-tomography", "protect-run", "dt-instant-in-rdm-sample",
+            "dt-instant-in-frames", "coincidence-tol-in-frames", "collapse-epsilon-in-run",
+            "record-every-in-ensemble"])
     def test_malformed_value_exits_1(self, tmp_path, capsys, subcommand, body, extra,
                                      expect):
         path = tmp_path / "s.yaml"
@@ -362,10 +380,6 @@ class TestCliRuns:
         assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("subcommand, body, name", [
-        ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: 0\ndt_instant: -1\n",
-         "dt_instant"),
-        ("frames-analyze", "a_sq: 0.5\nn: 10\nseed: 0\nv: 0.5\ndt_instant: 0\n",
-         "dt_instant"),
         ("beable-run", "hamiltonian: [[0.0, -1.0], [-1.0, 0.0]]\npsi0: [0.6, 0.8]\n"
                        "dt: -0.005\nsteps: 10\nseed: 0\n", "dt"),
         ("tomography", "state: {x_min: -8.0, dx: 0.125, n: 128, sigma: 0}\n"
@@ -373,8 +387,7 @@ class TestCliRuns:
         ("protect-sweep", "psi: [0.6, 0.8]\nobservable: [[1.0, 0.0], [0.0, 0.0]]\n"
                           "n_list: [10]\ntau: 1.0\n"
                           "pointer: {x_min: -20.0, dx: 0.5, n: 80, w0: 0}\n", "w0"),
-    ], ids=["rdm-dt-instant", "frames-dt-instant", "beable-dt", "tomography-sigma",
-            "pointer-w0"])
+    ], ids=["beable-dt", "tomography-sigma", "pointer-w0"])
     def test_nonpositive_step_or_width_exits_1(self, tmp_path, capsys, subcommand, body,
                                                name):
         path = tmp_path / "s.yaml"
@@ -422,6 +435,41 @@ class TestCliRuns:
         err = capsys.readouterr().err
         assert "numeric failure" in err and "Traceback" not in err
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_overflowing_region_exits_2(self, tmp_path, capsys):
+        # the width of u2 overflows to inf, which would send particle 2 to inf
+        path = tmp_path / "s.yaml"
+        path.write_text("subcommand: frames-analyze\na_sq: 0.5\nn: 1000\nseed: 0\nv: 0.5\n"
+                        "regions: {u1: [0.0, 50.0], u2: [-1.0e+308, 1.0e+308], "
+                        "d1: [50.0, 100.0], d2: [10050.0, 10100.0]}\n")
+        assert run_cli("frames-analyze", "--scenario", str(path),
+                       "--out-dir", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == (
+            "numeric failure: the width of particle 2's region [-1e+308, 1e+308] "
+            "in branch 0 overflows\n")
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_negative_probabilities_exit_1_without_a_warning(self, tmp_path):
+        # run apart from pytest, whose warning filters would hide a RuntimeWarning
+        path = tmp_path / "s.yaml"
+        path.write_text("subcommand: collapse-run\nenergies: [0.0, 1.0]\n"
+                        "probabilities: [1.5, -0.5]\n")
+        out = subprocess.run([sys.executable, "-m", "rdmsim.cli", "collapse-run",
+                              "--scenario", str(path), "--out-dir", str(tmp_path / "out")],
+                             capture_output=True, text=True)
+        assert out.returncode == 1
+        assert out.stderr == ("error (ScenarioError): bad value for 'probabilities': "
+                              "expected non-negative numbers, not [1.5, -0.5]\n")
+
+    def test_huge_outflow_prints_three_digits(self, tmp_path, capsys):
+        # the step-0 outflow of site 0 is 2 * 0.48 / 0.64 * dt = 1.5e300
+        path = tmp_path / "s.yaml"
+        path.write_text("subcommand: beable-run\nhamiltonian: [[0.0, -1.0], [-1.0, 0.0]]\n"
+                        "psi0: [[0.8, 0.0], [0.0, 0.6]]\ndt: 1.0e+300\nsteps: 3\nseed: 0\n")
+        assert run_cli("beable-run", "--scenario", str(path),
+                       "--out-dir", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == ("error (StepSizeError): step 0: outflow probability "
+                                           "1.5e+300 exceeds the 0.1 guard\n")
 
     @pytest.mark.parametrize("energies, probabilities", [
         ("[0.0, 1.0e+200]", "[0.5, 0.5]"),  # the spread overflows to inf
@@ -528,27 +576,27 @@ class TestCliRuns:
         scenario = tmp_path / "s.yaml"
         scenario.write_text("subcommand: rdm-sample\nn: 20\nseed: 1\nweights: [0.5, 0.5]\n")
         binary = tmp_path / "b.yaml"
-        binary.write_text(scenario.read_text() + "binary: true\n")
-        runs = [("binary", binary, "--seed", "5"), ("plain", scenario)]
-        for name, path, *extra in runs:
+        binary.write_text(scenario.read_text().replace("seed: 1", "seed: 5") + "binary: true\n")
+        for name, path in [("binary", binary), ("plain", scenario)]:
             assert run_cli("rdm-sample", "--scenario", str(path),
-                           "--out-dir", str(tmp_path / name), *extra) == 0
+                           "--out-dir", str(tmp_path / name)) == 0
         assert (tmp_path / "binary" / "stays.rdmt").exists()
         assert not (tmp_path / "binary" / "stays.csv").exists()
         assert (tmp_path / "plain" / "stays.csv").exists()
-        seeds = [json.loads((tmp_path / name / "manifest.json").read_text())["seed_override"]
-                 for name, *_ in runs]
-        assert seeds == [5, None]
+        assert io.read_trajectory_binary(tmp_path / "binary" / "stays.rdmt").seed == 5
+        assert (tmp_path / "plain" / "stays.csv").read_text().startswith(
+            "# n_sites=2 dt_instant=1.0 seed=1\n")
 
-    def test_seed_override_changes_data(self, tmp_path):
-        scenario = tmp_path / "s.yaml"
-        scenario.write_text("subcommand: rdm-sample\nn: 200\nseed: 1\n"
-                            "weights: [0.5, 0.5]\n")
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        run_cli("rdm-sample", "--scenario", str(scenario), "--out-dir", str(out1))
-        run_cli("rdm-sample", "--scenario", str(scenario), "--out-dir", str(out2),
-                "--seed", "2")
-        assert (out1 / "stays.csv").read_text() != (out2 / "stays.csv").read_text()
+    def test_scenario_seed_changes_data(self, tmp_path):
+        outputs = []
+        for seed in (1, 2):
+            scenario = tmp_path / f"s{seed}.yaml"
+            scenario.write_text(f"subcommand: rdm-sample\nn: 200\nseed: {seed}\n"
+                                "weights: [0.5, 0.5]\n")
+            assert run_cli("rdm-sample", "--scenario", str(scenario),
+                           "--out-dir", str(tmp_path / str(seed))) == 0
+            outputs.append((tmp_path / str(seed) / "stays.csv").read_bytes())
+        assert outputs[0] != outputs[1]
 
     def test_protect_run(self, tmp_path):
         scenario = tmp_path / "s.yaml"
@@ -602,11 +650,12 @@ class TestCliRuns:
             "subcommand: beable-run\nhamiltonian: [[0.0, -1.0], [-1.0, 0.0]]\n"
             "psi0: [0.8366600265340756, 0.5477225575051661]\n"
             "dt: 0.01\nsteps: 300\nseed: 5\n"
-            "ensemble: {n_traj: 500, record_every: 100}\n")
+            "ensemble: {n_traj: 500}\n")
         assert run_cli("beable-run", "--scenario", str(scenario),
                        "--out-dir", str(tmp_path)) == 0
         report = json.loads((tmp_path / "equivariance.json").read_text())
-        assert len(report["slices"]) == 3
+        # a slice every max(1, steps // 10) = 30 steps
+        assert [entry["step"] for entry in report["slices"]] == list(range(30, 301, 30))
         for entry in report["slices"]:
             assert {"step", "time", "counts", "expected", "chi2",
                     "p_value"} <= set(entry)
@@ -615,8 +664,8 @@ class TestCliRuns:
         scenario = tmp_path / "s.yaml"
         scenario.write_text(
             "subcommand: beable-run\nhamiltonian: [[0.0, -1.0], [-1.0, 0.0]]\n"
-            "psi0: [0.6, 0.8]\ndt: 0.01\nsteps: 5\nseed: 5\n"
-            "ensemble: {n_traj: 50, record_every: 10}\n")
+            "psi0: [0.6, 0.8]\ndt: 0.01\nsteps: 0\nseed: 5\n"
+            "ensemble: {n_traj: 50}\n")
         assert run_cli("beable-run", "--scenario", str(scenario),
                        "--out-dir", str(tmp_path)) == 0
         assert json.loads((tmp_path / "equivariance.json").read_text())["slices"] == []
@@ -692,9 +741,9 @@ class TestChiSquare:
         params = cli.parse_scenario({
             "hamiltonian": ((m + m.T) / 2).tolist(),
             "psi0": (psi0 / np.linalg.norm(psi0)).tolist(), "dt": 0.002, "steps": 40,
-            "seed": seed, "ensemble": {"n_traj": 300, "record_every": 10}}, "beable-run")
+            "seed": seed, "ensemble": {"n_traj": 300}}, "beable-run")
         slices = cli.beable_run(params)[3]
-        assert len(slices) == 4
+        assert len(slices) == 10
         for entry in slices:
             test = stats.chisquare(entry["counts"], f_exp=entry["expected"])
             assert entry["chi2"] == test.statistic
@@ -705,14 +754,12 @@ class TestChiSquare:
 # fuzz test can corrupt each one; verify runs criterion 9, which takes
 # milliseconds.
 SMALL_SCENARIOS = {
-    "rdm-sample": {"n": 20, "seed": 1, "weights": [0.3, 0.7], "dt_instant": 1.0,
-                   "binary": False},
+    "rdm-sample": {"n": 20, "seed": 1, "weights": [0.3, 0.7], "binary": False},
     "beable-run": {"hamiltonian": [[0.0, -1.0], [-1.0, 0.0]], "psi0": [0.8, 0.6],
                    "dt": 0.01, "steps": 4, "seed": 2, "beable0": 0,
-                   "noise_c": 0.0, "ensemble": {"n_traj": 20, "record_every": 2}},
+                   "noise_c": 0.0, "ensemble": {"n_traj": 20}},
     "collapse-run": {"energies": [0.0, 1.0], "probabilities": [0.5, 0.5],
-                     "k_mode": "frozen", "k0": 0.3, "collapse_epsilon": 1e-3,
-                     "seed": 3, "max_steps": 50},
+                     "k_mode": "frozen", "k0": 0.3, "seed": 3, "max_steps": 50},
     "collapse-ensemble": {"energies": [0.0, 1.0], "probabilities": [0.36, 0.64],
                           "k_mode": "frozen", "k0": 0.1,
                           "seed": 4, "n_trials": 8, "n_steps": 6,
@@ -728,7 +775,7 @@ SMALL_SCENARIOS = {
     "frames-analyze": {"a_sq": 0.5, "n": 200, "seed": 5, "v": 0.5,
                        "regions": {"u1": [0.0, 5.0], "u2": [50.0, 55.0],
                                    "d1": [5.0, 10.0], "d2": [55.0, 60.0]},
-                       "coincidence_tol": 0.5, "dt_instant": 1.0, "events_csv": False},
+                       "events_csv": False},
     "verify": {"criteria": [9]},
 }
 

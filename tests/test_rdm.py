@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from rdmsim import rdm, schrodinger as sch
-from rdmsim.errors import DimensionMismatchError, NormalizationError
+from rdmsim.errors import DimensionMismatchError, NormalizationError, NumericFailure
 
 
 class TestSampleStays:
@@ -167,3 +168,17 @@ class TestEntangledStays:
         u = traj.branches == 0
         assert np.all((traj.x1[u] >= 0.0) & (traj.x1[u] < 1.0))
         assert np.all((traj.x2[~u] >= 12.0) & (traj.x2[~u] < 13.0))
+
+    @pytest.mark.parametrize("region, particle, branch", [
+        ((-1e308, 1e308), 2, 0), ((0.0, math.inf), 1, 1)], ids=["overflow", "infinite"])
+    def test_rejects_a_region_of_infinite_width(self, region, particle, branch):
+        spec = [list(b) for b in self.SPEC]
+        spec[branch][particle] = region
+        message = f"the width of particle {particle}'s region {list(region)} in branch {branch}"
+        with pytest.raises(NumericFailure, match=f"^{re.escape(message)} overflows$"):
+            rdm.sample_entangled_stays(spec, 10, seed=0)
+
+    def test_paired_times_are_the_instants(self):
+        traj = rdm.sample_entangled_stays(self.SPEC, 5, seed=0)
+        assert traj.times.dtype == np.float64
+        assert np.array_equal(traj.times, [0.0, 1.0, 2.0, 3.0, 4.0])

@@ -103,6 +103,35 @@ class TestEvolveGrid:
         assert drift < 1e-7
 
 
+class TestEvolveGridProperties:
+    @given(n=st.sampled_from([16, 64, 256, 1024]), dx=st.floats(0.05, 1.0),
+           width=st.floats(0.02, 0.2), momentum=st.floats(-3.0, 3.0), dt=st.floats(1e-3, 1.0),
+           v_max=st.floats(0.0, 0.49), seed=st.integers(0, 2**32 - 1),
+           steps=st.integers(1, 60))
+    @settings(max_examples=100, deadline=None)
+    def test_norm_conserved_to_rounding(self, n, dx, width, momentum, dt, v_max, seed, steps):
+        # every factor of a step is a pure phase: only the FFTs round
+        g = sch.GridWavefunction.gaussian(0.0, dx, n, n * dx / 2, width * n * dx, momentum)
+        v = v_max / dt * np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        out = sch.evolve_grid(g, v, dt, steps)
+        before, after = (g.dx * np.sum(np.abs(s.samples) ** 2) for s in (g, out))
+        assert abs(after - before) <= 8 * steps * np.log2(n) * np.finfo(float).eps
+
+    @given(sigma=st.floats(0.5, 2.0), momentum=st.floats(-2.0, 2.0),
+           spread=st.floats(0.0, 2.0), steps=st.integers(1, 20))
+    @settings(max_examples=50, deadline=None)
+    def test_free_width_law(self, sigma, momentum, spread, steps):
+        # sigma(t) = sigma sqrt(1 + (t / 2 sigma^2)^2), here at t = 2 sigma^2 spread;
+        # the box holds the moving packet 12 widths clear of its edges
+        t = 2.0 * sigma**2 * spread
+        width = sigma * np.sqrt(1.0 + spread**2)
+        dx = sigma / 8
+        n = 2 * int(np.ceil((12.0 * width + abs(momentum) * t) / dx))
+        g = sch.GridWavefunction.gaussian(0.0, dx, n, n * dx / 2 - momentum * t / 2, sigma,
+                                          momentum)
+        out = sch.evolve_grid(g, None, t / steps, steps)
+        assert abs(sch.rms_width(out) / width - 1.0) <= 1e-12
+
 class TestDensities:
     def test_real_state_zero_flux(self):
         g = gaussian()

@@ -1,4 +1,8 @@
+import hashlib
 import json
+
+import pytest
+import yaml
 
 from rdmsim import cli
 
@@ -43,3 +47,57 @@ class TestVerifyCli:
         assert checks and all(c["ok"] is True for c in checks), \
             [c for c in checks if c["ok"] is not True]
         assert report["acceptance"] == [] and report["all_ok"] is True
+
+
+# sha256 of every data file (manifest.json aside) that each bundled
+# scenario writes, but 04, whose criterion takes seconds.  They pin the
+# determinism contract across changes: same scenario + seed, same bytes.
+# Float formatting follows numpy's results, so another numpy or BLAS
+# build may need them recorded again.
+BUNDLED_DATA_SHA256 = {
+    "01": {
+        "tau_c.csv": "2633c61c6cfb831a5ef9c2734ab8dd0923af24e486cd95931bf3bd0987696cfc",
+    },
+    "02": {
+        "collapse_ensemble.json": "b6a01a00dc5a256198fa00953980b6e131e34793b4dc8782432145445f3089b4",
+    },
+    "03": {
+        "collapse_ensemble.json": "05fd96fdd0bed4a020b1b52f9a9ef64bf9d104d0bfbdab92481708f2a2ae1f58",
+    },
+    "05": {
+        "protect_sweep.csv": "6587d8649a632b0ade49f2a486eccf7fdfca479e13f13fa59c0a94fa200f6fb7",
+    },
+    "06": {
+        "beable_trajectory.csv": "3e0d81c8168987fbc519ad0d65ced136c61e0642d45541017b56af9519583a7d",
+        "equivariance.json": "594abdb0c4b7cb764f8a2336e650401b5e23658eeb7653796905e78c3ec43d63",
+    },
+    "07": {
+        "stays.csv": "616c833f8eb2665c53a876ccccf706ac71fb79ebee5f7678bc3b7bb34201dec4",
+    },
+    "08": {
+        "frames_report.json": "32e7b6492f5652f14acf8d069c88dbc236cfefe3515eae8428aea7a7e82106aa",
+    },
+    "09": {
+        "verify_report.json": "b5385e1077a83e331ff63efca5bb3ba25c0c35fbb534627ba3dee4479e2e2af6",
+    },
+    "10": {
+        "verify_report.json": "97d529656d117d5b905f46f55f71d8f2c800ac9030cfa6a5b791d745387df305",
+    },
+    "11": {
+        "tomography.json": "79db8a7794b54ed5d5cffd7e419adc9d5e0b58c5efbddb686d7714dac1d71dbd",
+    },
+    "12": {
+        "verify_report.json": "cfea02a991434ff04dc4048a9f41adf1e664a9d296b18003b2a44d34f2d19e40",
+    },
+}
+
+
+class TestBundledDataBytes:
+    @pytest.mark.parametrize("key", sorted(BUNDLED_DATA_SHA256))
+    def test_data_files_match_their_digests(self, tmp_path, key):
+        path, = [p for p in cli.bundled_scenarios() if p.name.startswith(f"{key}_")]
+        subcommand = yaml.safe_load(path.read_text())["subcommand"]
+        assert cli.main([subcommand, "--scenario", str(path), "--out-dir", str(tmp_path)]) == 0
+        written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                   for f in tmp_path.iterdir() if f.name != "manifest.json"}
+        assert written == BUNDLED_DATA_SHA256[key]
