@@ -11,19 +11,17 @@ Conventions, in natural units (hbar = 1; all contracts are in these terms):
 The minimal rate choice puts the whole current on one direction per
 pair:  T[n, m] = J[n, m] / P_m when J[n, m] >= 0, else 0.  Any
 homogeneous solution T0[n, m] P_m = T0[m, n] P_n may be added on top
-without changing ensemble distributions; add_homogeneous_noise exposes
+without changing ensemble distributions; the runners' noise_c adds
 the one-parameter family T0[n, m] = c / P_m.
 
 psi(t) does not depend on where the beables are, so both runners read
 one rate path: it advances psi by the iterated exact unitary step and
 evaluates P, J, T and the cumulative jump table cum[step, m, n] as
-stacked arrays, _RATE_BLOCK steps at a time, with the formulas that the
-public functions apply to one step.  Only the walk is per step.  Both
+stacked arrays, _RATE_BLOCK steps at a time, each by one formula
+(_current, _minimal_rates, _noise).  Only the walk is per step.  Both
 runners keep one outflow guard: the jump probability out of every
 occupied site stays below 0.1.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +33,7 @@ from .errors import (
     StepSizeError,
 )
 from .hilbert import ComplexVectorState, HermitianOperator
-from .rdm import StayTrajectory
+from .rdm import StayTrajectory, _draw_sites
 from .seeding import seeded_rng
 
 OCCUPATION_FLOOR = 1e-12
@@ -47,29 +45,6 @@ _RATE_BLOCK = 256  # steps evaluated together; memory is O(_RATE_BLOCK * dim^2)
 
 _CURRENT_BELOW_FLOOR = "current in/out of a site with occupation below the 1e-12 floor"
 _NOISE_BELOW_FLOOR = "homogeneous noise needs strictly positive occupation"
-
-
-@dataclass(frozen=True)
-class TransitionRateMatrix:
-    """Non-negative jump rates; rates[m, n]*dt is the n -> m probability.
-    The diagonal carries no rate semantics (self-stay is whatever
-    probability is left after the outgoing jumps)."""
-
-    rates: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.rates, dtype=np.float64).copy()
-        if r.ndim != 2 or r.shape[0] != r.shape[1]:
-            raise DimensionMismatchError("rate matrix must be square")
-        np.fill_diagonal(r, 0.0)  # the diagonal carries no rate semantics
-        if not np.all(r >= 0):  # NaN fails too
-            raise NormalizationError("jump rates must be non-negative")
-        r.setflags(write=False)
-        object.__setattr__(self, "rates", r)
-
-    @property
-    def dim(self) -> int:
-        return self.rates.shape[0]
 
 
 # The formulas, for one step or a stack of steps; the rates also return
@@ -90,46 +65,6 @@ def _noise(p: np.ndarray, c: float):
     low = p < OCCUPATION_FLOOR
     on = np.eye(p.shape[-1], dtype=bool)
     return np.where(on, 0.0, c / np.where(low, 1.0, p)[..., None, :]), np.any(low, axis=-1)
-
-
-def probability_current(h: HermitianOperator, psi: ComplexVectorState) -> np.ndarray:
-    """J[n, m] = 2 Im(psi*_n H[n, m] psi_m); antisymmetric, and
-    dP_n/dt = sum_m J[n, m] under the unitary evolution by H."""
-    if h.dim != psi.dim:
-        raise DimensionMismatchError(f"operator dim {h.dim} != state dim {psi.dim}")
-    return _current(h.matrix, psi.amplitudes)
-
-
-def bell_transition_rates(j: np.ndarray, p: np.ndarray) -> TransitionRateMatrix:
-    """Minimal rates: T[n, m] = J[n, m]/P_m where J[n, m] >= 0.
-
-    Exactly one direction per pair is active, and the defining relation
-    J[n, m] = T[n, m] P_m - T[m, n] P_n holds to rounding.  Sites
-    with occupation below 1e-12 that carry current raise
-    DegenerateOccupationError (the division is singular there).
-    """
-    j = np.asarray(j, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    if j.shape != (p.size, p.size):
-        raise DimensionMismatchError("current matrix and occupation vector disagree")
-    t, void = _minimal_rates(j, p)
-    if void:
-        raise DegenerateOccupationError(_CURRENT_BELOW_FLOOR)
-    return TransitionRateMatrix(t)
-
-
-def add_homogeneous_noise(t: TransitionRateMatrix, p: np.ndarray, c: float) -> TransitionRateMatrix:
-    """Add the homogeneous family T0[n, m] = c / P_m to every
-    off-diagonal entry.  T0[n, m] P_m - T0[m, n] P_n = 0, so the net
-    current and all ensemble distributions are unchanged."""
-    if not c >= 0:  # NaN fails too
-        raise NormalizationError("noise rate c must be non-negative")
-    noise, void = _noise(np.asarray(p, dtype=np.float64), c)
-    if void:
-        raise DegenerateOccupationError(_NOISE_BELOW_FLOOR)
-    if c == 0.0:
-        return t
-    return TransitionRateMatrix(t.rates + noise)
 
 
 def unitary_step_matrix(h: HermitianOperator, dt: float) -> np.ndarray:
@@ -236,7 +171,5 @@ def ensemble_jump_run(h: HermitianOperator, psi0: ComplexVectorState, n_traj: in
                                ("record_every", record_every, 1)):
         if value < least:
             raise ContractViolation(f"{name} must be >= {least}, not {value}")
-    rng = seeded_rng(seed)
-    p = np.abs(psi0.amplitudes) ** 2
-    sites = np.searchsorted(np.cumsum(p) / p.sum(), rng.random(n_traj), side="right")
+    _, rng, sites = _draw_sites(np.abs(psi0.amplitudes) ** 2, n_traj, seed)
     return _walk(h, psi0, sites, dt, steps, rng, noise_c, record_every, True)

@@ -38,21 +38,9 @@ def pairs_to_complex(pairs) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def write_json(path, payload: dict):
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=_json_default)
+        json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 

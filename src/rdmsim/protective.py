@@ -14,7 +14,6 @@ projection scheme, not integrator error.  Free Hamiltonians of system
 and pointer are dropped throughout (the impulsive regime).
 """
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,42 +202,20 @@ def zeno_protective_run(setup: ProtectiveSetup) -> dict:
     }
 
 
-def _region_bounds(psi: GridWavefunction, region) -> tuple:
-    try:
-        start, stop = operator.index(region[0]), operator.index(region[1])
-    except TypeError:
-        raise ContractViolation(f"region bounds must be integers, not {region!r}") from None
-    if not 0 <= start < stop <= psi.n:
-        raise ContractViolation(f"region ({start}, {stop}) is empty or out of range")
-    return start, stop
-
-
 def _region_means(values: np.ndarray, dx: float, block: int) -> np.ndarray:
     """(1/v) * integral of `values` over each run of `block` consecutive
     grid points, v = block * dx; each run is one pairwise row sum."""
     return values.reshape(-1, block).sum(axis=1) * dx / (block * dx)
 
 
-def measure_density(psi: GridWavefunction, region) -> float:
-    """Region-averaged density: (1/v) * integral of |psi|^2 over the
-    contiguous index range `region` (v = region length)."""
-    start, stop = _region_bounds(psi, region)
-    return float(_region_means(position_density(psi)[start:stop], psi.dx, stop - start)[0])
-
-
-def measure_flux(psi: GridWavefunction, region) -> float:
-    """Region-averaged flux density over the contiguous index range."""
-    start, stop = _region_bounds(psi, region)
-    return float(_region_means(flux_density(psi)[start:stop], psi.dx, stop - start)[0])
-
-
 def tomography(psi_true: GridWavefunction, n_regions: int) -> dict:
     """Reassemble the wavefunction from region-averaged density and flux.
 
     The grid is split into n_regions contiguous blocks; each block
-    contributes the density and flux means that measure_density and
-    measure_flux return for it.  The piecewise-constant (rho, j) is fed
-    to the phase-integral reconstruction and the result compared to the
+    contributes its density and flux means, (1/v) * the integral of rho
+    and of j over the block (v its length), as a protective measurement
+    of that region reads them.  The piecewise-constant (rho, j) is fed to
+    the phase-integral reconstruction and the result compared to the
     hidden truth up to a global phase.  The L2 error is first order in
     the region width.
     """

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NormalizationError, NumericFailure
 from .hilbert import _frozen
-from .schrodinger import GridWavefunction, position_density
 from .seeding import seeded_rng
 
 DENSITY_TOL = 1e-8
@@ -77,13 +76,10 @@ class PairedStayTrajectory:
 
 
 def _as_probabilities(density) -> np.ndarray:
-    """Normalize input to a discrete probability vector over sites."""
-    if isinstance(density, GridWavefunction):
-        p = position_density(density) * density.dx
-    else:
-        p = np.asarray(density, dtype=np.float64)
+    """The density as a checked float64 probability vector over sites."""
+    p = np.asarray(density, dtype=np.float64)
     if p.ndim != 1 or p.size < 1:
-        raise DimensionMismatchError("density must be a 1-d vector or a grid wavefunction")
+        raise DimensionMismatchError("density must be a non-empty 1-d vector")
     if not (np.all(p >= 0) and abs(float(p.sum()) - 1.0) <= DENSITY_TOL):  # NaN fails too
         raise NormalizationError("density must be non-negative and sum to 1 within 1e-8")
     return p
@@ -91,7 +87,8 @@ def _as_probabilities(density) -> np.ndarray:
 
 def _draw_sites(density, n: int, seed: int):
     """(probabilities, the seeded generator, n sites drawn by inverse CDF):
-    the checks and the first draws that both samplers share."""
+    the checks and the first draws of both samplers and of the beable
+    ensemble's initial sites."""
     p = _as_probabilities(density)
     if n < 1:
         raise DimensionMismatchError("need n >= 1 instants")
@@ -103,10 +100,7 @@ def _draw_sites(density, n: int, seed: int):
 
 def sample_stays(density, n: int, seed: int) -> StayTrajectory:
     """Draw n iid stays, one per instant, from the discrete density
-    (inverse CDF).
-
-    Accepts a probability vector or a GridWavefunction (binned to the
-    grid first).  Reproducible from the seed.
+    (a probability vector, by inverse CDF).  Reproducible from the seed.
     """
     p, _, stays = _draw_sites(density, n, seed)
     return StayTrajectory(stays, n_sites=p.size, seed=seed)

@@ -112,20 +112,27 @@ def evolve_grid(psi: GridWavefunction, v, dt: float, steps: int) -> GridWavefunc
     """Propagate under H = p^2/2 + V(x) for `steps` steps of size dt.
 
     V is piecewise constant over each step.  Norm is preserved to 1e-10
-    per step by construction; NaN/overflow aborts with the step index.
+    per step by construction.  A dt that is not finite is a
+    ContractViolation; a dt whose kinetic phase overflows, and NaN/overflow
+    in a step, abort with NumericFailure, the latter with the step index.
     """
     if steps < 0:
         raise StepSizeError("steps must be >= 0")
+    if not np.isfinite(dt):
+        raise ContractViolation(f"dt must be finite, not {dt}")
     v = np.zeros(psi.n) if v is None else np.asarray(v, dtype=np.float64)
     if v.shape != (psi.n,):
         raise DimensionMismatchError("potential must match the grid")
     if steps == 0:
         return psi
-    if float(np.max(np.abs(v))) * dt >= 0.5:
-        raise StepSizeError("max|V|*dt must stay below 0.5")
     p = psi.momentum_grid()
-    half_v = np.exp(-0.5j * v * dt)
-    kinetic = np.exp(-0.5j * p**2 * dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if float(np.max(np.abs(v))) * dt >= 0.5:
+            raise StepSizeError("max|V|*dt must stay below 0.5")
+        half_v = np.exp(-0.5j * v * dt)
+        kinetic = np.exp(-0.5j * p**2 * dt)
+    if not np.all(np.isfinite(kinetic)):
+        raise NumericFailure(f"dt = {dt} overflows the kinetic phase p^2 dt / 2")
     s = psi.samples.copy()
     for step in range(steps):
         s = half_v * np.fft.ifft(kinetic * np.fft.fft(half_v * s))

@@ -30,28 +30,45 @@ TWO_SITE_H = hilbert.HermitianOperator([[0.0, -1.0], [-1.0, 0.0]])
 TWO_SITE_PSI = hilbert.ComplexVectorState([1 / np.sqrt(2), 1j / np.sqrt(2)])
 
 
+def current(h, psi):
+    return beable._current(h.matrix, psi.amplitudes)
+
+
+def rates(j, p):
+    """The minimal rates of (J, P); their void flag must be clear."""
+    t, void = beable._minimal_rates(j, p)
+    assert not void
+    return t
+
+
+def rate_path_blocks(h, psi0, dt, steps, noise_c):
+    """The (P, J, T) rows of every block the rate path yields, concatenated."""
+    blocks = list(beable._rate_path(h, psi0, dt, steps, noise_c))
+    return [np.concatenate([b[i] for b in blocks]) for i in range(3)]
+
+
 class TestProbabilityCurrent:
     def test_real_state_real_h_zero(self):
         h = hilbert.HermitianOperator([[1.0, 0.5], [0.5, -1.0]])
         psi = hilbert.ComplexVectorState([0.6, 0.8])
-        assert np.max(np.abs(beable.probability_current(h, psi))) == 0.0
+        assert np.max(np.abs(current(h, psi))) == 0.0
 
     def test_two_site_value(self):
         # hand evaluation: J_12 = 2 Im((1/sqrt2)(-1)(i/sqrt2)) = -1
-        j = beable.probability_current(TWO_SITE_H, TWO_SITE_PSI)
+        j = current(TWO_SITE_H, TWO_SITE_PSI)
         assert j[0, 1] == pytest.approx(-1.0, abs=1e-14)
         assert j[1, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_eigenstate_stationary(self):
         h = hilbert.HermitianOperator([[0.0, -1.0], [-1.0, 0.0]])
         psi = hilbert.ComplexVectorState(np.array([1.0, 1.0]) / np.sqrt(2))
-        assert np.max(np.abs(beable.probability_current(h, psi))) < 1e-15
+        assert np.max(np.abs(current(h, psi))) < 1e-15
 
     def test_antisymmetry(self):
         rng = np.random.Generator(np.random.PCG64(0))
         for _ in range(100):
             h, psi = rand_pair(rng, int(rng.integers(2, 7)))
-            j = beable.probability_current(h, psi)
+            j = current(h, psi)
             assert np.max(np.abs(j + j.T)) < 1e-12
 
     def test_continuity_against_finite_difference(self):
@@ -64,20 +81,22 @@ class TestProbabilityCurrent:
         p_plus = np.abs(u @ psi.amplitudes) ** 2
         p_minus = np.abs(u_inv @ psi.amplitudes) ** 2
         dp_dt = (p_plus - p_minus) / (2 * dt)
-        j = beable.probability_current(h, psi)
-        assert np.max(np.abs(dp_dt - j.sum(axis=1))) < 1e-6
+        # the J block of the rate path at step 0 is the current of psi
+        _, j, _ = rate_path_blocks(h, psi, dt, 1, 0.0)
+        assert np.array_equal(j[0], current(h, psi))
+        assert np.max(np.abs(dp_dt - j[0].sum(axis=1))) < 1e-6
 
 
 class TestBellRates:
     def test_zero_current_zero_rates(self):
-        t = beable.bell_transition_rates(np.zeros((3, 3)), np.full(3, 1 / 3))
-        assert np.all(t.rates == 0.0)
+        t = rates(np.zeros((3, 3)), np.full(3, 1 / 3))
+        assert np.all(t == 0.0)
 
     def test_two_site_example(self):
-        j = beable.probability_current(TWO_SITE_H, TWO_SITE_PSI)
-        t = beable.bell_transition_rates(j, np.array([0.5, 0.5]))
-        assert t.rates[1, 0] == pytest.approx(2.0)
-        assert t.rates[0, 1] == 0.0
+        j = current(TWO_SITE_H, TWO_SITE_PSI)
+        t = rates(j, np.array([0.5, 0.5]))
+        assert t[1, 0] == pytest.approx(2.0)
+        assert t[0, 1] == 0.0
 
     def test_one_direction_per_pair(self):
         rng = np.random.Generator(np.random.PCG64(2))
@@ -86,52 +105,60 @@ class TestBellRates:
             p = np.abs(psi.amplitudes) ** 2
             if p.min() < 1e-6:
                 continue
-            t = beable.bell_transition_rates(beable.probability_current(h, psi), p)
-            both = (t.rates > 0) & (t.rates.T > 0)
+            t = rates(current(h, psi), p)
+            both = (t > 0) & (t.T > 0)
             assert not np.any(both)
 
     def test_defining_relation(self):
+        # on the T blocks the rate path yields, which carry the noise
         rng = np.random.Generator(np.random.PCG64(3))
         worst = 0.0
         for _ in range(100):
             h, psi = rand_pair(rng, int(rng.integers(2, 6)))
-            p = np.abs(psi.amplitudes) ** 2
-            if p.min() < 1e-6:
+            if np.abs(psi.amplitudes).min() < 1e-3:
                 continue
-            j = beable.probability_current(h, psi)
             for c in (0.0, 1.0):  # the homogeneous noise keeps the relation
-                t = beable.add_homogeneous_noise(beable.bell_transition_rates(j, p), p, c)
-                rhs = t.rates * p[None, :] - t.rates.T * p[:, None]
+                p, j, t = rate_path_blocks(h, psi, 1e-3, 3, c)
+                rhs = t * p[:-1, None, :] - np.swapaxes(t, 1, 2) * p[:-1, :, None]
                 worst = max(worst, float(np.max(np.abs(j - rhs))))
         assert worst < 1e-10
 
     def test_occupation_floor(self):
         j = np.array([[0.0, 1e-3], [-1e-3, 0.0]])
-        with pytest.raises(DegenerateOccupationError):
-            beable.bell_transition_rates(j, np.array([1.0, 1e-14]))
+        _, void = beable._minimal_rates(j, np.array([1.0, 1e-14]))
+        assert void
+        tiny = hilbert.ComplexVectorState(np.array([1.0, 1e-7j]) / np.hypot(1.0, 1e-7))
+        with pytest.raises(DegenerateOccupationError, match="^step 0: current"):
+            rate_path_blocks(TWO_SITE_H, tiny, 0.01, 5, 0.0)
 
 
 class TestHomogeneousNoise:
     def test_zero_noise_unchanged(self):
-        t = beable.TransitionRateMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
-        t2 = beable.add_homogeneous_noise(t, np.array([0.5, 0.5]), 0.0)
-        assert t2 is t
+        # c = 0 leaves the minimal rates, even on a state with an empty site
+        h = hilbert.HermitianOperator([[0.0, -1.0, 0.5], [-1.0, 0.0, 0.2], [0.5, 0.2, 1.0]])
+        psi = hilbert.ComplexVectorState([0.6, 0.8j, 0.0])
+        p, j, t = rate_path_blocks(h, psi, 0.01, 1, 0.0)
+        assert np.array_equal(t[0], rates(j[0], p[0]))
+        with pytest.raises(DegenerateOccupationError, match="^step 0: homogeneous noise"):
+            rate_path_blocks(h, psi, 0.01, 1, 1.0)
 
     def test_symmetric_two_site(self):
-        t = beable.TransitionRateMatrix(np.zeros((2, 2)))
-        t2 = beable.add_homogeneous_noise(t, np.array([0.5, 0.5]), 1.0)
-        assert t2.rates[0, 1] == pytest.approx(2.0)
-        assert t2.rates[1, 0] == pytest.approx(2.0)
+        noise, low = beable._noise(np.array([0.5, 0.5]), 1.0)
+        assert not low
+        assert noise[0, 1] == pytest.approx(2.0)
+        assert noise[1, 0] == pytest.approx(2.0)
+        assert noise[0, 0] == noise[1, 1] == 0.0
 
     def test_net_flow_unchanged(self):
         rng = np.random.Generator(np.random.PCG64(4))
         for _ in range(50):
             p = rng.random(4) + 0.1
             p /= p.sum()
-            base = beable.TransitionRateMatrix(rng.random((4, 4)))
-            noisy = beable.add_homogeneous_noise(base, p, rng.uniform(0.1, 10))
-            flow_base = base.rates @ p - (base.rates.sum(0) - np.diag(base.rates)) * p
-            flow_noisy = noisy.rates @ p - (noisy.rates.sum(0) - np.diag(noisy.rates)) * p
+            base = rng.random((4, 4))
+            np.fill_diagonal(base, 0.0)
+            noisy = base + beable._noise(p, rng.uniform(0.1, 10))[0]
+            flow_base = base @ p - base.sum(0) * p
+            flow_noisy = noisy @ p - noisy.sum(0) * p
             assert np.max(np.abs(flow_base - flow_noisy)) < 1e-12
 
 
@@ -257,17 +284,18 @@ class TestJumpTrajectory:
 
 
 def reference_rates(h, amps, noise_c, step):
-    """The public per-step formulas: J, the minimal rates and the noise of
-    amps; a failure names its step, as the runners' do."""
-    try:
-        j = beable.probability_current(h, hilbert.ComplexVectorState(amps))
-        p = np.abs(amps) ** 2
-        t = beable.bell_transition_rates(j, p)
-        if noise_c != 0.0:  # add_homogeneous_noise rejects c < 0
-            t = beable.add_homogeneous_noise(t, p, noise_c)
-    except ContractViolation as exc:
-        raise type(exc)(f"step {step}: {exc}") from None
-    return t
+    """J, the minimal rates and the noise of amps, one step at a time; a
+    failure names its step, in the order the runners check them."""
+    if not np.all(np.isfinite(amps)):
+        raise NormalizationError(f"step {step}: non-finite amplitude")
+    p = np.abs(amps) ** 2
+    t, void = beable._minimal_rates(beable._current(h.matrix, amps), p)
+    noise, low = beable._noise(p, noise_c)
+    if void:
+        raise DegenerateOccupationError(f"step {step}: {beable._CURRENT_BELOW_FLOOR}")
+    if low and noise_c != 0.0:
+        raise DegenerateOccupationError(f"step {step}: {beable._NOISE_BELOW_FLOOR}")
+    return t + noise
 
 
 def reference_trajectory(h, psi0, beable0, dt, steps, seed, noise_c=0.0):
@@ -280,7 +308,7 @@ def reference_trajectory(h, psi0, beable0, dt, steps, seed, noise_c=0.0):
     stays[0] = site
     for step in range(steps):
         t = reference_rates(h, amps, noise_c, step)
-        jump_p = t.rates[:, site] * dt
+        jump_p = t[:, site] * dt
         total = float(jump_p.sum())
         if total >= beable.OUTFLOW_GUARD:
             raise StepSizeError(
@@ -307,7 +335,7 @@ def reference_ensemble(h, psi0, n_traj, dt, steps, seed, noise_c=0.0, record_eve
     for step in range(steps):
         t = reference_rates(h, amps, noise_c, step)
         # per-site cumulative jump table, shared across the ensemble
-        jump_p = t.rates * dt
+        jump_p = t * dt
         np.fill_diagonal(jump_p, 0.0)
         outflow = jump_p.sum(axis=0)[sites]  # the occupied sites only
         if outflow.max() >= beable.OUTFLOW_GUARD:

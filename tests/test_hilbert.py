@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rdmsim import beable, collapse, frames, hilbert, protective, rdm
+from rdmsim import collapse, frames, hilbert, protective, rdm
 from rdmsim.errors import (
     ContractViolation,
     DimensionMismatchError,
@@ -148,11 +148,10 @@ class TestTypeInvariants:
 
     @pytest.mark.parametrize("build", [
         lambda: hilbert.HermitianOperator([[np.nan, 0.0], [0.0, 0.0]]),
-        lambda: beable.TransitionRateMatrix([[0.0, np.nan], [1.0, 0.0]]),
         lambda: rdm.sample_stays([np.nan, 1.0], 10, seed=0),
         lambda: rdm.sample_entangled_stays(
             [(np.nan, (0.0, 1.0), (2.0, 3.0)), (1.0, (1.0, 2.0), (3.0, 4.0))], 10, seed=0),
-    ], ids=["hermitian", "rate-matrix", "stays", "entangled-stays"])
+    ], ids=["hermitian", "stays", "entangled-stays"])
     def test_nan_fails_validation(self, build):
         with pytest.raises(NormalizationError):
             build()

@@ -246,39 +246,25 @@ class TestZenoRun:
 class TestRegionMeasurements:
     def test_whole_domain_density(self):
         g = sch.GridWavefunction.gaussian(-20, 40 / 256, 256, 0.0, 1.0)
-        val = protective.measure_density(g, (0, 256))
-        assert val == pytest.approx(1.0 / 40.0, abs=1e-12)
+        val = protective._region_means(sch.position_density(g), g.dx, 256)
+        assert val == pytest.approx([1.0 / 40.0], abs=1e-12)
 
     def test_two_box_average(self):
+        # the support splits, so tomography's reconstruction would raise
         n = 128
         rho = np.zeros(n)
         rho[:32] = 0.36 / 32
         rho[64:96] = 0.64 / 32
         g = sch.GridWavefunction(0.0, 1.0, np.sqrt(rho).astype(complex))
         # box 1 occupies 32 sites of unit length: average density |a|^2 / v1
-        assert protective.measure_density(g, (0, 32)) == pytest.approx(0.36 / 32)
+        means = protective._region_means(sch.position_density(g), g.dx, 32)
+        assert means == pytest.approx([0.36 / 32, 0.0, 0.64 / 32, 0.0])
 
     def test_real_state_zero_flux(self):
         g = sch.GridWavefunction.gaussian(-20, 40 / 256, 256, 0.0, 1.0)
-        assert protective.measure_flux(g, (50, 200)) == pytest.approx(0.0, abs=1e-14)
+        j = protective.tomography(g, 16)["j_measured"]
+        assert np.max(np.abs(j)) == pytest.approx(0.0, abs=1e-14)
 
-    def test_empty_region_rejected(self):
-        g = sch.GridWavefunction.gaussian(-20, 40 / 256, 256, 0.0, 1.0)
-        with pytest.raises(ContractViolation):
-            protective.measure_density(g, (10, 10))
-
-
-    @pytest.mark.parametrize("region", [(0.5, 10.7), (0, 10.0), ("0", 10), (None, 10)])
-    def test_non_integer_bounds_rejected(self, region):
-        g = sch.GridWavefunction.gaussian(-20, 40 / 256, 256, 0.0, 1.0)
-        for measure in (protective.measure_density, protective.measure_flux):
-            with pytest.raises(ContractViolation):
-                measure(g, region)
-
-    def test_numpy_integer_bounds(self):
-        g = sch.GridWavefunction.gaussian(-20, 40 / 256, 256, 0.0, 1.0)
-        assert (protective.measure_density(g, np.array([3, 40]))
-                == protective.measure_density(g, (3, 40)))
 
 class TestTomography:
     TRUTH = sch.GridWavefunction.gaussian(-16.0, 32.0 / 4096, 4096,
@@ -333,13 +319,10 @@ class TestTomography:
         out = protective.tomography(truth, regions)
         rho, j = sch.position_density(truth), sch.flux_density(truth)
         for r in range(regions):
-            region = (r * block, (r + 1) * block)
-            sl = slice(*region)
-            expect_rho = protective.measure_density(truth, region)
-            expect_j = protective.measure_flux(truth, region)
+            sl = slice(r * block, (r + 1) * block)
             # the per-slice sum the region means were first written as
-            assert expect_rho == float(np.sum(rho[sl]) * truth.dx / (block * truth.dx))
-            assert expect_j == float(np.sum(j[sl]) * truth.dx / (block * truth.dx))
+            expect_rho = float(np.sum(rho[sl]) * truth.dx / (block * truth.dx))
+            expect_j = float(np.sum(j[sl]) * truth.dx / (block * truth.dx))
             assert np.all(out["rho_measured"][sl] == expect_rho)
             assert np.all(out["j_measured"][sl] == expect_j)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from rdmsim import rdm, schrodinger as sch
+from rdmsim import rdm
 from rdmsim.errors import DimensionMismatchError, NormalizationError, NumericFailure
 
 
@@ -38,11 +38,6 @@ class TestSampleStays:
         a = rdm.sample_stays([0.2, 0.8], 1000, seed=42)
         b = rdm.sample_stays([0.2, 0.8], 1000, seed=43)
         assert not np.array_equal(a.stays, b.stays)
-
-    def test_accepts_grid_wavefunction(self):
-        g = sch.GridWavefunction.gaussian(-10, 20 / 64, 64, 0.0, 1.0)
-        traj = rdm.sample_stays(g, 2000, seed=3)
-        assert traj.n_sites == 64
 
     def test_rejects_unnormalized(self):
         with pytest.raises(NormalizationError):

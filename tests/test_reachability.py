@@ -2,7 +2,9 @@
 that runs: some other top-level statement of src/rdmsim/ or bench/ names
 it, as a bare name, an attribute or a string that getattr resolves.  A
 name that only tests call is dead weight, unless it is one of the
-references that tests compare the runners against."""
+references that tests compare the runners against; such a reference
+calls no private function of the library, so it does not share the
+runners' formulas."""
 
 import ast
 from pathlib import Path
@@ -10,11 +12,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 TEST_ORACLES = {
-    "probability_current": "reference_trajectory's per-step J against the rate path",
-    "bell_transition_rates": "reference_trajectory's per-step minimal rates",
-    "add_homogeneous_noise": "reference_trajectory's per-step noise family",
-    "measure_density": "the bitwise reference for tomography's density means",
-    "measure_flux": "the bitwise reference for tomography's flux means",
     "continuity_residual": "the continuity check on evolve_grid",
     "mean_momentum": "the momentum check on evolve_grid",
     "read_trajectory_binary": "the only reader of the .rdmt format that io writes",
@@ -34,12 +31,18 @@ def _names(node) -> set:
     return found
 
 
+def _library_trees() -> dict:
+    return {path: ast.parse(path.read_text())
+            for path in sorted((ROOT / "src" / "rdmsim").glob("*.py"))}
+
+
 def unreached() -> set:
     """Public top-level defs and classes of the library that no other
     top-level statement of the library or the bench names."""
-    library = sorted((ROOT / "src" / "rdmsim").glob("*.py"))
-    trees = {path: ast.parse(path.read_text())
-             for path in library + sorted((ROOT / "bench").glob("*.py"))}
+    trees = _library_trees()
+    library = list(trees)
+    trees.update((path, ast.parse(path.read_text()))
+                 for path in sorted((ROOT / "bench").glob("*.py")))
     named = [(stmt, _names(stmt)) for tree in trees.values() for stmt in tree.body
              if not isinstance(stmt, (ast.Import, ast.ImportFrom))]
     return {stmt.name for path in library for stmt in trees[path].body
@@ -50,3 +53,23 @@ def unreached() -> set:
 
 def test_every_public_name_is_reached():
     assert unreached() == set(TEST_ORACLES)
+
+
+def private_calls() -> dict:
+    """For each test oracle, the private top-level functions of the library
+    that it calls, by bare name or as an attribute."""
+    defs = [stmt for tree in _library_trees().values() for stmt in tree.body
+            if isinstance(stmt, ast.FunctionDef)]
+    private = {stmt.name for stmt in defs if stmt.name.startswith("_")}
+    calls = {}
+    for stmt in defs:
+        if stmt.name in TEST_ORACLES:
+            called = {sub.func.id if isinstance(sub.func, ast.Name) else sub.func.attr
+                      for sub in ast.walk(stmt) if isinstance(sub, ast.Call)
+                      and isinstance(sub.func, (ast.Name, ast.Attribute))}
+            calls[stmt.name] = called & private
+    return calls
+
+
+def test_oracles_share_no_private_formula():
+    assert private_calls() == {name: set() for name in TEST_ORACLES}

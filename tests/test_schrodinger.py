@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from rdmsim import schrodinger as sch
 from rdmsim.errors import (
+    ContractViolation,
     DimensionMismatchError,
     NormalizationError,
+    NumericFailure,
     PhaseAmbiguityError,
     StepSizeError,
 )
@@ -87,6 +89,19 @@ class TestEvolveGrid:
         v = np.full(g.n, 10.0)
         with pytest.raises(StepSizeError):
             sch.evolve_grid(g, v, 0.1, 1)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
+    def test_non_finite_dt_rejected(self, dt):
+        # before any phase is built, so no numpy warning is emitted
+        with pytest.raises(ContractViolation, match=f"^dt must be finite, not {dt}$"):
+            sch.evolve_grid(gaussian(), None, dt, 3)
+
+    @pytest.mark.parametrize("dt", [1e308, np.float64(1e308)], ids=["float", "float64"])
+    def test_overflowing_kinetic_phase_names_dt(self, dt):
+        # p_max^2 dt / 2 overflows; no numpy warning, and no step is taken
+        with pytest.raises(NumericFailure, match=r"^dt = 1e\+308 overflows the kinetic") as exc:
+            sch.evolve_grid(gaussian(), None, dt, 3)
+        assert exc.value.step is None
 
     def test_momentum_conserved_free(self):
         g = gaussian(momentum=1.5)
