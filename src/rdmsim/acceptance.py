@@ -1,8 +1,9 @@
 """Acceptance criteria as callable checks.
 
 Each criterion_* function checks one end-to-end scenario at its stated
-tolerance and returns {"id", "name", "passed", "detail"}.  A criterion
-whose bundled scenario NN_*.yaml produces data is called by
+tolerance and returns {"id", "name", "passed", "detail"}.  Criterion N
+is entry N of ALL_CRITERIA, which `verify` reads at call time.  A
+criterion whose bundled scenario NN_*.yaml produces data is called by
 `cli.run_criterion` as fn(p, run): p is the parsed scenario, run its
 handler's computation; a leg that overrides one scenario value runs
 run({**p, key: value}).  Legs no subcommand can express are constants

@@ -211,13 +211,13 @@ def rdm_sample(p):
     return rdm.sample_stays(p["weights"], p["n"], seed=p["seed"])
 
 
-def cmd_rdm_sample(p, ctx):
+def cmd_rdm_sample(p, out_dir):
     traj = rdm_sample(p)
     if p["binary"]:
-        path = ctx["out_dir"] / "stays.rdmt"
+        path = out_dir / "stays.rdmt"
         io.write_trajectory_binary(path, traj)
     else:
-        path = ctx["out_dir"] / "stays.csv"
+        path = out_dir / "stays.csv"
         io.write_trajectory_csv(path, traj)
     hist = rdm.empirical_density(traj)
     summary = (f"sampled {traj.instants} stays over {traj.n_sites} sites; "
@@ -265,16 +265,16 @@ def _chi2_sf(x, dof):
         math.exp((a + i) * math.log(h) - h - math.lgamma(a + i + 1.0)) for i in range(dof // 2))
 
 
-def cmd_beable_run(p, ctx):
+def cmd_beable_run(p, out_dir):
     # every result is computed before the first write, so a failed run writes nothing
     _, _, traj, slices = beable_run(p)
     summary = f"beable trajectory of {traj.instants - 1} steps written"
-    path = ctx["out_dir"] / "beable_trajectory.csv"
+    path = out_dir / "beable_trajectory.csv"
     io.write_trajectory_csv(path, traj)
     if slices is None:
         return summary, [path]
     min_p = min((s["p_value"] for s in slices), default=float("nan"))
-    report = ctx["out_dir"] / "equivariance.json"
+    report = out_dir / "equivariance.json"
     io.write_json(report, {"slices": slices, "n_traj": p["ensemble"]["n_traj"],
                            "noise_c": p["noise_c"]})
     return (f"{summary}; equivariance min p-value {min_p:.4f} over {len(slices)} slices",
@@ -287,14 +287,14 @@ def _collapse_setup(p):
     return hilbert.EnergySuperposition(p["energies"], np.sqrt(p["probabilities"])), cfg
 
 
-def cmd_collapse_run(p, ctx):
+def cmd_collapse_run(p, out_dir):
     s0, cfg = _collapse_setup(p)
     out = collapse.run_trajectory(s0, cfg, p["max_steps"])
     probs = out["probabilities"]
     columns = {"step": np.arange(probs.shape[0]),
                **{f"P_{i + 1}": probs[:, i] for i in range(s0.n_branches)},
                "staying_index": np.concatenate(([-1], out["staying"]))}
-    path = ctx["out_dir"] / "collapse_trajectory.csv"
+    path = out_dir / "collapse_trajectory.csv"
     io.write_csv(path, columns, header_comments=[
         f"k_mode={cfg.k_mode} k0={cfg.k0} epsilon={collapse.COLLAPSE_EPSILON} seed={cfg.seed}"])
     summary = (f"collapsed to branch {out['outcome']} after {out['steps']} steps"
@@ -309,10 +309,10 @@ def collapse_ensemble(p):
                                                  p["slice_stride"])
 
 
-def cmd_collapse_ensemble(p, ctx):
+def cmd_collapse_ensemble(p, out_dir):
     _, _, res = collapse_ensemble(p)
     stats = ("mean_p", "se_p", "mean_pp", "se_pp")
-    path = ctx["out_dir"] / "collapse_ensemble.json"
+    path = out_dir / "collapse_ensemble.json"
     io.write_json(path, {
         "n_trials": p["n_trials"],
         "pairs": [list(pr) for pr in res["pairs"]],
@@ -323,10 +323,10 @@ def cmd_collapse_ensemble(p, ctx):
             f"{len(res['steps'])} slices recorded"), [path]
 
 
-def cmd_tau_c(p, ctx):
+def cmd_tau_c(p, out_dir):
     entries = p["entries"]
     des = [row["delta_e_ev"] for row in entries]
-    path = ctx["out_dir"] / "tau_c.csv"
+    path = out_dir / "tau_c.csv"
     io.write_csv(path, {"name": [row["name"] for row in entries], "delta_e_ev": des,
                         "tau_c_s": [collapse.collapse_time(de) for de in des],
                         "quoted_target_s": [row["quoted_target_s"] for row in entries]},
@@ -355,9 +355,9 @@ def protect_sweep(p):
     return target, cols
 
 
-def cmd_protect_sweep(p, ctx):
+def cmd_protect_sweep(p, out_dir):
     target, cols = protect_sweep(p)
-    path = ctx["out_dir"] / "protect_sweep.csv"
+    path = out_dir / "protect_sweep.csv"
     io.write_csv(path, cols, header_comments=[f"target_expectation={target!r}"])
     return f"swept N in {p['n_list']}", [path]
 
@@ -370,9 +370,9 @@ def tomography(p):
     return protective.tomography(truth, p["n_regions"])
 
 
-def cmd_tomography(p, ctx):
+def cmd_tomography(p, out_dir):
     out = tomography(p)
-    path = ctx["out_dir"] / "tomography.json"
+    path = out_dir / "tomography.json"
     io.write_json(path, {
         "l2_error": out["l2_error"],
         "n_regions": out["n_regions"],
@@ -392,54 +392,48 @@ def frames_analyze(p):
     return traj, {**stats, "expected_reversed": 2.0 * a_sq * (1.0 - a_sq), "a_sq": a_sq}
 
 
-def cmd_frames_analyze(p, ctx):
+def cmd_frames_analyze(p, out_dir):
     traj, stats = frames_analyze(p)
-    path = ctx["out_dir"] / "frames_report.json"
+    path = out_dir / "frames_report.json"
     io.write_json(path, stats)
     outputs = [path]
     if p["events_csv"]:
-        epath = ctx["out_dir"] / "stay_events.csv"
+        epath = out_dir / "stay_events.csv"
         io.write_paired_trajectory_csv(epath, traj)
         outputs.append(epath)
     return (f"kept {stats['kept_fraction']:.4f} / reversed "
             f"{stats['reversed_fraction']:.4f} over {stats['pairs']} pairs"), outputs
 
 
-def cmd_verify(p, ctx):
-    by_id = _criteria()
-    wanted = None if p["criteria"] is None else set(p["criteria"])
-    if wanted is not None and not wanted <= set(by_id):
-        raise ScenarioError(f"unknown criteria in {p['criteria']}")
-    if wanted == set():
+def cmd_verify(p, out_dir):
+    wanted = p["criteria"]
+    if wanted is not None and not set(wanted) <= set(range(1, len(acceptance.ALL_CRITERIA) + 1)):
+        raise ScenarioError(f"unknown criteria in {wanted}")
+    if wanted == []:
         raise ScenarioError("'criteria' is empty; omit it to run the seeding suite")
-    if wanted is not None and ctx["pack"]:
-        raise ScenarioError("the pack runs every criterion; give 'criteria' or the pack, not both")
     lines = []
     all_ok = True
-    results = {}
-    if wanted is None:
-        results = verify.run_suites()
-        for suite, checks in results.items():
-            n_ok = sum(1 for _, ok, _ in checks if ok)
-            all_ok &= n_ok == len(checks)
-            lines.append(f"suite {suite}: {n_ok}/{len(checks)} ok")
-            for name, ok, detail in checks:
-                if not ok:
-                    lines.append(f"  FAIL {name}: {detail}")
-    pack_results = []
-    if ctx["pack"] or wanted is not None:
-        for cid in [i for i in by_id if wanted is None or i in wanted]:
-            res = run_criterion(cid)
-            pack_results.append(res)
-            all_ok &= res["passed"]
-            lines.append(f"criterion {res['id']:>2} "
-                         f"{'PASS' if res['passed'] else 'FAIL'} {res['name']}: "
-                         f"{res['detail']}")
-    path = ctx["out_dir"] / "verify_report.json"
+    results = verify.run_suites() if wanted is None else {}
+    for suite, checks in results.items():
+        n_ok = sum(1 for _, ok, _ in checks if ok)
+        all_ok &= n_ok == len(checks)
+        lines.append(f"suite {suite}: {n_ok}/{len(checks)} ok")
+        for name, ok, detail in checks:
+            if not ok:
+                lines.append(f"  FAIL {name}: {detail}")
+    reports = []
+    for cid in sorted(set(wanted or ())):
+        res = run_criterion(cid)
+        reports.append(res)
+        all_ok &= res["passed"]
+        lines.append(f"criterion {res['id']:>2} "
+                     f"{'PASS' if res['passed'] else 'FAIL'} {res['name']}: "
+                     f"{res['detail']}")
+    path = out_dir / "verify_report.json"
     io.write_json(path, {
         "suites": {suite: [{"name": n, "ok": ok, "detail": d} for n, ok, d in checks]
                    for suite, checks in results.items()},
-        "acceptance": pack_results,
+        "acceptance": reports,
         "all_ok": all_ok,
     })
     print("\n".join(lines))
@@ -476,11 +470,6 @@ def bundled_scenarios():
     return sorted((resources.files("rdmsim") / "scenarios").iterdir(), key=lambda p: p.name)
 
 
-def _criteria():
-    """Acceptance criteria by id, read from acceptance.ALL_CRITERIA at call time."""
-    return {int(fn.__name__.split("_")[1]): fn for fn in acceptance.ALL_CRITERIA}
-
-
 def bundled_scenario(cid):
     """Parsed scenario `NN_*.yaml` of criterion `cid` from the pack, and
     the computation of its handler (None for tau-c and verify)."""
@@ -491,9 +480,10 @@ def bundled_scenario(cid):
 
 def run_criterion(cid):
     """Acceptance criterion `cid` checked on its bundled scenario: it gets the
-    parsed scenario and the handler's computation (see rdmsim.acceptance)."""
+    parsed scenario and the handler's computation (see rdmsim.acceptance).
+    The criterion is acceptance.ALL_CRITERIA[cid - 1], read at call time."""
     params, compute = bundled_scenario(cid)
-    fn = _criteria()[cid]
+    fn = acceptance.ALL_CRITERIA[cid - 1]
     return fn() if compute is None else fn(params, compute)
 
 
@@ -511,9 +501,6 @@ def build_parser() -> _Parser:
         sp = sub.add_parser(name)
         sp.add_argument("--scenario", help="YAML/JSON scenario file")
         sp.add_argument("--out-dir", default=".", help="output directory (default: '.')")
-        if name == "verify":
-            sp.add_argument("--pack", action="store_true",
-                            help="also run the bundled acceptance scenario pack")
     return parser
 
 
@@ -536,10 +523,9 @@ def _run(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ScenarioError(f"cannot use --out-dir {str(out_dir)!r}: {exc}") from None
-    ctx = {"out_dir": out_dir, "pack": getattr(args, "pack", False)}
     t0 = time.time()
     try:
-        summary, outputs = HANDLERS[args.subcommand](params, ctx)
+        summary, outputs = HANDLERS[args.subcommand](params, out_dir)
     except MemoryError as exc:  # a size within _int's range can still exceed memory
         raise ScenarioError(f"{args.subcommand} cannot allocate its arrays: {exc}") from None
     except OverflowError as exc:  # Python's float ** raises where numpy would give inf

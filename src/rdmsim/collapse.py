@@ -14,12 +14,13 @@ energy distribution is conserved.  Mean products P_i P_j decay as
 (1 - k^2)^n, giving the characteristic time ~ 1 / k^2 instants.  Only
 the collapse-time calculators work in seconds, with the pinned constants.
 
-Every dynamic k comes from hilbert.energy_spread and passes one guard
-(_strength), so a global energy offset leaves it unchanged and a
-trial's k does not depend on the trials beside it.  Every runner
-observes one walk (_ensemble_walk) through one kernel (_collapse_kernel):
-a trajectory is trial 0 of it, and ensemble_statistics walks all its
-trials at once and sums them in fixed blocks, in block order.
+Every dynamic k is the spread that _strength computes from energies
+shifted by the first group's, and passes its one guard, so a global
+energy offset leaves it unchanged and a trial's k does not depend on
+the trials beside it.  Every runner observes one walk (_ensemble_walk)
+through one kernel (_collapse_kernel): a trajectory is trial 0 of it,
+and ensemble_statistics walks all its trials at once and sums them in
+fixed blocks, in block order.
 
 Branches with exactly equal energies are indistinguishable to the
 update: the walk merges them once, up front, and steps the group
@@ -33,11 +34,12 @@ import numpy as np
 
 from . import constants
 from .errors import ContractViolation, NumericFailure, SuperPlanckianError
-from .hilbert import EnergySuperposition, energy_spread, running_sum
+from .hilbert import EnergySuperposition
 from .seeding import check_seed, trial_rngs
 
 
 COLLAPSE_EPSILON = 1e-6  # collapse is declared at max P_i > 1 - COLLAPSE_EPSILON
+NARROW_COLUMNS = 64  # widest array that _running_sum sums with one accumulate
 
 
 @dataclass(frozen=True)
@@ -68,9 +70,26 @@ class CollapseConfig:
         check_seed(self.seed)
 
 
-def _strength(p, energies, cfg: CollapseConfig, step=None, trials=None):
-    """k for the branch-major p: cfg.k0 when frozen, else dE for every
-    column (energies broadcast against p as in energy_spread).
+def _running_sum(x: np.ndarray) -> np.ndarray:
+    """Running sums down axis 0, row j = ((x0 + x1) + ...) + xj in every column
+    whatever its neighbours: one np.add.accumulate up to NARROW_COLUMNS
+    columns, else one add per row (accumulate walks wide arrays column by
+    column, 14x slower at 6,000).  np.sum adds pairwise: other bits."""
+    if x[0].size <= NARROW_COLUMNS:
+        return np.add.accumulate(x, axis=0)
+    cum = np.empty_like(x)
+    cum[0] = x[0]
+    for j in range(1, len(x)):
+        np.add(cum[j - 1], x[j], out=cum[j])
+    return cum
+
+
+def _strength(p, e, cfg: CollapseConfig, step=None, trials=None):
+    """k for the branch-major p: cfg.k0 when frozen, else for every column
+    the RMS spread dE = sqrt(sum_i P_i (e_i - ebar)^2) of the energies e
+    (a column against a 2-d p), already shifted by the first group's
+    energy so that a global offset cancels exactly.  Each sum is the last
+    row of _running_sum, so a column's k does not depend on its neighbours.
 
     The one guard of the model's regime k <= 1: a non-finite k raises
     NumericFailure, a finite k > 1 SuperPlanckianError.  Both carry the
@@ -78,7 +97,9 @@ def _strength(p, energies, cfg: CollapseConfig, step=None, trials=None):
     """
     if cfg.k_mode == "frozen":
         return cfg.k0
-    k = energy_spread(p, energies)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN goes to the guard
+        e_bar = _running_sum(p * e)[-1]
+        k = np.sqrt(np.maximum(_running_sum(p * (e - e_bar) ** 2)[-1], 0.0))
     if not k.max() <= 1.0:  # written so that NaN fails it too
         flat = np.ravel(k)
         bad = int(np.flatnonzero(~(flat <= 1.0))[0])
@@ -154,7 +175,7 @@ def _collapse_kernel(p: np.ndarray, u: np.ndarray, k) -> np.ndarray:
     trajectory's single column included.
     """
     # one accumulate up to NARROW_COLUMNS live columns, else one add per row
-    cum = running_sum(p)
+    cum = _running_sum(p)
     passed = u * cum[-1] >= cum
     # cum is nondecreasing down a column, so s = j where u passes cum_{j-1} but not cum_j
     stay = ~passed
@@ -170,24 +191,26 @@ def _ensemble_walk(s0: EnergySuperposition, cfg: CollapseConfig, groups, n_trial
     """Trials 0..n_trials-1 of s0 stepped as one group-major array p
     (n_groups x n_live); groups is _energy_groups(s0).
 
-    Degenerate branches are merged once, up front: p holds the group
-    weights G0 = bincount(label, p0), stepped against the group energies,
-    so for distinct energies p is p0 bit for bit.  Yields (step, p, trials,
-    stay) before each step and once more at step n_steps; trials holds the
-    absolute index of each live column and stay the kernel's stay mask of
-    the previous step (None before the first), and p is stepped in place
-    once the walk resumes.  The value sent back is a boolean mask of the
-    columns to drop, or None; the walk ends early when no trial is left.
-    Every trial draws one uniform per step from its own seeded generator
-    (all built by one trial_rngs call), held until the walk ends (about
-    0.7 KB per trial).  The draws go into one float64 buffer per walk, of
-    at most DRAW_BUDGET entries (4 MiB), or 8 x n_trials where that is more.
+    Degenerate branches are merged once, up front: p holds the group weights
+    G0 = bincount(label, p0), stepped against the group energies (shifted
+    once, by the first group's), so for distinct energies p is p0 bit for
+    bit.  Yields (step, p, trials, stay) before each step and once more at
+    step n_steps; trials holds the absolute index of each live column and
+    stay the kernel's stay mask of the previous step (None before the
+    first), and p is stepped in place once the walk resumes.  The value sent
+    back is a boolean mask of the columns to drop, or None; the walk ends
+    early when no trial is left.  Every trial draws one uniform per step
+    from its own seeded generator (all built by one trial_rngs call), held
+    until the walk ends (about 0.7 KB per trial).  The draws go into one
+    float64 buffer per walk, of at most DRAW_BUDGET entries (4 MiB), or
+    8 x n_trials where that is more.
     """
     label, first, _ = groups
     trials = np.arange(n_trials)
     gens = trial_rngs(cfg.seed, 0, n_trials)
     p = np.repeat(np.bincount(label, weights=s0.probabilities)[:, None], n_trials, axis=1)
-    energies = s0.energies[first][:, None]
+    with np.errstate(over="ignore"):  # an overflowing shift gives inf, for _strength's guard
+        e = (s0.energies[first] - s0.energies[0])[:, None]
     # draws views a chunk of buf for the trials live when it was drawn; cols
     # maps each live column to its row there (None: row t is column t), so
     # leaving trials copy nothing
@@ -214,7 +237,7 @@ def _ensemble_walk(s0: EnergySuperposition, cfg: CollapseConfig, groups, n_trial
             cols, b = None, 0
         # a strided column, then the gather: faster than draws[cols, b]
         u = draws[:, b] if cols is None else draws[:, b][cols]
-        stay = _collapse_kernel(p, u, _strength(p, energies, cfg, step, trials))
+        stay = _collapse_kernel(p, u, _strength(p, e, cfg, step, trials))
         b += 1
 
 

@@ -1,7 +1,6 @@
-"""Finite-dimensional quantum states, expectation values, the energy
-spread, and two small verification constructions (a four-state
-product/measurement table and a two-state unitary check) used by the
-test suites.
+"""Finite-dimensional quantum states, expectation values, and two small
+verification constructions (a four-state product/measurement table and
+a two-state unitary check) used by the test suites.
 
 All types are immutable after construction; every operation is a pure
 function, so values can be shared freely across threads.
@@ -15,7 +14,6 @@ from .errors import DimensionMismatchError, NormalizationError, NumericFailure
 
 NORM_TOL = 1e-10
 HERMITIAN_TOL = 1e-12
-NARROW_COLUMNS = 64  # widest array that running_sum sums with one accumulate
 
 
 def _frozen(a, dtype) -> np.ndarray:
@@ -113,37 +111,6 @@ def expectation_value(state: ComplexVectorState, a: HermitianOperator) -> float:
     if abs(val.imag) > 1e-12:  # unreachable for a true Hermitian input
         raise NumericFailure(f"expectation value has imaginary residue {val.imag:g}")
     return val.real
-
-
-def energy_spread(p, energies) -> np.ndarray:
-    """RMS spread sqrt(sum_i P_i (E_i - Ebar)^2) over the branch axis 0.
-
-    p and energies broadcast with the branch axis first: (m, n) trials
-    take energies[:, None], n subsystems of one state take p[:, None].
-    The shift by the first branch's energy cancels a global offset
-    exactly; each sum is the last row of running_sum, so a column's
-    spread does not depend on the columns beside it.  Overflow gives inf
-    or NaN, without a warning, for the caller's guard.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = energies - energies[0]
-        e_bar = running_sum(p * e)[-1]
-        var = running_sum(p * (e - e_bar) ** 2)[-1]
-    return np.sqrt(np.maximum(var, 0.0))
-
-
-def running_sum(x: np.ndarray) -> np.ndarray:
-    """Running sums down axis 0, row j = ((x0 + x1) + ...) + xj in every column
-    whatever its neighbours: one np.add.accumulate up to NARROW_COLUMNS
-    columns, else one add per row (accumulate walks wide arrays column by
-    column, 14x slower at 6,000).  np.sum adds pairwise: other bits."""
-    if x[0].size <= NARROW_COLUMNS:
-        return np.add.accumulate(x, axis=0)
-    cum = np.empty_like(x)
-    cum[0] = x[0]
-    for j in range(1, len(x)):
-        np.add(cum[j - 1], x[j], out=cum[j])
-    return cum
 
 
 # --- small no-go constructions used as verification fixtures ------------

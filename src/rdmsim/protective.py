@@ -44,7 +44,7 @@ class PointerState:
 
     def __post_init__(self):
         if not self.w0 >= 4.0 * self.grid.dx:  # NaN fails too
-            raise ContractViolation("pointer width w0 must be at least 4 grid spacings")
+            raise ContractViolation(f"pointer width w0 = {self.w0} is below 4 grid spacings")
 
     @staticmethod
     def gaussian(x_min: float, dx: float, n: int, x0: float, w0: float) -> "PointerState":
@@ -76,13 +76,15 @@ class ProtectiveSetup:
 
     def __post_init__(self):
         if self.system.dim != self.observable.dim:
-            raise DimensionMismatchError("system state and observable dims differ")
+            raise DimensionMismatchError(f"system state dim {self.system.dim} != "
+                                         f"observable dim {self.observable.dim}")
         if not self.system.is_normalized():
-            raise ContractViolation("system state must be normalized")
+            raise ContractViolation(f"system state must be normalized, not of norm^2 "
+                                    f"{self.system.norm_sq():.17g}")
         if self.n_projections < 1:
-            raise ContractViolation("need N >= 1 projections")
+            raise ContractViolation(f"need N >= 1 projections, not {self.n_projections}")
         if not 0 < self.tau < np.inf:  # NaN fails too
-            raise ContractViolation("tau must be positive and finite")
+            raise ContractViolation(f"tau must be positive and finite, not {self.tau}")
         if self.g_profile not in G_PROFILES:
             raise ContractViolation(f"unknown g profile {self.g_profile!r}")
 
@@ -98,13 +100,13 @@ class ProtectiveSetup:
             g = np.full(n, 1.0 / self.tau)
         else:
             if n % 2 != 0:
-                raise ContractViolation("triangular profile needs an even N")
+                raise ContractViolation(f"triangular profile needs an even N, not {n}")
             half = self.tau / 2.0
             g = np.where(t <= half, 4.0 * t / self.tau**2,
                          4.0 * (self.tau - t) / self.tau**2)
         w = (self.tau / n) * g
         if not abs(float(w.sum()) - 1.0) <= 1e-12:  # NaN fails too
-            raise ContractViolation("discretized coupling does not integrate to 1")
+            raise ContractViolation(f"discretized coupling integrates to {w.sum():.17g}, not 1")
         return w
 
 

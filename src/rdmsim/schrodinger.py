@@ -112,7 +112,7 @@ def evolve_grid(psi: GridWavefunction, v, dt: float, steps: int) -> GridWavefunc
     """Propagate under H = p^2/2 + V(x) for `steps` steps of size dt.
 
     V is piecewise constant over each step.  Norm is preserved to 1e-10
-    per step by construction.  A dt that is not finite is a
+    per step by construction.  A dt or potential that is not finite is a
     ContractViolation; a dt whose kinetic phase overflows, and NaN/overflow
     in a step, abort with NumericFailure, the latter with the step index.
     """
@@ -123,12 +123,15 @@ def evolve_grid(psi: GridWavefunction, v, dt: float, steps: int) -> GridWavefunc
     v = np.zeros(psi.n) if v is None else np.asarray(v, dtype=np.float64)
     if v.shape != (psi.n,):
         raise DimensionMismatchError("potential must match the grid")
+    if not np.all(np.isfinite(v)):
+        raise ContractViolation(f"potential v must be finite, not {v[~np.isfinite(v)][0]}")
     if steps == 0:
         return psi
     p = psi.momentum_grid()
     with np.errstate(over="ignore", invalid="ignore"):
-        if float(np.max(np.abs(v))) * dt >= 0.5:
-            raise StepSizeError("max|V|*dt must stay below 0.5")
+        v_dt = float(np.max(np.abs(v))) * dt
+        if v_dt >= 0.5:
+            raise StepSizeError(f"max|V|*dt = {v_dt:.3g} must stay below 0.5")
         half_v = np.exp(-0.5j * v * dt)
         kinetic = np.exp(-0.5j * p**2 * dt)
     if not np.all(np.isfinite(kinetic)):

@@ -1,9 +1,10 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
 Each test checks one criterion on its bundled scenario, through the
-same runner as `rdmsim verify --pack`, and records a PASS/FAIL line that
-conftest prints in the terminal summary (also visible live with
-pytest -s).  Tolerances are pinned inside rdmsim.acceptance.
+same runner as `rdmsim verify` with `criteria: [1, ..., 12]`, and
+records a PASS/FAIL line that conftest prints in the terminal summary
+(also visible live with pytest -s).  Tolerances are pinned inside
+rdmsim.acceptance.
 """
 
 from rdmsim import cli

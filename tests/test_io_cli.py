@@ -284,8 +284,12 @@ class TestCliRuns:
         ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: 0\n", ("--format", "json"),
          "error (ScenarioError): unrecognized arguments: --format json"),
         ("verify", "criteria: [9]\npack: true\n", (), "ScenarioError"),
-        ("verify", "criteria: [9]\n", ("--pack",), "ScenarioError"),
+        ("verify", "criteria: [9]\n", ("--pack",),
+         "error (ScenarioError): unrecognized arguments: --pack"),
         ("verify", "criteria: []\n", (), "error (ScenarioError): 'criteria' is empty"),
+        # criteria are looked up by position, so 0 would otherwise run criterion 12
+        ("verify", "criteria: [0]\n", (), "error (ScenarioError): unknown criteria in [0]"),
+        ("verify", "criteria: [13]\n", (), "error (ScenarioError): unknown criteria in [13]"),
         ("collapse-run", "energies: [0.0, 1.0]\nprobabilities: [0.5, 0.5]\n"
                          "k_mode: dynamic\nk0: 0.1\n", (),
          "error (ContractViolation): k0 is ignored with k_mode 'dynamic'"),
@@ -347,7 +351,8 @@ class TestCliRuns:
             "binary-string", "units-bogus", "delta-e-reducer", "ensemble-unknown-key",
             "seed-negative", "seed-override-negative", "seed-without-seed-key", "seed-flag",
             "format-not-read", "pack-key-with-criteria",
-            "pack-flag-with-criteria", "criteria-empty", "k0-with-dynamic-k", "n-beyond-int64",
+            "pack-flag-with-criteria", "criteria-empty", "criteria-zero", "criteria-thirteen",
+            "k0-with-dynamic-k", "n-beyond-int64",
             "n-trials-beyond-int64", "n-beyond-numpy-index", "bools-as-probabilities",
             "bools-as-weights", "collapse-epsilon-in-ensemble", "pack-key", "units-in-run",
             "units-in-ensemble", "hbar-in-beable-run", "mass-in-tomography",
@@ -362,6 +367,13 @@ class TestCliRuns:
         assert run_cli(subcommand, "--scenario", str(path),
                        "--out-dir", str(tmp_path), *extra) == 1
         assert expect in capsys.readouterr().err
+
+    def test_pack_flag_exits_1(self, tmp_path, capsys):
+        # every criterion is spelled `criteria: [1, ..., 12]`; the flag is gone
+        assert run_cli("verify", "--pack", "--out-dir", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == ("error (ScenarioError): unrecognized arguments: "
+                                           "--pack\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("subcommand, body", [
         ("rdm-sample", f"weights: [0.5, 0.5]\nn: {2**59}\nseed: 0\n"),

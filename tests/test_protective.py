@@ -4,7 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdmsim import cli, hilbert, protective, schrodinger as sch
-from rdmsim.errors import ContractViolation, PhaseAmbiguityError, PointerDomainError
+from rdmsim.errors import (ContractViolation, DimensionMismatchError, PhaseAmbiguityError,
+                           PointerDomainError)
 
 
 def pointer(w0=5.0, n=512, length=80.0):
@@ -41,6 +42,46 @@ class TestSetupInvariants:
                                            1.0, pointer(), g_profile="triangular")
         with pytest.raises(ContractViolation):
             setup.coupling_weights()
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: protective.ProtectiveSetup(plus_state(), hilbert.HermitianOperator(np.eye(3)),
+                                            10, 1.0, pointer()),
+         DimensionMismatchError, "system state dim 2 != observable dim 3"),
+        (lambda: protective.ProtectiveSetup(hilbert.ComplexVectorState([1.0, 1.0]),
+                                            projector0(), 10, 1.0, pointer()),
+         ContractViolation, "system state must be normalized, not of norm^2 2"),
+        (lambda: protective.ProtectiveSetup(plus_state(), projector0(), 0, 1.0, pointer()),
+         ContractViolation, "need N >= 1 projections, not 0"),
+        (lambda: protective.ProtectiveSetup(plus_state(), projector0(), 10, np.nan, pointer()),
+         ContractViolation, "tau must be positive and finite, not nan"),
+        (lambda: protective.ProtectiveSetup(plus_state(), projector0(), 10, -1.0, pointer()),
+         ContractViolation, "tau must be positive and finite, not -1.0"),
+        (lambda: protective.ProtectiveSetup(plus_state(), projector0(), 10, 1.0, pointer(),
+                                            g_profile="square"),
+         ContractViolation, "unknown g profile 'square'"),
+        (lambda: protective.ProtectiveSetup(plus_state(), projector0(), 101, 1.0, pointer(),
+                                            g_profile="triangular").coupling_weights(),
+         ContractViolation, "triangular profile needs an even N, not 101"),
+        # tau / N is subnormal, so each impulse keeps only ~10 significant digits
+        (lambda: protective.ProtectiveSetup(plus_state(), projector0(), 100_000, 6e-309,
+                                            pointer()).coupling_weights(),
+         ContractViolation, "discretized coupling integrates to 0.99999999996388078, not 1"),
+        (lambda: protective.PointerState.gaussian(-10.0, 0.5, 64, 0.0, 1.0),
+         ContractViolation, "pointer width w0 = 1.0 is below 4 grid spacings"),
+        (lambda: protective.PointerState.gaussian(-10.0, 0.5, 64, 0.0, -1.0),
+         ContractViolation, "pointer width w0 must be positive, not -1.0"),
+        (lambda: protective.zeno_protective_run(protective.ProtectiveSetup(
+            plus_state(), hilbert.HermitianOperator(np.diag([100.0, 0.0])), 1, 1.0, pointer())),
+         PointerDomainError,
+         "pointer shift 100 leaves the grid (allowed center range [-20, 20])"),
+    ], ids=["dims", "unnormalized", "n-zero", "tau-nan", "tau-negative", "g-profile",
+            "triangular-odd-n", "coupling-sum", "pointer-narrow", "pointer-negative",
+            "shift-leaves-grid"])
+    def test_guard_messages(self, build, error, message):
+        # every Zeno guard names the value it rejects
+        with pytest.raises(error) as exc:
+            build()
+        assert str(exc.value) == message
 
 
 def _zeno_reference(setup):

@@ -87,8 +87,17 @@ class TestEvolveGrid:
     def test_step_guard(self):
         g = gaussian()
         v = np.full(g.n, 10.0)
-        with pytest.raises(StepSizeError):
+        with pytest.raises(StepSizeError, match=r"^max\|V\|\*dt = 1 must stay below 0\.5$"):
             sch.evolve_grid(g, v, 0.1, 1)
+
+    @pytest.mark.parametrize("v, dt, value", [
+        (np.full(64, np.nan), 0.01, "nan"),  # NaN fails max|V|*dt >= 0.5 too
+        (np.r_[np.inf, np.zeros(63)], 0.0, "inf"),  # inf * 0 is NaN
+    ], ids=["nan", "inf-at-dt-0"])
+    def test_non_finite_potential_rejected(self, v, dt, value):
+        # named before step 0, not left to the per-step NaN check
+        with pytest.raises(ContractViolation, match=f"^potential v must be finite, not {value}$"):
+            sch.evolve_grid(gaussian(n=64), v, dt, 3)
 
     @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
     def test_non_finite_dt_rejected(self, dt):

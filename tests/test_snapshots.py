@@ -92,6 +92,10 @@ BUNDLED_DATA_SHA256 = {
 }
 
 
+# sha256 of the verify_report.json of plain `rdmsim verify` (the seeding suite)
+PLAIN_VERIFY_REPORT_SHA256 = "3cdcd7a4ac5b0dae3ee2c99c33920df16f9330151d7aab33079a185308e925b1"
+
+
 class TestBundledDataBytes:
     @pytest.mark.parametrize("key", sorted(BUNDLED_DATA_SHA256))
     def test_data_files_match_their_digests(self, tmp_path, key):
@@ -101,3 +105,8 @@ class TestBundledDataBytes:
         written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                    for f in tmp_path.iterdir() if f.name != "manifest.json"}
         assert written == BUNDLED_DATA_SHA256[key]
+
+    def test_plain_verify_report_matches_its_digest(self, tmp_path):
+        assert cli.main(["verify", "--out-dir", str(tmp_path)]) == 0
+        written = hashlib.sha256((tmp_path / "verify_report.json").read_bytes()).hexdigest()
+        assert written == PLAIN_VERIFY_REPORT_SHA256
