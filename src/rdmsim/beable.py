@@ -31,6 +31,7 @@ from .errors import (
     DimensionMismatchError,
     NormalizationError,
     StepSizeError,
+    require_at_least,
 )
 from .hilbert import ComplexVectorState, HermitianOperator
 from .rdm import StayTrajectory, _draw_sites
@@ -108,7 +109,7 @@ def _rate_path(h: HermitianOperator, psi0: ComplexVectorState, dt: float, steps:
         yield p[:n + 1], j[:n], t[:n], np.cumsum(t[:n] * dt, axis=1)
         if n < len(t):  # the first failing check, in the order one step makes them
             error = next(error for mask, error in failures if mask[n])
-            raise type(error)(f"step {start + n}: {error}")
+            raise type(error)(str(error), step=start + n)
 
 
 def _walk(h: HermitianOperator, psi0: ComplexVectorState, sites: np.ndarray, dt: float,
@@ -125,10 +126,8 @@ def _walk(h: HermitianOperator, psi0: ComplexVectorState, sites: np.ndarray, dt:
             outflow = cum_t[-1].take(sites)
             if outflow.max() >= OUTFLOW_GUARD:
                 i = int(np.argmax(outflow >= OUTFLOW_GUARD))
-                trial = i if ensemble else None
-                where = "" if trial is None else f" in trial {trial}"
-                raise StepSizeError(f"step {step}: outflow probability {outflow[i]:.3g} "
-                                    f"exceeds the 0.1 guard{where}", step=step, trial=trial)
+                raise StepSizeError(f"outflow probability {outflow[i]:.3g} exceeds the 0.1 "
+                                    "guard", step=step, trial=i if ensemble else None)
             u = rng.random(sites.size)
             jumped = np.flatnonzero(u < outflow)
             sites[jumped] = (u[jumped] >= cum_t[:, sites[jumped]]).sum(axis=0)
@@ -152,8 +151,7 @@ def jump_trajectory(h: HermitianOperator, psi0: ComplexVectorState, beable0: int
         raise NormalizationError("jump_trajectory requires a normalized state")
     if not 0 <= beable0 < psi0.dim:
         raise DimensionMismatchError("initial beable site out of range")
-    if steps < 0:
-        raise ContractViolation(f"steps must be >= 0, not {steps}")
+    require_at_least(steps=(steps, 0))
     _, stays, _ = _walk(h, psi0, np.array([int(beable0)]), dt, steps, seeded_rng(seed),
                         noise_c, 1, False)
     return StayTrajectory(stays[:, 0], n_sites=psi0.dim, dt_instant=dt, seed=seed)
@@ -167,9 +165,6 @@ def ensemble_jump_run(h: HermitianOperator, psi0: ComplexVectorState, n_traj: in
     """
     if not psi0.is_normalized():
         raise NormalizationError("ensemble run requires a normalized state")
-    for name, value, least in (("n_traj", n_traj, 1), ("steps", steps, 0),
-                               ("record_every", record_every, 1)):
-        if value < least:
-            raise ContractViolation(f"{name} must be >= {least}, not {value}")
+    require_at_least(n_traj=(n_traj, 1), steps=(steps, 0), record_every=(record_every, 1))
     _, rng, sites = _draw_sites(np.abs(psi0.amplitudes) ** 2, n_traj, seed)
     return _walk(h, psi0, sites, dt, steps, rng, noise_c, record_every, True)

@@ -473,6 +473,8 @@ def bundled_scenarios():
 def bundled_scenario(cid):
     """Parsed scenario `NN_*.yaml` of criterion `cid` from the pack, and
     the computation of its handler (None for tau-c and verify)."""
+    if cid not in range(1, len(acceptance.ALL_CRITERIA) + 1):
+        raise ScenarioError(f"unknown criterion {cid!r}")
     path, = [f for f in bundled_scenarios() if f.name.startswith(f"{cid:02d}_")]
     scenario = load_scenario(path)
     return parse_scenario(scenario, scenario["subcommand"]), COMPUTE.get(scenario["subcommand"])
@@ -556,8 +558,7 @@ def main(argv=None) -> int:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 1
     except NumericFailure as exc:
-        step = f" at step {exc.step}" if exc.step is not None else ""
-        print(f"numeric failure{step}: {exc}", file=sys.stderr)
+        print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
 
 

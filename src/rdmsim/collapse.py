@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants
-from .errors import ContractViolation, NumericFailure, SuperPlanckianError
+from .errors import ContractViolation, NumericFailure, SuperPlanckianError, require_at_least
 from .hilbert import EnergySuperposition
 from .seeding import check_seed, trial_rngs
 
@@ -105,13 +105,8 @@ def _strength(p, e, cfg: CollapseConfig, step=None, trials=None):
         bad = int(np.flatnonzero(~(flat <= 1.0))[0])
         trial = None if trials is None else int(trials[bad])
         if not math.isfinite(flat[bad]):
-            where = "" if trial is None else f" in trial {trial}"
-            raise NumericFailure(f"k = dE*t_P/hbar is {flat[bad]}{where}",
-                                 step=step, trial=trial)
-        where = ("" if step is None else f" at step {step}") + \
-            ("" if trial is None else f" of trial {trial}")
-        raise SuperPlanckianError(f"k = dE*t_P/hbar = {flat[bad]:.3g} > 1{where}",
-                                  step=step, trial=trial)
+            raise NumericFailure(f"k = dE*t_P/hbar is {flat[bad]}", step=step, trial=trial)
+        raise SuperPlanckianError(f"k = dE*t_P/hbar = {flat[bad]:.3g} > 1", step=step, trial=trial)
     return k
 
 
@@ -138,8 +133,7 @@ def run_trajectory(s0: EnergySuperposition, cfg: CollapseConfig, max_steps: int)
     each member's history is its group's times its share of p0, expanded
     once at the end.  A guard names the step and trial 0.
     """
-    if max_steps < 0:
-        raise ContractViolation(f"max_steps must be >= 0, not {max_steps}")
+    require_at_least(max_steps=(max_steps, 0))
     groups = label, first, share = _energy_groups(s0)
     history, staying = [], []
     outcome = None
@@ -252,8 +246,7 @@ def ensemble_statistics(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: 
     so the output depends only on the inputs.  Degenerate branches share
     their group's weight in proportion to p0.
     """
-    if n_trials < 2 or n_steps < 0 or slice_stride < 1:
-        raise ContractViolation("need n_trials >= 2, n_steps >= 0, slice_stride >= 1")
+    require_at_least(n_trials=(n_trials, 2), n_steps=(n_steps, 0), slice_stride=(slice_stride, 1))
     m = s0.n_branches
     groups = label, _, share = _energy_groups(s0)
     ii, jj = np.triu_indices(m, 1)
@@ -302,8 +295,7 @@ def ensemble_outcomes(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: in
     A trial's result depends only on its own seeded stream, with frozen
     and with dynamic k alike.
     """
-    if n_trials < 1 or max_steps < 0:
-        raise ContractViolation("need n_trials >= 1 and max_steps >= 0")
+    require_at_least(n_trials=(n_trials, 1), max_steps=(max_steps, 0))
     groups = _, first, _ = _energy_groups(s0)
     threshold = 1.0 - COLLAPSE_EPSILON
     outcomes = np.full(n_trials, -1, dtype=np.int64)

@@ -7,19 +7,31 @@ NumericFailure (the computation itself produced NaN/overflow, exit 2).
 
 
 class _Located:
-    """Carries the step (and, in an ensemble, the trial) where it fired."""
+    """Carries the step (and, in an ensemble, the trial) where it fired,
+    which str() appends as the one spelling: "<message> at step N in trial T"."""
 
     def __init__(self, message, step=None, trial=None):
         super().__init__(message)
         self.step = step
         self.trial = trial
 
+    def __str__(self):
+        return (super().__str__() + ("" if self.step is None else f" at step {self.step}")
+                + ("" if self.trial is None else f" in trial {self.trial}"))
+
 
 class ContractViolation(ValueError):
     """A documented precondition or invariant does not hold."""
 
 
-class NormalizationError(ContractViolation):
+def require_at_least(**counts):
+    """The one count guard: reject the first name=(value, least) with value < least."""
+    for name, (value, least) in counts.items():
+        if value < least:
+            raise ContractViolation(f"{name} must be >= {least}, not {value}")
+
+
+class NormalizationError(_Located, ContractViolation):
     """State / density not normalized within its stated tolerance."""
 
 
@@ -27,7 +39,7 @@ class DimensionMismatchError(ContractViolation):
     """Operator and state (or grids) have incompatible dimensions."""
 
 
-class DegenerateOccupationError(ContractViolation):
+class DegenerateOccupationError(_Located, ContractViolation):
     """A jump rate would divide by an occupation below the 1e-12 floor."""
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, DimensionMismatchError, PointerDomainError
+from .errors import ContractViolation, DimensionMismatchError, PointerDomainError, require_at_least
 from .hilbert import ComplexVectorState, HermitianOperator
 from .schrodinger import (
     DensityPair,
@@ -81,8 +81,7 @@ class ProtectiveSetup:
         if not self.system.is_normalized():
             raise ContractViolation(f"system state must be normalized, not of norm^2 "
                                     f"{self.system.norm_sq():.17g}")
-        if self.n_projections < 1:
-            raise ContractViolation(f"need N >= 1 projections, not {self.n_projections}")
+        require_at_least(n_projections=(self.n_projections, 1))
         if not 0 < self.tau < np.inf:  # NaN fails too
             raise ContractViolation(f"tau must be positive and finite, not {self.tau}")
         if self.g_profile not in G_PROFILES:
@@ -221,8 +220,7 @@ def tomography(psi_true: GridWavefunction, n_regions: int) -> dict:
     hidden truth up to a global phase.  The L2 error is first order in
     the region width.
     """
-    if n_regions < 16:
-        raise ContractViolation("need at least 16 regions")
+    require_at_least(n_regions=(n_regions, 16))
     if psi_true.n % n_regions != 0:
         raise ContractViolation("region count must divide the grid size")
     block = psi_true.n // n_regions

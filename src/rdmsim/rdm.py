@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NormalizationError, NumericFailure
+from .errors import DimensionMismatchError, NormalizationError, NumericFailure, require_at_least
 from .hilbert import _frozen
 from .seeding import seeded_rng
 
@@ -90,8 +90,7 @@ def _draw_sites(density, n: int, seed: int):
     the checks and the first draws of both samplers and of the beable
     ensemble's initial sites."""
     p = _as_probabilities(density)
-    if n < 1:
-        raise DimensionMismatchError("need n >= 1 instants")
+    require_at_least(n=(n, 1))
     rng = seeded_rng(seed)
     cdf = np.cumsum(p)
     cdf[-1] = 1.0  # guard the top edge against rounding

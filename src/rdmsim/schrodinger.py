@@ -19,6 +19,7 @@ from .errors import (
     NumericFailure,
     PhaseAmbiguityError,
     StepSizeError,
+    require_at_least,
 )
 from .hilbert import _frozen
 
@@ -116,8 +117,7 @@ def evolve_grid(psi: GridWavefunction, v, dt: float, steps: int) -> GridWavefunc
     ContractViolation; a dt whose kinetic phase overflows, and NaN/overflow
     in a step, abort with NumericFailure, the latter with the step index.
     """
-    if steps < 0:
-        raise StepSizeError("steps must be >= 0")
+    require_at_least(steps=(steps, 0))
     if not np.isfinite(dt):
         raise ContractViolation(f"dt must be finite, not {dt}")
     v = np.zeros(psi.n) if v is None else np.asarray(v, dtype=np.float64)

@@ -128,7 +128,9 @@ class TestBellRates:
         _, void = beable._minimal_rates(j, np.array([1.0, 1e-14]))
         assert void
         tiny = hilbert.ComplexVectorState(np.array([1.0, 1e-7j]) / np.hypot(1.0, 1e-7))
-        with pytest.raises(DegenerateOccupationError, match="^step 0: current"):
+        with pytest.raises(DegenerateOccupationError, match="^current in/out of a site with "
+                                                            "occupation below the 1e-12 floor "
+                                                            "at step 0$"):
             rate_path_blocks(TWO_SITE_H, tiny, 0.01, 5, 0.0)
 
 
@@ -139,7 +141,8 @@ class TestHomogeneousNoise:
         psi = hilbert.ComplexVectorState([0.6, 0.8j, 0.0])
         p, j, t = rate_path_blocks(h, psi, 0.01, 1, 0.0)
         assert np.array_equal(t[0], rates(j[0], p[0]))
-        with pytest.raises(DegenerateOccupationError, match="^step 0: homogeneous noise"):
+        with pytest.raises(DegenerateOccupationError, match="^homogeneous noise needs strictly "
+                                                            "positive occupation at step 0$"):
             rate_path_blocks(h, psi, 0.01, 1, 1.0)
 
     def test_symmetric_two_site(self):
@@ -220,14 +223,16 @@ class TestJumpTrajectory:
         # a real state under a real H carries no current at step 0
         h = hilbert.HermitianOperator([[0.0, -40.0], [-40.0, 0.0]])
         psi = hilbert.ComplexVectorState(np.sqrt([0.7, 0.3]))
-        with pytest.raises(StepSizeError, match="^step 1: ") as exc:
+        with pytest.raises(StepSizeError, match=r"^outflow probability 0\.18 exceeds the 0\.1 "
+                                                r"guard at step 1$") as exc:
             beable.jump_trajectory(h, psi, 0, 0.01, 100, seed=13)
         assert exc.value.step == 1
 
     def test_ensemble_guard_surfaces_with_step_index(self):
         h = hilbert.HermitianOperator([[0.0, -40.0], [-40.0, 0.0]])
         psi = hilbert.ComplexVectorState(np.sqrt([0.7, 0.3]))
-        with pytest.raises(StepSizeError, match="^step 1: ") as exc:
+        with pytest.raises(StepSizeError, match=r"^outflow probability 0\.18 exceeds the 0\.1 "
+                                                r"guard at step 1 in trial 3$") as exc:
             beable.ensemble_jump_run(h, psi, 100, 0.01, 100, seed=13)
         assert exc.value.step == 1
 
@@ -237,24 +242,31 @@ class TestJumpTrajectory:
         psi = hilbert.ComplexVectorState([0.8, 0.6j])
         first = int(np.argmax(seeded_rng(5).random(50) < 0.64))
         assert first == 2
-        with pytest.raises(StepSizeError, match=f"^step 0: .* guard in trial {first}$") as exc:
+        with pytest.raises(StepSizeError,
+                           match=r"^outflow probability 0\.75 exceeds the 0\.1 guard "
+                                 f"at step 0 in trial {first}$") as exc:
             beable.ensemble_jump_run(TWO_SITE_H, psi, 50, 0.5, 10, seed=5)
         assert (exc.value.step, exc.value.trial) == (0, first)
         # a single walk has no trial to name
-        with pytest.raises(StepSizeError, match="^step 0: .* guard$") as exc:
+        with pytest.raises(StepSizeError, match=r"^outflow probability 0\.75 exceeds the 0\.1 "
+                                                r"guard at step 0$") as exc:
             beable.jump_trajectory(TWO_SITE_H, psi, 0, 0.5, 10, seed=5)
         assert (exc.value.step, exc.value.trial) == (0, None)
 
     def test_degenerate_occupation_names_its_step(self):
         tiny = hilbert.ComplexVectorState(np.array([1.0, 1e-7j]) / np.hypot(1.0, 1e-7))
-        with pytest.raises(DegenerateOccupationError, match="^step 0: current in/out"):
+        with pytest.raises(DegenerateOccupationError, match="^current in/out of a site with "
+                                                            "occupation below the 1e-12 floor "
+                                                            "at step 0$"):
             beable.jump_trajectory(TWO_SITE_H, tiny, 0, 0.01, 20, seed=1)
         # P_0 = cos^2 t falls below the floor at step 100, which a block of 7
         # steps reaches as step 2 of the block from 98
         rabi = hilbert.ComplexVectorState([1.0, 0.0])
         for block in (7, 256):
             with mock.patch.object(beable, "_RATE_BLOCK", block):
-                with pytest.raises(DegenerateOccupationError, match="^step 100: current"):
+                with pytest.raises(DegenerateOccupationError,
+                                   match="^current in/out of a site with occupation below "
+                                         "the 1e-12 floor at step 100$"):
                     beable.ensemble_jump_run(TWO_SITE_H, rabi, 1, np.pi / 200, 300, seed=3)
 
     @pytest.mark.parametrize("kw, name", [
@@ -287,14 +299,14 @@ def reference_rates(h, amps, noise_c, step):
     """J, the minimal rates and the noise of amps, one step at a time; a
     failure names its step, in the order the runners check them."""
     if not np.all(np.isfinite(amps)):
-        raise NormalizationError(f"step {step}: non-finite amplitude")
+        raise NormalizationError("non-finite amplitude", step=step)
     p = np.abs(amps) ** 2
     t, void = beable._minimal_rates(beable._current(h.matrix, amps), p)
     noise, low = beable._noise(p, noise_c)
     if void:
-        raise DegenerateOccupationError(f"step {step}: {beable._CURRENT_BELOW_FLOOR}")
+        raise DegenerateOccupationError(beable._CURRENT_BELOW_FLOOR, step=step)
     if low and noise_c != 0.0:
-        raise DegenerateOccupationError(f"step {step}: {beable._NOISE_BELOW_FLOOR}")
+        raise DegenerateOccupationError(beable._NOISE_BELOW_FLOOR, step=step)
     return t + noise
 
 
@@ -311,9 +323,8 @@ def reference_trajectory(h, psi0, beable0, dt, steps, seed, noise_c=0.0):
         jump_p = t[:, site] * dt
         total = float(jump_p.sum())
         if total >= beable.OUTFLOW_GUARD:
-            raise StepSizeError(
-                f"step {step}: outflow probability {total:.3g} exceeds the 0.1 guard"
-            )
+            raise StepSizeError(f"outflow probability {total:.3g} exceeds the 0.1 guard",
+                                step=step)
         u_draw = rng.random()
         if u_draw < total:
             site = int(np.searchsorted(np.cumsum(jump_p), u_draw, side="right"))
@@ -340,8 +351,8 @@ def reference_ensemble(h, psi0, n_traj, dt, steps, seed, noise_c=0.0, record_eve
         outflow = jump_p.sum(axis=0)[sites]  # the occupied sites only
         if outflow.max() >= beable.OUTFLOW_GUARD:
             trial = int(np.argmax(outflow >= beable.OUTFLOW_GUARD))
-            raise StepSizeError(f"step {step}: outflow probability {outflow[trial]:.3g} "
-                                f"exceeds the 0.1 guard in trial {trial}")
+            raise StepSizeError(f"outflow probability {outflow[trial]:.3g} exceeds the 0.1 "
+                                "guard", step=step, trial=trial)
         cum = np.cumsum(jump_p, axis=0)  # cum[:, n] for source site n
         draws = rng.random(n_traj)
         source_cum = cum[:, sites]  # dim x n_traj
@@ -479,8 +490,8 @@ def walk_reference(h, psi0, sites, dt, steps, rng, noise_c, record_every, ensemb
         for cum_t, p_next in zip(cum, p[1:]):
             outflow = cum_t[-1][sites]
             if outflow.max() >= beable.OUTFLOW_GUARD:
-                raise StepSizeError(f"step {step}: outflow probability {outflow.max():.3g} "
-                                    "exceeds the 0.1 guard", step=step)
+                raise StepSizeError(f"outflow probability {outflow.max():.3g} exceeds the 0.1 "
+                                    "guard", step=step)
             u = rng.random(sites.size)
             jumped = u < outflow
             sites[jumped] = (u[jumped] >= cum_t[:, sites[jumped]]).sum(axis=0)

@@ -109,7 +109,8 @@ class TestStrength:
         p0 = s.probabilities
         seed = next(seed for seed in range(200)
                     if trial_rngs(seed, 0, 1)[0].random() * (p0[0] + p0[1]) >= p0[0])
-        with pytest.raises(SuperPlanckianError, match="> 1 at step 1 of trial 0$") as exc:
+        with pytest.raises(SuperPlanckianError,
+                           match=r"^k = dE\*t_P/hbar = 1\.02 > 1 at step 1 in trial 0$") as exc:
             collapse.run_trajectory(s, CollapseConfig(seed=seed), 100)
         assert (exc.value.step, exc.value.trial) == (1, 0)
 
@@ -416,7 +417,8 @@ class TestEnsembleOutcomes:
         p0 = s.probabilities
         first = next(t for t in range(50)
                      if trial_rngs(cfg.seed, t, t + 1)[0].random() * (p0[0] + p0[1]) >= p0[0])
-        with pytest.raises(SuperPlanckianError, match=f"at step 1 of trial {first}$") as exc:
+        with pytest.raises(SuperPlanckianError, match=r"^k = dE\*t_P/hbar = 1\.02 > 1 "
+                                                      f"at step 1 in trial {first}$") as exc:
             collapse.ensemble_outcomes(s, cfg, 50, 100)
         assert (exc.value.step, exc.value.trial) == (1, first)
 
@@ -432,7 +434,8 @@ class TestEnsembleOutcomes:
             ([-1e308, 1e308], [0.5, 0.5], "nan"),
         ]:
             s = hilbert.EnergySuperposition(energies, np.sqrt(weights))
-            with pytest.raises(NumericFailure, match=f"is {value} in trial 0$") as exc:
+            with pytest.raises(NumericFailure, match=r"^k = dE\*t_P/hbar is "
+                                                     f"{value} at step 0 in trial 0$") as exc:
                 run(s, CollapseConfig(k_mode="dynamic"))
             assert (exc.value.step, exc.value.trial) == (0, 0)
 

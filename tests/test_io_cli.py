@@ -424,7 +424,8 @@ class TestCliRuns:
                         "probabilities: [0.5, 0.5]\nn_trials: 10\nn_steps: 10\n")
         assert run_cli("collapse-ensemble", "--scenario", str(path),
                        "--out-dir", str(tmp_path / "out")) == 2
-        assert "numeric failure at step 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("numeric failure: k = dE*t_P/hbar is inf "
+                                           "at step 0 in trial 0\n")
         assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("subcommand, body", [
@@ -480,21 +481,22 @@ class TestCliRuns:
                         "psi0: [[0.8, 0.0], [0.0, 0.6]]\ndt: 1.0e+300\nsteps: 3\nseed: 0\n")
         assert run_cli("beable-run", "--scenario", str(path),
                        "--out-dir", str(tmp_path / "out")) == 1
-        assert capsys.readouterr().err == ("error (StepSizeError): step 0: outflow probability "
-                                           "1.5e+300 exceeds the 0.1 guard\n")
+        assert capsys.readouterr().err == ("error (StepSizeError): outflow probability "
+                                           "1.5e+300 exceeds the 0.1 guard at step 0\n")
 
-    @pytest.mark.parametrize("energies, probabilities", [
-        ("[0.0, 1.0e+200]", "[0.5, 0.5]"),  # the spread overflows to inf
-        ("[0.0, 1.0, 1.0e+200]", "[0.5, 0.5, 0.0]"),  # 0 * inf in the spread: NaN
+    @pytest.mark.parametrize("energies, probabilities, k", [
+        ("[0.0, 1.0e+200]", "[0.5, 0.5]", "inf"),  # the spread overflows to inf
+        ("[0.0, 1.0, 1.0e+200]", "[0.5, 0.5, 0.0]", "nan"),  # 0 * inf in the spread: NaN
     ], ids=["inf", "nan"])
     def test_collapse_run_nonfinite_strength_exits_2(self, tmp_path, capsys, energies,
-                                                     probabilities):
+                                                     probabilities, k):
         path = tmp_path / "s.yaml"
         path.write_text(f"subcommand: collapse-run\nenergies: {energies}\n"
                         f"probabilities: {probabilities}\n")
         assert run_cli("collapse-run", "--scenario", str(path),
                        "--out-dir", str(tmp_path / "out")) == 2
-        assert "numeric failure at step 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"numeric failure: k = dE*t_P/hbar is {k} "
+                                           "at step 0 in trial 0\n")
         assert list((tmp_path / "out").iterdir()) == []
 
     def test_collapse_run_super_planckian_names_step(self, tmp_path, capsys):
@@ -507,8 +509,8 @@ class TestCliRuns:
                         f"probabilities: [0.97, 0.03]\nseed: {seed}\n")
         assert run_cli("collapse-run", "--scenario", str(path),
                        "--out-dir", str(tmp_path)) == 1
-        assert "SuperPlanckianError): k = dE*t_P/hbar = 1.02 > 1 at step 1 of trial 0\n" in \
-            capsys.readouterr().err
+        assert capsys.readouterr().err == ("error (SuperPlanckianError): k = dE*t_P/hbar = 1.02 "
+                                           "> 1 at step 1 in trial 0\n")
 
     def test_energy_offset_leaves_ensemble_unchanged(self, tmp_path):
         # 2^20 + j 2^-7 is exact, so the offset cancels exactly in the spread
@@ -531,15 +533,15 @@ class TestCliRuns:
     def test_beable_ensemble_guard_writes_nothing(self, tmp_path, capsys):
         # the single trajectory sits on site 1, which has no outflow, and
         # passes; the ensemble starts on site 0, which still holds walkers
-        # when its outflow passes 0.1 at step 81
+        # (trial 12 the first of them) when its outflow passes 0.1 at step 81
         path = tmp_path / "s.yaml"
         path.write_text("subcommand: beable-run\nhamiltonian: [[0.0, -1.0], [-1.0, 0.0]]\n"
                         f"psi0: [1.0, 0.0]\nbeable0: 1\ndt: {np.pi / 200!r}\nsteps: 90\n"
                         "seed: 0\nensemble: {n_traj: 50}\n")
         assert run_cli("beable-run", "--scenario", str(path),
                        "--out-dir", str(tmp_path / "out")) == 1
-        assert ("StepSizeError): step 81: outflow probability 0.102 exceeds the 0.1 guard"
-                in capsys.readouterr().err)
+        assert capsys.readouterr().err == ("error (StepSizeError): outflow probability 0.102 "
+                                           "exceeds the 0.1 guard at step 81 in trial 12\n")
         assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-a-file"])
@@ -896,3 +898,8 @@ class TestBundledScenarios:
         # the expectation (1 - k0^2)^10 / 4 of the first slice follows k0
         assert f"vs {(1.0 - 0.2**2) ** 10 * 0.25:.5f}" in result["detail"]
         assert f"vs {(1.0 - 0.1**2) ** 10 * 0.25:.5f}" not in result["detail"]
+
+    @pytest.mark.parametrize("cid", [0, 13, -1, "1"])
+    def test_unknown_criterion_names_its_id(self, cid):
+        with pytest.raises(ScenarioError, match=f"^unknown criterion {cid!r}$"):
+            cli.run_criterion(cid)

@@ -51,7 +51,7 @@ class TestSetupInvariants:
                                             projector0(), 10, 1.0, pointer()),
          ContractViolation, "system state must be normalized, not of norm^2 2"),
         (lambda: protective.ProtectiveSetup(plus_state(), projector0(), 0, 1.0, pointer()),
-         ContractViolation, "need N >= 1 projections, not 0"),
+         ContractViolation, "n_projections must be >= 1, not 0"),
         (lambda: protective.ProtectiveSetup(plus_state(), projector0(), 10, np.nan, pointer()),
          ContractViolation, "tau must be positive and finite, not nan"),
         (lambda: protective.ProtectiveSetup(plus_state(), projector0(), 10, -1.0, pointer()),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from rdmsim import rdm
-from rdmsim.errors import DimensionMismatchError, NormalizationError, NumericFailure
+from rdmsim.errors import ContractViolation, NormalizationError, NumericFailure
 
 
 class TestSampleStays:
@@ -44,7 +44,7 @@ class TestSampleStays:
             rdm.sample_stays([0.5, 0.6], 10, seed=0)
 
     def test_rejects_empty_run(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ContractViolation, match="^n must be >= 1, not 0$"):
             rdm.sample_stays([1.0], 0, seed=0)
 
 
