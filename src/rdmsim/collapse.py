@@ -20,7 +20,8 @@ energy offset leaves it unchanged and a trial's k does not depend on
 the trials beside it.  Every runner observes one walk (_ensemble_walk)
 through one kernel (_collapse_kernel): a trajectory is trial 0 of it,
 and ensemble_statistics walks all its trials at once and sums them in
-fixed blocks, in block order.
+fixed blocks, in block order.  A leaving trial's column is zeroed, which
+the kernel keeps at 0, and dropped when the walk next refills its draws.
 
 Branches with exactly equal energies are indistinguishable to the
 update: the walk merges them once, up front, and steps the group
@@ -40,6 +41,7 @@ from .seeding import check_seed, trial_rngs
 
 COLLAPSE_EPSILON = 1e-6  # collapse is declared at max P_i > 1 - COLLAPSE_EPSILON
 NARROW_COLUMNS = 64  # widest array that _running_sum sums with one accumulate
+_IGNORE_OVERFLOW = np.errstate(over="ignore", invalid="ignore")  # inf/NaN k: for the guard
 
 
 @dataclass(frozen=True)
@@ -84,22 +86,21 @@ def _running_sum(x: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _strength(p, e, cfg: CollapseConfig, step=None, trials=None):
-    """k for the branch-major p: cfg.k0 when frozen, else for every column
-    the RMS spread dE = sqrt(sum_i P_i (e_i - ebar)^2) of the energies e
-    (a column against a 2-d p), already shifted by the first group's
-    energy so that a global offset cancels exactly.  Each sum is the last
-    row of _running_sum, so a column's k does not depend on its neighbours.
+def _strength(p, e, step=None, trials=None):
+    """Dynamic k for the branch-major p: for every column the RMS spread
+    dE = sqrt(sum_i P_i (e_i - ebar)^2) of the energies e (a column
+    against a 2-d p), already shifted by the first group's energy so that
+    a global offset cancels exactly.  Each sum is the last row of
+    _running_sum, so a column's k does not depend on its neighbours, and a
+    zero column gets k = 0.
 
     The one guard of the model's regime k <= 1: a non-finite k raises
     NumericFailure, a finite k > 1 SuperPlanckianError.  Both carry the
     step and, in an ensemble, the absolute index of the first bad trial.
+    Each runner walks under _IGNORE_OVERFLOW, entered once per call.
     """
-    if cfg.k_mode == "frozen":
-        return cfg.k0
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN goes to the guard
-        e_bar = _running_sum(p * e)[-1]
-        k = np.sqrt(np.maximum(_running_sum(p * (e - e_bar) ** 2)[-1], 0.0))
+    e_bar = _running_sum(p * e)[-1]
+    k = np.sqrt(np.maximum(_running_sum(p * (e - e_bar) ** 2)[-1], 0.0))
     if not k.max() <= 1.0:  # written so that NaN fails it too
         flat = np.ravel(k)
         bad = int(np.flatnonzero(~(flat <= 1.0))[0])
@@ -123,6 +124,7 @@ def _energy_groups(s: EnergySuperposition):
     return label, np.unique(label, return_index=True)[1], share
 
 
+@_IGNORE_OVERFLOW
 def run_trajectory(s0: EnergySuperposition, cfg: CollapseConfig, max_steps: int):
     """Step trial 0 of the ensemble walk until max P_i > 1 - COLLAPSE_EPSILON
     or max_steps.
@@ -130,23 +132,21 @@ def run_trajectory(s0: EnergySuperposition, cfg: CollapseConfig, max_steps: int)
     Returns a dict with the per-step probability history, the staying
     branch of each step, the outcome branch (None if the threshold was
     not reached) and the step count.  The walk steps the group weights;
-    each member's history is its group's times its share of p0, expanded
-    once at the end.  A guard names the step and trial 0.
+    each member's history (its group's times its share of p0) and each
+    staying branch are read off once, at the end.  A guard names trial 0.
     """
     require_at_least(max_steps=(max_steps, 0))
     groups = label, first, share = _energy_groups(s0)
-    history, staying = [], []
-    outcome = None
+    history, stays, outcome = [], [], None
     for step, p, _, stay in _ensemble_walk(s0, cfg, groups, 1, max_steps):
-        history.append(p[:, 0].copy())
-        if stay is not None:
-            staying.append(first[stay.argmax()])
+        history.append(p.copy())
+        stays.append(stay)
         if p.max() > 1.0 - COLLAPSE_EPSILON:
-            outcome = int(first[p[:, 0].argmax()])
+            outcome = int(first[p.argmax()])
             break
     return {
-        "probabilities": np.array(history)[:, label] * share,
-        "staying": np.array(staying, dtype=np.int64),
+        "probabilities": np.array(history)[:, label, 0] * share,
+        "staying": first[np.reshape(stays[1:], (step, len(first))).argmax(axis=1)],
         "outcome": outcome,
         "steps": step,
         "collapsed": outcome is not None,
@@ -183,58 +183,56 @@ def _collapse_kernel(p: np.ndarray, u: np.ndarray, k) -> np.ndarray:
 def _ensemble_walk(s0: EnergySuperposition, cfg: CollapseConfig, groups, n_trials: int,
                    n_steps: int):
     """Trials 0..n_trials-1 of s0 stepped as one group-major array p
-    (n_groups x n_live); groups is _energy_groups(s0).
+    (n_groups x n_columns); groups is _energy_groups(s0).
 
     Degenerate branches are merged once, up front: p holds the group weights
     G0 = bincount(label, p0), stepped against the group energies (shifted
     once, by the first group's), so for distinct energies p is p0 bit for
     bit.  Yields (step, p, trials, stay) before each step and once more at
-    step n_steps; trials holds the absolute index of each live column and
-    stay the kernel's stay mask of the previous step (None before the
-    first), and p is stepped in place once the walk resumes.  The value sent
-    back is a boolean mask of the columns to drop, or None; the walk ends
-    early when no trial is left.  Every trial draws one uniform per step
-    from its own seeded generator (all built by one trial_rngs call), held
-    until the walk ends (about 0.7 KB per trial).  The draws go into one
-    float64 buffer per walk, of at most DRAW_BUDGET entries (4 MiB), or
-    8 x n_trials where that is more.
+    step n_steps; trials holds the absolute index of each column and stay
+    the kernel's stay mask of the previous step (None before the first),
+    and p is stepped in place once the walk resumes.  The value sent back
+    indexes the columns of the trials that leave, or is None.  A leaving
+    column is zeroed (it never stays or crosses, and gets k = 0) and
+    dropped at the next refill of the draws; the walk ends when no trial is
+    left.  Every trial draws one uniform per step from its own generator
+    (all built by one trial_rngs call), held until the walk ends (about
+    0.7 KB per trial), into one float64 buffer per walk of at most
+    DRAW_BUDGET entries (4 MiB), or 8 x n_trials where that is more.
     """
     label, first, _ = groups
     trials = np.arange(n_trials)
     gens = trial_rngs(cfg.seed, 0, n_trials)
     p = np.repeat(np.bincount(label, weights=s0.probabilities)[:, None], n_trials, axis=1)
-    with np.errstate(over="ignore"):  # an overflowing shift gives inf, for _strength's guard
-        e = (s0.energies[first] - s0.energies[0])[:, None]
-    # draws views a chunk of buf for the trials live when it was drawn; cols
-    # maps each live column to its row there (None: row t is column t), so
-    # leaving trials copy nothing
+    e = (s0.energies[first] - s0.energies[0])[:, None]
+    dynamic, k = cfg.k_mode == "dynamic", cfg.k0
     buf = np.empty(max(min(DRAW_BUDGET, n_trials * min(512, n_steps)), 8 * n_trials))
-    draws = cols = stay = None
-    b = 0
+    stay, live, b, width = None, n_trials, 0, 0
     for step in range(n_steps + 1):
-        drop = yield step, p, trials, stay
-        if drop is not None:
-            live = ~drop
-            # compress keeps p C-ordered; a boolean index would not
-            trials, p = trials[live], p.compress(live, axis=1)
-            if draws is not None:
-                cols = np.flatnonzero(live) if cols is None else cols[live]
-        if step == n_steps or trials.size == 0:
+        left = yield step, p, trials, stay
+        if left is not None:
+            p[:, left] = 0.0
+            live -= len(left)
+        if step == n_steps or live == 0:
             return
-        if draws is None or b == draws.shape[1]:
+        if b == width:
             # every entry of the old chunk is consumed; a trial's stream does
             # not depend on the chunks
-            width = min(max(DRAW_BUDGET // trials.size, 8), 512, n_steps - step)
-            draws = buf[:trials.size * width].reshape(trials.size, width)
+            kept = p.any(axis=0)
+            # compress keeps p C-ordered; a boolean index would not
+            trials, p = trials[kept], p.compress(kept, axis=1)
+            width = min(max(DRAW_BUDGET // live, 8), 512, n_steps - step)
+            draws = buf[:live * width].reshape(live, width)
             for row, t in enumerate(trials.tolist()):
                 gens[t].random(out=draws[row])
-            cols, b = None, 0
-        # a strided column, then the gather: faster than draws[cols, b]
-        u = draws[:, b] if cols is None else draws[:, b][cols]
-        stay = _collapse_kernel(p, u, _strength(p, e, cfg, step, trials))
+            b = 0
+        if dynamic:
+            k = _strength(p, e, step, trials)
+        stay = _collapse_kernel(p, draws[:, b], k)
         b += 1
 
 
+@_IGNORE_OVERFLOW
 def ensemble_statistics(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: int,
                         n_steps: int, slice_stride: int) -> dict:
     """Sample means of P_i and of the products P_i P_j (the off-diagonal
@@ -283,6 +281,7 @@ def ensemble_statistics(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: 
     }
 
 
+@_IGNORE_OVERFLOW
 def ensemble_outcomes(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: int,
                       max_steps: int) -> dict:
     """Outcome branch and steps-to-collapse for each trial.  A trial
@@ -292,8 +291,8 @@ def ensemble_outcomes(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: in
 
     All trials step as one array and each leaves it at the step where it
     crosses, so the work follows the live trials, not the slowest one.
-    A trial's result depends only on its own seeded stream, with frozen
-    and with dynamic k alike.
+    A step pays for one whole-array crossing test.  A trial's result
+    depends only on its own seeded stream, with frozen and dynamic k alike.
     """
     require_at_least(n_trials=(n_trials, 1), max_steps=(max_steps, 0))
     groups = _, first, _ = _energy_groups(s0)
@@ -307,12 +306,11 @@ def ensemble_outcomes(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: in
             step, p, trials, _ = walk.send(crossed)
         except StopIteration:
             break
-        crossed = p.max(axis=0) > threshold
-        if crossed.any():
+        crossed = None
+        if p.max() > threshold:
+            crossed = np.flatnonzero(p.max(axis=0) > threshold)
             outcomes[trials[crossed]] = first[p[:, crossed].argmax(axis=0)]
             steps_to[trials[crossed]] = step
-        else:
-            crossed = None
     return {"outcomes": outcomes, "steps": steps_to}
 
 

@@ -61,7 +61,7 @@ class SynchronyParams:
 
 def _gamma(v: float) -> float:
     if not np.all(np.abs(v) < 1.0):  # NaN fails too
-        raise SuperluminalFrameError(f"|v| = {np.max(np.abs(v)):g} >= c = 1")
+        raise SuperluminalFrameError(f"|v| = {np.max(np.abs(v)):g} is not below c = 1")
     return 1.0 / np.sqrt(1.0 - v**2)
 
 

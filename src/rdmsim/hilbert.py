@@ -32,7 +32,8 @@ class ComplexVectorState:
     def __post_init__(self):
         amps = _frozen(self.amplitudes, np.complex128)
         if amps.ndim != 1 or amps.size < 1:
-            raise DimensionMismatchError("state needs a 1-d amplitude vector, dim >= 1")
+            raise DimensionMismatchError("state needs a nonempty 1-d amplitude vector, "
+                                         f"not shape {amps.shape}")
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise NormalizationError("non-finite amplitude")
         object.__setattr__(self, "amplitudes", amps)

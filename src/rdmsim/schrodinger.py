@@ -42,7 +42,8 @@ class GridWavefunction:
     def __post_init__(self):
         s = _frozen(self.samples, np.complex128)
         if s.ndim != 1 or s.size < 8 or s.size % 2 != 0:
-            raise DimensionMismatchError("grid needs >= 8 samples and an even count")
+            raise DimensionMismatchError("grid needs an even count of at least 8 samples in 1-d, "
+                                         f"not shape {s.shape}")
         GridWavefunction._check_dx(self.dx)
         if not np.all(np.isfinite(s.view(np.float64))):
             raise NumericFailure("non-finite grid sample")

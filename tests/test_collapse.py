@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rdmsim import collapse, constants, hilbert
@@ -96,11 +96,10 @@ class TestStrength:
         energies = gen.uniform(-1e3, -1e3 + 1.0, m)
         p = gen.random((m, n)) + 1e-3
         p /= p.sum(axis=0)
-        cfg = CollapseConfig()
         t = int(gen.integers(n))
-        alone = np.float64(collapse._strength(p[:, t], energies, cfg)).tobytes()
+        alone = np.float64(collapse._strength(p[:, t], energies)).tobytes()
         for lo, hi in ((0, n), (t, t + 1), (0, t + 1), (t, n)):
-            k = collapse._strength(p[:, lo:hi], energies[:, None], cfg, 0, np.arange(lo, hi))
+            k = collapse._strength(p[:, lo:hi], energies[:, None], 0, np.arange(lo, hi))
             assert k[t - lo].tobytes() == alone
 
     def test_super_planckian_names_step(self):
@@ -183,7 +182,8 @@ def _trajectory_reference(s0, cfg, max_steps):
             break
         if step == max_steps:
             break
-        k = collapse._strength(p, s0.energies - s0.energies[0], cfg, step)
+        k = cfg.k0 if cfg.k_mode == "frozen" else collapse._strength(
+            p, s0.energies - s0.energies[0], step)
         gp_new = gp.copy()
         g = int(collapse._collapse_kernel(gp_new[:, None], rng.random(1), k).argmax())
         occupied = gp > 0.0
@@ -335,7 +335,8 @@ class TestEnsembleStatistics:
 
 def reference_outcome(s0, cfg, trial, max_steps):
     """One trial on Python floats: k, the staying branch and the update
-    written out directly, one uniform per step from the trial's stream."""
+    written out directly, one uniform per step from the trial's stream.
+    Returns (outcome, step), or (None, step) where k fails k <= 1."""
     rng = trial_rngs(cfg.seed, trial, trial + 1)[0]
     p = [float(x) for x in s0.probabilities]
     e = [float(x) for x in s0.energies]
@@ -352,6 +353,8 @@ def reference_outcome(s0, cfg, trial, max_steps):
             mean = sum(pi * di for pi, di in zip(p, d))
             var = sum(pi * (di - mean) ** 2 for pi, di in zip(p, d))
             k = math.sqrt(max(var, 0.0))
+        if not k <= 1.0:
+            return None, step
         cum, total = [], 0.0
         for x in p:
             total += x
@@ -422,6 +425,45 @@ class TestEnsembleOutcomes:
             collapse.ensemble_outcomes(s, cfg, 50, 100)
         assert (exc.value.step, exc.value.trial) == (1, first)
 
+    def test_guard_names_its_trial_after_others_left(self):
+        # a far branch at E = 5 sends k past 1 once a trial stays in it; most
+        # trials cross the 0.9 threshold within a few steps, and a 64-entry
+        # budget refills (and compacts) every 8 steps, so the guard fires on
+        # a compacted array where the trial's column is below its index
+        s = hilbert.EnergySuperposition([0.0, 0.15, 5.0], np.sqrt([0.88, 0.119, 0.001]))
+        cfg = CollapseConfig(k_mode="dynamic", seed=2)
+        with mock.patch.object(collapse, "DRAW_BUDGET", 64), \
+                mock.patch.object(collapse, "COLLAPSE_EPSILON", 0.1):
+            refs = [reference_outcome(s, cfg, t, 60) for t in range(50)]
+            with mock.patch.object(collapse, "_strength", wraps=collapse._strength) as strength, \
+                    pytest.raises(SuperPlanckianError) as exc:
+                collapse.ensemble_outcomes(s, cfg, 50, 60)
+        first_bad = min((step, t) for t, (outcome, step) in enumerate(refs) if outcome is None)
+        assert first_bad == (16, 41)
+        assert sum(outcome is not None and step <= 8 for outcome, step in refs[:41]) >= 30
+        assert (exc.value.step, exc.value.trial) == first_bad
+        trials = strength.call_args.args[3]
+        assert trials.size < 50 and np.flatnonzero(trials == 41)[0] < 41
+
+    @pytest.mark.parametrize("case", [
+        # frozen k: every trial crosses well before the step cap
+        ([0.0, 1.0], [0.5, 0.5], 0.3, 200, 400),
+        # frozen k too weak for the cap: many trials end at max_steps
+        ([0.0, 0.5, 1.0], [0.2, 0.3, 0.5], 0.05, 50, 300),
+        # dynamic k
+        ([0.0, 0.8], [0.3, 0.7], None, 100, 20_000),
+        # p0 already past the threshold: no step runs
+        ([0.0, 1.0], [1.0, 1e-9], 0.3, 20, 50),
+    ])
+    def test_kernel_runs_once_per_step_of_the_slowest_trial(self, case):
+        energies, weights, k0, n_trials, max_steps = case
+        s = hilbert.EnergySuperposition(energies, np.sqrt(np.asarray(weights) / np.sum(weights)))
+        cfg = CollapseConfig(k_mode="dynamic" if k0 is None else "frozen", k0=k0, seed=17)
+        with mock.patch.object(collapse, "_collapse_kernel",
+                               wraps=collapse._collapse_kernel) as kernel:
+            res = collapse.ensemble_outcomes(s, cfg, n_trials, max_steps)
+        assert kernel.call_count == int(res["steps"].max())
+
     @pytest.mark.parametrize("run", STRENGTH_RUNNERS)
     def test_nan_strength_rejected(self, run):
         # every runner names trial 0, the single trajectory included
@@ -459,6 +501,42 @@ class TestEnsembleOutcomes:
     def test_rejects_empty_ensemble(self):
         with pytest.raises(ContractViolation):
             collapse.ensemble_outcomes(equal_two_level(), CollapseConfig(), 0, 10)
+
+
+class TestZeroColumn:
+    # zero columns (trials that left the walk) among live ones, stepped for
+    # 12 instants with the edge draws 0 and 1 - 2^-53 among theirs; up to
+    # 100 columns, so that the live columns alone may take _running_sum's
+    # accumulate while the whole array takes its row loop
+    @given(st.integers(2, 4), st.lists(st.booleans(), min_size=2, max_size=100),
+           st.one_of(st.none(), st.sampled_from([0.05, 0.3, 1.0])), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_zeroed_column_is_inert(self, m, zero, k0, seed):
+        zero = np.array(zero)
+        assume(zero.any() and not zero.all())
+        gen = np.random.Generator(np.random.PCG64(seed))
+        energies = gen.random(m)
+        e = (energies - energies[0])[:, None]
+        p = gen.random((m, zero.size)) + 1e-3
+        p /= p.sum(axis=0)
+        p[:, zero] = 0.0
+        live = p[:, ~zero]
+        for step in range(12):
+            u = gen.random(zero.size)
+            u[zero] = gen.choice([0.0, 0.5, 1.0 - 2.0**-53], int(zero.sum()))
+            if k0 is None:  # k in [0, 0.5] on live columns: energies in [0, 1)
+                k = collapse._strength(p, e, step, np.arange(zero.size))
+                k_live = collapse._strength(live, e, step, np.arange(live.shape[1]))
+                assert np.all(k[zero] == 0.0)
+                assert k[~zero].tobytes() == k_live.tobytes()
+            else:
+                k = k_live = k0
+            stay = collapse._collapse_kernel(p, u, k)
+            stay_live = collapse._collapse_kernel(live, u[~zero], k_live)
+            assert p[:, zero].tobytes() == bytes(8 * m * int(zero.sum()))
+            assert not stay[:, zero].any()
+            assert p[:, ~zero].tobytes() == live.tobytes()
+            assert np.array_equal(stay[:, ~zero], stay_live)
 
 
 class TestCollapseTime:
@@ -499,7 +577,7 @@ class TestScaleInvariance:
         s = hilbert.EnergySuperposition([0.0, 0.3, 0.6],
                                         np.sqrt([0.2, 0.5, 0.3]))
         p = s.probabilities
-        k = collapse._strength(p, s.energies, CollapseConfig())
+        k = collapse._strength(p, s.energies)
         p_new, mask = forced_step(p, 1, k)
         assert np.array_equal(mask, [False, True, False])
         assert np.allclose(p_new, p + k * (mask - p), atol=1e-15)
@@ -509,7 +587,7 @@ class TestScaleInvariance:
         s = hilbert.EnergySuperposition([0.0, 0.2, 0.4, 0.6],
                                         np.sqrt([0.25, 0.25, 0.25, 0.25]))
         p = s.probabilities
-        k = collapse._strength(p, s.energies, CollapseConfig())
+        k = collapse._strength(p, s.energies)
         p_new, mask = forced_step(p, 0, k)
         assert mask[0] and mask.sum() == 1
         for rows, held in (([0, 1], 1.0), ([2, 3], 0.0)):

@@ -193,7 +193,7 @@ class TestEventArrays:
     def test_superluminal_array_velocity_rejected(self):
         e = frames.Event(np.zeros(3), np.ones(3))
         for v in (np.array([0.1, -1.0, 0.5]), np.array([0.2, 0.3, 1.2])):
-            with pytest.raises(SuperluminalFrameError, match=f"= {np.max(np.abs(v)):g} >= c"):
+            with pytest.raises(SuperluminalFrameError, match=f"= {np.max(np.abs(v)):g} is not below c"):
                 frames.lorentz_transform(e, v)
             with pytest.raises(SuperluminalFrameError):
                 frames.SynchronyParams(v=v)

@@ -5,7 +5,8 @@ to its message (errors._Located); a count guard reads "<name> must be
 >= <least>, not <value>" (errors.require_at_least).  The table pins
 each count bound, the property checks the location of whatever guard a
 random run trips, and the AST check keeps every other module from
-spelling either by hand."""
+spelling either by hand, or any ">=" at all.  A shape guard names the
+shape it rejects."""
 
 import ast
 from pathlib import Path
@@ -18,8 +19,8 @@ from hypothesis import strategies as st
 
 from rdmsim import beable, collapse, hilbert, protective, rdm, schrodinger
 from rdmsim.collapse import CollapseConfig
-from rdmsim.errors import (ContractViolation, NumericFailure, StepSizeError,
-                           SuperPlanckianError, _Located)
+from rdmsim.errors import (ContractViolation, DimensionMismatchError, NumericFailure,
+                           StepSizeError, SuperPlanckianError, _Located)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -86,6 +87,27 @@ def test_count_guard_names_its_count(name):
     with pytest.raises(ContractViolation) as exc:
         run()
     assert type(exc.value) is ContractViolation
+    assert str(exc.value) == message
+
+
+SHAPE_GUARDS = [  # (amplitudes or samples, message)
+    (lambda: hilbert.ComplexVectorState([]),
+     "state needs a nonempty 1-d amplitude vector, not shape (0,)"),
+    (lambda: hilbert.ComplexVectorState([[0.6, 0.8]]),
+     "state needs a nonempty 1-d amplitude vector, not shape (1, 2)"),
+    (lambda: schrodinger.GridWavefunction(0.0, 0.5, np.full(6, 1 / np.sqrt(3.0))),
+     "grid needs an even count of at least 8 samples in 1-d, not shape (6,)"),
+    (lambda: schrodinger.GridWavefunction(0.0, 0.1, np.ones(9) / 3.0),
+     "grid needs an even count of at least 8 samples in 1-d, not shape (9,)"),
+    (lambda: schrodinger.GridWavefunction(0.0, 0.1, np.ones((2, 8)) / 4.0),
+     "grid needs an even count of at least 8 samples in 1-d, not shape (2, 8)"),
+]
+
+
+@pytest.mark.parametrize("build, message", SHAPE_GUARDS)
+def test_shape_guard_names_its_shape(build, message):
+    with pytest.raises(DimensionMismatchError) as exc:
+        build()
     assert str(exc.value) == message
 
 
@@ -200,12 +222,12 @@ def test_grid_nan_names_its_step():
     assert (exc.value.step, exc.value.trial) == (2, None)
 
 
-LOCATION_WORDS = ("at step", "of trial", "in trial", " must be >= ")
+LOCATION_WORDS = ("at step", "of trial", "in trial", ">=")
 
 
 def hand_spelled() -> list:
     """Every string of the library outside errors.py, docstrings aside,
-    that spells a location or a count bound itself."""
+    that spells a location or a ">=" bound itself."""
     found = []
     for path in sorted((ROOT / "src" / "rdmsim").glob("*.py")):
         if path.name == "errors.py":

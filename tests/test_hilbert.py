@@ -84,7 +84,7 @@ class TestExpectationValue:
 # first branch's, each sum a _running_sum
 
 def spread(s):
-    return collapse._strength(s.probabilities, s.energies - s.energies[0], CollapseConfig())
+    return collapse._strength(s.probabilities, s.energies - s.energies[0])
 
 
 class TestEnergyUncertainty:
