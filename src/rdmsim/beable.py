@@ -88,7 +88,7 @@ def _rate_path(h: HermitianOperator, psi0: ComplexVectorState, dt: float, steps:
     if not 0 < dt < np.inf:
         raise ContractViolation(f"dt must be positive and finite, not {dt}")
     if not noise_c >= 0:  # NaN fails too
-        raise NormalizationError("noise rate c must be non-negative")
+        raise NormalizationError(f"noise_c must be non-negative, not {noise_c}")
     u = unitary_step_matrix(h, dt)
     amps = psi0.amplitudes
     for start in range(0, steps, _RATE_BLOCK):

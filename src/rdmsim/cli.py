@@ -298,7 +298,7 @@ def cmd_collapse_run(p, out_dir):
     io.write_csv(path, columns, header_comments=[
         f"k_mode={cfg.k_mode} k0={cfg.k0} epsilon={collapse.COLLAPSE_EPSILON} seed={cfg.seed}"])
     summary = (f"collapsed to branch {out['outcome']} after {out['steps']} steps"
-               if out["collapsed"] else f"no collapse within {out['steps']} steps")
+               if out["outcome"] is not None else f"no collapse within {out['steps']} steps")
     return summary, [path]
 
 

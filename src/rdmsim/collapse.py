@@ -20,8 +20,9 @@ energy offset leaves it unchanged and a trial's k does not depend on
 the trials beside it.  Every runner observes one walk (_ensemble_walk)
 through one kernel (_collapse_kernel): a trajectory is trial 0 of it,
 and ensemble_statistics walks all its trials at once and sums them in
-fixed blocks, in block order.  A leaving trial's column is zeroed, which
-the kernel keeps at 0, and dropped when the walk next refills its draws.
+fixed blocks, in block order.  The walk alone tests the collapse
+threshold: a trial that crosses it leaves, its column zeroed, which the
+kernel keeps at 0, and dropped when the walk next refills its draws.
 
 Branches with exactly equal energies are indistinguishable to the
 update: the walk merges them once, up front, and steps the group
@@ -39,7 +40,7 @@ from .hilbert import EnergySuperposition
 from .seeding import check_seed, trial_rngs
 
 
-COLLAPSE_EPSILON = 1e-6  # collapse is declared at max P_i > 1 - COLLAPSE_EPSILON
+COLLAPSE_EPSILON = 1e-6  # the threshold: a trial collapses at max P_i > 1 - COLLAPSE_EPSILON
 NARROW_COLUMNS = 64  # widest array that _running_sum sums with one accumulate
 _IGNORE_OVERFLOW = np.errstate(over="ignore", invalid="ignore")  # inf/NaN k: for the guard
 
@@ -65,7 +66,7 @@ class CollapseConfig:
             raise ContractViolation(f"unknown k_mode {self.k_mode!r}")
         if self.k_mode == "frozen":
             if self.k0 is None or not 0.0 <= self.k0 <= 1.0:
-                raise ContractViolation("frozen mode needs 0 <= k0 <= 1")
+                raise ContractViolation(f"frozen mode needs 0 <= k0 <= 1, not {self.k0}")
         elif self.k0 is not None:
             raise ContractViolation("k0 is ignored with k_mode 'dynamic'; drop k0 or "
                                     "set k_mode to 'frozen'")
@@ -126,8 +127,7 @@ def _energy_groups(s: EnergySuperposition):
 
 @_IGNORE_OVERFLOW
 def run_trajectory(s0: EnergySuperposition, cfg: CollapseConfig, max_steps: int):
-    """Step trial 0 of the ensemble walk until max P_i > 1 - COLLAPSE_EPSILON
-    or max_steps.
+    """Step trial 0 of the ensemble walk until it collapses or max_steps.
 
     Returns a dict with the per-step probability history, the staying
     branch of each step, the outcome branch (None if the threshold was
@@ -138,18 +138,16 @@ def run_trajectory(s0: EnergySuperposition, cfg: CollapseConfig, max_steps: int)
     require_at_least(max_steps=(max_steps, 0))
     groups = label, first, share = _energy_groups(s0)
     history, stays, outcome = [], [], None
-    for step, p, _, stay in _ensemble_walk(s0, cfg, groups, 1, max_steps):
+    for step, p, _, stay, crossed in _ensemble_walk(s0, cfg, groups, 1, max_steps, leave=True):
         history.append(p.copy())
         stays.append(stay)
-        if p.max() > 1.0 - COLLAPSE_EPSILON:
+        if crossed is not None:
             outcome = int(first[p.argmax()])
-            break
     return {
         "probabilities": np.array(history)[:, label, 0] * share,
         "staying": first[np.reshape(stays[1:], (step, len(first))).argmax(axis=1)],
         "outcome": outcome,
         "steps": step,
-        "collapsed": outcome is not None,
     }
 
 
@@ -181,21 +179,23 @@ def _collapse_kernel(p: np.ndarray, u: np.ndarray, k) -> np.ndarray:
 
 
 def _ensemble_walk(s0: EnergySuperposition, cfg: CollapseConfig, groups, n_trials: int,
-                   n_steps: int):
+                   n_steps: int, leave: bool):
     """Trials 0..n_trials-1 of s0 stepped as one group-major array p
     (n_groups x n_columns); groups is _energy_groups(s0).
 
     Degenerate branches are merged once, up front: p holds the group weights
     G0 = bincount(label, p0), stepped against the group energies (shifted
     once, by the first group's), so for distinct energies p is p0 bit for
-    bit.  Yields (step, p, trials, stay) before each step and once more at
-    step n_steps; trials holds the absolute index of each column and stay
-    the kernel's stay mask of the previous step (None before the first),
-    and p is stepped in place once the walk resumes.  The value sent back
-    indexes the columns of the trials that leave, or is None.  A leaving
-    column is zeroed (it never stays or crosses, and gets k = 0) and
-    dropped at the next refill of the draws; the walk ends when no trial is
-    left.  Every trial draws one uniform per step from its own generator
+    bit.  Yields (step, p, trials, stay, crossed) before each step and once
+    more at step n_steps; trials holds the absolute index of each column,
+    stay the kernel's stay mask of the previous step (None before the
+    first), and p is stepped in place once the walk resumes.  With leave,
+    a trial collapses (leaves) at the step where some group weight passes
+    the threshold; crossed indexes the columns that collapse there, or is
+    None (always None without leave).  On resuming, the walk zeroes them
+    (a zero column never stays or crosses, and gets k = 0), drops them at
+    the next refill of the draws and ends when no trial is left.  Every
+    trial draws one uniform per step from its own generator
     (all built by one trial_rngs call), held until the walk ends (about
     0.7 KB per trial), into one float64 buffer per walk of at most
     DRAW_BUDGET entries (4 MiB), or 8 x n_trials where that is more.
@@ -207,12 +207,16 @@ def _ensemble_walk(s0: EnergySuperposition, cfg: CollapseConfig, groups, n_trial
     e = (s0.energies[first] - s0.energies[0])[:, None]
     dynamic, k = cfg.k_mode == "dynamic", cfg.k0
     buf = np.empty(max(min(DRAW_BUDGET, n_trials * min(512, n_steps)), 8 * n_trials))
-    stay, live, b, width = None, n_trials, 0, 0
+    threshold = 1.0 - COLLAPSE_EPSILON  # read per walk: one whole-array p.max() test per step
+    stay, crossed, live, b, width = None, None, n_trials, 0, 0
     for step in range(n_steps + 1):
-        left = yield step, p, trials, stay
-        if left is not None:
-            p[:, left] = 0.0
-            live -= len(left)
+        if leave and p.max() > threshold:
+            crossed = np.flatnonzero(p.max(axis=0) > threshold)
+        yield step, p, trials, stay, crossed
+        if crossed is not None:
+            p[:, crossed] = 0.0
+            live -= len(crossed)
+            crossed = None
         if step == n_steps or live == 0:
             return
         if b == width:
@@ -253,7 +257,7 @@ def ensemble_statistics(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: 
     s1, s2 = np.zeros((2, len(slice_steps), m))
     q1, q2 = np.zeros((2, len(slice_steps), len(pairs)))
     row = 0
-    for step, p, _, _ in _ensemble_walk(s0, cfg, groups, n_trials, n_steps):
+    for step, p, *_ in _ensemble_walk(s0, cfg, groups, n_trials, n_steps, leave=False):
         if step == slice_steps[row]:
             # C order, so a block's rows sum as a standalone block's would
             pt = np.ascontiguousarray((p[label] * share[:, None]).T)
@@ -284,31 +288,23 @@ def ensemble_statistics(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: 
 @_IGNORE_OVERFLOW
 def ensemble_outcomes(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: int,
                       max_steps: int) -> dict:
-    """Outcome branch and steps-to-collapse for each trial.  A trial
-    collapses when its largest group weight exceeds 1 - COLLAPSE_EPSILON,
-    and its outcome is that group's first branch; trials that never cross
-    the threshold report steps = max_steps and outcome -1.
+    """Outcome branch and steps-to-collapse for each trial.  A trial's
+    outcome is the first branch of the group whose weight passes the
+    threshold; trials that never collapse report steps = max_steps and
+    outcome -1.
 
-    All trials step as one array and each leaves it at the step where it
-    crosses, so the work follows the live trials, not the slowest one.
-    A step pays for one whole-array crossing test.  A trial's result
-    depends only on its own seeded stream, with frozen and dynamic k alike.
+    Each trial leaves the walk at the step where it collapses, so the work
+    follows the live trials, not the slowest one.  A trial's result
+    depends only on its own seeded stream, with frozen and dynamic k
+    alike; trial 0 is run_trajectory's.
     """
     require_at_least(n_trials=(n_trials, 1), max_steps=(max_steps, 0))
     groups = _, first, _ = _energy_groups(s0)
-    threshold = 1.0 - COLLAPSE_EPSILON
     outcomes = np.full(n_trials, -1, dtype=np.int64)
     steps_to = np.full(n_trials, max_steps, dtype=np.int64)
-    walk = _ensemble_walk(s0, cfg, groups, n_trials, max_steps)
-    crossed = None
-    while True:
-        try:
-            step, p, trials, _ = walk.send(crossed)
-        except StopIteration:
-            break
-        crossed = None
-        if p.max() > threshold:
-            crossed = np.flatnonzero(p.max(axis=0) > threshold)
+    for step, p, trials, _, crossed in _ensemble_walk(s0, cfg, groups, n_trials, max_steps,
+                                                      leave=True):
+        if crossed is not None:
             outcomes[trials[crossed]] = first[p[:, crossed].argmax(axis=0)]
             steps_to[trials[crossed]] = step
     return {"outcomes": outcomes, "steps": steps_to}
@@ -322,7 +318,7 @@ def collapse_time(delta_e: float) -> float:
     unity); all quoted targets are order-of-magnitude.
     """
     if not delta_e > 0:  # NaN fails too
-        raise ContractViolation("delta_e must be positive")
+        raise ContractViolation(f"delta_e must be positive, not {delta_e}")
     try:
         tau = (constants.HBAR_EVS / delta_e) ** 2 / constants.PLANCK_TIME_S
     except OverflowError:
@@ -337,5 +333,5 @@ def relativistic_collapse_time(delta_e: float, v: float) -> float:
     experimental frame's velocity relative to the frame where the base
     formula holds.  Valid in the high-energy regime E ~ pc."""
     if not abs(v) < constants.C_M_S:  # NaN fails too
-        raise ContractViolation("|v| must be below c")
+        raise ContractViolation(f"|v| must be below c = {constants.C_M_S:.0f} m/s, not {v}")
     return (1.0 + v / constants.C_M_S) ** -2 * collapse_time(delta_e)

@@ -52,11 +52,12 @@ class SynchronyParams:
     k_prime: float = 0.0
 
     def __post_init__(self):
-        if not np.all(np.abs(self.v) < 1.0):  # NaN fails too
-            raise SuperluminalFrameError("|v| must be below c")
-        if not (np.all(np.abs(self.k) <= 1.0)  # NaN fails too
-                and np.all(np.abs(self.k_prime) <= 1.0)):
-            raise ContractViolation("|k| and |k'| must not exceed 1")
+        _gamma(self.v)  # frames' one superluminal guard
+        for name, k in (("k", self.k), ("k_prime", self.k_prime)):
+            flat = np.ravel(k)
+            bad = flat[~(np.abs(flat) <= 1.0)]  # NaN fails too
+            if bad.size:
+                raise ContractViolation(f"{name} must lie in [-1, 1], not {bad[0]:g}")
 
 
 def _gamma(v: float) -> float:

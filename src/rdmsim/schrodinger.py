@@ -72,7 +72,7 @@ class GridWavefunction:
     @staticmethod
     def _check_dx(dx):
         if not dx > 0:  # NaN fails too
-            raise DimensionMismatchError("dx must be positive")
+            raise DimensionMismatchError(f"dx must be positive, not {dx}")
 
     @staticmethod
     def gaussian(x0, dx, n, center, sigma, momentum=0.0):

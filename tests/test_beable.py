@@ -287,7 +287,8 @@ class TestJumpTrajectory:
         with pytest.raises(ContractViolation, match="seed"):
             beable.jump_trajectory(TWO_SITE_H, TWO_SITE_PSI, 0, 0.01, 5, seed=2**64)
         for steps in (5, 0):  # a negative noise rate is not ignored
-            with pytest.raises(NormalizationError, match="noise"):
+            with pytest.raises(NormalizationError,
+                               match=r"^noise_c must be non-negative, not -1\.0$"):
                 beable.jump_trajectory(TWO_SITE_H, TWO_SITE_PSI, 0, 0.01, steps, seed=1,
                                        noise_c=-1.0)
         with pytest.raises(DimensionMismatchError, match="operator dim 3"):

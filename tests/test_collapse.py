@@ -213,7 +213,7 @@ class TestRunTrajectory:
     def test_eigenstate_immediate(self):
         s = hilbert.EnergySuperposition([5.0], [1.0])
         out = collapse.run_trajectory(s, CollapseConfig(), 100)
-        assert out["collapsed"] and out["steps"] == 0 and out["outcome"] == 0
+        assert (out["outcome"], out["steps"]) == (0, 0)
 
     def test_rejects_negative_max_steps(self):
         with pytest.raises(ContractViolation, match="max_steps"):
@@ -412,6 +412,25 @@ class TestEnsembleOutcomes:
                             for t in range(n_trials)])
         assert np.array_equal(res["outcomes"], ref[:, 0])
         assert np.array_equal(res["steps"], ref[:, 1])
+
+    @given(trajectory_cases(), st.integers(1, 40))
+    @settings(max_examples=20, deadline=None)
+    # frozen k too weak for the cap: trial 0 never collapses
+    @example(([0.0, 1.0], [0.5, 0.5], 0.05, 1e-6, 30, 3), 5)
+    # a degenerate pair, dynamic k and a wide epsilon
+    @example(([0.2, 0.2, 0.7], [0.3, 0.2, 0.5], None, 1e-2, 3000, 15), 12)
+    def test_trajectory_is_trial_0(self, case, n_trials):
+        # both runners read their outcome off the one collapse test of the
+        # walk; a trajectory that never collapses is trial 0's -1
+        energies, weights, k0, eps, max_steps, seed = case
+        w = np.asarray(weights) / np.sum(weights)
+        s0 = hilbert.EnergySuperposition(energies, np.sqrt(w))
+        cfg = CollapseConfig(k_mode="dynamic" if k0 is None else "frozen", k0=k0, seed=seed)
+        with mock.patch.object(collapse, "COLLAPSE_EPSILON", eps):
+            out = collapse.run_trajectory(s0, cfg, max_steps)
+            res = collapse.ensemble_outcomes(s0, cfg, n_trials, max_steps)
+        outcome = -1 if out["outcome"] is None else out["outcome"]
+        assert (outcome, out["steps"]) == (res["outcomes"][0], res["steps"][0])
 
     def test_super_planckian_names_step_and_trial(self):
         # k = 0.36 at step 0; a trial that stays in branch 1 reaches k > 1

@@ -6,7 +6,7 @@ to its message (errors._Located); a count guard reads "<name> must be
 each count bound, the property checks the location of whatever guard a
 random run trips, and the AST check keeps every other module from
 spelling either by hand, or any ">=" at all.  A shape guard names the
-shape it rejects."""
+shape it rejects, and a scalar guard the value, each pinned in full."""
 
 import ast
 from pathlib import Path
@@ -17,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdmsim import beable, collapse, hilbert, protective, rdm, schrodinger
+from rdmsim import beable, collapse, constants, frames, hilbert, protective, rdm, schrodinger
 from rdmsim.collapse import CollapseConfig
-from rdmsim.errors import (ContractViolation, DimensionMismatchError, NumericFailure,
-                           StepSizeError, SuperPlanckianError, _Located)
+from rdmsim.errors import (ContractViolation, DimensionMismatchError, NormalizationError,
+                           NumericFailure, StepSizeError, SuperluminalFrameError,
+                           SuperPlanckianError, _Located)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -108,6 +109,65 @@ SHAPE_GUARDS = [  # (amplitudes or samples, message)
 def test_shape_guard_names_its_shape(build, message):
     with pytest.raises(DimensionMismatchError) as exc:
         build()
+    assert str(exc.value) == message
+
+
+SCALAR_GUARDS = {  # one row per guard and input kind: (the call, its class, message)
+    "SynchronyParams-v": (lambda: frames.SynchronyParams(v=1.5), SuperluminalFrameError,
+                          "|v| = 1.5 is not below c = 1"),
+    "SynchronyParams-v-nan": (lambda: frames.SynchronyParams(v=np.nan), SuperluminalFrameError,
+                              "|v| = nan is not below c = 1"),
+    "SynchronyParams-v-array": (lambda: frames.SynchronyParams(v=np.array([0.2, -1.0, 0.5])),
+                                SuperluminalFrameError, "|v| = 1 is not below c = 1"),
+    "SynchronyParams-k": (lambda: frames.SynchronyParams(v=0.1, k=2.0), ContractViolation,
+                          "k must lie in [-1, 1], not 2"),
+    "SynchronyParams-k-nan": (lambda: frames.SynchronyParams(v=0.1, k=np.nan),
+                              ContractViolation, "k must lie in [-1, 1], not nan"),
+    "SynchronyParams-k_prime-array": (
+        lambda: frames.SynchronyParams(v=np.array([0.1, 0.2, 0.3]),
+                                       k_prime=np.array([0.5, -1.5, 3.0])),
+        ContractViolation, "k_prime must lie in [-1, 1], not -1.5"),
+    "SynchronyParams-k_prime-nan-array": (
+        lambda: frames.SynchronyParams(v=0.1, k_prime=np.array([0.0, np.nan])),
+        ContractViolation, "k_prime must lie in [-1, 1], not nan"),
+    "relativistic_collapse_time-v": (
+        lambda: collapse.relativistic_collapse_time(1.0, -constants.C_M_S), ContractViolation,
+        "|v| must be below c = 299792458 m/s, not -299792458.0"),
+    "relativistic_collapse_time-v-nan": (
+        lambda: collapse.relativistic_collapse_time(1.0, np.nan), ContractViolation,
+        "|v| must be below c = 299792458 m/s, not nan"),
+    "collapse_time-delta_e": (lambda: collapse.collapse_time(-0.5), ContractViolation,
+                              "delta_e must be positive, not -0.5"),
+    "collapse_time-delta_e-nan": (lambda: collapse.collapse_time(np.nan), ContractViolation,
+                                  "delta_e must be positive, not nan"),
+    "CollapseConfig-k0": (lambda: CollapseConfig(k_mode="frozen", k0=1.5), ContractViolation,
+                          "frozen mode needs 0 <= k0 <= 1, not 1.5"),
+    "CollapseConfig-k0-none": (lambda: CollapseConfig(k_mode="frozen"), ContractViolation,
+                               "frozen mode needs 0 <= k0 <= 1, not None"),
+    "CollapseConfig-k0-nan": (lambda: CollapseConfig(k_mode="frozen", k0=np.nan),
+                              ContractViolation, "frozen mode needs 0 <= k0 <= 1, not nan"),
+    "rate_path-noise_c": (
+        lambda: beable.jump_trajectory(TWO_SITE_H, TWO_SITE_PSI, 0, 0.01, 5, seed=1,
+                                       noise_c=-0.5),
+        NormalizationError, "noise_c must be non-negative, not -0.5"),
+    "rate_path-noise_c-nan": (
+        lambda: beable.ensemble_jump_run(TWO_SITE_H, TWO_SITE_PSI, 10, 0.01, 5, seed=1,
+                                         noise_c=np.nan),
+        NormalizationError, "noise_c must be non-negative, not nan"),
+    "GridWavefunction-dx": (lambda: schrodinger.GridWavefunction(0.0, -0.1, np.ones(16)),
+                            DimensionMismatchError, "dx must be positive, not -0.1"),
+    "GridWavefunction-dx-nan": (
+        lambda: schrodinger.GridWavefunction.gaussian(0.0, np.nan, 64, 0.0, 1.0),
+        DimensionMismatchError, "dx must be positive, not nan"),
+}
+
+
+@pytest.mark.parametrize("name", SCALAR_GUARDS)
+def test_scalar_guard_names_its_value(name):
+    run, cls, message = SCALAR_GUARDS[name]
+    with pytest.raises(cls) as exc:
+        run()
+    assert type(exc.value) is cls
     assert str(exc.value) == message
 
 

@@ -414,7 +414,8 @@ class TestCliRuns:
                         "psi0: [0.6, 0.8]\ndt: 0.01\nsteps: 0\nseed: 0\nnoise_c: -1.0\n")
         assert run_cli("beable-run", "--scenario", str(path),
                        "--out-dir", str(tmp_path / "out")) == 1
-        assert "noise rate c must be non-negative" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error (NormalizationError): noise_c must be "
+                                           "non-negative, not -1.0\n")
         assert not (tmp_path / "out" / "beable_trajectory.csv").exists()
 
     def test_nan_strength_exits_2(self, tmp_path, capsys):

@@ -4,7 +4,8 @@ it, as a bare name, an attribute or a string that getattr resolves.  A
 name that only tests call is dead weight, unless it is one of the
 references that tests compare the runners against; such a reference
 calls no private function of the library, so it does not share the
-runners' formulas."""
+runners' formulas.  A private top-level def or class must be named by
+another top-level statement of the library itself."""
 
 import ast
 from pathlib import Path
@@ -36,23 +37,29 @@ def _library_trees() -> dict:
             for path in sorted((ROOT / "src" / "rdmsim").glob("*.py"))}
 
 
-def unreached() -> set:
-    """Public top-level defs and classes of the library that no other
-    top-level statement of the library or the bench names."""
+def unreached(private: bool) -> set:
+    """Public (or private) top-level defs and classes of the library that no
+    other top-level statement of the library, or for a public one of the
+    bench, names."""
     trees = _library_trees()
     library = list(trees)
-    trees.update((path, ast.parse(path.read_text()))
-                 for path in sorted((ROOT / "bench").glob("*.py")))
+    if not private:
+        trees.update((path, ast.parse(path.read_text()))
+                     for path in sorted((ROOT / "bench").glob("*.py")))
     named = [(stmt, _names(stmt)) for tree in trees.values() for stmt in tree.body
              if not isinstance(stmt, (ast.Import, ast.ImportFrom))]
     return {stmt.name for path in library for stmt in trees[path].body
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-            and not stmt.name.startswith("_")
+            and stmt.name.startswith("_") == private
             and not any(stmt.name in names for other, names in named if other is not stmt)}
 
 
 def test_every_public_name_is_reached():
-    assert unreached() == set(TEST_ORACLES)
+    assert unreached(private=False) == set(TEST_ORACLES)
+
+
+def test_every_private_name_is_reached_by_the_library():
+    assert unreached(private=True) == set()
 
 
 def private_calls() -> dict:

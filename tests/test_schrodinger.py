@@ -38,8 +38,9 @@ class TestGridInvariants:
     def test_gaussian_rejects_scales_before_sampling(self, kw):
         args = {"x0": -5.0, "dx": 0.1, "n": 64, "center": 0.0, "sigma": 1.0,
                 "momentum": 1.0, **kw}
-        with pytest.raises(DimensionMismatchError, match="must be positive"):
+        with pytest.raises(DimensionMismatchError) as exc:
             sch.GridWavefunction.gaussian(**args)
+        assert str(exc.value) == f"dx must be positive, not {kw['dx']}"
 
     def test_gaussian_normalized(self):
         g = gaussian()
