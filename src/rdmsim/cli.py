@@ -59,11 +59,11 @@ REQUIRED = object()
 
 
 def _int(value, lo=-2**60, hi=2**60) -> int:  # by default the most float64s numpy can index
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
+    if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, not {value!r}")
-    if not lo <= int(value) < hi:
+    if not lo <= value < hi:
         raise ValueError(f"expected an integer in [{lo}, {hi}), not {value!r}")
-    return int(value)
+    return value
 
 
 def _float(value) -> float:

@@ -317,6 +317,8 @@ def collapse_time(delta_e: float) -> float:
     The prefactor is fixed at 1 (the model determines it only to order
     unity); all quoted targets are order-of-magnitude.
     """
+    if np.ndim(delta_e):
+        raise ContractViolation(f"delta_e must be a scalar, not shape {np.shape(delta_e)}")
     if not delta_e > 0:  # NaN fails too
         raise ContractViolation(f"delta_e must be positive, not {delta_e}")
     try:
@@ -332,6 +334,8 @@ def relativistic_collapse_time(delta_e: float, v: float) -> float:
     """(1 + v/c)^-2 times the rest-frame value; v [m/s] is the
     experimental frame's velocity relative to the frame where the base
     formula holds.  Valid in the high-energy regime E ~ pc."""
+    if np.ndim(v):
+        raise ContractViolation(f"v must be a scalar, not shape {np.shape(v)}")
     if not abs(v) < constants.C_M_S:  # NaN fails too
         raise ContractViolation(f"|v| must be below c = {constants.C_M_S:.0f} m/s, not {v}")
     return (1.0 + v / constants.C_M_S) ** -2 * collapse_time(delta_e)

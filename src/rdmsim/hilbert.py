@@ -1,6 +1,4 @@
-"""Finite-dimensional quantum states, expectation values, and two small
-verification constructions (a four-state product/measurement table and
-a two-state unitary check) used by the test suites.
+"""Finite-dimensional quantum states, observables and expectation values.
 
 All types are immutable after construction; every operation is a pure
 function, so values can be shared freely across threads.
@@ -113,73 +111,3 @@ def expectation_value(state: ComplexVectorState, a: HermitianOperator) -> float:
         raise NumericFailure(f"expectation value has imaginary residue {val.imag:g}")
     return val.real
 
-
-# --- small no-go constructions used as verification fixtures ------------
-
-_KET0 = np.array([1.0, 0.0], dtype=np.complex128)
-_KET1 = np.array([0.0, 1.0], dtype=np.complex128)
-_KETP = (_KET0 + _KET1) / np.sqrt(2.0)
-_KETM = (_KET0 - _KET1) / np.sqrt(2.0)
-
-
-def pbr_product_states() -> list:
-    """The four two-qubit product states {|0>,|+>} x {|0>,|+>},
-    ordered 00, 0+, +0, ++."""
-    return [
-        np.kron(_KET0, _KET0),
-        np.kron(_KET0, _KETP),
-        np.kron(_KETP, _KET0),
-        np.kron(_KETP, _KETP),
-    ]
-
-
-def pbr_measurement_states() -> list:
-    """Four orthonormal entangled states; state k is orthogonal to the
-    k-th product state, giving it zero Born probability."""
-    s2 = np.sqrt(2.0)
-    return [
-        (np.kron(_KET0, _KET1) + np.kron(_KET1, _KET0)) / s2,
-        (np.kron(_KET0, _KETM) + np.kron(_KET1, _KETP)) / s2,
-        (np.kron(_KETP, _KET1) + np.kron(_KETM, _KET0)) / s2,
-        (np.kron(_KETP, _KETM) + np.kron(_KETM, _KETP)) / s2,
-    ]
-
-
-def pbr_orthogonality_table() -> np.ndarray:
-    """4x4 matrix of Born probabilities |<phi_k|product_j>|^2.
-
-    Row k / column j ordering follows pbr_measurement_states and
-    pbr_product_states; the k = j entries vanish (each measurement
-    outcome excludes exactly one preparation), every other entry is
-    strictly positive, and the measurement states are verified
-    orthonormal to 1e-12.
-    """
-    phis = pbr_measurement_states()
-    prods = pbr_product_states()
-    gram = np.array([[np.vdot(a, b) for b in phis] for a in phis])
-    if np.max(np.abs(gram - np.eye(4))) > 1e-12:
-        raise NormalizationError("measurement states failed the orthonormality check")
-    table = np.array(
-        [[abs(np.vdot(phi, prod)) ** 2 for prod in prods] for phi in phis]
-    )
-    return table
-
-
-def hardy_unitary_check() -> dict:
-    """Verify the two-state construction: U = diag(1, -1) in the
-    {psi1, psi2} basis leaves psi1 invariant and maps (psi1+psi2)/sqrt(2)
-    to the orthogonal (psi1-psi2)/sqrt(2)."""
-    psi1 = np.array([1.0, 0.0], dtype=np.complex128)
-    psi2 = np.array([0.0, 1.0], dtype=np.complex128)
-    u = np.diag([1.0, -1.0]).astype(np.complex128)
-    plus = (psi1 + psi2) / np.sqrt(2.0)
-    minus = (psi1 - psi2) / np.sqrt(2.0)
-    r_invariant = float(np.max(np.abs(u @ psi1 - psi1)))
-    r_flip = float(np.max(np.abs(u @ plus - minus)))
-    r_orth = float(abs(np.vdot(plus, minus)))
-    return {
-        "invariant_residual": r_invariant,
-        "flip_residual": r_flip,
-        "orthogonality_residual": r_orth,
-        "passed": r_invariant < 1e-12 and r_flip < 1e-12 and r_orth < 1e-12,
-    }

@@ -7,7 +7,10 @@ records a PASS/FAIL line that conftest prints in the terminal summary
 rdmsim.acceptance.
 """
 
-from rdmsim import cli
+import ast
+import inspect
+
+from rdmsim import acceptance, cli
 
 from conftest import record_criterion
 
@@ -16,6 +19,19 @@ def _run(cid):
     result = cli.run_criterion(cid)
     record_criterion(result)
     assert result["passed"], f"criterion {result['id']}: {result['detail']}"
+
+
+def test_each_criterion_sits_at_its_id():
+    # verify and run_criterion find criterion N at ALL_CRITERIA[N - 1], and each
+    # _report call spells its id; read from the source, so no criterion runs
+    defs = {node.name: node for node in ast.parse(inspect.getsource(acceptance)).body
+            if isinstance(node, ast.FunctionDef)}
+    for cid, fn in enumerate(acceptance.ALL_CRITERIA, start=1):
+        assert fn.__name__.startswith(f"criterion_{cid}_")
+        assert getattr(acceptance, fn.__name__) is fn
+        ids = [call.args[0] for call in ast.walk(defs[fn.__name__])
+               if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_report"]
+        assert {ast.dump(arg) for arg in ids} == {ast.dump(ast.Constant(cid))}, fn.__name__
 
 
 def test_criterion_01_collapse_time_table():

@@ -136,6 +136,11 @@ SCALAR_GUARDS = {  # one row per guard and input kind: (the call, its class, mes
     "relativistic_collapse_time-v-nan": (
         lambda: collapse.relativistic_collapse_time(1.0, np.nan), ContractViolation,
         "|v| must be below c = 299792458 m/s, not nan"),
+    "relativistic_collapse_time-v-array": (
+        lambda: collapse.relativistic_collapse_time(1.0, np.array([0.0, 1e3])), ContractViolation,
+        "v must be a scalar, not shape (2,)"),
+    "collapse_time-delta_e-array": (lambda: collapse.collapse_time(np.array([1.0, 2.0])),
+                                    ContractViolation, "delta_e must be a scalar, not shape (2,)"),
     "collapse_time-delta_e": (lambda: collapse.collapse_time(-0.5), ContractViolation,
                               "delta_e must be positive, not -0.5"),
     "collapse_time-delta_e-nan": (lambda: collapse.collapse_time(np.nan), ContractViolation,

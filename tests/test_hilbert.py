@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rdmsim import collapse, frames, hilbert, protective, rdm
+from rdmsim import acceptance, collapse, frames, hilbert, protective, rdm
 from rdmsim.collapse import CollapseConfig
 from rdmsim.errors import (
     ContractViolation,
@@ -185,17 +185,16 @@ class TestTypeInvariants:
 
 
 class TestExclusionTable:
-    """Four product states vs the four entangled measurement states."""
+    """Criterion 12's four product states vs its four entangled measurement states."""
 
     def test_first_entry_zero(self):
         # (<01| + <10|) |00> = 0
-        table = hilbert.pbr_orthogonality_table()
+        table, _ = acceptance._exclusion_table()
         assert table[0, 0] < 1e-12
 
     def test_measurement_states_orthonormal(self):
-        phis = hilbert.pbr_measurement_states()
-        gram = np.array([[np.vdot(a, b) for b in phis] for a in phis])
-        assert np.max(np.abs(gram - np.eye(4))) < 1e-12
+        _, gram_deviation = acceptance._exclusion_table()
+        assert gram_deviation < 1e-12
 
     def test_table_against_brute_force(self):
         # independent oracle: rebuild every vector from explicit kets
@@ -212,23 +211,24 @@ class TestExclusionTable:
         ]
         oracle = np.array([[abs(np.dot(phi, prod)) ** 2 for prod in prods]
                            for phi in phis])
-        assert np.allclose(hilbert.pbr_orthogonality_table(), oracle, atol=1e-14)
+        assert np.allclose(acceptance._exclusion_table()[0], oracle, atol=1e-14)
 
     def test_zero_pattern(self):
-        table = hilbert.pbr_orthogonality_table()
+        table, _ = acceptance._exclusion_table()
         zeros = table < 1e-12
         assert np.array_equal(zeros, np.eye(4, dtype=bool))
         assert np.all(table[~zeros] > 1e-12)
 
     def test_rows_sum_to_one(self):
-        table = hilbert.pbr_orthogonality_table()
+        table, _ = acceptance._exclusion_table()
         assert np.allclose(table.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestInvariantUnitary:
     def test_report(self):
-        out = hilbert.hardy_unitary_check()
+        out = acceptance.criterion_12_nogo_constructions()
         assert out["passed"]
-        assert out["invariant_residual"] < 1e-12
-        assert out["flip_residual"] < 1e-12
-        assert out["orthogonality_residual"] < 1e-12
+        # invariant, flip and orthogonality residuals, as the detail prints them
+        residuals = out["detail"].rsplit("residuals: ", 1)[1].split("/")
+        assert len(residuals) == 3
+        assert all(float(r) < 1e-12 for r in residuals)

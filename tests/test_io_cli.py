@@ -346,6 +346,11 @@ class TestCliRuns:
                        "dt: 0.01\nsteps: 10\nseed: 0\n"
                        "ensemble: {n_traj: 10, record_every: 1}\n", (),
          "error (ScenarioError): unknown scenario keys: ['ensemble.record_every']"),
+        # integers have one spelling; only floats keep a string path, for YAML 1.1's 1e-6
+        ("rdm-sample", "weights: [0.5, 0.5]\nn: \"100\"\nseed: 0\n", (),
+         "error (ScenarioError): bad value for 'n': expected an integer, not '100'\n"),
+        ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: \"5\"\n", (),
+         "error (ScenarioError): bad value for 'seed': expected an integer, not '5'\n"),
     ], ids=["n-trials-abc", "max-steps-list", "two-box-empty", "two-box-number",
             "n-abc", "a-sq-abc", "entries-number", "state-number", "criteria-number",
             "binary-string", "units-bogus", "delta-e-reducer", "ensemble-unknown-key",
@@ -359,7 +364,7 @@ class TestCliRuns:
             "hbar-in-tomography", "amplitudes-in-run", "amplitudes-in-ensemble",
             "type-in-tomography", "protect-run", "dt-instant-in-rdm-sample",
             "dt-instant-in-frames", "coincidence-tol-in-frames", "collapse-epsilon-in-run",
-            "record-every-in-ensemble"])
+            "record-every-in-ensemble", "n-quoted", "seed-quoted"])
     def test_malformed_value_exits_1(self, tmp_path, capsys, subcommand, body, extra,
                                      expect):
         path = tmp_path / "s.yaml"
