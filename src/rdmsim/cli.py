@@ -16,6 +16,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 from importlib import resources
@@ -30,13 +31,38 @@ from .collapse import CollapseConfig
 from .errors import ContractViolation, NumericFailure, ScenarioError
 
 
+class _CoreLoader(yaml.SafeLoader):
+    """YAML 1.2's core schema with one spelling per value: null is ~, null
+    or empty; a bool is true or false; ints and floats are decimal with no
+    leading zero, and a float may also be .inf, -.inf or .nan.  Every other
+    plain scalar (yes, 0x10, 1_000, 1:30, a date) is a string, and an
+    explicit tag is an error."""
+    yaml_implicit_resolvers = {}
+
+    def compose_node(self, parent, index):
+        event = self.peek_event()
+        if getattr(event, "tag", None) is not None:  # an alias has no tag
+            raise yaml.composer.ComposerError(
+                None, None, f"explicit tag {event.tag!r} is not allowed", event.start_mark)
+        return super().compose_node(parent, index)
+
+
+for _tag, _pattern, _first in [  # int before float, so that 10 is an int
+        ("null", r"(~|null|)$", ["~", "n", ""]),
+        ("bool", r"(true|false)$", ["t", "f"]),
+        ("int", r"[-+]?(0|[1-9][0-9]*)$", list("-+0123456789")),
+        ("float", r"([-+]?(0|[1-9][0-9]*)(\.[0-9]*)?|[-+]?\.[0-9]+)([eE][-+]?[0-9]+)?$"
+                  r"|-?\.inf$|\.nan$", list("-+.0123456789"))]:
+    _CoreLoader.add_implicit_resolver(f"tag:yaml.org,2002:{_tag}", re.compile(_pattern), _first)
+
+
 def load_scenario(path) -> dict:
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, _CoreLoader)
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario: {exc}")
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:  # too many digits or brackets
         raise ScenarioError(f"malformed scenario file: {exc}")
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a key-value mapping")
@@ -67,10 +93,9 @@ def _int(value, lo=-2**60, hi=2**60) -> int:  # by default the most float64s num
 
 
 def _float(value) -> float:
-    # strings are accepted because YAML 1.1 reads 1e-6 as one
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, not {value!r}")
-    if not math.isfinite(float(value)):
+    if not math.isfinite(value):
         raise ValueError(f"expected a finite number, not {value!r}")
     return float(value)
 
@@ -88,15 +113,14 @@ def _seed(value) -> int:
 
 
 def _reals(*ndims):
+    def leaves(value, depth):  # np.asarray would read a bool or a numeric string as a number
+        return [leaves(v, depth - 1) for v in value] if depth and isinstance(value, list) \
+            else _float(value)
+
     def convert(value) -> np.ndarray:
-        level = [value]  # np.asarray reads a bool as 1.0 or 0.0, so look for one first
-        for _ in range(max(ndims) + 1):
-            if any(isinstance(v, bool) for v in level):
-                raise TypeError(f"expected numbers, not a bool in {value!r}")
-            level = [x for v in level if isinstance(v, list) for x in v]
-        arr = np.asarray(value, dtype=np.float64)
-        if arr.ndim not in ndims or not np.all(np.isfinite(arr)):
-            raise ValueError(f"expected a {' or '.join(map(str, ndims))}-d array of finite numbers")
+        arr = np.asarray(leaves(value, max(ndims)), dtype=np.float64)
+        if arr.ndim not in ndims:
+            raise ValueError(f"expected a {' or '.join(map(str, ndims))}-d array of numbers")
         return arr
     return convert
 

@@ -253,7 +253,7 @@ def ensemble_statistics(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: 
     groups = label, _, share = _energy_groups(s0)
     ii, jj = np.triu_indices(m, 1)
     pairs = list(zip(ii.tolist(), jj.tolist()))
-    slice_steps = sorted(set(range(0, n_steps + 1, slice_stride)) | {n_steps})
+    slice_steps = np.append(np.arange(0, n_steps, slice_stride), n_steps)
     s1, s2 = np.zeros((2, len(slice_steps), m))
     q1, q2 = np.zeros((2, len(slice_steps), len(pairs)))
     row = 0
@@ -275,7 +275,7 @@ def ensemble_statistics(s0: EnergySuperposition, cfg: CollapseConfig, n_trials: 
     mean_pp = q1 / n
     var_pp = np.maximum(q2 / n - mean_pp**2, 0.0) * n / (n - 1.0)
     return {
-        "steps": np.array(slice_steps),
+        "steps": slice_steps,
         "pairs": pairs,
         "mean_p": mean_p,
         "se_p": np.sqrt(var_p / n),

@@ -157,22 +157,6 @@ def flux_density(psi: GridWavefunction) -> np.ndarray:
     return np.imag(np.conj(s) * dpsi)
 
 
-def continuity_residual(psi_series, dt: float) -> float:
-    """max |d_t rho + d_x j| over interior time points, all grid points.
-
-    Both derivatives are centered differences; for a valid unitary
-    evolution the residual vanishes at second order in (dx, dt).
-    """
-    if len(psi_series) < 3:
-        raise DimensionMismatchError("need at least 3 snapshots")
-    dx = psi_series[0].dx
-    rho = np.array([position_density(p) for p in psi_series])
-    j = np.array([flux_density(p) for p in psi_series])
-    drho_dt = (rho[2:] - rho[:-2]) / (2.0 * dt)
-    dj_dx = (np.roll(j[1:-1], -1, axis=1) - np.roll(j[1:-1], 1, axis=1)) / (2.0 * dx)
-    return float(np.max(np.abs(drho_dt + dj_dx)))
-
-
 def _support_runs(mask: np.ndarray):
     """Contiguous True runs of `mask` as (start, stop) index pairs."""
     edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
@@ -229,13 +213,6 @@ def dispersion_check(p: float, n_samples: int = 256) -> float:
     d2 = (np.roll(psi, -1) - 2.0 * psi + np.roll(psi, 1)) / dx**2
     residual = energy * psi + 0.5 * d2
     return float(np.max(np.abs(residual)))
-
-
-def mean_momentum(psi: GridWavefunction) -> float:
-    """<p> via the spectral representation."""
-    ft = np.fft.fft(psi.samples)
-    w = np.abs(ft) ** 2
-    return float(np.sum(psi.momentum_grid() * w) / np.sum(w))
 
 
 def rms_width(psi: GridWavefunction) -> float:

@@ -332,6 +332,14 @@ class TestEnsembleStatistics:
         ratio = res["mean_p"][:, 0] / res["mean_p"][:, 1]
         assert np.allclose(ratio, 1.0 / 3.0, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("n_steps", [0, 30, 37], ids=["zero", "multiple", "non-multiple"])
+    def test_slices_at_every_stride_and_the_last_step(self, n_steps):
+        cfg = CollapseConfig(k_mode="frozen", k0=0.1, seed=3)
+        res = collapse.ensemble_statistics(equal_two_level(), cfg, 8, n_steps, 10)
+        expect = sorted(set(range(0, n_steps + 1, 10)) | {n_steps})
+        assert res["steps"].dtype == np.int64 and res["steps"].tolist() == expect
+        assert res["mean_p"].shape == (len(expect), 2)
+
 
 def reference_outcome(s0, cfg, trial, max_steps):
     """One trial on Python floats: k, the staying branch and the update

@@ -229,6 +229,16 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError):
             cli.load_scenario(path)
 
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                    | st.integers(-2**64 + 1, 2**64 - 1) | st.booleans()))
+    def test_numbers_and_bools_round_trip(self, tmp_path, values):
+        for name, text in [("s.yaml", yaml.safe_dump({"x": values})),
+                           ("s.json", json.dumps({"x": values}))]:
+            (tmp_path / name).write_text(text)
+            assert repr(cli.load_scenario(tmp_path / name)) == repr({"x": values}), text
+
 
 def run_cli(*args):
     return cli.main(list(args))
@@ -301,9 +311,9 @@ class TestCliRuns:
         ("rdm-sample", f"weights: [0.5, 0.5]\nn: {2**62}\nseed: 0\n", (),
          "error (ScenarioError): bad value for 'n': expected an integer in"),
         ("collapse-run", "energies: [0.0, 1.0]\nprobabilities: [true, false]\n", (),
-         "error (ScenarioError): bad value for 'probabilities': expected numbers"),
+         "error (ScenarioError): bad value for 'probabilities': expected a number, not True\n"),
         ("rdm-sample", "weights: [true, false]\nn: 10\nseed: 0\n", (),
-         "error (ScenarioError): bad value for 'weights': expected numbers"),
+         "error (ScenarioError): bad value for 'weights': expected a number, not True\n"),
         ("collapse-ensemble", "energies: [0.0, 1.0]\nprobabilities: [0.5, 0.5]\n"
                               "collapse_epsilon: 0.5\n", (),
          "error (ScenarioError): unknown scenario keys: ['collapse_epsilon']"),
@@ -346,11 +356,34 @@ class TestCliRuns:
                        "dt: 0.01\nsteps: 10\nseed: 0\n"
                        "ensemble: {n_traj: 10, record_every: 1}\n", (),
          "error (ScenarioError): unknown scenario keys: ['ensemble.record_every']"),
-        # integers have one spelling; only floats keep a string path, for YAML 1.1's 1e-6
+        # every value has one spelling: a quoted number is a string, and YAML 1.1's
+        # other spellings of bools and integers are strings too
         ("rdm-sample", "weights: [0.5, 0.5]\nn: \"100\"\nseed: 0\n", (),
          "error (ScenarioError): bad value for 'n': expected an integer, not '100'\n"),
         ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: \"5\"\n", (),
          "error (ScenarioError): bad value for 'seed': expected an integer, not '5'\n"),
+        ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: 0\nbinary: yes\n", (),
+         "error (ScenarioError): bad value for 'binary': expected a bool, not 'yes'\n"),
+        *[("rdm-sample", f"weights: [0.5, 0.5]\nn: {n}\nseed: 0\n", (),
+           f"error (ScenarioError): bad value for 'n': expected an integer, not '{n}'\n")
+          for n in ["1_000", "0x10", "010", "0b101", "1:30", "2020-13-45"]],
+        ("rdm-sample", "weights: [\"0.5\", \" 0.5 \"]\nn: 10\nseed: 0\n", (),
+         "error (ScenarioError): bad value for 'weights': expected a number, not '0.5'\n"),
+        ("frames-analyze", "a_sq: \" 5_0e-2 \"\nn: 10\nseed: 0\nv: 0.5\n", (),
+         "error (ScenarioError): bad value for 'a_sq': expected a number, not ' 5_0e-2 '\n"),
+        *[("rdm-sample", f"weights: [0.5, 0.5]\nseed: 0\nn: {value}\n", (),
+           f"error (ScenarioError): malformed scenario file: explicit tag {tag!r} is not allowed"
+           "\n  in ") for value, tag in [
+              ("!!int abc", "tag:yaml.org,2002:int"), ("!!float abc", "tag:yaml.org,2002:float"),
+              ("!!bool abc", "tag:yaml.org,2002:bool"),
+              ("!!timestamp abc", "tag:yaml.org,2002:timestamp"),
+              ("!!int", "tag:yaml.org,2002:int"), ("!!int 0x10", "tag:yaml.org,2002:int"),
+              ("! 10", "!")]],
+        # Python's int() limits the digits it reads, and the composer recurses per level
+        ("rdm-sample", f"weights: [0.5, 0.5]\nseed: 0\nn: 1{'0' * 5000}\n", (),
+         "error (ScenarioError): "),
+        ("rdm-sample", f"weights: [0.5, 0.5]\nseed: 0\nn: {'[' * 3000}{']' * 3000}\n", (),
+         "error (ScenarioError): malformed scenario file: maximum recursion depth exceeded"),
     ], ids=["n-trials-abc", "max-steps-list", "two-box-empty", "two-box-number",
             "n-abc", "a-sq-abc", "entries-number", "state-number", "criteria-number",
             "binary-string", "units-bogus", "delta-e-reducer", "ensemble-unknown-key",
@@ -364,7 +397,10 @@ class TestCliRuns:
             "hbar-in-tomography", "amplitudes-in-run", "amplitudes-in-ensemble",
             "type-in-tomography", "protect-run", "dt-instant-in-rdm-sample",
             "dt-instant-in-frames", "coincidence-tol-in-frames", "collapse-epsilon-in-run",
-            "record-every-in-ensemble", "n-quoted", "seed-quoted"])
+            "record-every-in-ensemble", "n-quoted", "seed-quoted", "binary-yes", "n-underscore",
+            "n-hex", "n-octal", "n-binary", "n-sexagesimal", "n-bad-date", "weights-quoted",
+            "a-sq-quoted", "tag-int", "tag-float", "tag-bool", "tag-timestamp", "tag-int-empty",
+            "tag-int-hex", "tag-non-specific", "n-too-many-digits", "n-too-deep"])
     def test_malformed_value_exits_1(self, tmp_path, capsys, subcommand, body, extra,
                                      expect):
         path = tmp_path / "s.yaml"
@@ -830,17 +866,35 @@ def schema_paths(schema, prefix=()):
     return paths
 
 
+def value_at(scenario, path):
+    for key in path:
+        scenario = scenario[key]
+    return scenario
+
+
 def mutated(scenario, path, junk):
     out = copy.deepcopy(scenario)
-    node = out
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = junk
+    value_at(out, path[:-1])[path[-1]] = junk
     return out
 
 
 FUZZ_CASES = [(sub, path, junk) for sub, sc in SMALL_SCENARIOS.items()
               for path in key_paths(sc) for junk in JUNK]
+
+
+def holds_floats(value):
+    return isinstance(value, float) or (isinstance(value, list) and bool(value)
+                                        and all(map(holds_floats, value)))
+
+
+def quoted(value):
+    """value with each number in it, nested ones too, replaced by its repr."""
+    return [quoted(v) for v in value] if isinstance(value, list) else repr(value)
+
+
+# every key whose value is a float or an array of floats
+FLOAT_PATHS = [(sub, path) for sub, sc in SMALL_SCENARIOS.items() for path in key_paths(sc)
+               if holds_floats(value_at(sc, path))]
 
 
 class TestScenarioFuzz:
@@ -856,6 +910,16 @@ class TestScenarioFuzz:
             path.write_text(yaml.safe_dump({"subcommand": sub, **sc}))
             assert run_cli(sub, "--scenario", str(path),
                            "--out-dir", str(tmp_path / sub)) == 0, sub
+
+    @pytest.mark.parametrize("sub, key_path", FLOAT_PATHS,
+                             ids=[f"{sub}-{'.'.join(map(str, p))}" for sub, p in FLOAT_PATHS])
+    def test_quoted_number_exits_1(self, tmp_path, capsys, sub, key_path):
+        scenario = SMALL_SCENARIOS[sub]
+        text = quoted(value_at(scenario, key_path))
+        path = tmp_path / "s.yaml"
+        path.write_text(yaml.safe_dump({"subcommand": sub, **mutated(scenario, key_path, text)}))
+        assert run_cli(sub, "--scenario", str(path), "--out-dir", str(tmp_path / "out")) == 1
+        assert "expected a number, not '" in capsys.readouterr().err
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -886,6 +950,8 @@ class TestBundledScenarios:
         prefixes = []
         for path in cli.bundled_scenarios():
             data = cli.load_scenario(path)
+            # the pack reads as YAML 1.1 reads it, so its scenario hashes are unchanged
+            assert repr(data) == repr(yaml.safe_load(path.read_text()))
             assert data["subcommand"] in cli.HANDLERS
             cli.parse_scenario(data, data["subcommand"])
             prefixes.append(path.name[:3])

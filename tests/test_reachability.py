@@ -1,10 +1,11 @@
 """Every public top-level def or class of the library is reached by the code
 that runs: some other top-level statement of src/rdmsim/ or bench/ names
 it, as a bare name, an attribute or a string that getattr resolves.  A
-name that only tests call is dead weight, unless it is one of the
-references that tests compare the runners against; such a reference
-calls no private function of the library, so it does not share the
-runners' formulas.  A private top-level def or class must be named by
+name that only tests call is dead weight, unless it is a TEST_ORACLES
+entry: a user-facing function that the library itself has no reason to
+call.  Such a function calls no private function of the library, so it
+does not share the runners' formulas.  A reference that only tests use
+lives in the tests.  A private top-level def or class must be named by
 another top-level statement of the library itself."""
 
 import ast
@@ -13,8 +14,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 TEST_ORACLES = {
-    "continuity_residual": "the continuity check on evolve_grid",
-    "mean_momentum": "the momentum check on evolve_grid",
     "read_trajectory_binary": "the only reader of the .rdmt format that io writes",
 }
 

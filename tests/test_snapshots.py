@@ -2,7 +2,6 @@ import hashlib
 import json
 
 import pytest
-import yaml
 
 from rdmsim import cli
 
@@ -100,7 +99,7 @@ class TestBundledDataBytes:
     @pytest.mark.parametrize("key", sorted(BUNDLED_DATA_SHA256))
     def test_data_files_match_their_digests(self, tmp_path, key):
         path, = [p for p in cli.bundled_scenarios() if p.name.startswith(f"{key}_")]
-        subcommand = yaml.safe_load(path.read_text())["subcommand"]
+        subcommand = cli.load_scenario(path)["subcommand"]
         assert cli.main([subcommand, "--scenario", str(path), "--out-dir", str(tmp_path)]) == 0
         written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                    for f in tmp_path.iterdir() if f.name != "manifest.json"}
