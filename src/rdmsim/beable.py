@@ -117,19 +117,25 @@ def _walk(h: HermitianOperator, psi0: ComplexVectorState, sites: np.ndarray, dt:
     """Walk `sites` along the rate path: sites[i] jumps when its draw u <
     cum[-1, sites[i]], to the count of m with cum[m, sites[i]] <= u.  The
     guard rejects a step where an occupied site's outflow reaches 0.1 and,
-    in an ensemble, names the first trial whose site that is.
+    in an ensemble, names the first trial whose site that is.  A step
+    reads the walkers' outflows only where it must: for the guard when
+    some site's outflow reaches 0.1, and for the jump test at the walkers
+    whose u is below the largest outflow.
     Returns (step indices, sites, P), a row every record_every steps."""
     rec = [(sites.copy(), np.abs(psi0.amplitudes) ** 2)]
     step = 0
     for p, _, _, cum in _rate_path(h, psi0, dt, steps, noise_c):
         for cum_t, p_next in zip(cum, p[1:]):
-            outflow = cum_t[-1].take(sites)
-            if outflow.max() >= OUTFLOW_GUARD:
-                i = int(np.argmax(outflow >= OUTFLOW_GUARD))
-                raise StepSizeError(f"outflow probability {outflow[i]:.3g} exceeds the 0.1 "
-                                    "guard", step=step, trial=i if ensemble else None)
+            top = cum_t[-1].max()
+            if top >= OUTFLOW_GUARD:
+                outflow = cum_t[-1].take(sites)
+                if outflow.max() >= OUTFLOW_GUARD:
+                    i = int(np.argmax(outflow >= OUTFLOW_GUARD))
+                    raise StepSizeError(f"outflow probability {outflow[i]:.3g} exceeds the 0.1 "
+                                        "guard", step=step, trial=i if ensemble else None)
             u = rng.random(sites.size)
-            jumped = np.flatnonzero(u < outflow)
+            jumped = np.flatnonzero(u < top)
+            jumped = jumped[u[jumped] < cum_t[-1, sites[jumped]]]
             sites[jumped] = (u[jumped] >= cum_t[:, sites[jumped]]).sum(axis=0)
             step += 1
             if step % record_every == 0:

@@ -28,7 +28,7 @@ import yaml
 from . import __version__, acceptance, beable, collapse, constants, frames
 from . import hilbert, io, protective, rdm, schrodinger, seeding, verify
 from .collapse import CollapseConfig
-from .errors import ContractViolation, NumericFailure, ScenarioError
+from .errors import ContractViolation, NumericFailure, ScenarioError, require_at_most
 
 
 class _CoreLoader(yaml.SafeLoader):
@@ -193,6 +193,12 @@ SCHEMAS = {
     },
     "verify": {"criteria": ([_int], None)},
 }
+
+
+# a run records a row per step, up to the value of its subcommand's row key;
+# parse_scenario caps that value at MAX_ROWS, far above every bundled or default one
+MAX_ROWS = 1_000_000
+ROW_KEYS = {"beable-run": "steps", "collapse-run": "max_steps"}
 
 
 def _convert(convert, value, path: str):
@@ -531,14 +537,19 @@ def build_parser() -> _Parser:
 
 
 def parse_scenario(scenario: dict, subcommand: str) -> dict:
-    """Parameters of `scenario` for `subcommand`, typed against SCHEMAS."""
+    """Parameters of `scenario` for `subcommand`, typed against SCHEMAS, with
+    the subcommand's row key (ROW_KEYS) at most MAX_ROWS."""
     declared = scenario.get("subcommand")
     if declared is not None and declared != subcommand:
         raise ScenarioError(f"scenario targets {declared!r}, not {subcommand!r}")
     if not isinstance(scenario.get("name", ""), str):
         raise ScenarioError("scenario key 'name' must be a string")
-    return _parse(SCHEMAS[subcommand],
-                  {k: v for k, v in scenario.items() if k not in ("name", "subcommand")})
+    params = _parse(SCHEMAS[subcommand],
+                    {k: v for k, v in scenario.items() if k not in ("name", "subcommand")})
+    key = ROW_KEYS.get(subcommand)
+    if key is not None:
+        require_at_most(**{key: (params[key], MAX_ROWS)})
+    return params
 
 
 def _run(args) -> int:

@@ -31,6 +31,13 @@ def require_at_least(**counts):
             raise ContractViolation(f"{name} must be >= {least}, not {value}")
 
 
+def require_at_most(**counts):
+    """The one size bound: reject the first name=(value, most) with value > most."""
+    for name, (value, most) in counts.items():
+        if value > most:
+            raise ContractViolation(f"{name} must be <= {most}, not {value}")
+
+
 class NormalizationError(_Located, ContractViolation):
     """State / density not normalized within its stated tolerance."""
 

@@ -109,17 +109,17 @@ def absolute_sync_params(v: float) -> SynchronyParams:
 
 def _match_sorted(times_a: np.ndarray, times_b: np.ndarray, tol: float) -> np.ndarray:
     """Index of the nearest entry of sorted times_b for each times_a,
-    or -1 when the nearest is farther than tol."""
+    or -1 when the nearest is farther than tol (finite) or at a NaN
+    distance.  Of the two neighbours, the later wins only when strictly
+    nearer."""
     pos = np.searchsorted(times_b, times_a)
-    best = np.full(times_a.size, -1, dtype=np.int64)
-    best_d = np.full(times_a.size, np.inf)
-    for cand in (np.clip(pos - 1, 0, times_b.size - 1),
-                 np.clip(pos, 0, times_b.size - 1)):
-        d = np.abs(times_b[cand] - times_a)
-        better = d < best_d
-        best[better] = cand[better]
-        best_d[better] = d[better]
-    best[best_d > tol] = -1
+    before = np.maximum(pos - 1, 0)
+    after = np.minimum(pos, times_b.size - 1)
+    d_before = np.abs(times_b[before] - times_a)
+    d_after = np.abs(times_b[after] - times_a)
+    later = d_after < d_before
+    best = np.where(later, after, before)
+    best[~(np.where(later, d_after, d_before) <= tol)] = -1
     return best
 
 

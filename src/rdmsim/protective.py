@@ -143,10 +143,13 @@ def zeno_protective_run(setup: ProtectiveSetup) -> dict:
     0.5 flags protection failure in the report (the run still completes).
 
     The factors M(eps)^c are built for a block of distinct impulses at
-    once, on the first half k[0 .. n//2] of the spectrum only, and are
-    multiplied one row at a time, in ascending eps, into a two-row
-    accumulator: row 0 is phi_hat[0 .. n//2] and row j of row 1 is
-    conj(phi_hat[n - j]), so one half-spectrum row serves both halves.
+    once, on the first half k[0 .. n//2] of the spectrum only, and go
+    into a two-row accumulator: row 0 is phi_hat[0 .. n//2] and entry j
+    of row 1 is conj(phi_hat[n - j]), so one half-spectrum factor serves
+    both halves.  Each accumulator row is put on top of the block and
+    replaced by one np.multiply.reduce down it, which multiplies left to
+    right: the row times the factors in ascending eps, as a loop over
+    the rows would.
     This equals multiplying the full spectrum bit for bit: 2 pi fftfreq
     gives k[n - j] = -k[j], M(-k) = conj M(k) because the w_a are real,
     conj commutes bitwise with the phase products, exp, the sum over a
@@ -174,16 +177,20 @@ def zeno_protective_run(setup: ProtectiveSetup) -> dict:
     terms = [(a, w) for a, w in zip(evals, weights) if w != 0.0]
     eps, counts = np.unique(setup.coupling_weights(), return_counts=True)
     rows = max(1, _ZENO_BLOCK_ELEMENTS // half)
+    block = np.empty((min(rows, eps.size) + 1, half), dtype=acc.dtype)  # an accumulator row on top
     for lo in range(0, eps.size, rows):
         phase = -1j * k * eps[lo:lo + rows, None]
-        factor = np.zeros_like(phase)
+        stack = block[:len(phase) + 1]
+        factor = stack[1:]
+        factor[...] = 0.0
         for a, w in terms:
             factor += w if a == 0.0 else w * np.exp(phase * a)
         c = counts[lo:lo + rows]
         repeated = c != 1
         factor[repeated] = factor[repeated] ** c[repeated, None]
-        for row in factor:
-            acc *= row
+        for row in acc:
+            stack[0] = row
+            row[...] = np.multiply.reduce(stack, axis=0)
     phi_hat[:half] = acc[0]
     phi_hat[half:] = np.conj(acc[1, tail:0:-1])
     survival = float(np.sum(np.abs(phi_hat) ** 2) * grid.dx / grid.n)

@@ -17,6 +17,7 @@ from .hilbert import _frozen
 from .seeding import seeded_rng
 
 DENSITY_TOL = 1e-8
+_LOOKUP_BLOCK = 1 << 14  # keys looked up at once, so each temporary is 128 KB at any n
 
 
 @dataclass(frozen=True)
@@ -85,16 +86,41 @@ def _as_probabilities(density) -> np.ndarray:
     return p
 
 
+def _inverse_cdf(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The sites that keys u in [0, 1) draw from p:
+    np.searchsorted(cdf, u, side="right"), where the CDF is capped at 1.0
+    and is 1.0 from the last positive weight on, so that rounding can
+    neither unsort it nor leave keys to a zero-weight last site.
+
+    A table of 2^b buckets (64 to 128 per site, at most 2^16) holds the
+    site of every bucket [i, i + 1) / 2^b that no CDF value falls strictly
+    inside, the same for all its keys; u * 2^b is exact, so its integer
+    part is the bucket.  Only the keys of the other buckets are searched.
+    """
+    cdf = np.minimum(np.cumsum(p), 1.0)
+    cdf[np.flatnonzero(p)[-1]:] = 1.0
+    size = 1 << min(p.size.bit_length() + 6, 16)
+    edges = np.arange(size + 1) / size
+    table = np.searchsorted(cdf, edges[:-1], side="right")
+    table[np.searchsorted(cdf, edges[1:], side="left") > table] = -1  # a CDF value inside
+    sites = np.empty(u.size, dtype=np.intp)
+    for lo in range(0, u.size, _LOOKUP_BLOCK):
+        keys = u[lo:lo + _LOOKUP_BLOCK]
+        found = table[(keys * size).astype(np.intp)]
+        slow = np.flatnonzero(found < 0)
+        found[slow] = np.searchsorted(cdf, keys[slow], side="right")
+        sites[lo:lo + _LOOKUP_BLOCK] = found
+    return sites
+
+
 def _draw_sites(density, n: int, seed: int):
-    """(probabilities, the seeded generator, n sites drawn by inverse CDF):
-    the checks and the first draws of both samplers and of the beable
-    ensemble's initial sites."""
+    """(probabilities, the seeded generator, n sites drawn by inverse CDF
+    from one rng.random(n), see _inverse_cdf): the checks and the first
+    draws of both samplers and of the beable ensemble's initial sites."""
     p = _as_probabilities(density)
     require_at_least(n=(n, 1))
     rng = seeded_rng(seed)
-    cdf = np.cumsum(p)
-    cdf[-1] = 1.0  # guard the top edge against rounding
-    return p, rng, np.searchsorted(cdf, rng.random(n), side="right")
+    return p, rng, _inverse_cdf(p, rng.random(n))
 
 
 def sample_stays(density, n: int, seed: int) -> StayTrajectory:

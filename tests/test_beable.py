@@ -1,3 +1,4 @@
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -421,6 +422,9 @@ PINNED = {
     # the lone walker leaves site 0 at step 20, so site 0's outflow passing
     # 0.1 at step 81 trips no guard; the run stops where P_0 < 1e-12
     "site-without-walkers-unguarded": dict(RABI_FROM_ONE_SITE, n_traj=1),
+    # the same walker, stopped at step 90: only the empty site 0 passes the
+    # outflow guard's 0.1, from step 81 on, so the run completes
+    "only-empty-site-over-guard": dict(RABI_FROM_ONE_SITE, n_traj=1, steps=90),
 }
 
 
@@ -453,15 +457,19 @@ class TestRatePathParity:
         ("guard-at-step-0", StepSizeError),
         ("guard-before-degenerate", StepSizeError),
         ("site-without-walkers-unguarded", DegenerateOccupationError),
+        ("only-empty-site-over-guard", None),
     ])
     def test_pinned_cases(self, name, error):
         case = PINNED[name]
         self.check(case)
         h = hilbert.HermitianOperator(case["h"])
         psi0 = hilbert.ComplexVectorState(case["psi"])
-        with pytest.raises(error):
+        with contextlib.nullcontext() if error is None else pytest.raises(error):
             beable.ensemble_jump_run(h, psi0, case["n_traj"], case["dt"], case["steps"],
                                      seed=case["seed"], noise_c=case["noise_c"])
+        if error is None:  # the guard was reached, at a site without walkers
+            assert max(cum[:, -1, 0].max() for *_, cum in beable._rate_path(
+                h, psi0, case["dt"], case["steps"], case["noise_c"])) >= beable.OUTFLOW_GUARD
 
 
 class TestRatePathProperties:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdmsim import frames, rdm
@@ -203,6 +203,60 @@ class TestEventArrays:
     def test_array_checks(self):
         with pytest.raises(ContractViolation):
             frames.Event(np.array([0.0, np.inf]), np.zeros(2))
+
+
+def match_reference(times_a, times_b, tol):
+    """The two-candidate loop that _match_sorted replaced: the neighbour
+    before, then the one after where it is strictly nearer."""
+    pos = np.searchsorted(times_b, times_a)
+    best = np.full(times_a.size, -1, dtype=np.int64)
+    best_d = np.full(times_a.size, np.inf)
+    for cand in (np.clip(pos - 1, 0, times_b.size - 1),
+                 np.clip(pos, 0, times_b.size - 1)):
+        d = np.abs(times_b[cand] - times_a)
+        better = d < best_d
+        best[better] = cand[better]
+        best_d[better] = d[better]
+    best[best_d > tol] = -1
+    return best
+
+
+SPECIAL_TIMES = [-np.inf, np.inf, np.nan, 0.0, 0.5, 1.0, 1.0, 2.0]
+match_times = st.one_of(st.sampled_from(SPECIAL_TIMES), st.floats(-3.0, 3.0),
+                        st.integers(-3, 3).map(float))
+
+
+class TestMatchSorted:
+    @pytest.mark.parametrize("times_a, times_b, tol, want", [
+        # a tie goes to the earlier partner, also inside a run of equal times
+        ([1.0, 2.0], [0.0, 2.0, 2.0, 4.0], 1.0, [0, 1]),
+        ([3.0], [2.0, 2.0, 4.0, 4.0], 1.0, [1]),
+        # a distance of exactly tol pairs, one ulp more does not
+        ([0.5, np.nextafter(0.5, 1.0)], [0.0], 0.5, [0, -1]),
+        # one-element times_b, on either side
+        ([-1.0, 0.0, 1.0, 5.0], [0.25], 1.0, [-1, 0, 0, -1]),
+        # infinite and NaN times: a NaN or infinite distance pairs with nothing
+        ([-np.inf, np.inf, np.nan, 0.0], [0.0, 1.0], 0.5, [-1, -1, -1, 0]),
+        ([-np.inf, np.inf, np.nan, 0.2], [-np.inf, 0.0, np.inf, np.nan], 0.5,
+         [-1, -1, -1, 1]),
+        ([np.nan, 1.0], [np.nan], 0.5, [-1, -1]),
+    ], ids=["tie", "tie-in-runs", "tol-exact", "one-element", "nonfinite-a",
+            "nonfinite-both", "nan-only"])
+    def test_pinned_cases_equal_the_loop(self, times_a, times_b, tol, want):
+        a, b = np.array(times_a), np.array(times_b)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got, ref = frames._match_sorted(a, b, tol), match_reference(a, b, tol)
+        assert got.dtype == np.int64
+        assert got.tolist() == want == ref.tolist()
+
+    @given(st.lists(match_times, max_size=30), st.lists(match_times, min_size=1, max_size=30),
+           st.sampled_from([0.0, 0.25, 0.5, 1.0, 10.0]))
+    @settings(max_examples=300, deadline=None)
+    @example([0.5, 1.5], [0.0, 1.0, 2.0], 0.5)
+    def test_equals_the_loop(self, times_a, times_b, tol):
+        a, b = np.array(times_a), np.sort(times_b)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            assert np.array_equal(frames._match_sorted(a, b, tol), match_reference(a, b, tol))
 
 
 def make_pair_trajectory(a_sq=0.5, n=50_000, seed=3):

@@ -2,11 +2,13 @@
 
 A located guard appends " at step N" and, in an ensemble, " in trial T"
 to its message (errors._Located); a count guard reads "<name> must be
->= <least>, not <value>" (errors.require_at_least).  The table pins
-each count bound, the property checks the location of whatever guard a
-random run trips, and the AST check keeps every other module from
-spelling either by hand, or any ">=" at all.  A shape guard names the
-shape it rejects, and a scalar guard the value, each pinned in full."""
+>= <least>, not <value>" (errors.require_at_least), and a size bound
+"<name> must be <= <most>, not <value>" (errors.require_at_most).  The
+table pins each count bound, the property checks the location of
+whatever guard a random run trips, and the AST check keeps every other
+module from spelling any of the three by hand, or any ">=" at all.  A
+shape guard names the shape it rejects, and a scalar guard the value,
+each pinned in full."""
 
 import ast
 from pathlib import Path
@@ -287,12 +289,12 @@ def test_grid_nan_names_its_step():
     assert (exc.value.step, exc.value.trial) == (2, None)
 
 
-LOCATION_WORDS = ("at step", "of trial", "in trial", ">=")
+LOCATION_WORDS = ("at step", "of trial", "in trial", ">=", "must be <=")
 
 
 def hand_spelled() -> list:
     """Every string of the library outside errors.py, docstrings aside,
-    that spells a location or a ">=" bound itself."""
+    that spells a location, a ">=" or a "must be <=" bound itself."""
     found = []
     for path in sorted((ROOT / "src" / "rdmsim").glob("*.py")):
         if path.name == "errors.py":

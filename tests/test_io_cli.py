@@ -384,6 +384,13 @@ class TestCliRuns:
          "error (ScenarioError): "),
         ("rdm-sample", f"weights: [0.5, 0.5]\nseed: 0\nn: {'[' * 3000}{']' * 3000}\n", (),
          "error (ScenarioError): malformed scenario file: maximum recursion depth exceeded"),
+        # a run that records a row per step is capped before it starts
+        ("beable-run", "hamiltonian: [[0.0, -1.0], [-1.0, 0.0]]\npsi0: [0.6, 0.8]\n"
+                       f"dt: 0.01\nsteps: {2**59}\nseed: 0\n", (),
+         f"error (ContractViolation): steps must be <= 1000000, not {2**59}\n"),
+        ("collapse-run", "energies: [0.0, 1.0]\nprobabilities: [0.5, 0.5]\n"
+                         f"max_steps: {2**59}\n", (),
+         f"error (ContractViolation): max_steps must be <= 1000000, not {2**59}\n"),
     ], ids=["n-trials-abc", "max-steps-list", "two-box-empty", "two-box-number",
             "n-abc", "a-sq-abc", "entries-number", "state-number", "criteria-number",
             "binary-string", "units-bogus", "delta-e-reducer", "ensemble-unknown-key",
@@ -400,7 +407,8 @@ class TestCliRuns:
             "record-every-in-ensemble", "n-quoted", "seed-quoted", "binary-yes", "n-underscore",
             "n-hex", "n-octal", "n-binary", "n-sexagesimal", "n-bad-date", "weights-quoted",
             "a-sq-quoted", "tag-int", "tag-float", "tag-bool", "tag-timestamp", "tag-int-empty",
-            "tag-int-hex", "tag-non-specific", "n-too-many-digits", "n-too-deep"])
+            "tag-int-hex", "tag-non-specific", "n-too-many-digits", "n-too-deep",
+            "steps-too-many-rows", "max-steps-too-many-rows"])
     def test_malformed_value_exits_1(self, tmp_path, capsys, subcommand, body, extra,
                                      expect):
         path = tmp_path / "s.yaml"
@@ -938,6 +946,28 @@ class TestScenarioFuzz:
             assert "error (" in err
         if code != 0:  # a failed run writes no file
             assert not out.exists() or list(out.iterdir()) == []
+
+
+class TestRowBound:
+    """A run that records a row per step takes at most cli.MAX_ROWS steps."""
+
+    @pytest.mark.parametrize("sub", sorted(cli.ROW_KEYS))
+    def test_bound_is_inclusive(self, sub):
+        key, sc = cli.ROW_KEYS[sub], SMALL_SCENARIOS[sub]
+        assert cli.parse_scenario({**sc, key: cli.MAX_ROWS}, sub)[key] == cli.MAX_ROWS
+        with pytest.raises(ContractViolation) as exc:
+            cli.parse_scenario({**sc, key: cli.MAX_ROWS + 1}, sub)
+        assert type(exc.value) is ContractViolation
+        assert str(exc.value) == f"{key} must be <= {cli.MAX_ROWS}, not {cli.MAX_ROWS + 1}"
+
+    def test_bound_exceeds_defaults_and_bundled_values(self):
+        for sub, key in cli.ROW_KEYS.items():
+            default = cli.SCHEMAS[sub][key][1]
+            assert default is cli.REQUIRED or default < cli.MAX_ROWS
+        values = [data[cli.ROW_KEYS[data["subcommand"]]]
+                  for data in map(cli.load_scenario, cli.bundled_scenarios())
+                  if cli.ROW_KEYS.get(data["subcommand"]) in data]
+        assert values and max(values) < cli.MAX_ROWS
 
 
 class TestBundledScenarios:

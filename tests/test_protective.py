@@ -159,6 +159,10 @@ def _zeno_example(evals, n_projections, profile, pointer_state):
         g_profile=profile)
 
 
+# 511 distinct impulses on the 512-point pointer, whose blocks hold 255 rows
+BLOCK_BOUNDARY = _zeno_example([1.0, -0.5], 628, "triangular", pointer())
+
+
 class TestZenoRun:
     @settings(max_examples=20, deadline=None)
     @given(dim=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
@@ -186,11 +190,17 @@ class TestZenoRun:
     @example(setup=_zeno_example([2.0, 1.0], 100, "constant", pointer(8.0, 128, 120.0)))
     # the benchmark's triangular job on its 512-point pointer
     @example(setup=_zeno_example([1.0, 0.0], 10_000, "triangular", pointer()))
+    # two full blocks of distinct impulses and one row
+    @example(setup=BLOCK_BOUNDARY)
     def test_half_spectrum_bitwise_equal_to_full_spectrum(self, setup):
         samples, survival = _zeno_per_impulse_reference(setup)
         out = protective.zeno_protective_run(setup)
         assert out["survival_probability"] == survival
         assert np.array_equal(out["pointer"].grid.samples, samples)
+
+    def test_block_boundary_example_ends_in_a_partial_block(self):
+        rows = protective._ZENO_BLOCK_ELEMENTS // (BLOCK_BOUNDARY.pointer.grid.n // 2 + 1)
+        assert np.unique(BLOCK_BOUNDARY.coupling_weights()).size == 2 * rows + 1
 
     def test_survival_against_extended_precision(self):
         # sum_k |phi_k|^2 cos^{2N}(k eps / 2) dx / n evaluated in 80-bit floats

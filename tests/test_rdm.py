@@ -1,14 +1,16 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from rdmsim import rdm
 from rdmsim.errors import ContractViolation, NormalizationError, NumericFailure
+from rdmsim.seeding import seeded_rng
 
 
 class TestSampleStays:
@@ -89,6 +91,57 @@ class TestSampleStaysProperties:
         # a correct sampler fails this with probability below 1e-9 per example
         traj = rdm.sample_stays(p, n, seed=seed)
         assert rdm.total_variation(rdm.empirical_density(traj), p) < tv_bound(p.size, n)
+
+
+def search_reference(p, u):
+    """np.searchsorted over the CDF that the draws invert: capped at 1.0,
+    and 1.0 from the last positive weight on."""
+    cdf = np.minimum(np.cumsum(p), 1.0)
+    cdf[np.flatnonzero(p)[-1]:] = 1.0
+    return np.searchsorted(cdf, u, side="right")
+
+
+# 0, every bucket edge of every table (at most 2^16 buckets) and the key
+# just below each edge, 1 - 2^-53 included
+EDGES = np.arange(2**16) / 2**16
+EDGE_KEYS = np.concatenate((EDGES, np.nextafter(EDGES[1:], 0.0), [1.0 - 2**-53]))
+
+
+class TestInverseCdf:
+    @given(densities(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40))
+    @settings(max_examples=100, deadline=None)
+    # CDF values exactly on bucket edges
+    @example(np.array([0.5, 0.5]), [0.5, 0.25])
+    @example(np.array([0.25] * 4), [0.25, 0.5, 0.75])
+    # more sites than the 2^16 buckets of the largest table, a trailing one empty
+    @example((np.arange(70_000) % 3) / float(np.sum(np.arange(70_000) % 3)), [])
+    def test_equals_searchsorted(self, p, keys):
+        u = np.concatenate((EDGE_KEYS, keys))
+        assert np.array_equal(rdm._inverse_cdf(p, u), search_reference(p, u))
+
+    def test_zero_weight_last_site_is_never_drawn(self):
+        # cumsum leaves the edge below the empty site 10 at 1 - 2^-53, so with
+        # only the last CDF value set to 1.0 the largest key lands on site 10
+        p = np.array([0.1] * 10 + [0.0])
+        u = np.array([1.0 - 2**-53])
+        cdf = np.cumsum(p)
+        cdf[-1] = 1.0
+        assert cdf[9] == u[0]
+        assert np.searchsorted(cdf, u, side="right")[0] == 10
+        assert rdm._inverse_cdf(p, u)[0] == 9
+
+    @given(densities(), st.integers(1, 3000), st.integers(0, 2**64 - 1),
+           st.sampled_from([1, 7, 1000, 1 << 14]))
+    @settings(max_examples=60, deadline=None)
+    def test_all_positive_weights_draw_the_search_sites(self, p, n, seed, block):
+        # with no empty site the CDF is the plain cumsum with its last value
+        # set to 1.0, and the lookup's block size does not change the sites
+        p = (p + 0.01) / (p + 0.01).sum()
+        cdf = np.cumsum(p)
+        cdf[-1] = 1.0
+        want = np.searchsorted(cdf, seeded_rng(seed).random(n), side="right")
+        with mock.patch.object(rdm, "_LOOKUP_BLOCK", block):
+            assert rdm.sample_stays(p, n, seed=seed).stays.tobytes() == want.tobytes()
 
 
 class TestEmpiricalDensity:
