@@ -153,8 +153,6 @@ def jump_trajectory(h: HermitianOperator, psi0: ComplexVectorState, beable0: int
     homogeneous family on top, which must leave all ensemble statistics
     unchanged.  Reproducible from the seed.
     """
-    if not psi0.is_normalized():
-        raise NormalizationError("jump_trajectory requires a normalized state")
     if not 0 <= beable0 < psi0.dim:
         raise DimensionMismatchError("initial beable site out of range")
     require_at_least(steps=(steps, 0))
@@ -169,8 +167,6 @@ def ensemble_jump_run(h: HermitianOperator, psi0: ComplexVectorState, n_traj: in
     """Ensemble of jump trajectories, initialized ~ |psi(0)|^2.  Returns
     (recorded step indices, site matrix n_rec x n_traj, P(t) rows).
     """
-    if not psi0.is_normalized():
-        raise NormalizationError("ensemble run requires a normalized state")
     require_at_least(n_traj=(n_traj, 1), steps=(steps, 0), record_every=(record_every, 1))
     _, rng, sites = _draw_sites(np.abs(psi0.amplitudes) ** 2, n_traj, seed)
     return _walk(h, psi0, sites, dt, steps, rng, noise_c, record_every, True)

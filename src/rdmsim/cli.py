@@ -25,10 +25,11 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import __version__, acceptance, beable, collapse, constants, frames
-from . import hilbert, io, protective, rdm, schrodinger, seeding, verify
+from . import __version__, acceptance, beable, collapse, frames
+from . import hilbert, io, protective, rdm, schrodinger, verify
 from .collapse import CollapseConfig
 from .errors import ContractViolation, NumericFailure, ScenarioError, require_at_most
+from .seeding import check_seed
 
 
 class _CoreLoader(yaml.SafeLoader):
@@ -84,11 +85,11 @@ def scenario_hash(scenario: dict) -> str:
 REQUIRED = object()
 
 
-def _int(value, lo=-2**60, hi=2**60) -> int:  # by default the most float64s numpy can index
+def _int(value) -> int:  # 2^60 is the most float64s numpy can index
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, not {value!r}")
-    if not lo <= value < hi:
-        raise ValueError(f"expected an integer in [{lo}, {hi}), not {value!r}")
+    if not -2**60 <= value < 2**60:
+        raise ValueError(f"expected an integer in [{-2**60}, {2**60}), not {value!r}")
     return value
 
 
@@ -108,10 +109,6 @@ def _instance(kind):
     return convert
 
 
-def _seed(value) -> int:
-    return seeding.check_seed(_int(value, hi=2**64))
-
-
 def _reals(*ndims):
     def leaves(value, depth):  # np.asarray would read a bool or a numeric string as a number
         return [leaves(v, depth - 1) for v in value] if depth and isinstance(value, list) \
@@ -129,7 +126,11 @@ def _complex(ndim):
     """Converter to a complex ndim-d array, given as reals or as [re, im] pairs."""
     def convert(value) -> np.ndarray:
         arr = _reals(ndim, ndim + 1)(value)
-        return io.pairs_to_complex(arr) if arr.ndim > ndim else arr.astype(np.complex128)
+        if arr.ndim == ndim:
+            return arr.astype(np.complex128)
+        if arr.shape[-1] != 2:
+            raise ValueError("complex payload must be [re, im] pairs")
+        return arr[..., 0] + 1j * arr[..., 1]
     return convert
 
 
@@ -149,16 +150,16 @@ _bool, _str, _floats = _instance(bool), _instance(str), _reals(1)
 
 _COLLAPSE = {
     "energies": (_floats, REQUIRED), "probabilities": (_probabilities, REQUIRED),
-    "k_mode": (_str, "dynamic"), "k0": (_float, None), "seed": (_seed, 0),
+    "k_mode": (_str, "dynamic"), "k0": (_float, None), "seed": (check_seed, 0),
 }
 SCHEMAS = {
     "rdm-sample": {
-        "n": (_int, REQUIRED), "seed": (_seed, REQUIRED), "weights": (_floats, REQUIRED),
+        "n": (_int, REQUIRED), "seed": (check_seed, REQUIRED), "weights": (_floats, REQUIRED),
         "binary": (_bool, False),
     },
     "beable-run": {
         "hamiltonian": (_complex(2), REQUIRED), "psi0": (_complex(1), REQUIRED),
-        "dt": (_float, REQUIRED), "steps": (_int, REQUIRED), "seed": (_seed, REQUIRED),
+        "dt": (_float, REQUIRED), "steps": (_int, REQUIRED), "seed": (check_seed, REQUIRED),
         "beable0": (_int, 0), "noise_c": (_float, 0.0),
         "ensemble": ({"n_traj": (_int, REQUIRED)}, None),
     },
@@ -184,7 +185,7 @@ SCHEMAS = {
         "n_regions": (_int, REQUIRED),
     },
     "frames-analyze": {
-        "a_sq": (_float, REQUIRED), "n": (_int, REQUIRED), "seed": (_seed, REQUIRED),
+        "a_sq": (_float, REQUIRED), "n": (_int, REQUIRED), "seed": (check_seed, REQUIRED),
         "v": (_float, REQUIRED), "events_csv": (_bool, False),
         "regions": ({"u1": (_interval, REQUIRED), "u2": (_interval, REQUIRED),
                      "d1": (_interval, REQUIRED), "d2": (_interval, REQUIRED)},
@@ -199,6 +200,9 @@ SCHEMAS = {
 # parse_scenario caps that value at MAX_ROWS, far above every bundled or default one
 MAX_ROWS = 1_000_000
 ROW_KEYS = {"beable-run": "steps", "collapse-run": "max_steps"}
+# and caps collapse-ensemble's n_trials * n_steps at MAX_TRIAL_STEPS, 50 times the
+# largest bundled product: some 10 s at the ~100 ns that a trial-step takes
+MAX_TRIAL_STEPS = 100_000_000
 
 
 def _convert(convert, value, path: str):
@@ -361,7 +365,7 @@ def cmd_tau_c(p, out_dir):
                         "tau_c_s": [collapse.collapse_time(de) for de in des],
                         "quoted_target_s": [row["quoted_target_s"] for row in entries]},
                  header_comments=[
-                     f"hbar_ev_s={constants.HBAR_EVS!r} t_p_s={constants.PLANCK_TIME_S!r}"])
+                     f"hbar_ev_s={collapse.HBAR_EVS!r} t_p_s={collapse.PLANCK_TIME_S!r}"])
     return f"{len(entries)} collapse-time rows written", [path]
 
 
@@ -538,7 +542,8 @@ def build_parser() -> _Parser:
 
 def parse_scenario(scenario: dict, subcommand: str) -> dict:
     """Parameters of `scenario` for `subcommand`, typed against SCHEMAS, with
-    the subcommand's row key (ROW_KEYS) at most MAX_ROWS."""
+    the subcommand's row key (ROW_KEYS) at most MAX_ROWS and an ensemble's
+    trial-steps at most MAX_TRIAL_STEPS."""
     declared = scenario.get("subcommand")
     if declared is not None and declared != subcommand:
         raise ScenarioError(f"scenario targets {declared!r}, not {subcommand!r}")
@@ -549,6 +554,9 @@ def parse_scenario(scenario: dict, subcommand: str) -> dict:
     key = ROW_KEYS.get(subcommand)
     if key is not None:
         require_at_most(**{key: (params[key], MAX_ROWS)})
+    if subcommand == "collapse-ensemble":
+        require_at_most(**{"n_trials * n_steps": (params["n_trials"] * params["n_steps"],
+                                                  MAX_TRIAL_STEPS)})
     return params
 
 
@@ -573,9 +581,9 @@ def _run(args) -> int:
         "subcommand": args.subcommand,
         "scenario_hash": scenario_hash(scenario),
         "constants": {
-            "hbar_ev_s": constants.HBAR_EVS,
-            "t_p_s": constants.PLANCK_TIME_S,
-            "c_m_s": constants.C_M_S,
+            "hbar_ev_s": collapse.HBAR_EVS,
+            "t_p_s": collapse.PLANCK_TIME_S,
+            "c_m_s": collapse.C_M_S,
         },
         "wall_time_s": time.time() - t0,
         "outputs": sorted(str(p) for p in outputs),

@@ -34,11 +34,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import constants
 from .errors import ContractViolation, NumericFailure, SuperPlanckianError, require_at_least
 from .hilbert import EnergySuperposition
 from .seeding import check_seed, trial_rngs
 
+
+# the pinned physical constants of the collapse-time calculators
+HBAR_EVS = 6.582119569e-16  # reduced Planck constant [eV s]
+PLANCK_TIME_S = 5.391247e-44  # Planck time [s]
+C_M_S = 2.99792458e8  # speed of light [m/s]
 
 COLLAPSE_EPSILON = 1e-6  # the threshold: a trial collapses at max P_i > 1 - COLLAPSE_EPSILON
 NARROW_COLUMNS = 64  # widest array that _running_sum sums with one accumulate
@@ -322,7 +326,7 @@ def collapse_time(delta_e: float) -> float:
     if not delta_e > 0:  # NaN fails too
         raise ContractViolation(f"delta_e must be positive, not {delta_e}")
     try:
-        tau = (constants.HBAR_EVS / delta_e) ** 2 / constants.PLANCK_TIME_S
+        tau = (HBAR_EVS / delta_e) ** 2 / PLANCK_TIME_S
     except OverflowError:
         tau = math.inf
     if not math.isfinite(tau):
@@ -336,6 +340,6 @@ def relativistic_collapse_time(delta_e: float, v: float) -> float:
     formula holds.  Valid in the high-energy regime E ~ pc."""
     if np.ndim(v):
         raise ContractViolation(f"v must be a scalar, not shape {np.shape(v)}")
-    if not abs(v) < constants.C_M_S:  # NaN fails too
-        raise ContractViolation(f"|v| must be below c = {constants.C_M_S:.0f} m/s, not {v}")
-    return (1.0 + v / constants.C_M_S) ** -2 * collapse_time(delta_e)
+    if not abs(v) < C_M_S:  # NaN fails too
+        raise ContractViolation(f"|v| must be below c = {C_M_S:.0f} m/s, not {v}")
+    return (1.0 + v / C_M_S) ** -2 * collapse_time(delta_e)

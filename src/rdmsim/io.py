@@ -1,5 +1,5 @@
-"""File formats: JSON reports, CSV trajectories/tables, the [re, im] pair
-form of complex scenario values, and the compact binary trajectory format.
+"""File formats: JSON reports, CSV trajectories/tables and the compact
+binary trajectory format.
 
 All writers are deterministic (sorted keys, repr-roundtrip floats, no
 timestamps), so re-running an identical scenario reproduces the data
@@ -29,13 +29,6 @@ from .rdm import PairedStayTrajectory, StayTrajectory
 _MAGIC = b"RDMT"
 _VERSION = 1
 CSV_BLOCK_ROWS = 1 << 10  # rows per % format of write_csv, bounding the text held
-
-
-def pairs_to_complex(pairs) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=np.float64)
-    if arr.shape[-1] != 2:
-        raise ScenarioError("complex payload must be [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def write_json(path, payload: dict):

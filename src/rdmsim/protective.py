@@ -78,9 +78,6 @@ class ProtectiveSetup:
         if self.system.dim != self.observable.dim:
             raise DimensionMismatchError(f"system state dim {self.system.dim} != "
                                          f"observable dim {self.observable.dim}")
-        if not self.system.is_normalized():
-            raise ContractViolation(f"system state must be normalized, not of norm^2 "
-                                    f"{self.system.norm_sq():.17g}")
         require_at_least(n_projections=(self.n_projections, 1))
         if not 0 < self.tau < np.inf:  # NaN fails too
             raise ContractViolation(f"tau must be positive and finite, not {self.tau}")

@@ -47,7 +47,7 @@ class GridWavefunction:
         GridWavefunction._check_dx(self.dx)
         if not np.all(np.isfinite(s.view(np.float64))):
             raise NumericFailure("non-finite grid sample")
-        if abs(self.dx * float(np.sum(np.abs(s) ** 2)) - 1.0) > GRID_NORM_TOL:
+        if not abs(self.dx * float(np.sum(np.abs(s) ** 2)) - 1.0) <= GRID_NORM_TOL:  # NaN too
             raise NormalizationError("dx * sum |psi|^2 != 1 within 1e-8")
         object.__setattr__(self, "samples", s)
 
@@ -102,9 +102,12 @@ class DensityPair:
         j = _frozen(self.j, np.float64)
         if rho.shape != j.shape or rho.ndim != 1:
             raise DimensionMismatchError("rho and j must be equal-length 1-d arrays")
+        GridWavefunction._check_dx(self.dx)
+        if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(j))):
+            raise NumericFailure("non-finite density or flux")
         if np.any(rho < 0):
             raise NormalizationError("rho must be non-negative")
-        if abs(self.dx * float(np.sum(rho)) - 1.0) > GRID_NORM_TOL:
+        if not abs(self.dx * float(np.sum(rho)) - 1.0) <= GRID_NORM_TOL:  # NaN fails too
             raise NormalizationError("dx * sum rho != 1 within 1e-8")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "j", j)
@@ -204,8 +207,8 @@ def dispersion_check(p: float, n_samples: int = 256) -> float:
     |E psi + D2 psi / 2|.  Second order: halving dx cuts the residual
     ~4x.  A wrong E does not converge to zero.
     """
-    if abs(p - round(p)) > 1e-9:
-        raise DimensionMismatchError("p is not compatible with the grid periodicity")
+    if not (np.isfinite(p) and abs(p - round(p)) <= 1e-9):
+        raise DimensionMismatchError(f"p must be an integer momentum, not {p}")
     dx = 2.0 * np.pi / n_samples
     x = dx * np.arange(n_samples)
     psi = np.exp(1j * p * x)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rdmsim import collapse, constants, hilbert
+from rdmsim import collapse, hilbert
 from rdmsim.collapse import CollapseConfig
 from rdmsim.errors import ContractViolation, NumericFailure, SuperPlanckianError
 from rdmsim.seeding import trial_rngs
@@ -579,12 +579,12 @@ class TestCollapseTime:
     def test_relativistic_factor(self):
         base = collapse.collapse_time(1.0)
         assert collapse.relativistic_collapse_time(1.0, 0.0) == base
-        third = collapse.relativistic_collapse_time(1.0, constants.C_M_S / 3.0)
+        third = collapse.relativistic_collapse_time(1.0, collapse.C_M_S / 3.0)
         assert third / base == pytest.approx(9.0 / 16.0, abs=1e-12)
 
     def test_rejects_superluminal(self):
         with pytest.raises(ContractViolation):
-            collapse.relativistic_collapse_time(1.0, constants.C_M_S)
+            collapse.relativistic_collapse_time(1.0, collapse.C_M_S)
 
 
 def forced_step(p, stay, k):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdmsim import beable, collapse, constants, frames, hilbert, protective, rdm, schrodinger
+from rdmsim import beable, collapse, frames, hilbert, protective, rdm, schrodinger
 from rdmsim.collapse import CollapseConfig
 from rdmsim.errors import (ContractViolation, DimensionMismatchError, NormalizationError,
                            NumericFailure, StepSizeError, SuperluminalFrameError,
@@ -133,7 +133,7 @@ SCALAR_GUARDS = {  # one row per guard and input kind: (the call, its class, mes
         lambda: frames.SynchronyParams(v=0.1, k_prime=np.array([0.0, np.nan])),
         ContractViolation, "k_prime must lie in [-1, 1], not nan"),
     "relativistic_collapse_time-v": (
-        lambda: collapse.relativistic_collapse_time(1.0, -constants.C_M_S), ContractViolation,
+        lambda: collapse.relativistic_collapse_time(1.0, -collapse.C_M_S), ContractViolation,
         "|v| must be below c = 299792458 m/s, not -299792458.0"),
     "relativistic_collapse_time-v-nan": (
         lambda: collapse.relativistic_collapse_time(1.0, np.nan), ContractViolation,
@@ -161,6 +161,17 @@ SCALAR_GUARDS = {  # one row per guard and input kind: (the call, its class, mes
         lambda: beable.ensemble_jump_run(TWO_SITE_H, TWO_SITE_PSI, 10, 0.01, 5, seed=1,
                                          noise_c=np.nan),
         NormalizationError, "noise_c must be non-negative, not nan"),
+    "ComplexVectorState-norm": (lambda: hilbert.ComplexVectorState([1.0, 1.0]),
+                                NormalizationError, "state must be normalized, not of norm^2 2"),
+    "ComplexVectorState-norm-nan": (lambda: hilbert.ComplexVectorState([np.nan, 0.0]),
+                                    NormalizationError,
+                                    "state must be normalized, not of norm^2 nan"),
+    "dispersion_check-p": (lambda: schrodinger.dispersion_check(0.5), DimensionMismatchError,
+                           "p must be an integer momentum, not 0.5"),
+    "dispersion_check-p-nan": (lambda: schrodinger.dispersion_check(np.nan),
+                               DimensionMismatchError, "p must be an integer momentum, not nan"),
+    "dispersion_check-p-inf": (lambda: schrodinger.dispersion_check(np.inf),
+                               DimensionMismatchError, "p must be an integer momentum, not inf"),
     "GridWavefunction-dx": (lambda: schrodinger.GridWavefunction(0.0, -0.1, np.ones(16)),
                             DimensionMismatchError, "dx must be positive, not -0.1"),
     "GridWavefunction-dx-nan": (

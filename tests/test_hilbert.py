@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rdmsim import acceptance, collapse, frames, hilbert, protective, rdm
@@ -44,6 +44,24 @@ class TestBornProbabilities:
             c = rand_state(rng, int(rng.integers(1, 8))).amplitudes
             s = hilbert.EnergySuperposition(rng.normal(size=c.size), c)
             assert abs(s.probabilities.sum() - 1.0) < 1e-10
+
+
+class TestUnitNorm:
+    """A state's norm^2 is 1 within NORM_TOL, checked where it is built."""
+
+    @given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False), min_size=1,
+                    max_size=16))
+    @example([1.0, 1.0])
+    @example([1e-6j])
+    @settings(max_examples=200, deadline=None)
+    def test_unit_vectors_construct_and_others_do_not(self, values):
+        v = np.array(values, dtype=np.complex128)
+        norm = np.linalg.norm(v)
+        assume(norm > 1e-150)  # a subnormal norm rounds too coarsely to divide by
+        unit = v / norm
+        assert np.array_equal(hilbert.ComplexVectorState(unit).amplitudes, unit)
+        with pytest.raises(NormalizationError, match=r"^state must be normalized, not of norm"):
+            hilbert.ComplexVectorState(unit * (1.0 + 1e-9))
 
 
 class TestExpectationValue:

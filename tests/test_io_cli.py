@@ -97,18 +97,23 @@ class TestSeeding:
 
 
 class TestComplexJson:
+    """A complex scenario value, as reals or as [re, im] pairs (cli._complex)."""
+
     def test_round_trip_vector(self):
         v = np.array([0.6, 0.8j, -0.1 + 0.2j])
-        assert np.array_equal(io.pairs_to_complex([[0.6, 0.0], [0.0, 0.8], [-0.1, 0.2]]), v)
+        assert np.array_equal(cli._complex(1)([[0.6, 0.0], [0.0, 0.8], [-0.1, 0.2]]), v)
 
     def test_round_trip_matrix(self):
         m = np.array([[1.0, 1j], [-1j, 2.0]])
         pairs = [[[1.0, 0.0], [0.0, 1.0]], [[0.0, -1.0], [2.0, 0.0]]]
-        assert np.array_equal(io.pairs_to_complex(pairs), m)
+        assert np.array_equal(cli._complex(2)(pairs), m)
 
     def test_bad_payload(self):
-        with pytest.raises(ScenarioError):
-            io.pairs_to_complex([[1.0, 2.0, 3.0]])
+        with pytest.raises(ValueError, match=r"^complex payload must be \[re, im\] pairs$"):
+            cli._complex(1)([[1.0, 2.0, 3.0]])
+        with pytest.raises(ScenarioError) as exc:
+            cli.parse_scenario({"psi": [[1.0, 2.0, 3.0]]}, "protect-sweep")
+        assert str(exc.value) == "bad value for 'psi': complex payload must be [re, im] pairs"
 
 
 class TestBinaryTrajectory:
@@ -361,7 +366,8 @@ class TestCliRuns:
         ("rdm-sample", "weights: [0.5, 0.5]\nn: \"100\"\nseed: 0\n", (),
          "error (ScenarioError): bad value for 'n': expected an integer, not '100'\n"),
         ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: \"5\"\n", (),
-         "error (ScenarioError): bad value for 'seed': expected an integer, not '5'\n"),
+         "error (ScenarioError): bad value for 'seed': seed must be an integer in [0, 2^64), "
+         "not '5'\n"),
         ("rdm-sample", "weights: [0.5, 0.5]\nn: 10\nseed: 0\nbinary: yes\n", (),
          "error (ScenarioError): bad value for 'binary': expected a bool, not 'yes'\n"),
         *[("rdm-sample", f"weights: [0.5, 0.5]\nn: {n}\nseed: 0\n", (),
@@ -391,6 +397,14 @@ class TestCliRuns:
         ("collapse-run", "energies: [0.0, 1.0]\nprobabilities: [0.5, 0.5]\n"
                          f"max_steps: {2**59}\n", (),
          f"error (ContractViolation): max_steps must be <= 1000000, not {2**59}\n"),
+        # a state is a unit vector, checked where it is built
+        ("beable-run", "hamiltonian: [[0.0, -1.0], [-1.0, 0.0]]\npsi0: [1.0, 1.0]\n"
+                       "dt: 0.01\nsteps: 10\nseed: 0\n", (),
+         "error (NormalizationError): state must be normalized, not of norm^2 2\n"),
+        ("protect-sweep", "psi: [1.0, 1.0]\nobservable: [[1.0, 0.0], [0.0, 0.0]]\n"
+                          "n_list: [10]\ntau: 1.0\n"
+                          "pointer: {x_min: -20.0, dx: 0.5, n: 80, w0: 2.0}\n", (),
+         "error (NormalizationError): state must be normalized, not of norm^2 2\n"),
     ], ids=["n-trials-abc", "max-steps-list", "two-box-empty", "two-box-number",
             "n-abc", "a-sq-abc", "entries-number", "state-number", "criteria-number",
             "binary-string", "units-bogus", "delta-e-reducer", "ensemble-unknown-key",
@@ -408,7 +422,8 @@ class TestCliRuns:
             "n-hex", "n-octal", "n-binary", "n-sexagesimal", "n-bad-date", "weights-quoted",
             "a-sq-quoted", "tag-int", "tag-float", "tag-bool", "tag-timestamp", "tag-int-empty",
             "tag-int-hex", "tag-non-specific", "n-too-many-digits", "n-too-deep",
-            "steps-too-many-rows", "max-steps-too-many-rows"])
+            "steps-too-many-rows", "max-steps-too-many-rows", "psi0-unnormalized",
+            "psi-unnormalized"])
     def test_malformed_value_exits_1(self, tmp_path, capsys, subcommand, body, extra,
                                      expect):
         path = tmp_path / "s.yaml"
@@ -427,10 +442,11 @@ class TestCliRuns:
     @pytest.mark.parametrize("subcommand, body", [
         ("rdm-sample", f"weights: [0.5, 0.5]\nn: {2**59}\nseed: 0\n"),
         ("collapse-ensemble", f"energies: [0.0, 1.0]\nprobabilities: [0.5, 0.5]\n"
-                              f"n_trials: {2**59}\n"),
+                              f"n_trials: {2**59}\nn_steps: 0\n"),
     ], ids=["n", "n-trials"])
     def test_unallocatable_size_exits_1(self, tmp_path, capsys, subcommand, body):
-        # 2^59 float64s (4 EiB) exceed the address space, so numpy fails at once
+        # 2^59 float64s (4 EiB) exceed the address space, so numpy fails at once;
+        # with no steps the ensemble's trial-steps stay below cli.MAX_TRIAL_STEPS
         path = tmp_path / "s.yaml"
         path.write_text(f"subcommand: {subcommand}\n{body}")
         assert run_cli(subcommand, "--scenario", str(path),
@@ -844,6 +860,8 @@ SMALL_SCENARIOS = {
 }
 
 JUNK = ["abc", [], {}, None, -1, 0, 1.5, float("nan"), True]
+# sizes and scales at the edges of what a scenario can spell
+EXTREMES = [2**59, 1e308, -1e308, 1e-308, 5e-324, 1e15, 0.999999999999]
 
 
 def key_paths(value, prefix=()):
@@ -929,27 +947,52 @@ class TestScenarioFuzz:
         assert run_cli(sub, "--scenario", str(path), "--out-dir", str(tmp_path / "out")) == 1
         assert "expected a number, not '" in capsys.readouterr().err
 
-    @settings(max_examples=150, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(case=st.sampled_from(FUZZ_CASES))
-    def test_one_junk_value_never_escapes(self, tmp_path, capsys, case):
-        sub, key_path, junk = case
+    @staticmethod
+    def assert_never_escapes(tmp_path, capsys, sub, key_path, value):
         path = tmp_path / "s.yaml"
         path.write_text(yaml.safe_dump(
-            {"subcommand": sub, **mutated(SMALL_SCENARIOS[sub], key_path, junk)}))
+            {"subcommand": sub, **mutated(SMALL_SCENARIOS[sub], key_path, value)}))
         out = tmp_path / "out"
-        shutil.rmtree(out, ignore_errors=True)  # tmp_path is shared by the examples
+        shutil.rmtree(out, ignore_errors=True)  # tmp_path is shared by the cases
         code = run_cli(sub, "--scenario", str(path), "--out-dir", str(out))
         err = capsys.readouterr().err
-        assert code in (0, 1, 2)
+        assert code in (0, 1, 2), (key_path, value)
         if code == 1:
             assert "error (" in err
         if code != 0:  # a failed run writes no file
             assert not out.exists() or list(out.iterdir()) == []
 
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=st.sampled_from(FUZZ_CASES))
+    def test_one_junk_value_never_escapes(self, tmp_path, capsys, case):
+        self.assert_never_escapes(tmp_path, capsys, *case)
+
+    # numpy's overflow warnings reach stderr as they do in a user's run; the exit
+    # code and the empty --out-dir are what this test holds
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("sub", sorted(SMALL_SCENARIOS))
+    def test_one_extreme_value_never_escapes(self, tmp_path, capsys, sub):
+        for key_path in key_paths(SMALL_SCENARIOS[sub]):
+            for value in EXTREMES:
+                self.assert_never_escapes(tmp_path, capsys, sub, key_path, value)
+
+    def test_unbounded_ensemble_exits_1_before_it_runs(self, tmp_path, capsys):
+        # 10^15 trial-steps would run for days and write nothing until the end
+        scenario = {**SMALL_SCENARIOS["collapse-ensemble"], "n_trials": 1000,
+                    "n_steps": 10**12, "slice_stride": 10**11}
+        path = tmp_path / "s.yaml"
+        path.write_text(yaml.safe_dump({"subcommand": "collapse-ensemble", **scenario}))
+        assert run_cli("collapse-ensemble", "--scenario", str(path),
+                       "--out-dir", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == ("error (ContractViolation): n_trials * n_steps "
+                                           "must be <= 100000000, not 1000000000000000\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestRowBound:
-    """A run that records a row per step takes at most cli.MAX_ROWS steps."""
+    """A run that records a row per step takes at most cli.MAX_ROWS steps, and
+    an ensemble at most cli.MAX_TRIAL_STEPS trial-steps."""
 
     @pytest.mark.parametrize("sub", sorted(cli.ROW_KEYS))
     def test_bound_is_inclusive(self, sub):
@@ -968,6 +1011,25 @@ class TestRowBound:
                   for data in map(cli.load_scenario, cli.bundled_scenarios())
                   if cli.ROW_KEYS.get(data["subcommand"]) in data]
         assert values and max(values) < cli.MAX_ROWS
+
+    def test_trial_step_bound_is_inclusive(self):
+        sc = {**SMALL_SCENARIOS["collapse-ensemble"], "n_trials": 1000}
+        most = cli.MAX_TRIAL_STEPS // 1000
+        assert cli.parse_scenario({**sc, "n_steps": most}, "collapse-ensemble")["n_steps"] == most
+        with pytest.raises(ContractViolation) as exc:
+            cli.parse_scenario({**sc, "n_steps": most + 1}, "collapse-ensemble")
+        assert type(exc.value) is ContractViolation
+        assert str(exc.value) == (f"n_trials * n_steps must be <= {cli.MAX_TRIAL_STEPS}, "
+                                  f"not {1000 * (most + 1)}")
+
+    def test_trial_step_bound_exceeds_defaults_and_bundled_values(self):
+        schema = cli.SCHEMAS["collapse-ensemble"]
+        products = [schema["n_trials"][1] * schema["n_steps"][1]]
+        products += [data.get("n_trials", schema["n_trials"][1])
+                     * data.get("n_steps", schema["n_steps"][1])
+                     for data in map(cli.load_scenario, cli.bundled_scenarios())
+                     if data["subcommand"] == "collapse-ensemble"]
+        assert len(products) > 1 and max(products) < cli.MAX_TRIAL_STEPS
 
 
 class TestBundledScenarios:

@@ -4,8 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdmsim import cli, hilbert, protective, schrodinger as sch
-from rdmsim.errors import (ContractViolation, DimensionMismatchError, PhaseAmbiguityError,
-                           PointerDomainError)
+from rdmsim.errors import (ContractViolation, DimensionMismatchError, NormalizationError,
+                           PhaseAmbiguityError, PointerDomainError)
 
 
 def pointer(w0=5.0, n=512, length=80.0):
@@ -49,7 +49,7 @@ class TestSetupInvariants:
          DimensionMismatchError, "system state dim 2 != observable dim 3"),
         (lambda: protective.ProtectiveSetup(hilbert.ComplexVectorState([1.0, 1.0]),
                                             projector0(), 10, 1.0, pointer()),
-         ContractViolation, "system state must be normalized, not of norm^2 2"),
+         NormalizationError, "state must be normalized, not of norm^2 2"),
         (lambda: protective.ProtectiveSetup(plus_state(), projector0(), 0, 1.0, pointer()),
          ContractViolation, "n_projections must be >= 1, not 0"),
         (lambda: protective.ProtectiveSetup(plus_state(), projector0(), 10, np.nan, pointer()),

@@ -53,6 +53,11 @@ class TestGridInvariants:
         with pytest.raises(NormalizationError):
             sch.GridWavefunction(0.0, 0.1, np.ones(16))
 
+    def test_rejects_nan_norm(self):
+        # an infinite spacing times an all-zero grid is NaN, not 1
+        with pytest.raises(NormalizationError):
+            sch.GridWavefunction(0.0, np.inf, np.zeros(16))
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kw", [{"dx": 0.0}, {"dx": -0.1}, {"dx": np.nan}])
     def test_gaussian_rejects_scales_before_sampling(self, kw):
@@ -261,6 +266,17 @@ class TestReconstruction:
         phase /= abs(phase)
         err = np.sqrt(g.dx * np.sum(np.abs(g.samples - phase * rec.samples) ** 2))
         assert err < 1e-8
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dx, rho, j, error, message", [
+        (0.5, [np.nan] * 8, [0.0] * 8, NumericFailure, "non-finite density or flux"),
+        (np.nan, [0.25] * 8, [0.0] * 8, DimensionMismatchError, "dx must be positive, not nan"),
+        (0.5, [0.25] * 8, [np.inf] * 8, NumericFailure, "non-finite density or flux"),
+    ], ids=["rho-nan", "dx-nan", "j-inf"])
+    def test_non_finite_pair_rejected(self, dx, rho, j, error, message):
+        with pytest.raises(error) as exc:
+            sch.DensityPair(0.0, dx, rho, j)
+        assert str(exc.value) == message
 
     def test_node_raises(self):
         # first excited box-like state: density node at the center
